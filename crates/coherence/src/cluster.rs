@@ -11,9 +11,8 @@
 //!
 //! Everything is deterministic: peers are snooped in ascending core
 //! order (the lowest-index holder is the cache-to-cache supplier), and
-//! LRU eviction picks the entry with the smallest globally-unique use
-//! stamp, so the victim is well-defined even though the tag store is a
-//! `HashMap`.
+//! each private L1 keeps its lines on an exact recency list, so the LRU
+//! victim is well-defined and found without scanning the cache.
 
 use std::collections::HashMap;
 
@@ -46,6 +45,9 @@ pub struct AccessOutcome {
     /// Dirty lines flushed out of the cluster by this access (snoop
     /// write-backs and dirty LRU victims), as line addresses.
     pub writebacks: Vec<u64>,
+    /// Another core's L1 held the line valid: a sharing-induced access
+    /// (counted in [`CoherentCluster::shared_accesses`]).
+    pub shared: bool,
 }
 
 /// Counters for everything the coherence layer did.
@@ -88,13 +90,159 @@ impl CoherenceStats {
     }
 }
 
+/// "No node" link in an [`LruTags`] recency list.
+const NIL: u32 = u32::MAX;
+
+/// One resident line of a private L1, linked into its recency list.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    line: u64,
+    state: CohState,
+    prev: u32,
+    next: u32,
+}
+
+/// One private L1's tag store: exact LRU in O(1) per operation. Nodes
+/// live in a slab (`nodes`, recycled through `free`) and form a doubly
+/// linked recency list from `head` (most recently used) to `tail` (the
+/// eviction victim); `slot` maps a line address to its node.
+#[derive(Debug)]
+struct LruTags {
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    slot: HashMap<u64, u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl LruTags {
+    fn with_capacity(lines: usize) -> LruTags {
+        LruTags {
+            nodes: Vec::with_capacity(lines),
+            free: Vec::new(),
+            slot: HashMap::with_capacity(lines),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// Node index of `line`, if resident.
+    fn find(&self, line: u64) -> Option<u32> {
+        self.slot.get(&line).copied()
+    }
+
+    fn get(&self, line: u64) -> Option<CohState> {
+        self.find(line).map(|i| self.state(i))
+    }
+
+    fn state(&self, i: u32) -> CohState {
+        self.nodes[i as usize].state
+    }
+
+    /// Sets node `i`'s state without changing its recency (a snoop).
+    fn set_state(&mut self, i: u32, state: CohState) {
+        self.nodes[i as usize].state = state;
+    }
+
+    /// Sets node `i`'s state and makes it the most recently used (a hit).
+    fn touch(&mut self, i: u32, state: CohState) {
+        self.set_state(i, state);
+        if self.head != i {
+            self.unlink(i);
+            self.link_mru(i);
+        }
+    }
+
+    /// Inserts a non-resident line as the most recently used.
+    fn insert_mru(&mut self, line: u64, state: CohState) {
+        let node = Node {
+            line,
+            state,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.nodes[i as usize] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
+            }
+        };
+        let prior = self.slot.insert(line, i);
+        debug_assert!(prior.is_none(), "line {line:#x} already resident");
+        self.link_mru(i);
+    }
+
+    /// Drops node `i` from the cache.
+    fn remove(&mut self, i: u32) {
+        self.unlink(i);
+        self.slot.remove(&self.nodes[i as usize].line);
+        self.free.push(i);
+    }
+
+    /// Evicts the least recently used line.
+    fn pop_lru(&mut self) -> Option<(u64, CohState)> {
+        let i = self.tail;
+        if i == NIL {
+            return None;
+        }
+        let Node { line, state, .. } = self.nodes[i as usize];
+        self.remove(i);
+        Some((line, state))
+    }
+
+    /// Drops every dirty line, appending its address to `out`.
+    fn drain_dirty(&mut self, out: &mut Vec<u64>) {
+        let mut i = self.head;
+        while i != NIL {
+            let Node {
+                line, state, next, ..
+            } = self.nodes[i as usize];
+            if state.is_dirty() {
+                out.push(line);
+                self.remove(i);
+            }
+            i = next;
+        }
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Node { prev, next, .. } = self.nodes[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    fn link_mru(&mut self, i: u32) {
+        let node = &mut self.nodes[i as usize];
+        node.prev = NIL;
+        node.next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.nodes[h as usize].prev = i,
+        }
+        self.head = i;
+    }
+}
+
 /// N private L1s + snooping bus + protocol.
 pub struct CoherentCluster {
     protocol: Box<dyn CoherenceProtocol + Send + Sync>,
     cfg: ClusterConfig,
-    /// Per-core tag store: line address → (state, last-use stamp).
-    l1: Vec<HashMap<u64, (CohState, u64)>>,
-    use_counter: u64,
+    /// Per-core tag store.
+    l1: Vec<LruTags>,
     bus: SnoopBus,
     stats: CoherenceStats,
     /// Per-line sharing-induced access counts: how many accesses found
@@ -107,16 +255,20 @@ pub struct CoherentCluster {
 impl CoherentCluster {
     pub fn new(kind: ProtocolKind, cfg: ClusterConfig) -> CoherentCluster {
         assert!(cfg.cores >= 1, "cluster needs at least one core");
-        assert!(cfg.l1_lines >= 1, "private caches need at least one line");
+        assert!(
+            (1..NIL as usize).contains(&cfg.l1_lines),
+            "private caches need at least one line and fewer than 2^32 - 1"
+        );
         assert!(
             cfg.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
         CoherentCluster {
             protocol: kind.build(),
-            l1: vec![HashMap::new(); cfg.cores],
+            l1: (0..cfg.cores)
+                .map(|_| LruTags::with_capacity(cfg.l1_lines))
+                .collect(),
             cfg,
-            use_counter: 0,
             bus: SnoopBus::new(),
             stats: CoherenceStats::default(),
             shared_access_counts: HashMap::new(),
@@ -156,9 +308,7 @@ impl CoherentCluster {
 
     /// State of `core`'s copy of the line holding `addr`, if any.
     pub fn probe(&self, core: usize, addr: u64) -> Option<CohState> {
-        self.l1[core]
-            .get(&(addr & !(self.cfg.line_bytes - 1)))
-            .map(|&(s, _)| s)
+        self.l1[core].get(addr & !(self.cfg.line_bytes - 1))
     }
 
     fn note_shared_access(&mut self, line: u64) {
@@ -171,7 +321,7 @@ impl CoherentCluster {
         self.l1
             .iter()
             .enumerate()
-            .any(|(c, tags)| c != core && tags.get(&line).is_some_and(|&(s, _)| s != CohState::I))
+            .any(|(c, tags)| c != core && tags.get(line).is_some_and(|s| s != CohState::I))
     }
 
     /// Broadcast `tx` from `core`: snoop every valid peer holder in
@@ -189,9 +339,10 @@ impl CoherentCluster {
             if c == core {
                 continue;
             }
-            let Some(&(state, stamp)) = self.l1[c].get(&line) else {
+            let Some(i) = self.l1[c].find(line) else {
                 continue;
             };
+            let state = self.l1[c].state(i);
             if state == CohState::I {
                 continue;
             }
@@ -206,10 +357,10 @@ impl CoherentCluster {
                 self.stats.writeback_flushes += 1;
             }
             if out.next == CohState::I {
-                self.l1[c].remove(&line);
+                self.l1[c].remove(i);
                 self.stats.invalidations += 1;
             } else {
-                self.l1[c].insert(line, (out.next, stamp));
+                self.l1[c].set_state(i, out.next);
             }
         }
         supplied
@@ -218,34 +369,28 @@ impl CoherentCluster {
     /// Insert `line` into `core`'s L1, evicting the LRU entry if full.
     /// Dirty victims are flushed below.
     fn fill(&mut self, core: usize, line: u64, state: CohState, writebacks: &mut Vec<u64>) {
-        let stamp = self.use_counter;
         let tags = &mut self.l1[core];
-        if tags.len() >= self.cfg.l1_lines && !tags.contains_key(&line) {
-            // Use stamps are globally unique, so the minimum is a single
-            // well-defined victim regardless of HashMap iteration order.
-            let victim = tags
-                .iter()
-                .min_by_key(|(_, &(_, used))| used)
-                .map(|(&l, &(s, _))| (l, s))
-                .expect("full cache has a victim");
-            tags.remove(&victim.0);
-            if victim.1.is_dirty() {
-                writebacks.push(victim.0);
+        if tags.len() >= self.cfg.l1_lines {
+            let (victim, victim_state) = tags.pop_lru().expect("full cache has a victim");
+            if victim_state.is_dirty() {
+                writebacks.push(victim);
                 self.stats.writeback_flushes += 1;
             }
         }
-        tags.insert(line, (state, stamp));
+        tags.insert_mru(line, state);
     }
 
     /// One core access at `now` (core cycles). See [`AccessOutcome`].
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool, now: u64) -> AccessOutcome {
         assert!(core < self.cfg.cores, "core index out of range");
-        self.use_counter += 1;
         let line = addr & !(self.cfg.line_bytes - 1);
         let mut writebacks = Vec::new();
 
-        let held = self.l1[core].get(&line).copied();
-        if let Some((state, _)) = held.filter(|&(s, _)| s != CohState::I) {
+        let held = self.l1[core].find(line);
+        let valid = held
+            .map(|i| (i, self.l1[core].state(i)))
+            .filter(|&(_, s)| s != CohState::I);
+        if let Some((i, state)) = valid {
             // ---- hit ----------------------------------------------------
             self.stats.l1_hits += 1;
             let others = self.others_hold(core, line);
@@ -265,20 +410,21 @@ impl CoherentCluster {
                 self.snoop_peers(core, line, tx, &mut writebacks);
                 done = done.max(bus_done);
             }
-            self.l1[core].insert(line, (out.next, self.use_counter));
+            self.l1[core].touch(i, out.next);
             self.sync_bus_stats();
             return AccessOutcome {
                 cycles: done - now,
                 fetch_below: false,
                 writebacks,
+                shared: others,
             };
         }
 
         // ---- miss -------------------------------------------------------
         self.stats.l1_misses += 1;
-        if held.is_some() {
+        if let Some(i) = held {
             // Stale Invalid tag: drop it before refilling.
-            self.l1[core].remove(&line);
+            self.l1[core].remove(i);
         }
         let others = self.others_hold(core, line);
         if others {
@@ -306,6 +452,7 @@ impl CoherentCluster {
             cycles: (done - now) + self.cfg.hit_cycles,
             fetch_below: !supplied,
             writebacks,
+            shared: others,
         }
     }
 
@@ -314,14 +461,7 @@ impl CoherentCluster {
     pub fn drain_dirty(&mut self) -> Vec<u64> {
         let mut lines: Vec<u64> = Vec::new();
         for tags in &mut self.l1 {
-            tags.retain(|&line, &mut (state, _)| {
-                if state.is_dirty() {
-                    lines.push(line);
-                    false
-                } else {
-                    true
-                }
-            });
+            tags.drain_dirty(&mut lines);
         }
         lines.sort_unstable();
         self.stats.writeback_flushes += lines.len() as u64;
@@ -331,6 +471,219 @@ impl CoherentCluster {
     fn sync_bus_stats(&mut self) {
         self.stats.bus_wait_cycles = self.bus.wait_cycles;
         self.stats.bus_busy_cycles = self.bus.busy_cycles;
+    }
+}
+
+/// The stamp-scan tag store this module used before [`LruTags`], kept
+/// with the cluster logic around it as the differential-test oracle: each
+/// L1 maps line → (state, globally unique last-use stamp) and a fill
+/// evicts the minimum stamp after scanning the whole cache.
+#[cfg(test)]
+mod stamp_oracle {
+    use super::*;
+
+    pub struct StampCluster {
+        protocol: Box<dyn CoherenceProtocol + Send + Sync>,
+        cfg: ClusterConfig,
+        l1: Vec<HashMap<u64, (CohState, u64)>>,
+        use_counter: u64,
+        bus: SnoopBus,
+        pub stats: CoherenceStats,
+        shared_access_counts: HashMap<u64, u32>,
+    }
+
+    impl StampCluster {
+        pub fn new(kind: ProtocolKind, cfg: ClusterConfig) -> StampCluster {
+            StampCluster {
+                protocol: kind.build(),
+                l1: vec![HashMap::new(); cfg.cores],
+                cfg,
+                use_counter: 0,
+                bus: SnoopBus::new(),
+                stats: CoherenceStats::default(),
+                shared_access_counts: HashMap::new(),
+            }
+        }
+
+        pub fn shared_accesses(&self, addr: u64) -> u32 {
+            self.shared_access_counts
+                .get(&(addr & !(self.cfg.line_bytes - 1)))
+                .copied()
+                .unwrap_or(0)
+        }
+
+        pub fn probe(&self, core: usize, addr: u64) -> Option<CohState> {
+            self.l1[core]
+                .get(&(addr & !(self.cfg.line_bytes - 1)))
+                .map(|&(s, _)| s)
+        }
+
+        fn note_shared_access(&mut self, line: u64) {
+            let n = self.shared_access_counts.entry(line).or_insert(0);
+            *n = n.saturating_add(1);
+        }
+
+        fn others_hold(&self, core: usize, line: u64) -> bool {
+            self.l1.iter().enumerate().any(|(c, tags)| {
+                c != core && tags.get(&line).is_some_and(|&(s, _)| s != CohState::I)
+            })
+        }
+
+        fn snoop_peers(
+            &mut self,
+            core: usize,
+            line: u64,
+            tx: BusTx,
+            writebacks: &mut Vec<u64>,
+        ) -> bool {
+            let mut supplied = false;
+            for c in 0..self.cfg.cores {
+                if c == core {
+                    continue;
+                }
+                let Some(&(state, stamp)) = self.l1[c].get(&line) else {
+                    continue;
+                };
+                if state == CohState::I {
+                    continue;
+                }
+                let out = self.protocol.on_snoop(state, tx);
+                if out.supply && !supplied {
+                    supplied = true;
+                    self.stats.interventions += 1;
+                }
+                if out.writeback {
+                    writebacks.push(line);
+                    self.stats.writeback_flushes += 1;
+                }
+                if out.next == CohState::I {
+                    self.l1[c].remove(&line);
+                    self.stats.invalidations += 1;
+                } else {
+                    self.l1[c].insert(line, (out.next, stamp));
+                }
+            }
+            supplied
+        }
+
+        fn fill(&mut self, core: usize, line: u64, state: CohState, writebacks: &mut Vec<u64>) {
+            let stamp = self.use_counter;
+            let tags = &mut self.l1[core];
+            if tags.len() >= self.cfg.l1_lines && !tags.contains_key(&line) {
+                let victim = tags
+                    .iter()
+                    .min_by_key(|(_, &(_, used))| used)
+                    .map(|(&l, &(s, _))| (l, s))
+                    .expect("full cache has a victim");
+                tags.remove(&victim.0);
+                if victim.1.is_dirty() {
+                    writebacks.push(victim.0);
+                    self.stats.writeback_flushes += 1;
+                }
+            }
+            tags.insert(line, (state, stamp));
+        }
+
+        /// The old access path; `shared` is derived the way its caller
+        /// did, from the line's sharing count before and after.
+        pub fn access(
+            &mut self,
+            core: usize,
+            addr: u64,
+            is_write: bool,
+            now: u64,
+        ) -> AccessOutcome {
+            let shared_before = self.shared_accesses(addr);
+            let (cycles, fetch_below, writebacks) = self.access_inner(core, addr, is_write, now);
+            AccessOutcome {
+                cycles,
+                fetch_below,
+                writebacks,
+                shared: self.shared_accesses(addr) > shared_before,
+            }
+        }
+
+        fn access_inner(
+            &mut self,
+            core: usize,
+            addr: u64,
+            is_write: bool,
+            now: u64,
+        ) -> (u64, bool, Vec<u64>) {
+            self.use_counter += 1;
+            let line = addr & !(self.cfg.line_bytes - 1);
+            let mut writebacks = Vec::new();
+
+            let held = self.l1[core].get(&line).copied();
+            if let Some((state, _)) = held.filter(|&(s, _)| s != CohState::I) {
+                self.stats.l1_hits += 1;
+                let others = self.others_hold(core, line);
+                if others {
+                    self.note_shared_access(line);
+                }
+                let out = self.protocol.on_hit(state, is_write, others);
+                let mut done = now + self.cfg.hit_cycles;
+                if let Some(tx) = out.bus {
+                    self.stats.count_tx(tx);
+                    let data = if tx == BusTx::BusUpd {
+                        UPD_WORD_CYCLES
+                    } else {
+                        0
+                    };
+                    let (_, bus_done) = self.bus.acquire(now, data);
+                    self.snoop_peers(core, line, tx, &mut writebacks);
+                    done = done.max(bus_done);
+                }
+                self.l1[core].insert(line, (out.next, self.use_counter));
+                self.sync_bus_stats();
+                return (done - now, false, writebacks);
+            }
+
+            self.stats.l1_misses += 1;
+            if held.is_some() {
+                self.l1[core].remove(&line);
+            }
+            let others = self.others_hold(core, line);
+            if others {
+                self.note_shared_access(line);
+            }
+            let out = self.protocol.on_miss(is_write, others);
+            self.stats.count_tx(out.tx);
+            let data = if others { C2C_TRANSFER_CYCLES } else { 0 };
+            let (_, mut done) = self.bus.acquire(now, data);
+            let supplied = self.snoop_peers(core, line, out.tx, &mut writebacks);
+            if let Some(tx2) = out.extra_tx {
+                self.stats.count_tx(tx2);
+                let (_, upd_done) = self.bus.acquire(done, UPD_WORD_CYCLES);
+                self.snoop_peers(core, line, tx2, &mut writebacks);
+                done = upd_done;
+            }
+            self.fill(core, line, out.next, &mut writebacks);
+            self.sync_bus_stats();
+            ((done - now) + self.cfg.hit_cycles, !supplied, writebacks)
+        }
+
+        pub fn drain_dirty(&mut self) -> Vec<u64> {
+            let mut lines: Vec<u64> = Vec::new();
+            for tags in &mut self.l1 {
+                tags.retain(|&line, &mut (state, _)| {
+                    if state.is_dirty() {
+                        lines.push(line);
+                        false
+                    } else {
+                        true
+                    }
+                });
+            }
+            lines.sort_unstable();
+            self.stats.writeback_flushes += lines.len() as u64;
+            lines
+        }
+
+        fn sync_bus_stats(&mut self) {
+            self.stats.bus_wait_cycles = self.bus.wait_cycles;
+            self.stats.bus_busy_cycles = self.bus.busy_cycles;
+        }
     }
 }
 
@@ -476,5 +829,77 @@ mod tests {
         assert!(s.bus_busy_cycles > 0);
         assert!(s.bus_wait_cycles > 0);
         assert_eq!(s.bus_transactions(), 2);
+    }
+
+    /// Seeded xorshift64* (the crate is dependency-free).
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    #[test]
+    fn lru_list_matches_the_stamp_scan_oracle() {
+        use stamp_oracle::StampCluster;
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let (mut evicting_cases, mut invalidations, mut flushes) = (0, 0, 0);
+        for case in 0..200 {
+            let kind = if case % 2 == 0 {
+                ProtocolKind::Mesi
+            } else {
+                ProtocolKind::Dragon
+            };
+            let cfg = ClusterConfig {
+                cores: 1 + rng.below(8) as usize,
+                l1_lines: 1 + rng.below(8) as usize,
+                line_bytes: 64,
+                hit_cycles: 2,
+            };
+            // A line pool a little larger than one L1 keeps evictions,
+            // dirty-victim flushes and invalidations frequent.
+            let pool = cfg.l1_lines as u64 + 1 + rng.below(2 * cfg.l1_lines as u64);
+            let write_pct = rng.below(101);
+            let mut lru = CoherentCluster::new(kind, cfg);
+            let mut oracle = StampCluster::new(kind, cfg);
+            let mut now = 0;
+            for step in 0..300 {
+                let core = rng.below(cfg.cores as u64) as usize;
+                let addr = rng.below(pool) * 64 + rng.below(64);
+                let is_write = rng.below(100) < write_pct;
+                now += rng.below(40);
+                let got = lru.access(core, addr, is_write, now);
+                let want = oracle.access(core, addr, is_write, now);
+                let ctx = format!("case {case} step {step} {kind:?} {cfg:?}");
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(lru.stats(), &oracle.stats, "{ctx}");
+                assert_eq!(
+                    lru.shared_accesses(addr),
+                    oracle.shared_accesses(addr),
+                    "{ctx}"
+                );
+                for c in 0..cfg.cores {
+                    for l in 0..pool {
+                        assert_eq!(lru.probe(c, l * 64), oracle.probe(c, l * 64), "{ctx}");
+                    }
+                }
+            }
+            let s = lru.stats();
+            evicting_cases += usize::from(s.l1_misses > (cfg.cores * cfg.l1_lines) as u64);
+            invalidations += s.invalidations;
+            flushes += s.writeback_flushes;
+            assert_eq!(lru.drain_dirty(), oracle.drain_dirty(), "case {case}");
+            assert_eq!(lru.stats(), &oracle.stats, "case {case}");
+        }
+        assert!(evicting_cases > 150, "only {evicting_cases} cases evicted");
+        assert!(invalidations > 0 && flushes > 0);
     }
 }

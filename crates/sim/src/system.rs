@@ -1231,10 +1231,9 @@ impl System {
         let line = addr & !(self.cfg.hierarchy.line_bytes - 1);
         let row_coord = self.cfg.geometry.decode(addr);
         let coh = self.coherence.as_mut().expect("checked above");
-        let shared_before = coh.cluster.shared_accesses(line);
         let before = coh.cluster.stats().clone();
         let out = coh.cluster.access(core, line, is_write, now_cycles);
-        if coh.cluster.shared_accesses(line) > shared_before {
+        if out.shared {
             // The line was valid in another core's L1: sharing-induced
             // heat for its DRAM row, surfaced to the migration policy.
             let heat = self

@@ -1,0 +1,80 @@
+//! Output lock for the coherent front end: the rendered report of every
+//! shared-footprint kind under both protocols on DAS-DRAM must stay
+//! byte-identical. The digests below were captured before the private
+//! L1s moved from a stamp-scan tag store to an O(1) LRU list; any change
+//! to the cluster that moves a single report byte fails here.
+//!
+//! The budget is large enough that every private L1 fills and evicts, so
+//! the LRU victim path is part of what the digests cover.
+
+use das_coherence::ProtocolKind;
+use das_sim::config::{Design, SystemConfig};
+use das_sim::experiments::run_one_coherent;
+use das_sim::report::run_report;
+use das_workloads::shared::{SharedKind, SharedSpec, Sharing};
+
+/// Per-core instructions of each locked run.
+const INSTS: u64 = 150_000;
+
+/// Cores of each locked run (the catalog's coherent default).
+const CORES: usize = 4;
+
+/// (kind, protocol, FNV-1a digest of the rendered report).
+const LOCKED: [(SharedKind, ProtocolKind, u64); 6] = [
+    (SharedKind::Ring, ProtocolKind::Mesi, 0x6c41_679b_82ca_bad2),
+    (
+        SharedKind::Ring,
+        ProtocolKind::Dragon,
+        0xdd06_8861_f7b7_6461,
+    ),
+    (SharedKind::Lock, ProtocolKind::Mesi, 0xf269_4f1f_05ba_3e2f),
+    (
+        SharedKind::Lock,
+        ProtocolKind::Dragon,
+        0xb86b_7fe0_e95e_6527,
+    ),
+    (
+        SharedKind::Frontier,
+        ProtocolKind::Mesi,
+        0xd771_7401_66b4_64c2,
+    ),
+    (
+        SharedKind::Frontier,
+        ProtocolKind::Dragon,
+        0x97e9_d089_bd5a_6805,
+    ),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn coherent_reports_are_byte_identical() {
+    let mut cfg = SystemConfig::test_small();
+    cfg.inst_budget = INSTS;
+    let l1_lines = cfg.hierarchy.l1_bytes / cfg.hierarchy.line_bytes;
+    let mut mismatches = Vec::new();
+    for (kind, protocol, want) in LOCKED {
+        let spec = SharedSpec::new(kind, CORES, Sharing::Mid);
+        let m = run_one_coherent(&cfg, Design::DasDram, &spec, protocol).expect("run completes");
+        let coh = m.coherence.as_ref().expect("coherence block present");
+        assert!(
+            coh.stats.l1_misses > CORES as u64 * l1_lines,
+            "{kind:?}/{protocol:?}: {} misses never exercise LRU eviction",
+            coh.stats.l1_misses
+        );
+        let got = fnv1a(run_report(&m, None).render().as_bytes());
+        if got != want {
+            mismatches.push(format!(
+                "{kind:?}/{protocol:?}: {got:#018x} != {want:#018x}"
+            ));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "report digests moved: {mismatches:?}"
+    );
+}
