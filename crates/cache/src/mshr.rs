@@ -1,7 +1,7 @@
 //! Miss-status holding registers: merge concurrent misses to the same line
 //! so only one DRAM fetch is outstanding per line.
 
-use std::collections::HashMap;
+use crate::fast_hash::FastMap;
 
 /// An MSHR file tracking outstanding line fetches and the waiters merged
 /// onto each.
@@ -21,7 +21,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct Mshr<T> {
     capacity: usize,
-    pending: HashMap<u64, Vec<T>>,
+    pending: FastMap<u64, Vec<T>>,
 }
 
 impl<T> Mshr<T> {
@@ -34,7 +34,7 @@ impl<T> Mshr<T> {
         assert!(capacity > 0, "MSHR capacity must be positive");
         Mshr {
             capacity,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
         }
     }
 

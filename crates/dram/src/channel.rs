@@ -357,6 +357,20 @@ impl ChannelDevice {
         self.ranks.iter().map(|r| r.next_refresh_due()).min()
     }
 
+    /// Earliest refresh deadline of any rank strictly after `now`: the
+    /// next tick at which [`ChannelDevice::refresh_due`] can change without
+    /// a command being issued.
+    pub fn next_refresh_due_after(&self, now: Tick) -> Option<Tick> {
+        if !self.refresh_enabled {
+            return None;
+        }
+        self.ranks
+            .iter()
+            .map(|r| r.next_refresh_due())
+            .filter(|&t| t > now)
+            .min()
+    }
+
     fn open_row_params(
         &self,
         bank: BankCoord,

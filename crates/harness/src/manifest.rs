@@ -596,7 +596,9 @@ impl Manifest {
         Ok(m)
     }
 
-    /// Checks job-id uniqueness and that every job materialises.
+    /// Checks that every experiment id names a catalog experiment (its
+    /// renderer runs after the jobs, so an unknown id must fail before any
+    /// job does), job-id uniqueness, and that every job materialises.
     ///
     /// # Errors
     ///
@@ -604,6 +606,9 @@ impl Manifest {
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         for e in &self.experiments {
+            if crate::catalog::by_id(&e.id).is_none() {
+                return Err(format!("unknown experiment {:?}", e.id));
+            }
             for j in &e.jobs {
                 if !seen.insert(j.id.as_str()) {
                     return Err(format!("duplicate job id {:?}", j.id));
@@ -708,6 +713,19 @@ mod tests {
         assert!(Manifest::parse(&doc.render())
             .unwrap_err()
             .contains("version"));
+    }
+
+    #[test]
+    fn unknown_experiment_ids_are_rejected() {
+        let mut m = sample();
+        m.experiments[0].id = "fig99z".into();
+        assert!(m
+            .validate()
+            .unwrap_err()
+            .contains("unknown experiment \"fig99z\""));
+        assert!(Manifest::parse(&m.render())
+            .unwrap_err()
+            .contains("unknown experiment"));
     }
 
     #[test]

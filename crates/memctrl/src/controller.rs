@@ -3,9 +3,17 @@
 //! migration (row swap) scheduling (Table 1).
 //!
 //! The controller is event-driven and passive: the simulator calls
-//! [`MemoryController::advance`] with the current tick to let it issue every
-//! command that has become legal, and [`MemoryController::next_action_time`]
-//! to learn when to wake it next.
+//! [`MemoryController::advance_into`] with the current tick to let it issue
+//! every command that has become legal, and
+//! [`MemoryController::next_action_time`] to learn when to wake it next.
+//!
+//! Both ask the scheduler for its pick, which is computed once per state
+//! change: the chosen command and its role depend only on controller and
+//! device state, except that a rank's refresh falling due or a queued
+//! migration reaching its starvation bound can change them, and the issue
+//! tick of a pick computed at `t0` is `max(at, now)` for any later `now`.
+//! So the pick is cached until the next enqueue, issued command, or
+//! time-based edge, whichever comes first.
 
 use core::fmt;
 
@@ -137,6 +145,21 @@ pub struct ControllerStats {
     pub read_latency_ticks: u64,
 }
 
+/// A scheduling decision: the command, its earliest issue tick, and the
+/// bookkeeping role it plays.
+type Pick = (DramCommand, Tick, Role);
+
+/// The scheduler's pick, valid for every `now` in
+/// `[computed_at, valid_until)` while the controller state is unchanged.
+#[derive(Debug, Clone, Copy)]
+struct CachedPick {
+    computed_at: Tick,
+    /// The next refresh deadline or migration starvation bound after
+    /// `computed_at`.
+    valid_until: Tick,
+    pick: Option<Pick>,
+}
+
 /// One channel's memory controller. See the [module docs](self).
 #[derive(Debug)]
 pub struct MemoryController {
@@ -149,6 +172,8 @@ pub struct MemoryController {
     /// Command-bus spacing: commands are at least one tCK apart.
     last_cmd: Tick,
     first_cmd_issued: bool,
+    /// Dropped on every enqueue and every issued command.
+    cached: Option<CachedPick>,
     stats: ControllerStats,
 }
 
@@ -167,6 +192,7 @@ impl MemoryController {
             draining: false,
             last_cmd: Tick::ZERO,
             first_cmd_issued: false,
+            cached: None,
             stats: ControllerStats::default(),
         }
     }
@@ -245,12 +271,14 @@ impl MemoryController {
                 activated: None,
             });
         }
+        self.cached = None;
         Ok(())
     }
 
     /// Enqueues a row swap.
     pub fn enqueue_swap(&mut self, op: SwapOp) {
         self.swaps.push(op);
+        self.cached = None;
     }
 
     fn cmd_gap(&self) -> Tick {
@@ -265,20 +293,31 @@ impl MemoryController {
         }
     }
 
-    /// Issues every command that is legal at or before `now`, returning the
-    /// completions generated. Call again at
-    /// [`MemoryController::next_action_time`].
+    /// Like [`MemoryController::advance_into`], returning the completions
+    /// in a new vector.
     pub fn advance(&mut self, now: Tick) -> Result<Vec<Completion>, ControllerError> {
         let mut out = Vec::new();
+        self.advance_into(now, &mut out)?;
+        Ok(out)
+    }
+
+    /// Issues every command that is legal at or before `now`, appending the
+    /// completions generated to `out`. Call again at
+    /// [`MemoryController::next_action_time`].
+    pub fn advance_into(
+        &mut self,
+        now: Tick,
+        out: &mut Vec<Completion>,
+    ) -> Result<(), ControllerError> {
         // Cap iterations defensively; each loop issues at most one command.
         for _ in 0..4096 {
-            self.update_drain_mode();
-            let Some((cmd, at, role)) = self.best_command(now) else {
+            let Some((cmd, at, role)) = self.pick(now) else {
                 break;
             };
             if at > now {
                 break;
             }
+            self.cached = None;
             let outcome = self.channel.issue(&cmd, at);
             self.last_cmd = at;
             self.first_cmd_issued = true;
@@ -337,14 +376,13 @@ impl MemoryController {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// The earliest tick at which [`MemoryController::advance`] could make
+    /// The earliest tick at which [`MemoryController::advance_into`] could make
     /// progress, or `None` when nothing is queued and no refresh is armed.
     pub fn next_action_time(&mut self, now: Tick) -> Option<Tick> {
-        self.update_drain_mode();
-        let cmd = self.best_command(now).map(|(_, at, _)| at);
+        let cmd = self.pick(now).map(|(_, at, _)| at);
         // A refresh deadline that has already passed is handled by
         // `best_command` (which schedules the REF or the precharges leading
         // to it); reporting it here would wedge the caller at `now`.
@@ -355,6 +393,44 @@ impl MemoryController {
             (None, Some(r)) => Some(r),
             (None, None) => None,
         }
+    }
+
+    /// The scheduler's pick at `now`: the cached one when still valid (see
+    /// the [module docs](self)), else a fresh [`Self::best_command`].
+    fn pick(&mut self, now: Tick) -> Option<Pick> {
+        if let Some(c) = self.cached {
+            if c.computed_at <= now && now < c.valid_until {
+                return c.pick.map(|(cmd, at, role)| (cmd, at.max(now), role));
+            }
+        }
+        // Drain mode follows the write-queue length alone, which only
+        // changes with a state change that drops the cache.
+        self.update_drain_mode();
+        let pick = self.best_command(now);
+        self.cached = Some(CachedPick {
+            computed_at: now,
+            valid_until: self.pick_horizon(now),
+            pick,
+        });
+        pick
+    }
+
+    /// The first tick after `now` at which [`Self::best_command`] may choose
+    /// differently without a state change: a rank's refresh falls due or a
+    /// queued migration reaches its starvation bound.
+    fn pick_horizon(&self, now: Tick) -> Tick {
+        let refresh = self
+            .channel
+            .next_refresh_due_after(now)
+            .unwrap_or(Tick::MAX);
+        if self.cfg.migration_starvation == Tick::MAX {
+            return refresh;
+        }
+        self.swaps
+            .iter()
+            .map(|op| op.arrival + self.cfg.migration_starvation)
+            .filter(|&t| t > now)
+            .fold(refresh, Tick::min)
     }
 
     fn update_drain_mode(&mut self) {
@@ -381,7 +457,7 @@ impl MemoryController {
 
     /// Chooses the next command per the scheduling policy, returning the
     /// command, its earliest issue tick, and the bookkeeping role.
-    fn best_command(&self, now: Tick) -> Option<(DramCommand, Tick, Role)> {
+    fn best_command(&self, now: Tick) -> Option<Pick> {
         // 1. Refresh when due (mandatory, before new work).
         if let Some(rank) = self.channel.refresh_due(now) {
             let cmd = DramCommand::Refresh { rank };
@@ -431,7 +507,7 @@ impl MemoryController {
 
     /// Closed-page policy: propose a PRE for any open row that no queued
     /// request targets.
-    fn idle_row_precharge(&self, now: Tick) -> Option<(DramCommand, Tick, Role)> {
+    fn idle_row_precharge(&self, now: Tick) -> Option<Pick> {
         for rank in 0..self.channel.ranks() {
             for bank in self.channel.open_banks_of_rank(rank) {
                 for row in self.channel.open_rows(bank) {
@@ -456,7 +532,7 @@ impl MemoryController {
         None
     }
 
-    fn refresh_blocking_precharge(&self, now: Tick, rank: u8) -> Option<(DramCommand, Tick, Role)> {
+    fn refresh_blocking_precharge(&self, now: Tick, rank: u8) -> Option<Pick> {
         // Close any open row of the refreshing rank (oldest-first demand
         // ordering is secondary to refresh urgency).
         for bank_coord in self.open_banks_of_rank(rank) {
@@ -477,7 +553,7 @@ impl MemoryController {
         self.channel.open_banks_of_rank(rank)
     }
 
-    fn oldest_row_hit(&self, now: Tick, list: List) -> Option<(DramCommand, Tick, Role)> {
+    fn oldest_row_hit(&self, now: Tick, list: List) -> Option<Pick> {
         let q = match list {
             List::Reads => &self.reads,
             List::Writes => &self.writes,
@@ -502,7 +578,7 @@ impl MemoryController {
         best.map(|(i, t)| (column_cmd(&q[i].req), t, Role::Column { list, idx: i }))
     }
 
-    fn oldest_next_step(&self, now: Tick, list: List) -> Option<(DramCommand, Tick, Role)> {
+    fn oldest_next_step(&self, now: Tick, list: List) -> Option<Pick> {
         let q = match list {
             List::Reads => &self.reads,
             List::Writes => &self.writes,
@@ -539,7 +615,7 @@ impl MemoryController {
         Some((cmd, t, role))
     }
 
-    fn swap_command(&self, now: Tick, only_starved: bool) -> Option<(DramCommand, Tick, Role)> {
+    fn swap_command(&self, now: Tick, only_starved: bool) -> Option<Pick> {
         for (idx, op) in self.swaps.iter().enumerate() {
             let starving = self.cfg.migration_starvation != Tick::MAX
                 && now >= op.arrival + self.cfg.migration_starvation;
@@ -604,7 +680,7 @@ enum List {
     Writes,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
     Refresh,
     Precharge,
@@ -1003,5 +1079,129 @@ mod tests {
             }
         }
         assert!(swap_done, "starvation bound must force the swap through");
+    }
+
+    /// xorshift64: a dependency-free seeded stream for the differential
+    /// test below.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// `next_action_time` recomputed from an uncached `best_command`.
+    fn uncached_next_action(c: &MemoryController, now: Tick) -> Option<Tick> {
+        let cmd = c.best_command(now).map(|(_, at, _)| at);
+        let refresh = c.channel.next_refresh_due().filter(|&r| r > now);
+        match (cmd, refresh) {
+            (Some(a), Some(r)) => Some(a.min(r)),
+            (a, r) => a.or(r),
+        }
+    }
+
+    #[test]
+    fn cached_pick_matches_uncached_best_command() {
+        let mut hits = 0u64;
+        for case in 0..60u64 {
+            let mut rng = XorShift(0x9e37_79b9_7f4a_7c15 ^ (case + 1).wrapping_mul(0x2545_f491));
+            let cfg = ControllerConfig {
+                scheduler: if case % 3 == 2 {
+                    SchedulerKind::Fcfs
+                } else {
+                    SchedulerKind::FrFcfs
+                },
+                page_policy: if case % 4 == 3 {
+                    PagePolicy::Closed
+                } else {
+                    PagePolicy::Open
+                },
+                // Short enough that queued swaps cross it mid-run.
+                migration_starvation: Tick::from_ns_int(150 + 50 * (case % 5)),
+                ..ControllerConfig::paper_default()
+            };
+            let mut c = MemoryController::new(cfg, device(TimingSet::asymmetric(), true));
+            let rows: Vec<u32> = (0..3)
+                .map(|i| c.channel().layout().slow_to_phys(i))
+                .chain((0..2).map(|i| c.channel().layout().fast_to_phys(i)))
+                .collect();
+            let mut now = Tick::ZERO;
+            let mut next_id = 0u64;
+            let mut out = Vec::new();
+            for step in 0..1500 {
+                let ctx = format!("case {case} step {step} at {now}");
+                match rng.below(10) {
+                    0..=3 => {
+                        let is_write = rng.below(4) == 0;
+                        let ok = if is_write {
+                            c.can_accept_write()
+                        } else {
+                            c.can_accept_read()
+                        };
+                        if ok {
+                            next_id += 1;
+                            let bank = BankCoord::new(0, rng.below(2) as u8, rng.below(3) as u8);
+                            let row = rows[rng.below(rows.len() as u64) as usize];
+                            c.enqueue(Request {
+                                id: next_id,
+                                coord: MemCoord {
+                                    bank,
+                                    row,
+                                    col: rng.below(8) as u32,
+                                },
+                                is_write,
+                                arrival: now,
+                            })
+                            .unwrap();
+                        }
+                    }
+                    4 => {
+                        let a = rng.below(3) as usize;
+                        let b = 3 + rng.below(2) as usize;
+                        c.enqueue_swap(SwapOp {
+                            token: step,
+                            bank: BankCoord::new(0, rng.below(2) as u8, rng.below(3) as u8),
+                            phys_a: rows[a],
+                            phys_b: rows[b],
+                            kind: Default::default(),
+                            arrival: now,
+                        });
+                    }
+                    5..=7 => c.advance_into(now, &mut out).unwrap(),
+                    _ => {}
+                }
+                // Move time forward without touching state: either to the
+                // controller's own wake-up or by a random stride.
+                match c.next_action_time(now) {
+                    Some(t) if rng.below(2) == 0 => now = t.max(now),
+                    _ => now += Tick::from_ns_int(rng.below(120)),
+                }
+                if c.cached
+                    .is_some_and(|p| p.computed_at <= now && now < p.valid_until)
+                {
+                    hits += 1;
+                }
+                assert_eq!(c.pick(now), c.best_command(now), "{ctx}");
+                assert_eq!(
+                    c.next_action_time(now),
+                    uncached_next_action(&c, now),
+                    "{ctx}"
+                );
+            }
+            assert!(c.stats().refreshes > 0, "case {case}: refresh never fired");
+            assert!(c.stats().swaps > 0, "case {case}: no swap completed");
+        }
+        assert!(
+            hits > 10_000,
+            "the cache was rarely exercised ({hits} hits)"
+        );
     }
 }

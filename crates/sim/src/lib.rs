@@ -38,6 +38,8 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+mod dense;
+mod events;
 pub mod experiments;
 pub mod report;
 pub mod stats;

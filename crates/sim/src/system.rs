@@ -15,11 +15,11 @@
 //! DRAM read that precedes the data access.
 
 use core::fmt;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use das_cache::hierarchy::{CacheHierarchy, CacheLevel};
 use das_cache::mshr::Mshr;
+use das_cache::{FastMap, FastSet};
 use das_coherence::{ClusterConfig, CoherentCluster, ProtocolKind};
 use das_core::inclusive::{FillRequest, InclusiveManager};
 use das_core::management::{ConsistencyError, DasManager, SwapRequest};
@@ -41,6 +41,8 @@ use das_workloads::gen::TraceGen;
 use das_workloads::shared::{SharedGen, SharedSpec};
 
 use crate::config::{Design, SystemConfig};
+use crate::dense::{DenseSet, IdSlab};
+use crate::events::EventQueue;
 use crate::stats::{AccessMix, CoreMetrics, EnergyBreakdown, EnergyModel, RunMetrics};
 
 /// Capacity of the controller's recently-translated-row registers (a few
@@ -205,30 +207,6 @@ enum EventKind {
     SwapEnqueue {
         op: SwapOp,
     },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Ev {
-    at: Tick,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -533,7 +511,7 @@ struct CoherentFrontEnd {
     shared_bytes: u64,
     /// Logical `(bank, row)` coordinates of the shared region — DAS
     /// promotions of these rows count as sharing-induced.
-    shared_rows: HashSet<(BankCoord, u32)>,
+    shared_rows: FastSet<(BankCoord, u32)>,
 }
 
 /// One full-system simulation of `workloads` (one per core) on `design`.
@@ -553,23 +531,27 @@ pub struct System {
     /// Per-row sharing-induced access heat, aggregated from the cluster's
     /// per-line counts as accesses happen; feeds the migration policy's
     /// `shared_count` input. Always empty without a coherent front end.
-    shared_row_heat: HashMap<(BankCoord, u32), u32>,
-    line_dirty: HashMap<u64, bool>,
-    events: BinaryHeap<Reverse<Ev>>,
-    seq: u64,
+    shared_row_heat: FastMap<(BankCoord, u32), u32>,
+    line_dirty: FastMap<u64, bool>,
+    events: EventQueue<EventKind>,
     clock: Tick,
     next_req_id: u64,
-    ctxs: HashMap<u64, ReqCtx>,
+    ctxs: IdSlab<ReqCtx>,
     overflow: Vec<VecDeque<Request>>,
     next_wake: Vec<Tick>,
-    pending_swaps: HashMap<u64, PendingMigration>,
+    /// Reused buffer for the completions of one controller wake.
+    completions: Vec<Completion>,
+    /// Reused buffer for the requests one core dispatch or retirement
+    /// releases.
+    core_reqs: Vec<MemRequest>,
+    pending_swaps: FastMap<u64, PendingMigration>,
     next_swap_token: u64,
     /// Deterministic fault injector (inert under `FaultPlan::none()`).
     injector: FaultInjector,
     /// Failed attempts per in-flight swap token.
-    swap_attempts: HashMap<u64, u32>,
+    swap_attempts: FastMap<u64, u32>,
     /// Re-read count per in-flight retention-flip retry request id.
-    read_retries: HashMap<u64, u32>,
+    read_retries: FastMap<u64, u32>,
     /// Recently translated rows (the controller holds a handful of live row
     /// translations — one per open row — so a burst of misses to one row
     /// pays the translation lookup once).
@@ -580,10 +562,12 @@ pub struct System {
     memory_accesses: u64,
     table_fetch_reads: u64,
     core_misses: Vec<u64>,
-    footprint_rows: HashSet<u64>,
-    /// Activations per (flat bank, subarray) — drives the §1 partial
-    /// power-down analysis (idle subarrays could be powered down).
-    subarray_activity: HashMap<(usize, usize), u64>,
+    /// Physical rows touched, by global row index.
+    footprint_rows: DenseSet,
+    /// Subarrays activated at least once, by `flat bank × subarrays per
+    /// bank + subarray` — drives the §1 partial power-down analysis (idle
+    /// subarrays could be powered down).
+    subarray_activity: DenseSet,
     warm_core: Vec<Option<(u64, u64, u64)>>, // (insts, retire_ticks, misses)
     warm_global: Option<(AccessMix, u64, u64, u64)>, // (mix, promos, accesses, table reads)
     events_processed: u64,
@@ -847,28 +831,29 @@ impl System {
             manager,
             mshr: Mshr::new(1 << 16),
             coherence: None,
-            shared_row_heat: HashMap::new(),
-            line_dirty: HashMap::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
+            shared_row_heat: FastMap::default(),
+            line_dirty: FastMap::default(),
+            events: EventQueue::new(),
             clock: Tick::ZERO,
             next_req_id: 0,
-            ctxs: HashMap::new(),
+            ctxs: IdSlab::new(),
             overflow: (0..channels).map(|_| VecDeque::new()).collect(),
             next_wake: vec![Tick::MAX; channels],
-            pending_swaps: HashMap::new(),
+            completions: Vec::new(),
+            core_reqs: Vec::new(),
+            pending_swaps: FastMap::default(),
             next_swap_token: 0,
             injector,
-            swap_attempts: HashMap::new(),
-            read_retries: HashMap::new(),
+            swap_attempts: FastMap::default(),
+            read_retries: FastMap::default(),
             recent_translations: VecDeque::with_capacity(RECENT_TRANSLATIONS + 1),
             workload_label: label,
             access_mix: AccessMix::default(),
             memory_accesses: 0,
             table_fetch_reads: 0,
             core_misses: vec![0; n],
-            footprint_rows: HashSet::new(),
-            subarray_activity: HashMap::new(),
+            footprint_rows: DenseSet::default(),
+            subarray_activity: DenseSet::default(),
             warm_core: vec![None; n],
             warm_global: None,
             events_processed: 0,
@@ -882,13 +867,7 @@ impl System {
     }
 
     fn push(&mut self, at: Tick, kind: EventKind) {
-        let at = at.max(self.clock);
-        self.seq += 1;
-        self.events.push(Reverse(Ev {
-            at,
-            seq: self.seq,
-            kind,
-        }));
+        self.events.push(at.max(self.clock), kind);
     }
 
     /// Runs the simulation to completion and returns the measured metrics,
@@ -937,7 +916,7 @@ impl System {
             self.dispatch_core(i);
         }
         while !self.all_finished() {
-            let Some(Reverse(ev)) = self.events.pop() else {
+            let Some((at, kind)) = self.events.pop() else {
                 return Err(SimError::Deadlock {
                     clock: self.clock,
                     queued: self.ctrls.iter().map(|c| c.queued()).collect(),
@@ -948,10 +927,10 @@ impl System {
             self.events_processed += 1;
             // Watchdog: a controller woken over and over at one tick is
             // wedged; surface its queue state instead of spinning forever.
-            if ev.at == self.clock && matches!(ev.kind, EventKind::CtrlWake { .. }) {
+            if at == self.clock && matches!(kind, EventKind::CtrlWake { .. }) {
                 self.same_tick_wakes += 1;
                 if self.same_tick_wakes > self.cfg.watchdog_same_tick_wakes {
-                    let EventKind::CtrlWake { ch } = ev.kind else {
+                    let EventKind::CtrlWake { ch } = kind else {
                         unreachable!()
                     };
                     self.tel
@@ -975,7 +954,7 @@ impl System {
                     swaps: self.ctrls.iter().map(|c| c.queued_swaps()).collect(),
                 });
             }
-            self.clock = ev.at;
+            self.clock = at;
             // Epoch sampling is tick-driven: boundaries land at fixed
             // simulated times, so the series is deterministic. Off-sink
             // runs pay one always-false comparison (`next_epoch_at` is
@@ -983,7 +962,7 @@ impl System {
             while self.clock >= self.next_epoch_at {
                 self.sample_epoch();
             }
-            match ev.kind {
+            match kind {
                 EventKind::CoreIssue {
                     core,
                     id,
@@ -1098,7 +1077,7 @@ impl System {
     // ---- core side -------------------------------------------------------
 
     fn dispatch_core(&mut self, i: usize) {
-        let mut out: Vec<MemRequest> = Vec::new();
+        let mut out = std::mem::take(&mut self.core_reqs);
         let probe = self.prof.begin(Stage::TraceDecode);
         self.cores[i].dispatch_from(&mut self.traces[i], &mut out);
         self.prof.end(Stage::TraceDecode, probe);
@@ -1107,7 +1086,7 @@ impl System {
     }
 
     fn complete_core(&mut self, i: usize, id: u64, at: Tick) {
-        let mut out: Vec<MemRequest> = Vec::new();
+        let mut out = std::mem::take(&mut self.core_reqs);
         let probe = self.prof.begin(Stage::RobRetire);
         self.cores[i].complete(id, at.raw(), &mut out);
         self.prof.end(Stage::RobRetire, probe);
@@ -1120,8 +1099,10 @@ impl System {
         self.dispatch_core(i);
     }
 
-    fn schedule_core_requests(&mut self, i: usize, reqs: Vec<MemRequest>) {
-        for r in reqs {
+    /// Schedules `reqs` (drained) as core `i`'s issue events, then keeps
+    /// the emptied buffer for the next dispatch.
+    fn schedule_core_requests(&mut self, i: usize, mut reqs: Vec<MemRequest>) {
+        for r in reqs.drain(..) {
             self.push(
                 Tick::new(r.issue_at),
                 EventKind::CoreIssue {
@@ -1132,6 +1113,7 @@ impl System {
                 },
             );
         }
+        self.core_reqs = reqs;
     }
 
     fn check_warm(&mut self, i: usize) {
@@ -1167,10 +1149,9 @@ impl System {
         // over the whole usable row space.
         let addr = self.addr_map.map(core, addr);
         self.footprint_rows
-            .insert(addr / self.cfg.geometry.row_bytes as u64);
+            .insert((addr / self.cfg.geometry.row_bytes as u64) as usize);
         let outcome = self.hierarchy.access(core, addr, is_write);
-        let wbs = outcome.dram_writebacks.clone();
-        for wb in wbs {
+        for &wb in &outcome.dram_writebacks {
             self.issue_writeback(wb);
         }
         if outcome.level != CacheLevel::Memory {
@@ -1226,7 +1207,7 @@ impl System {
             self.addr_map.map(core, vaddr)
         };
         self.footprint_rows
-            .insert(addr / self.cfg.geometry.row_bytes as u64);
+            .insert((addr / self.cfg.geometry.row_bytes as u64) as usize);
         let now_cycles = t.raw() / self.cfg.core.ticks_per_cycle;
         let line = addr & !(self.cfg.hierarchy.line_bytes - 1);
         let row_coord = self.cfg.geometry.decode(addr);
@@ -1481,12 +1462,14 @@ impl System {
             self.prof
                 .note_depth(Stage::DramTiming, self.ctrls[ch].backlog() as u64);
         }
-        let advanced = self.ctrls[ch].advance(self.clock);
+        let mut completions = std::mem::take(&mut self.completions);
+        let advanced = self.ctrls[ch].advance_into(self.clock, &mut completions);
         self.prof.end(Stage::DramTiming, probe);
-        let completions = advanced?;
-        for c in completions {
+        advanced?;
+        for c in completions.drain(..) {
             self.handle_completion(ch, c)?;
         }
+        self.completions = completions;
         // Drain overflow into freed queue slots (FIFO, reads and writes
         // interleaved as they arrived).
         let probe = self.prof.begin(Stage::QueueService);
@@ -1533,8 +1516,9 @@ impl System {
         };
         let layout = self.ctrls[bank.channel as usize].channel().layout();
         let (sub, _) = layout.classify(phys);
-        let key = (self.cfg.geometry.bank_index(bank), sub);
-        *self.subarray_activity.entry(key).or_insert(0) += 1;
+        let per_bank = layout.subarrays().len();
+        self.subarray_activity
+            .insert(self.cfg.geometry.bank_index(bank) * per_bank + sub);
     }
 
     fn record_mix(&mut self, service: ServiceClass) {
@@ -1560,7 +1544,7 @@ impl System {
             } => {
                 self.tel
                     .record_latency(ch, latency_class(service), latency.raw());
-                let Some(ctx) = self.ctxs.remove(&id) else {
+                let Some(ctx) = self.ctxs.remove(id) else {
                     return Err(SimError::UnknownCompletion { kind: "read", id });
                 };
                 match ctx {
@@ -1610,18 +1594,18 @@ impl System {
                             }
                         }
                         let waiters = self.mshr.complete(line);
-                        let mut touched = HashSet::new();
-                        for w in &waiters {
-                            if w.is_load {
-                                let mut out = Vec::new();
-                                self.cores[w.core].complete(w.id, at.raw(), &mut out);
-                                self.schedule_core_requests(w.core, out);
-                            }
-                            touched.insert(w.core);
+                        for w in waiters.iter().filter(|w| w.is_load) {
+                            let mut out = std::mem::take(&mut self.core_reqs);
+                            self.cores[w.core].complete(w.id, at.raw(), &mut out);
+                            self.schedule_core_requests(w.core, out);
                         }
-                        for core in touched {
-                            self.check_warm(core);
-                            self.dispatch_core(core);
+                        // Each waiting core is dispatched once, in waiter
+                        // order.
+                        for (i, w) in waiters.iter().enumerate() {
+                            if waiters[..i].iter().all(|p| p.core != w.core) {
+                                self.check_warm(w.core);
+                                self.dispatch_core(w.core);
+                            }
                         }
                     }
                     ReqCtx::TableRead { then } => {
@@ -1643,7 +1627,7 @@ impl System {
             } => {
                 self.tel
                     .record_latency(ch, latency_class(service), latency.raw());
-                let Some(ctx) = self.ctxs.remove(&id) else {
+                let Some(ctx) = self.ctxs.remove(id) else {
                     return Err(SimError::UnknownCompletion { kind: "write", id });
                 };
                 match ctx {

@@ -1,0 +1,94 @@
+//! Output lock for the simulation loop: the rendered report of one job per
+//! DRAM backend, a feedback-policy job on a scarce fast level and a
+//! fault-injected job must stay byte-identical. The digests were captured
+//! before the controller cached its scheduling pick and the event queue
+//! moved to compact heap entries; any change to the loop that moves a
+//! single report byte fails here.
+//!
+//! Refresh is on (the catalog default), so the refresh-deadline edge of
+//! the controller's pick cache is exercised. The fault-injected job runs
+//! the periodic invariant audit every `INVARIANT_EVENTS` events and seeds
+//! translation corruption with the event count, so its digest also guards
+//! the order and number of processed events.
+
+use das_dram::geometry::FastRatio;
+use das_faults::FaultPlan;
+use das_policy::PolicyKind;
+use das_sim::config::{Design, SystemConfig};
+use das_sim::experiments::run_one;
+use das_sim::report::run_report;
+use das_workloads::spec;
+
+/// Instructions of each locked run.
+const INSTS: u64 = 500_000;
+
+/// Audit cadence of the fault-injected job (the fault sweep's setting).
+const INVARIANT_EVENTS: u64 = 10_000;
+
+/// (job label, FNV-1a digest of the rendered report).
+const LOCKED: [(&str, u64); 9] = [
+    ("std", 0xc0df_03f3_5270_4ae0),
+    ("sas", 0xc6a0_cd31_6bc7_dd2b),
+    ("das", 0x1e15_e78b_726f_a71c),
+    ("fs", 0x3d16_004b_8f26_d084),
+    ("lisa", 0x2652_3b17_602b_a756),
+    ("clr", 0x0187_1e2d_8a1b_0d95),
+    ("salp", 0x5755_600f_052b_eec8),
+    ("das_feedback_1/32", 0xed7f_158f_7fad_76d5),
+    ("das_faults", 0x57a4_8c3f_967a_280b),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The configuration and design of the locked job named `label`.
+fn job(label: &str) -> (SystemConfig, Design) {
+    let cfg = SystemConfig::scaled_by(64, INSTS);
+    match label {
+        "std" => (cfg, Design::Standard),
+        "sas" => (cfg, Design::SasDram),
+        "das" => (cfg, Design::DasDram),
+        "fs" => (cfg, Design::FsDram),
+        "lisa" => (cfg, Design::Lisa),
+        "clr" => (cfg, Design::ClrDram),
+        "salp" => (cfg, Design::Salp),
+        "das_feedback_1/32" => (
+            cfg.with_policy(PolicyKind::Feedback)
+                .with_fast_ratio(FastRatio::new(1, 32)),
+            Design::DasDram,
+        ),
+        "das_faults" => (
+            cfg.with_faults(FaultPlan::uniform(0x5eed, 0.01))
+                .with_invariant_checks(INVARIANT_EVENTS),
+            Design::DasDram,
+        ),
+        other => unreachable!("unknown locked job {other}"),
+    }
+}
+
+#[test]
+fn sim_loop_reports_are_byte_identical() {
+    let workloads = [spec::by_name("mcf")];
+    let mut mismatches = Vec::new();
+    for (label, want) in LOCKED {
+        let (cfg, design) = job(label);
+        let m = run_one(&cfg, design, &workloads).expect("run completes");
+        if label == "das_faults" {
+            assert!(
+                m.faults.invariant_checks_passed > 0 && m.faults.total_injected() > 0,
+                "the fault job must inject faults and run the audit"
+            );
+        }
+        let got = fnv1a(run_report(&m, None).render().as_bytes());
+        if got != want {
+            mismatches.push(format!("{label}: {got:#018x} != {want:#018x}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "report digests moved: {mismatches:?}"
+    );
+}
