@@ -300,12 +300,6 @@ impl InclusiveManager {
         self.tcache.stats()
     }
 
-    /// Current number of valid translation-cache entries (O(1); intended
-    /// for perf/diagnostic occupancy sampling).
-    pub fn tcache_occupancy(&self) -> usize {
-        self.tcache.occupancy()
-    }
-
     /// Promotion-filter statistics.
     pub fn filter_stats(&self) -> FilterStats {
         self.filter.stats()

@@ -90,10 +90,6 @@ pub struct TranslationCache {
     /// [`audit`]: TranslationCache::audit
     checks: Vec<u64>,
     clock: u64,
-    /// Count of non-zero tags, maintained incrementally so occupancy
-    /// sampling (perf/diagnostic probes) stays O(1) instead of scanning
-    /// up to 128 Ki entries per sample.
-    valid: usize,
     stats: TranslationStats,
 }
 
@@ -123,7 +119,6 @@ impl TranslationCache {
             stamps: vec![0; sets * ways],
             checks: vec![checksum(0); sets * ways],
             clock: 0,
-            valid: 0,
             stats: TranslationStats::default(),
         }
     }
@@ -136,11 +131,6 @@ impl TranslationCache {
     /// Accumulated statistics.
     pub fn stats(&self) -> TranslationStats {
         self.stats
-    }
-
-    /// Number of currently valid entries (O(1); see the `valid` field).
-    pub fn occupancy(&self) -> usize {
-        self.valid
     }
 
     fn set_of(&self, row: GlobalRowId) -> usize {
@@ -196,9 +186,6 @@ impl TranslationCache {
                 victim = w;
             }
         }
-        if self.tags[base + victim] == 0 {
-            self.valid += 1;
-        }
         self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.clock;
         self.checks[base + victim] = checksum(tag);
@@ -214,7 +201,6 @@ impl TranslationCache {
             if self.tags[i] == tag {
                 self.tags[i] = 0;
                 self.checks[i] = checksum(0);
-                self.valid -= 1;
                 self.stats.invalidations += 1;
                 return;
             }
@@ -235,11 +221,6 @@ impl TranslationCache {
                 // row (or no row), while `checks[i]` still vouches for the
                 // original — exactly what `audit` is built to catch.
                 self.tags[i] ^= 1 << (r % 8);
-                if self.tags[i] == 0 {
-                    // The flip can zero a single-bit tag; keep the valid
-                    // count in lockstep with the non-zero-tag invariant.
-                    self.valid -= 1;
-                }
                 self.stats.corruptions += 1;
                 return true;
             }
@@ -277,7 +258,6 @@ impl TranslationCache {
     pub fn rebuild<I: IntoIterator<Item = GlobalRowId>>(&mut self, fast_rows: I) {
         self.tags.fill(0);
         self.checks.fill(checksum(0));
-        self.valid = 0;
         let demand_fills = self.stats.fills;
         for row in fast_rows {
             self.insert(row);
@@ -435,29 +415,6 @@ mod tests {
             fills_before,
             "rebuild fills are not demand fills"
         );
-    }
-
-    #[test]
-    fn occupancy_tracks_fills_evictions_invalidations_and_rebuilds() {
-        // 16 entries, 8-way -> 2 sets.
-        let mut c = TranslationCache::new(16, 8);
-        assert_eq!(c.occupancy(), 0);
-        for n in 0..8 {
-            c.insert(row(n));
-        }
-        assert_eq!(c.occupancy(), 8);
-        c.insert(row(3)); // refresh, not a new entry
-        assert_eq!(c.occupancy(), 8);
-        for n in 8..64 {
-            c.insert(row(n)); // overflows capacity; evictions replace
-        }
-        assert_eq!(c.occupancy(), 16, "occupancy is pinned at capacity");
-        let resident: Vec<_> = c.resident_rows().collect();
-        assert_eq!(resident.len(), c.occupancy());
-        c.invalidate(resident[0]);
-        assert_eq!(c.occupancy(), 15);
-        c.rebuild((0..4).map(row));
-        assert_eq!(c.occupancy(), 4);
     }
 
     #[test]

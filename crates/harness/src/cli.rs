@@ -272,7 +272,7 @@ pub fn parse_bin_args<I: IntoIterator<Item = String>>(args: I) -> Result<BinArgs
 }
 
 /// Usage line of the standalone `harness` binary ([`harness_main`]).
-pub const HARNESS_USAGE: &str = "usage: harness (--manifest PATH | --all | --exp a,b | --bench) \
+pub const HARNESS_USAGE: &str = "usage: harness (--manifest PATH | --all | --exp a,b) \
      [--insts N] [--scale N] [--only a,b] [--threads N] [--resume] \
      [--json-dir DIR] [--emit-manifest PATH] [--validate-journal PATH] \
      [--trace-store DIR] [--no-trace-store]";
@@ -306,8 +306,6 @@ pub struct HarnessArgs {
     pub no_trace_store: bool,
     /// `--validate-journal PATH` (check a journal and exit).
     pub validate_journal: Option<String>,
-    /// `--bench` (run the pinned perf suite and write `BENCH_<sha>.json`).
-    pub bench: bool,
 }
 
 impl Default for HarnessArgs {
@@ -326,7 +324,6 @@ impl Default for HarnessArgs {
             trace_store_dir: None,
             no_trace_store: false,
             validate_journal: None,
-            bench: false,
         }
     }
 }
@@ -357,7 +354,6 @@ pub fn parse_harness_args<I: IntoIterator<Item = String>>(args: I) -> Result<Har
             "--validate-journal" => {
                 out.validate_journal = Some(need(&mut args, "--validate-journal")?);
             }
-            "--bench" => out.bench = true,
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -365,9 +361,8 @@ pub fn parse_harness_args<I: IntoIterator<Item = String>>(args: I) -> Result<Har
         && out.manifest_path.is_none()
         && !out.all
         && out.exp_ids.is_empty()
-        && !out.bench
     {
-        return Err("nothing to run (pass --manifest, --all, --exp or --bench)".into());
+        return Err("nothing to run (pass --manifest, --all or --exp)".into());
     }
     Ok(out)
 }
@@ -581,10 +576,7 @@ pub fn bin_main(id: &str) {
 /// an fsync'd journal at `<json-dir>/journal.jsonl` (`--resume` continues
 /// a previous run), and writes `<id>.txt` + `<id>.json` per experiment.
 /// `--emit-manifest PATH` writes the matrix instead of executing;
-/// `--validate-journal PATH` structurally checks a journal and exits;
-/// `--bench` runs the pinned perf suite (see [`crate::bench`]) and writes
-/// `BENCH_<git-sha>.json` into `--json-dir` (default: the current
-/// directory, conventionally the repo root).
+/// `--validate-journal PATH` structurally checks a journal and exits.
 /// Malformed arguments print a usage error to stderr and exit 2.
 pub fn harness_main() {
     let args = parse_harness_args(std::env::args().skip(1))
@@ -602,20 +594,6 @@ pub fn harness_main() {
             }
             Err(e) => die(&format!("{path}: invalid journal: {e}")),
         }
-    }
-    if args.bench {
-        let out_dir = PathBuf::from(args.json_dir.unwrap_or_else(|| ".".to_string()));
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            die(&format!("cannot create {}: {e}", out_dir.display()));
-        }
-        let opts = crate::bench::BenchOptions {
-            insts: args.insts,
-            scale: args.scale,
-            out_dir,
-        };
-        let path = crate::bench::run_bench_to_file(&opts).unwrap_or_else(|e| die(&e));
-        println!("bench written: {}", path.display());
-        return;
     }
     let manifest = if let Some(path) = &args.manifest_path {
         let text = std::fs::read_to_string(path)
@@ -827,14 +805,6 @@ mod tests {
         // --validate-journal alone is a complete invocation.
         let a = parse_harness_args(argv(&["--validate-journal", "j.jsonl"])).unwrap();
         assert_eq!(a.validate_journal.as_deref(), Some("j.jsonl"));
-        // --bench alone is a complete invocation, and composes with the
-        // budget/scale flags it honours.
-        let a = parse_harness_args(argv(&["--bench"])).unwrap();
-        assert!(a.bench);
-        let a =
-            parse_harness_args(argv(&["--bench", "--insts", "50000", "--scale", "64"])).unwrap();
-        assert!(a.bench);
-        assert_eq!(a.insts, 50_000);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod catalog;
 pub mod cli;
 pub mod journal;

@@ -237,9 +237,8 @@ impl MemoryController {
         self.writes.len()
     }
 
-    /// Total scheduling backlog: demand reads + writes + pending swaps.
-    /// This is the work the timing engine still has to drain, which is what
-    /// the perf profiler's DRAM-stage depth probe samples.
+    /// Total scheduling backlog: demand reads + writes + pending swaps —
+    /// the work the timing engine still has to drain.
     pub fn backlog(&self) -> usize {
         self.queued() + self.queued_swaps()
     }

@@ -16,7 +16,7 @@ use das_cpu::core::CoreConfig;
 use das_dram::geometry::{Arrangement, BankLayout, DramGeometry, FastRatio};
 use das_dram::tick::Tick;
 use das_memctrl::controller::{ControllerConfig, SchedulerKind};
-use das_telemetry::{StageProfilerConfig, TelemetryConfig};
+use das_telemetry::TelemetryConfig;
 
 /// The five DRAM designs compared in §7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -266,12 +266,6 @@ pub struct SystemConfig {
     /// event trace). The default is off, which leaves the run bit-identical
     /// to a build without the telemetry layer.
     pub telemetry: TelemetryConfig,
-    /// Stage-profiler configuration (wall-clock sampling of the event
-    /// loop's major phases). The default is off, which leaves the run
-    /// bit-identical to a build without the profiling layer; unlike the
-    /// telemetry sinks this measures *host* time, so its output is
-    /// perf-diagnostic only and never enters RunMetrics or any artifact.
-    pub stage_profile: StageProfilerConfig,
     /// Event budget after which a run is declared runaway
     /// ([`crate::system::SimError::EventBudgetExceeded`]). The default
     /// covers the paper's figure suite; long harness sweeps and stress
@@ -314,7 +308,6 @@ impl SystemConfig {
             faults: das_faults::FaultPlan::none(),
             invariant_check_events: 0,
             telemetry: TelemetryConfig::default(),
-            stage_profile: StageProfilerConfig::default(),
             event_budget: crate::system::DEFAULT_EVENT_BUDGET,
             watchdog_same_tick_wakes: crate::system::DEFAULT_WATCHDOG_SAME_TICK_WAKES,
             policy: None,
@@ -445,12 +438,6 @@ impl SystemConfig {
     /// Convenience: set the telemetry sink configuration.
     pub fn with_telemetry(mut self, t: TelemetryConfig) -> Self {
         self.telemetry = t;
-        self
-    }
-
-    /// Convenience: set the stage-profiler configuration.
-    pub fn with_stage_profile(mut self, p: StageProfilerConfig) -> Self {
-        self.stage_profile = p;
         self
     }
 

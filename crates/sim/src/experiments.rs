@@ -9,7 +9,7 @@ use das_dram::geometry::GlobalRowId;
 use das_workloads::config::WorkloadConfig;
 use das_workloads::gen::TraceGen;
 
-use das_telemetry::{StageReport, TelemetryReport};
+use das_telemetry::TelemetryReport;
 
 use crate::config::{Design, SystemConfig};
 use crate::stats::RunMetrics;
@@ -101,20 +101,7 @@ pub fn run_one_with_profile(
     workloads: &[WorkloadConfig],
     profile: Option<&HashMap<GlobalRowId, u64>>,
 ) -> Result<RunMetrics, SimError> {
-    let scaled: Vec<WorkloadConfig> = workloads
-        .iter()
-        .map(|w| w.scaled(cfg.scale as u64))
-        .collect();
-    let computed;
-    let profile = match profile {
-        Some(p) => design.needs_profile().then_some(p),
-        None if design.needs_profile() => {
-            computed = profile_row_counts(cfg, &scaled);
-            Some(&computed)
-        }
-        None => None,
-    };
-    System::new(cfg.clone(), design, &scaled, profile).run()
+    run_one_instrumented_with_profile(cfg, design, workloads, profile).0
 }
 
 /// Like [`run_one`], but also returns the telemetry report (`None` when
@@ -150,33 +137,6 @@ pub fn run_one_instrumented_with_profile(
         None => None,
     };
     System::new(cfg.clone(), design, &scaled, profile).run_instrumented()
-}
-
-/// Like [`run_one_instrumented`], but also returns the stage-profiler
-/// report (`None` when `cfg.stage_profile` is off). The stage report
-/// measures host wall-clock time — it is perf-diagnostic only and never
-/// alters or accompanies the run's simulated results.
-pub fn run_one_profiled(
-    cfg: &SystemConfig,
-    design: Design,
-    workloads: &[WorkloadConfig],
-) -> (
-    Result<RunMetrics, SimError>,
-    Option<TelemetryReport>,
-    Option<StageReport>,
-) {
-    let scaled: Vec<WorkloadConfig> = workloads
-        .iter()
-        .map(|w| w.scaled(cfg.scale as u64))
-        .collect();
-    let computed;
-    let profile = if design.needs_profile() {
-        computed = profile_row_counts(cfg, &scaled);
-        Some(&computed)
-    } else {
-        None
-    };
-    System::new(cfg.clone(), design, &scaled, profile).run_profiled()
 }
 
 /// Runs one simulation over **recorded traces** (one per core), e.g. loaded
@@ -247,8 +207,7 @@ pub fn run_one_coherent(
     spec: &das_workloads::shared::SharedSpec,
     protocol: das_coherence::ProtocolKind,
 ) -> Result<RunMetrics, SimError> {
-    let scaled = spec.scaled(cfg.scale as u64);
-    System::with_coherence(cfg.clone(), design, &scaled, protocol).run()
+    run_one_coherent_instrumented(cfg, design, spec, protocol).0
 }
 
 /// Like [`run_one_coherent`], but also returns the telemetry report
@@ -265,27 +224,6 @@ pub fn run_one_coherent_instrumented(
 ) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
     let scaled = spec.scaled(cfg.scale as u64);
     System::with_coherence(cfg.clone(), design, &scaled, protocol).run_instrumented()
-}
-
-/// Like [`run_one_coherent`], but additionally returns the stage-profiler
-/// report (`None` when `cfg.stage_profile` is off) — the bench-mode entry
-/// point.
-///
-/// # Panics
-///
-/// Panics if `design` needs a profiling pre-pass.
-pub fn run_one_coherent_profiled(
-    cfg: &SystemConfig,
-    design: Design,
-    spec: &das_workloads::shared::SharedSpec,
-    protocol: das_coherence::ProtocolKind,
-) -> (
-    Result<RunMetrics, SimError>,
-    Option<TelemetryReport>,
-    Option<StageReport>,
-) {
-    let scaled = spec.scaled(cfg.scale as u64);
-    System::with_coherence(cfg.clone(), design, &scaled, protocol).run_profiled()
 }
 
 /// Runs `designs` over the same workload set, returning results in order.

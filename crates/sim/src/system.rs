@@ -33,9 +33,7 @@ use das_dram::tick::Tick;
 use das_faults::{FaultInjector, FaultSite};
 use das_memctrl::controller::{ControllerError, MemoryController};
 use das_memctrl::request::{Completion, Request, ServiceClass, SwapOp};
-use das_telemetry::{
-    EpochCounters, LatencyClass, Stage, StageProfiler, StageReport, Telemetry, TelemetryReport,
-};
+use das_telemetry::{EpochCounters, LatencyClass, Telemetry, TelemetryReport};
 use das_workloads::config::WorkloadConfig;
 use das_workloads::gen::TraceGen;
 use das_workloads::shared::{SharedGen, SharedSpec};
@@ -582,11 +580,6 @@ pub struct System {
     epoch_ticks: Tick,
     /// Epoch boundaries sampled so far.
     epochs_sampled: u64,
-    // --- perf profiling ---
-    /// Wall-clock stage profiler; every probe is a single-branch no-op when
-    /// off, and its output never enters [`RunMetrics`] or the telemetry
-    /// report, so an off-profiler run is bit-identical (locked by test).
-    prof: StageProfiler,
 }
 
 impl System {
@@ -819,7 +812,6 @@ impl System {
         } else {
             Tick::MAX
         };
-        let prof = StageProfiler::new(cfg.stage_profile);
         System {
             cfg,
             design,
@@ -858,7 +850,6 @@ impl System {
             warm_global: None,
             events_processed: 0,
             same_tick_wakes: 0,
-            prof,
             tel,
             next_epoch_at,
             epoch_ticks,
@@ -883,31 +874,13 @@ impl System {
     /// [`crate::config::SystemConfig::with_telemetry`]). On a failed run the
     /// telemetry collected up to the failure is still returned: the event
     /// trace of a wedged controller is exactly what one wants to look at.
-    pub fn run_instrumented(self) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
-        let (metrics, tel, _) = self.run_profiled();
-        (metrics, tel)
-    }
-
-    /// Like [`System::run_instrumented`], but also returns the stage
-    /// profiler's report (`None` when profiling is off — see
-    /// [`crate::config::SystemConfig::with_stage_profile`]). The stage
-    /// report measures *host* wall-clock time and is perf-diagnostic only;
-    /// it never feeds back into [`RunMetrics`] or the telemetry report.
-    pub fn run_profiled(
-        mut self,
-    ) -> (
-        Result<RunMetrics, SimError>,
-        Option<TelemetryReport>,
-        Option<StageReport>,
-    ) {
+    pub fn run_instrumented(mut self) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
         let outcome = self.run_loop();
         let tel = std::mem::replace(&mut self.tel, Telemetry::off());
         let report = tel.into_report();
-        let prof = std::mem::replace(&mut self.prof, StageProfiler::off());
-        let stages = prof.into_report();
         match outcome {
-            Ok(()) => (Ok(self.finalize()), report, stages),
-            Err(e) => (Err(e), report, stages),
+            Ok(()) => (Ok(self.finalize()), report),
+            Err(e) => (Err(e), report),
         }
     }
 
@@ -1078,22 +1051,14 @@ impl System {
 
     fn dispatch_core(&mut self, i: usize) {
         let mut out = std::mem::take(&mut self.core_reqs);
-        let probe = self.prof.begin(Stage::TraceDecode);
         self.cores[i].dispatch_from(&mut self.traces[i], &mut out);
-        self.prof.end(Stage::TraceDecode, probe);
         self.schedule_core_requests(i, out);
         self.check_warm(i);
     }
 
     fn complete_core(&mut self, i: usize, id: u64, at: Tick) {
         let mut out = std::mem::take(&mut self.core_reqs);
-        let probe = self.prof.begin(Stage::RobRetire);
         self.cores[i].complete(id, at.raw(), &mut out);
-        self.prof.end(Stage::RobRetire, probe);
-        if probe.is_some() {
-            self.prof
-                .note_depth(Stage::RobRetire, self.cores[i].in_flight() as u64);
-        }
         self.schedule_core_requests(i, out);
         self.check_warm(i);
         self.dispatch_core(i);
@@ -1428,25 +1393,19 @@ impl System {
     // ---- controller side ---------------------------------------------------
 
     fn handle_enqueue(&mut self, req: Request) -> Result<(), SimError> {
-        let probe = self.prof.begin(Stage::QueueService);
         let ch = req.coord.bank.channel as usize;
         let accept = if req.is_write {
             self.ctrls[ch].can_accept_write()
         } else {
             self.ctrls[ch].can_accept_read()
         };
-        let result = if accept {
-            self.ctrls[ch].enqueue(req).map(|()| self.schedule_wake(ch))
+        if accept {
+            self.ctrls[ch].enqueue(req)?;
+            self.schedule_wake(ch);
         } else {
             self.overflow[ch].push_back(req);
-            Ok(())
-        };
-        self.prof.end(Stage::QueueService, probe);
-        if probe.is_some() {
-            let depth = self.ctrls[ch].queued() + self.overflow[ch].len();
-            self.prof.note_depth(Stage::QueueService, depth as u64);
         }
-        result.map_err(SimError::from)
+        Ok(())
     }
 
     fn handle_wake(&mut self, ch: usize) -> Result<(), SimError> {
@@ -1457,23 +1416,14 @@ impl System {
             return Ok(());
         }
         self.next_wake[ch] = Tick::MAX;
-        let probe = self.prof.begin(Stage::DramTiming);
-        if probe.is_some() {
-            self.prof
-                .note_depth(Stage::DramTiming, self.ctrls[ch].backlog() as u64);
-        }
         let mut completions = std::mem::take(&mut self.completions);
-        let advanced = self.ctrls[ch].advance_into(self.clock, &mut completions);
-        self.prof.end(Stage::DramTiming, probe);
-        advanced?;
+        self.ctrls[ch].advance_into(self.clock, &mut completions)?;
         for c in completions.drain(..) {
             self.handle_completion(ch, c)?;
         }
         self.completions = completions;
         // Drain overflow into freed queue slots (FIFO, reads and writes
         // interleaved as they arrived).
-        let probe = self.prof.begin(Stage::QueueService);
-        let mut drain = Ok(());
         while let Some(req) = self.overflow[ch].front().copied() {
             let ok = if req.is_write {
                 self.ctrls[ch].can_accept_write()
@@ -1484,14 +1434,9 @@ impl System {
                 break;
             }
             self.overflow[ch].pop_front();
-            if let Err(e) = self.ctrls[ch].enqueue(req) {
-                drain = Err(e);
-                break;
-            }
+            self.ctrls[ch].enqueue(req)?;
         }
         self.schedule_wake(ch);
-        self.prof.end(Stage::QueueService, probe);
-        drain?;
         Ok(())
     }
 

@@ -14,12 +14,7 @@
 //!   viewable in Perfetto;
 //!
 //! plus [`json`], the minimal value builder/validator the exporters share,
-//! [`counters`], a deterministic string-keyed counter map, and one
-//! deliberate exception to the simulated-clock rule: [`stage`], a sampling
-//! *wall-clock* profiler of the simulator's own event-loop stages. Stage
-//! timings measure the host, not the model, so they are non-reproducible
-//! by design and are kept out of every deterministic report path (see the
-//! module docs for its overhead contract).
+//! and [`counters`], a deterministic string-keyed counter map.
 //!
 //! [`Telemetry`] is the sink the simulator holds. Constructed [`SinkMode::Off`]
 //! (the default), every record method returns after one branch and no
@@ -33,7 +28,6 @@ pub mod counters;
 pub mod hist;
 pub mod json;
 pub mod series;
-pub mod stage;
 pub mod trace;
 
 use std::collections::HashMap;
@@ -41,7 +35,6 @@ use std::collections::HashMap;
 pub use counters::Counters;
 pub use hist::LatencyHistogram;
 pub use series::{EpochCounters, EpochSample, EpochSeries};
-pub use stage::{Stage, StageProfiler, StageProfilerConfig, StageReport};
 pub use trace::{Arg, EventTrace, Phase, TraceEvent};
 
 /// Whether the sink records anything.
