@@ -1177,7 +1177,8 @@ impl System {
         let line = addr & !(self.cfg.hierarchy.line_bytes - 1);
         let row_coord = self.cfg.geometry.decode(addr);
         let coh = self.coherence.as_mut().expect("checked above");
-        let before = coh.cluster.stats().clone();
+        // Per-access coherence deltas feed only the telemetry sink.
+        let before = self.tel.enabled().then(|| coh.cluster.stats().clone());
         let out = coh.cluster.access(core, line, is_write, now_cycles);
         if out.shared {
             // The line was valid in another core's L1: sharing-induced
@@ -1188,18 +1189,20 @@ impl System {
                 .or_insert(0);
             *heat = heat.saturating_add(1);
         }
-        let after = coh.cluster.stats();
-        let deltas = [
-            after.bus_rd - before.bus_rd,
-            after.bus_rdx - before.bus_rdx,
-            after.bus_upgr - before.bus_upgr,
-            after.bus_upd - before.bus_upd,
-            after.invalidations - before.invalidations,
-            after.interventions - before.interventions,
-            after.writeback_flushes - before.writeback_flushes,
-        ];
-        let wait_delta = after.bus_wait_cycles - before.bus_wait_cycles;
-        self.tel.coh_access(deltas, wait_delta);
+        if let Some(before) = before {
+            let after = coh.cluster.stats();
+            let deltas = [
+                after.bus_rd - before.bus_rd,
+                after.bus_rdx - before.bus_rdx,
+                after.bus_upgr - before.bus_upgr,
+                after.bus_upd - before.bus_upd,
+                after.invalidations - before.invalidations,
+                after.interventions - before.interventions,
+                after.writeback_flushes - before.writeback_flushes,
+            ];
+            let wait_delta = after.bus_wait_cycles - before.bus_wait_cycles;
+            self.tel.coh_access(deltas, wait_delta);
+        }
         // Dirty lines flushed out of the cluster land in the LLC when it
         // holds them; otherwise they go to DRAM.
         for wb in out.writebacks {

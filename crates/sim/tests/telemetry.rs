@@ -175,3 +175,34 @@ fn faulted_instrumented_run_traces_recovery() {
     assert!(total_faults > 0, "epoch series must carry fault deltas");
     json::validate(&report.chrome_trace_json()).unwrap();
 }
+
+#[test]
+fn coherent_telemetry_totals_match_the_cluster_counters() {
+    use das_coherence::ProtocolKind;
+    use das_sim::experiments::{run_one_coherent, run_one_coherent_instrumented};
+    use das_workloads::shared::{SharedKind, SharedSpec, Sharing};
+
+    let cfg = SystemConfig::test_small();
+    let spec = SharedSpec::new(SharedKind::Lock, 4, Sharing::Mid);
+    for protocol in [ProtocolKind::Mesi, ProtocolKind::Dragon] {
+        let base = run_one_coherent(&cfg, Design::DasDram, &spec, protocol).unwrap();
+        let inst = cfg.clone().with_telemetry(TelemetryConfig::on(50_000));
+        let (res, report) = run_one_coherent_instrumented(&inst, Design::DasDram, &spec, protocol);
+        let on = res.unwrap();
+        assert_eq!(fingerprint(&base), fingerprint(&on));
+        // The sink sums per-access deltas, so its totals are the counters.
+        let s = &on.coherence.as_ref().expect("coherence block").stats;
+        let report = report.expect("On sink must produce a report");
+        let counters = [
+            s.bus_rd,
+            s.bus_rdx,
+            s.bus_upgr,
+            s.bus_upd,
+            s.invalidations,
+            s.interventions,
+            s.writeback_flushes,
+        ];
+        assert_eq!(report.coh_counts, counters, "{protocol:?}");
+        assert!(report.coh_bus_wait.count() > 0, "{protocol:?}");
+    }
+}
