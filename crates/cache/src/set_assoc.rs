@@ -8,7 +8,7 @@ use core::fmt;
 
 /// Replacement order bookkeeping uses a monotonically increasing counter;
 /// the least-recently used way is the one with the smallest stamp.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -71,6 +71,10 @@ pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     line_bytes: u64,
+    /// `log2(line_bytes)`: the line of an address is a shift away.
+    line_shift: u32,
+    /// `log2(sets)`: the set is the line's low bits, the tag the rest.
+    set_bits: u32,
     lines: Vec<Line>,
     clock: u64,
     stats: CacheStats,
@@ -95,7 +99,8 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the parameters are not powers-of-two compatible (capacity
-    /// must be divisible by `ways * line_bytes` with at least one set).
+    /// must be divisible by `ways * line_bytes` into a power-of-two number
+    /// of sets).
     pub fn new(capacity_bytes: u64, ways: usize, line_bytes: u64) -> Self {
         assert!(ways > 0 && line_bytes > 0, "degenerate cache shape");
         assert!(
@@ -108,10 +113,16 @@ impl SetAssocCache {
             "capacity {capacity_bytes} not divisible into {ways}-way sets of {line_bytes}B lines"
         );
         let sets = (capacity_bytes / set_bytes) as usize;
+        assert!(
+            sets.is_power_of_two(),
+            "set count {sets} must be a power of two"
+        );
         SetAssocCache {
             sets,
             ways,
             line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             lines: vec![Line::default(); sets * ways],
             clock: 0,
             stats: CacheStats::default(),
@@ -144,8 +155,11 @@ impl SetAssocCache {
     }
 
     fn index(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes;
-        ((line % self.sets as u64) as usize, line / self.sets as u64)
+        let line = addr >> self.line_shift;
+        (
+            (line & (self.sets as u64 - 1)) as usize,
+            line >> self.set_bits,
+        )
     }
 
     fn set(&self, set: usize) -> &[Line] {
@@ -191,38 +205,34 @@ impl SetAssocCache {
         let clock = self.clock;
         let sets = self.sets as u64;
         let line_bytes = self.line_bytes;
-        // Refresh in place if already present.
-        if let Some(line) = self
-            .set_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-        {
-            line.stamp = clock;
-            line.dirty |= dirty;
-            return None;
+        let lines = self.set_mut(set);
+        // One pass: refresh in place if already present, else pick the first
+        // invalid way, else the first way with the smallest stamp. Valid
+        // stamps are at least 1, so ranking an invalid way as 0 makes the
+        // first strict minimum exactly that victim.
+        let mut way = 0;
+        let mut best = u64::MAX;
+        for (i, l) in lines.iter_mut().enumerate() {
+            let rank = if l.valid {
+                if l.tag == tag {
+                    l.stamp = clock;
+                    l.dirty |= dirty;
+                    return None;
+                }
+                l.stamp
+            } else {
+                0
+            };
+            if rank < best {
+                best = rank;
+                way = i;
+            }
         }
-        let way = self
-            .set(set)
-            .iter()
-            .position(|l| !l.valid)
-            .unwrap_or_else(|| {
-                self.set(set)
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.stamp)
-                    .map(|(i, _)| i)
-                    .expect("nonempty set")
-            });
-        let slot = &mut self.set_mut(set)[way];
-        let victim = if slot.valid {
-            let victim_addr = (slot.tag * sets + set as u64) * line_bytes;
-            Some(Victim {
-                addr: victim_addr,
-                dirty: slot.dirty,
-            })
-        } else {
-            None
-        };
+        let slot = &mut lines[way];
+        let victim = slot.valid.then(|| Victim {
+            addr: (slot.tag * sets + set as u64) * line_bytes,
+            dirty: slot.dirty,
+        });
         *slot = Line {
             tag,
             valid: true,
@@ -397,5 +407,158 @@ mod tests {
             c.fill(i * 64, false);
         }
         assert_eq!(c.occupancy(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "set count 3 must be a power of two")]
+    fn non_power_of_two_set_counts_are_rejected() {
+        SetAssocCache::new(3 * 4 * 64, 4, 64);
+    }
+
+    /// The pre-rewrite algorithms, verbatim over the same fields: division
+    /// indexing and a three-scan fill. The differential test replays one
+    /// seeded operation sequence through these and through the cache's own
+    /// methods and compares every result and the full way state.
+    mod oracle {
+        use super::super::{Line, SetAssocCache, Victim};
+
+        fn index(c: &SetAssocCache, addr: u64) -> (usize, u64) {
+            let line = addr / c.line_bytes;
+            ((line % c.sets as u64) as usize, line / c.sets as u64)
+        }
+
+        pub(super) fn lookup(c: &mut SetAssocCache, addr: u64, is_write: bool) -> bool {
+            let (set, tag) = index(c, addr);
+            c.clock += 1;
+            let clock = c.clock;
+            for line in c.set_mut(set) {
+                if line.valid && line.tag == tag {
+                    line.stamp = clock;
+                    line.dirty |= is_write;
+                    c.stats.hits += 1;
+                    return true;
+                }
+            }
+            c.stats.misses += 1;
+            false
+        }
+
+        pub(super) fn contains(c: &SetAssocCache, addr: u64) -> bool {
+            let (set, tag) = index(c, addr);
+            c.set(set).iter().any(|l| l.valid && l.tag == tag)
+        }
+
+        pub(super) fn fill(c: &mut SetAssocCache, addr: u64, dirty: bool) -> Option<Victim> {
+            let (set, tag) = index(c, addr);
+            c.clock += 1;
+            let clock = c.clock;
+            let sets = c.sets as u64;
+            let line_bytes = c.line_bytes;
+            if let Some(line) = c.set_mut(set).iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.stamp = clock;
+                line.dirty |= dirty;
+                return None;
+            }
+            let way = c.set(set).iter().position(|l| !l.valid).unwrap_or_else(|| {
+                c.set(set)
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, l)| l.stamp)
+                    .map(|(i, _)| i)
+                    .expect("nonempty set")
+            });
+            let slot = &mut c.set_mut(set)[way];
+            let victim = if slot.valid {
+                let victim_addr = (slot.tag * sets + set as u64) * line_bytes;
+                Some(Victim {
+                    addr: victim_addr,
+                    dirty: slot.dirty,
+                })
+            } else {
+                None
+            };
+            *slot = Line {
+                tag,
+                valid: true,
+                dirty,
+                stamp: clock,
+            };
+            if let Some(v) = victim {
+                c.stats.evictions += 1;
+                if v.dirty {
+                    c.stats.writebacks += 1;
+                }
+            }
+            victim
+        }
+
+        pub(super) fn write_back_into(c: &mut SetAssocCache, addr: u64) -> bool {
+            let (set, tag) = index(c, addr);
+            if let Some(line) = c.set_mut(set).iter_mut().find(|l| l.valid && l.tag == tag) {
+                line.dirty = true;
+                true
+            } else {
+                false
+            }
+        }
+
+        pub(super) fn invalidate(c: &mut SetAssocCache, addr: u64) -> Option<bool> {
+            let (set, tag) = index(c, addr);
+            for line in c.set_mut(set) {
+                if line.valid && line.tag == tag {
+                    line.valid = false;
+                    return Some(line.dirty);
+                }
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn matches_the_pre_rewrite_algorithms_step_by_step() {
+        // (capacity, ways, line bytes): 16, 1 and 8 sets.
+        let shapes = [(4096, 4, 64), (512, 8, 64), (8 * 2 * 32, 2, 32)];
+        for (seed, &(capacity, ways, line_bytes)) in shapes.iter().enumerate() {
+            let mut rng = das_faults::Prng::new(0xcac4e + seed as u64);
+            let mut got = SetAssocCache::new(capacity, ways, line_bytes);
+            let mut want = got.clone();
+            // Four times the capacity in distinct lines keeps every set
+            // under conflict pressure.
+            let lines = (got.sets() * ways * 4) as u64;
+            for step in 0..20_000 {
+                let addr = rng.bounded_u64(lines) * line_bytes + rng.bounded_u64(line_bytes);
+                let ctx =
+                    format!("shape {capacity}/{ways}/{line_bytes} step {step} addr {addr:#x}");
+                match rng.bounded_u64(8) {
+                    0..=2 => {
+                        let w = rng.gen_bool(0.3);
+                        assert_eq!(
+                            got.lookup(addr, w),
+                            oracle::lookup(&mut want, addr, w),
+                            "{ctx}"
+                        );
+                    }
+                    3..=5 => {
+                        let d = rng.gen_bool(0.3);
+                        assert_eq!(got.fill(addr, d), oracle::fill(&mut want, addr, d), "{ctx}");
+                    }
+                    6 => assert_eq!(
+                        got.write_back_into(addr),
+                        oracle::write_back_into(&mut want, addr),
+                        "{ctx}"
+                    ),
+                    _ => assert_eq!(
+                        got.invalidate(addr),
+                        oracle::invalidate(&mut want, addr),
+                        "{ctx}"
+                    ),
+                }
+                assert_eq!(got.contains(addr), oracle::contains(&want, addr), "{ctx}");
+                assert_eq!(got.stats(), want.stats(), "{ctx}");
+                assert_eq!(got.clock, want.clock, "{ctx}");
+                assert!(got.lines == want.lines, "way state diverged at {ctx}");
+            }
+            assert!(got.stats().evictions > 0 && got.stats().writebacks > 0);
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! [`ChannelDevice::issue`]. All timing constraints of §2.3 (and the swap of
 //! §4.2) are enforced here.
 
-use crate::bank::{Bank, BankStats};
+use crate::bank::{Bank, BankStats, RowBufferState};
 use crate::command::DramCommand;
 use crate::geometry::{BankCoord, BankLayout, SubarrayKind};
 use crate::rank::{BusDir, DataBus, RankTracker};
@@ -33,8 +33,11 @@ pub struct ChannelDevice {
     banks: Vec<Bank>,
     ranks: Vec<RankTracker>,
     bus: DataBus,
-    refresh_enabled: bool,
     salp: bool,
+    /// Earliest refresh deadline over all ranks, `None` with refresh off.
+    /// Deadlines move only when a REF issues, so it is recomputed there and
+    /// every refresh query starts with one comparison against it.
+    refresh_deadline: Option<Tick>,
 }
 
 impl ChannelDevice {
@@ -74,19 +77,20 @@ impl ChannelDevice {
     ) -> Self {
         let cadences = timing.refresh_cadences();
         let buffers = if salp { layout.subarrays().len() } else { 1 };
+        let ranks: Vec<RankTracker> = (0..ranks)
+            .map(|_| RankTracker::with_cadences(&cadences))
+            .collect();
         ChannelDevice {
             channel_id,
             layout,
             timing,
             banks_per_rank,
-            banks: (0..ranks as usize * banks_per_rank as usize)
+            banks: (0..ranks.len() * banks_per_rank as usize)
                 .map(|_| Bank::with_subarrays(buffers))
                 .collect(),
-            ranks: (0..ranks)
-                .map(|_| RankTracker::with_cadences(&cadences))
-                .collect(),
+            refresh_deadline: earliest_deadline(&ranks).filter(|_| refresh_enabled),
+            ranks,
             bus: DataBus::new(),
-            refresh_enabled,
             salp,
         }
     }
@@ -323,6 +327,9 @@ impl ChannelDevice {
             }
             DramCommand::Refresh { rank } => {
                 let done = self.ranks[rank as usize].refresh(at);
+                if self.refresh_deadline.is_some() {
+                    self.refresh_deadline = earliest_deadline(&self.ranks);
+                }
                 for b in 0..self.banks_per_rank {
                     let coord = BankCoord::new(self.channel_id, rank, b);
                     let idx = self.bank_idx(coord);
@@ -339,30 +346,27 @@ impl ChannelDevice {
     /// Whether a refresh is pending on any rank at `now` (always `false`
     /// when refresh is disabled).
     pub fn refresh_due(&self, now: Tick) -> Option<u8> {
-        if !self.refresh_enabled {
+        if now < self.refresh_deadline? {
             return None;
         }
         self.ranks
             .iter()
-            .enumerate()
-            .find(|(_, r)| r.refresh_due(now))
-            .map(|(i, _)| i as u8)
+            .position(|r| r.refresh_due(now))
+            .map(|i| i as u8)
     }
 
     /// Earliest tick at which any rank will require a refresh.
     pub fn next_refresh_due(&self) -> Option<Tick> {
-        if !self.refresh_enabled {
-            return None;
-        }
-        self.ranks.iter().map(|r| r.next_refresh_due()).min()
+        self.refresh_deadline
     }
 
     /// Earliest refresh deadline of any rank strictly after `now`: the
     /// next tick at which [`ChannelDevice::refresh_due`] can change without
     /// a command being issued.
     pub fn next_refresh_due_after(&self, now: Tick) -> Option<Tick> {
-        if !self.refresh_enabled {
-            return None;
+        let deadline = self.refresh_deadline?;
+        if now < deadline {
+            return Some(deadline);
         }
         self.ranks
             .iter()
@@ -371,15 +375,24 @@ impl ChannelDevice {
             .min()
     }
 
+    /// Timing parameters of the row open in the buffer serving `phys_row`,
+    /// by the subarray kind the bank recorded at ACT.
     fn open_row_params(
         &self,
         bank: BankCoord,
         phys_row: u32,
     ) -> Option<&crate::timing::TimingParams> {
         let idx = self.buffer_of(phys_row);
-        let row = self.banks[self.bank_idx(bank)].open_row(idx)?;
-        Some(self.timing.params_for(self.layout.row_kind(row)))
+        match self.banks[self.bank_idx(bank)].state(idx) {
+            RowBufferState::Open { kind, .. } => Some(self.timing.params_for(kind)),
+            RowBufferState::Precharged => None,
+        }
     }
+}
+
+/// Earliest refresh deadline over `ranks` (`None` for no ranks).
+fn earliest_deadline(ranks: &[RankTracker]) -> Option<Tick> {
+    ranks.iter().map(RankTracker::next_refresh_due).min()
 }
 
 #[cfg(test)]
@@ -608,5 +621,209 @@ mod tests {
             d.earliest_issue(&act, Tick::from_ns(99.0)),
             Some(Tick::from_ns(99.0))
         );
+    }
+
+    /// The pre-rewrite refresh queries and open-row timing lookup, verbatim
+    /// except that the refresh switch is a parameter: a fold over every
+    /// rank's schedules per query, and the open row's kind re-derived from
+    /// the layout.
+    mod oracle {
+        use super::super::ChannelDevice;
+        use crate::bank::Bank;
+        use crate::command::DramCommand;
+        use crate::geometry::BankCoord;
+        use crate::rank::BusDir;
+        use crate::tick::Tick;
+        use crate::timing::TimingParams;
+
+        pub(super) fn refresh_due(d: &ChannelDevice, enabled: bool, now: Tick) -> Option<u8> {
+            if !enabled {
+                return None;
+            }
+            d.ranks
+                .iter()
+                .enumerate()
+                .find(|(_, r)| r.refresh_due(now))
+                .map(|(i, _)| i as u8)
+        }
+
+        pub(super) fn next_refresh_due(d: &ChannelDevice, enabled: bool) -> Option<Tick> {
+            if !enabled {
+                return None;
+            }
+            d.ranks.iter().map(|r| r.next_refresh_due()).min()
+        }
+
+        pub(super) fn next_refresh_due_after(
+            d: &ChannelDevice,
+            enabled: bool,
+            now: Tick,
+        ) -> Option<Tick> {
+            if !enabled {
+                return None;
+            }
+            d.ranks
+                .iter()
+                .map(|r| r.next_refresh_due())
+                .filter(|&t| t > now)
+                .min()
+        }
+
+        fn open_row_params(
+            d: &ChannelDevice,
+            bank: BankCoord,
+            phys_row: u32,
+        ) -> Option<&TimingParams> {
+            let idx = d.buffer_of(phys_row);
+            let row = d.banks[d.bank_idx(bank)].open_row(idx)?;
+            Some(d.timing.params_for(d.layout.row_kind(row)))
+        }
+
+        /// `earliest_issue` for READ and WRITE.
+        pub(super) fn earliest_column(
+            d: &ChannelDevice,
+            cmd: &DramCommand,
+            now: Tick,
+        ) -> Option<Tick> {
+            let rp = d.timing.rank_params();
+            let bank_of = |bank: BankCoord| -> &Bank { &d.banks[d.bank_idx(bank)] };
+            let t = match *cmd {
+                DramCommand::Read { bank, phys_row, .. } => {
+                    if !d.is_row_open(bank, phys_row) {
+                        return None;
+                    }
+                    let idx = d.buffer_of(phys_row);
+                    let cmd_ready = bank_of(bank).earliest_read(idx)?;
+                    let p = open_row_params(d, bank, phys_row)?;
+                    let bus_start = d.bus.earliest_start(BusDir::Read, rp.twtr, rp.tck * 2);
+                    cmd_ready.max(bus_start.saturating_sub(p.cl))
+                }
+                DramCommand::Write { bank, phys_row, .. } => {
+                    if !d.is_row_open(bank, phys_row) {
+                        return None;
+                    }
+                    let idx = d.buffer_of(phys_row);
+                    let cmd_ready = bank_of(bank).earliest_write(idx)?;
+                    let p = open_row_params(d, bank, phys_row)?;
+                    let bus_start = d.bus.earliest_start(BusDir::Write, rp.twtr, rp.tck * 2);
+                    cmd_ready.max(bus_start.saturating_sub(p.cwl))
+                }
+                _ => unreachable!("column commands only"),
+            };
+            Some(t.max(now))
+        }
+    }
+
+    /// Checks every refresh query and the column-command timing of every
+    /// open row (and of a closed one) against the oracle.
+    fn assert_matches_oracle(d: &ChannelDevice, enabled: bool, now: Tick, probe: Tick, ctx: &str) {
+        for t in [now, probe, probe + Tick::new(1)] {
+            assert_eq!(
+                d.refresh_due(t),
+                oracle::refresh_due(d, enabled, t),
+                "{ctx}"
+            );
+            assert_eq!(
+                d.next_refresh_due_after(t),
+                oracle::next_refresh_due_after(d, enabled, t),
+                "{ctx}"
+            );
+        }
+        assert_eq!(
+            d.next_refresh_due(),
+            oracle::next_refresh_due(d, enabled),
+            "{ctx}"
+        );
+        for rank in 0..d.ranks() {
+            for b in 0..d.banks_per_rank {
+                let bank = BankCoord::new(0, rank, b);
+                let mut rows = d.open_rows(bank);
+                rows.push(d.layout().slow_to_phys(3));
+                for phys_row in rows {
+                    for cmd in [
+                        DramCommand::Read {
+                            bank,
+                            phys_row,
+                            col: 0,
+                        },
+                        DramCommand::Write {
+                            bank,
+                            phys_row,
+                            col: 0,
+                        },
+                    ] {
+                        assert_eq!(
+                            d.earliest_issue(&cmd, now),
+                            oracle::earliest_column(d, &cmd, now),
+                            "{ctx}: {cmd:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_queries_and_column_timing_match_the_pre_rewrite_algorithms() {
+        // Fast and slow levels on distinct tREFI: each rank runs two
+        // refresh schedules.
+        let mut two_cadences = TimingSet::asymmetric();
+        two_cadences.fast.trefi = Tick::from_ns(3900.0);
+        two_cadences.fast.trfc = Tick::from_ns(90.0);
+        assert_eq!(two_cadences.refresh_cadences().len(), 2);
+        let cases = [
+            (TimingSet::asymmetric(), true, false),
+            (TimingSet::asymmetric(), false, false),
+            (two_cadences, true, false),
+            (two_cadences, true, true),
+            (TimingSet::homogeneous_slow(), true, true),
+        ];
+        for (case, &(timing, enabled, salp)) in cases.iter().enumerate() {
+            let layout =
+                BankLayout::build(4096, FastRatio::new(1, 8), Arrangement::default(), 128, 512);
+            let mut d = ChannelDevice::with_salp(0, 2, 2, layout, timing, enabled, salp);
+            let mut rng = das_faults::Prng::new(0x5e_f1e5 + case as u64);
+            let rows: Vec<u32> = (0..4)
+                .flat_map(|i| [d.layout().fast_to_phys(i), d.layout().slow_to_phys(i * 700)])
+                .collect();
+            let mut now = Tick::ZERO;
+            let mut refreshes = 0;
+            for step in 0..6_000 {
+                if rng.gen_bool(0.05) {
+                    now += Tick::from_ns_int(rng.range_u64(0, 3000));
+                }
+                let bank = BankCoord::new(0, rng.range_u32(0, 2) as u8, rng.range_u32(0, 2) as u8);
+                let open = d.open_rows(bank);
+                let phys_row = match open.first() {
+                    Some(&r) if rng.gen_bool(0.7) => r,
+                    _ => rows[rng.range_usize(0, rows.len())],
+                };
+                let cmd = match rng.bounded_u64(6) {
+                    0 => DramCommand::Activate { bank, phys_row },
+                    1 => DramCommand::Read {
+                        bank,
+                        phys_row,
+                        col: 1,
+                    },
+                    2 => DramCommand::Write {
+                        bank,
+                        phys_row,
+                        col: 2,
+                    },
+                    3 | 4 => DramCommand::Precharge { bank, phys_row },
+                    _ => DramCommand::Refresh {
+                        rank: d.refresh_due(now).unwrap_or(bank.rank),
+                    },
+                };
+                if let Some(at) = d.earliest_issue(&cmd, now) {
+                    d.issue(&cmd, at);
+                    now = at;
+                    refreshes += u32::from(matches!(cmd, DramCommand::Refresh { .. }));
+                }
+                let probe = d.next_refresh_due().unwrap_or(now);
+                assert_matches_oracle(&d, enabled, now, probe, &format!("case {case} step {step}"));
+            }
+            assert!(refreshes > 10, "case {case}: only {refreshes} REFs issued");
+        }
     }
 }

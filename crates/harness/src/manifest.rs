@@ -18,6 +18,8 @@ use das_telemetry::json::{self, Value};
 use das_workloads::config::WorkloadConfig;
 use das_workloads::{mixes, shared, spec};
 
+use crate::render::group_of;
+
 /// Manifest format version (bumped on breaking schema changes).
 ///
 /// Version history:
@@ -598,7 +600,11 @@ impl Manifest {
 
     /// Checks that every experiment id names a catalog experiment (its
     /// renderer runs after the jobs, so an unknown id must fail before any
-    /// job does), job-id uniqueness, and that every job materialises.
+    /// job does), job-id uniqueness, that every job materialises, and that
+    /// each experiment's jobs are a shape its renderer can read: a subset
+    /// of the catalog grid at the manifest's `insts`/`scale` holding every
+    /// catalog job of each group (workload row) it touches, as `--only`
+    /// produces.
     ///
     /// # Errors
     ///
@@ -606,9 +612,9 @@ impl Manifest {
     pub fn validate(&self) -> Result<(), String> {
         let mut seen = std::collections::HashSet::new();
         for e in &self.experiments {
-            if crate::catalog::by_id(&e.id).is_none() {
+            let Some(exp) = crate::catalog::by_id(&e.id) else {
                 return Err(format!("unknown experiment {:?}", e.id));
-            }
+            };
             for j in &e.jobs {
                 if !seen.insert(j.id.as_str()) {
                     return Err(format!("duplicate job id {:?}", j.id));
@@ -616,6 +622,8 @@ impl Manifest {
                 j.materialize()
                     .map_err(|err| format!("job {}: {err}", j.id))?;
             }
+            let grid = (exp.build)(&crate::catalog::BuildParams::new(self.insts, self.scale));
+            check_grid_shape(&e.id, &e.jobs, &grid)?;
         }
         Ok(())
     }
@@ -641,50 +649,51 @@ impl Manifest {
     }
 }
 
+/// Checks that `jobs` of experiment `exp` are a subset of its catalog
+/// `grid` that holds every grid job of each group it touches.
+fn check_grid_shape(exp: &str, jobs: &[JobSpec], grid: &[JobSpec]) -> Result<(), String> {
+    if let Some(j) = jobs.iter().find(|j| !grid.iter().any(|g| g.id == j.id)) {
+        return Err(format!(
+            "experiment {exp}: job {:?} is not in its catalog grid",
+            j.id
+        ));
+    }
+    let groups: Vec<&str> = jobs.iter().map(|j| group_of(&j.id)).collect();
+    if let Some(g) = grid
+        .iter()
+        .find(|g| groups.contains(&group_of(&g.id)) && !jobs.iter().any(|j| j.id == g.id))
+    {
+        return Err(format!(
+            "experiment {exp}: job {:?} of group {:?} is missing",
+            g.id,
+            group_of(&g.id)
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A catalog-shaped manifest: the Fig. 8a sweep's `mcf` row and the
+    /// Fig. 7d `M1` mix row.
     fn sample() -> Manifest {
-        Manifest {
-            insts: 100_000,
-            scale: 64,
-            experiments: vec![ExperimentPlan {
-                id: "fig8a".into(),
-                jobs: vec![
-                    JobSpec {
-                        id: "fig8a/mcf/std".into(),
-                        design: "std".into(),
-                        workload: "mcf".into(),
-                        insts: 100_000,
-                        scale: 64,
-                        seed: 42,
-                        ov: Overrides::default(),
-                    },
-                    JobSpec {
-                        id: "fig8a/mcf/t4".into(),
-                        design: "das".into(),
-                        workload: "mcf".into(),
-                        insts: 100_000,
-                        scale: 64,
-                        seed: 42,
-                        ov: Overrides {
-                            threshold: Some(4),
-                            ..Overrides::default()
-                        },
-                    },
-                    JobSpec {
-                        id: "fig8a/M1/das".into(),
-                        design: "das".into(),
-                        workload: "mix:M1".into(),
-                        insts: 50_000,
-                        scale: 64,
-                        seed: 42,
-                        ov: Overrides::default(),
-                    },
-                ],
-            }],
-        }
+        crate::cli::build_catalog_manifest(
+            &["fig8a".to_string(), "fig7d".to_string()],
+            100_000,
+            64,
+            &["mcf".to_string(), "M1".to_string()],
+        )
+        .expect("catalog experiments")
+    }
+
+    fn sample_job(m: &Manifest, id: &str) -> JobSpec {
+        m.jobs()
+            .into_iter()
+            .find(|j| j.id == id)
+            .unwrap_or_else(|| panic!("no job {id}"))
+            .clone()
     }
 
     #[test]
@@ -737,14 +746,60 @@ mod tests {
     }
 
     #[test]
+    fn job_lists_the_renderer_cannot_read_are_rejected() {
+        // A hand-cut Fig. 7a row: Std and DAS only, DAS renamed.
+        let mut m = crate::cli::build_catalog_manifest(
+            &["fig7a".to_string()],
+            50_000,
+            64,
+            &["libquantum".to_string()],
+        )
+        .unwrap();
+        m.experiments[0]
+            .jobs
+            .retain(|j| j.id.ends_with("/std") || j.id.ends_with("/das"));
+        let err = m.validate().unwrap_err();
+        assert_eq!(
+            err,
+            "experiment fig7a: job \"fig7a/libquantum/sas\" of group \"libquantum\" is missing"
+        );
+        m.experiments[0].jobs[1].id = "fig7a/libquantum/mine".into();
+        let err = m.validate().unwrap_err();
+        assert_eq!(
+            err,
+            "experiment fig7a: job \"fig7a/libquantum/mine\" is not in its catalog grid"
+        );
+        assert_eq!(Manifest::parse(&m.render()).unwrap_err(), err);
+    }
+
+    #[test]
+    fn every_only_filtered_catalog_grid_validates() {
+        let mut names: Vec<&str> = spec::names();
+        names.extend(mixes::names());
+        names.extend(["ring", "lock", "frontier"]);
+        let all: Vec<String> = crate::catalog::ids()
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        for only in names.iter().map(|n| vec![n.to_string()]).chain([
+            Vec::new(),
+            vec!["mcf".to_string(), "lbm".to_string(), "lock".to_string()],
+        ]) {
+            let m = crate::cli::build_catalog_manifest(&all, 100_000, 64, &only).unwrap();
+            m.validate()
+                .unwrap_or_else(|e| panic!("--only {only:?}: {e}"));
+        }
+    }
+
+    #[test]
     fn materialize_applies_overrides() {
         let m = sample();
-        let (cfg, design, wl) = m.experiments[0].jobs[1].materialize().unwrap();
+        let (cfg, design, wl) = sample_job(&m, "fig8a/mcf/t4").materialize().unwrap();
         assert_eq!(design, Design::DasDram);
         assert_eq!(cfg.management.promotion_threshold, 4);
         assert_eq!(cfg.inst_budget, 100_000);
         assert_eq!(wl.len(), 1);
-        let (_, _, mix) = m.experiments[0].jobs[2].materialize().unwrap();
+        let (_, _, mix) = sample_job(&m, "fig7d/M1/das").materialize().unwrap();
         assert_eq!(mix.len(), 4, "mix token expands to four benchmarks");
     }
 

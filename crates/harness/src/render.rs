@@ -64,13 +64,19 @@ impl<'a> RenderCtx<'a> {
     pub fn group_names(&self) -> Vec<&'a str> {
         let mut names: Vec<&str> = Vec::new();
         for j in self.jobs {
-            let name = j.id.split('/').nth(1).unwrap_or("");
+            let name = group_of(&j.id);
             if !names.contains(&name) {
                 names.push(name);
             }
         }
         names
     }
+}
+
+/// The group (second `/`-separated segment, the workload row) of a job id;
+/// empty when the id has none.
+pub fn group_of(id: &str) -> &str {
+    id.split('/').nth(1).unwrap_or("")
 }
 
 /// Formats a fraction as a signed percentage (the shared figure format).

@@ -3,7 +3,8 @@
 
 use std::collections::VecDeque;
 
-use das_cache::FastMap;
+use das_cache::{FastMap, FastSet};
+use das_dram::geometry::BankCoord;
 
 /// Per-request values keyed by request id. Ids are handed out in increasing
 /// order and mostly retire within a short window, so live ids are stored in
@@ -109,6 +110,69 @@ impl DenseSet {
     }
 }
 
+/// The controller's recently-translated-row registers: a FIFO of at most
+/// `cap` distinct `(bank, logical row)` keys with O(1) membership. The hash
+/// set mirrors the FIFO, which keeps the eviction order.
+#[derive(Debug)]
+pub(crate) struct RecentRows {
+    cap: usize,
+    order: VecDeque<u64>,
+    members: FastSet<u64>,
+}
+
+/// One register key as a single word, hashed with one multiply.
+fn row_key(bank: BankCoord, row: u32) -> u64 {
+    u64::from(bank.channel) << 48
+        | u64::from(bank.rank) << 40
+        | u64::from(bank.bank) << 32
+        | u64::from(row)
+}
+
+impl RecentRows {
+    pub(crate) fn new(cap: usize) -> Self {
+        RecentRows {
+            cap,
+            order: VecDeque::with_capacity(cap + 1),
+            members: FastSet::default(),
+        }
+    }
+
+    /// Whether `(bank, row)` is held.
+    pub(crate) fn contains(&self, bank: BankCoord, row: u32) -> bool {
+        self.members.contains(&row_key(bank, row))
+    }
+
+    /// Holds `(bank, row)`, which must not be held yet, evicting the oldest
+    /// key beyond the capacity.
+    pub(crate) fn note(&mut self, bank: BankCoord, row: u32) {
+        let key = row_key(bank, row);
+        let fresh = self.members.insert(key);
+        debug_assert!(fresh, "translation register noted twice");
+        self.order.push_back(key);
+        if self.order.len() > self.cap {
+            if let Some(old) = self.order.pop_front() {
+                self.members.remove(&old);
+            }
+        }
+    }
+
+    /// Drops `(bank, row)` if held, keeping the order of the rest.
+    pub(crate) fn forget(&mut self, bank: BankCoord, row: u32) {
+        let key = row_key(bank, row);
+        if self.members.remove(&key) {
+            if let Some(i) = self.order.iter().position(|&k| k == key) {
+                self.order.remove(i);
+            }
+        }
+    }
+
+    /// Drops every key.
+    pub(crate) fn clear(&mut self) {
+        self.order.clear();
+        self.members.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +220,51 @@ mod tests {
         let last = 10 * WINDOW as u64;
         assert_eq!(slab.remove(last), Some(last));
         assert!(slab.slots.is_empty() && slab.stragglers.is_empty());
+    }
+
+    #[test]
+    fn recent_rows_match_the_linear_scan_registers() {
+        // The pre-rewrite registers, verbatim: a deque scanned on every
+        // membership test.
+        let cap = 8;
+        let mut model: VecDeque<(BankCoord, u32)> = VecDeque::with_capacity(cap + 1);
+        let mut regs = RecentRows::new(cap);
+        let mut rng = das_faults::Prng::new(0x7e9);
+        for step in 0..50_000 {
+            let bank = BankCoord::new(
+                rng.range_u32(0, 2) as u8,
+                rng.range_u32(0, 2) as u8,
+                rng.range_u32(0, 3) as u8,
+            );
+            let row = rng.range_u32(0, 6) << (8 * rng.range_u32(0, 4));
+            let held = model.contains(&(bank, row));
+            assert_eq!(regs.contains(bank, row), held, "step {step}");
+            match rng.bounded_u64(100) {
+                // The system notes a key only after a membership miss.
+                0..=59 if !held => {
+                    model.push_back((bank, row));
+                    if model.len() > cap {
+                        model.pop_front();
+                    }
+                    regs.note(bank, row);
+                }
+                60..=97 => {
+                    model.retain(|&e| e != (bank, row));
+                    regs.forget(bank, row);
+                }
+                98 | 99 => {
+                    model.clear();
+                    regs.clear();
+                }
+                _ => {}
+            }
+            let keys: Vec<u64> = model.iter().map(|&(b, r)| row_key(b, r)).collect();
+            assert!(regs.order.iter().eq(&keys), "order diverged at step {step}");
+            assert_eq!(regs.members.len(), model.len(), "step {step}");
+            for &(b, r) in &model {
+                assert!(regs.contains(b, r), "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -39,12 +39,15 @@ use das_workloads::gen::TraceGen;
 use das_workloads::shared::{SharedGen, SharedSpec};
 
 use crate::config::{Design, SystemConfig};
-use crate::dense::{DenseSet, IdSlab};
+use crate::dense::{DenseSet, IdSlab, RecentRows};
 use crate::events::EventQueue;
 use crate::stats::{AccessMix, CoreMetrics, EnergyBreakdown, EnergyModel, RunMetrics};
 
 /// Capacity of the controller's recently-translated-row registers (a few
 /// per bank, matching the set of rows plausibly open or in the queues).
+/// The registers are a FIFO of distinct rows with a hashed membership set
+/// ([`RecentRows`]): a lookup costs one hash probe, and the oldest row is
+/// dropped when a new one is noted beyond this count.
 const RECENT_TRANSLATIONS: usize = 64;
 
 /// Default event budget after which a run is declared runaway (the
@@ -553,7 +556,7 @@ pub struct System {
     /// Recently translated rows (the controller holds a handful of live row
     /// translations — one per open row — so a burst of misses to one row
     /// pays the translation lookup once).
-    recent_translations: VecDeque<(BankCoord, u32)>,
+    recent_translations: RecentRows,
     // --- statistics ---
     workload_label: String,
     access_mix: AccessMix,
@@ -838,7 +841,7 @@ impl System {
             injector,
             swap_attempts: FastMap::default(),
             read_retries: FastMap::default(),
-            recent_translations: VecDeque::with_capacity(RECENT_TRANSLATIONS + 1),
+            recent_translations: RecentRows::new(RECENT_TRANSLATIONS),
             workload_label: label,
             access_mix: AccessMix::default(),
             memory_accesses: 0,
@@ -1264,7 +1267,7 @@ impl System {
     ) -> (u32, Tick, Option<Request>) {
         // A row translated moments ago is still held in the controller's
         // per-row registers: no lookup needed.
-        if self.recent_translations.contains(&(bank, logical_row)) {
+        if self.recent_translations.contains(bank, logical_row) {
             if let Some(m) = self.manager.as_ref() {
                 let (phys, _) = m.peek(bank, logical_row);
                 return (phys, now, None);
@@ -1274,7 +1277,7 @@ impl System {
             return (logical_row, now, None);
         };
         let tr = manager.translate(bank, logical_row);
-        self.note_recent(bank, logical_row);
+        self.recent_translations.note(bank, logical_row);
         // Soft-error injection on the translation cache: flip a tag bit in
         // some occupied entry. The damage is latent — caught by the
         // periodic audit (which rebuilds) or surfaced as extra misses.
@@ -1342,18 +1345,6 @@ impl System {
             }
             None => self.push(ready, EventKind::CtrlEnqueue { req: demand }),
         }
-    }
-
-    fn note_recent(&mut self, bank: BankCoord, logical_row: u32) {
-        self.recent_translations.push_back((bank, logical_row));
-        if self.recent_translations.len() > RECENT_TRANSLATIONS {
-            self.recent_translations.pop_front();
-        }
-    }
-
-    fn forget_recent(&mut self, bank: BankCoord, logical_row: u32) {
-        self.recent_translations
-            .retain(|&e| e != (bank, logical_row));
     }
 
     fn issue_writeback(&mut self, line: u64) {
@@ -1639,8 +1630,8 @@ impl System {
                 let now = self.clock.raw();
                 match req {
                     PendingMigration::Swap(swap) => {
-                        self.forget_recent(swap.bank, swap.promotee);
-                        self.forget_recent(swap.bank, swap.victim);
+                        self.recent_translations.forget(swap.bank, swap.promotee);
+                        self.recent_translations.forget(swap.bank, swap.victim);
                         match self.manager.as_mut() {
                             Some(Management::Exclusive(m)) => m.commit_swap(&swap, now),
                             _ => {

@@ -1,9 +1,15 @@
 //! Output lock for the simulation loop: the rendered report of one job per
-//! DRAM backend, a feedback-policy job on a scarce fast level and a
-//! fault-injected job must stay byte-identical. The digests were captured
-//! before the controller cached its scheduling pick and the event queue
-//! moved to compact heap entries; any change to the loop that moves a
+//! DRAM backend, of the CHARM, DAS-FM, inclusive and TL-DRAM designs, of a
+//! feedback-policy job on a scarce fast level and of a fault-injected job
+//! must stay byte-identical. The digests were captured before the
+//! controller cached its scheduling pick and the event queue moved to
+//! compact heap entries (the four extra designs before the request path's
+//! per-request lookups became O(1)); any change to the loop that moves a
 //! single report byte fails here.
+//!
+//! CHARM runs the profile pre-pass through the cache hierarchy, and the
+//! inclusive design is the only one that clears the translation registers
+//! on a fill commit.
 //!
 //! Refresh is on (the catalog default), so the refresh-deadline edge of
 //! the controller's pick cache is exercised. The fault-injected job runs
@@ -26,11 +32,15 @@ const INSTS: u64 = 500_000;
 const INVARIANT_EVENTS: u64 = 10_000;
 
 /// (job label, FNV-1a digest of the rendered report).
-const LOCKED: [(&str, u64); 9] = [
+const LOCKED: [(&str, u64); 13] = [
     ("std", 0xc0df_03f3_5270_4ae0),
     ("sas", 0xc6a0_cd31_6bc7_dd2b),
+    ("charm", 0xdcb7_3b3c_6f95_36ec),
     ("das", 0x1e15_e78b_726f_a71c),
+    ("das_fm", 0x27a1_ad1c_92eb_825c),
+    ("das_incl", 0xee72_5b69_1657_51a5),
     ("fs", 0x3d16_004b_8f26_d084),
+    ("tl", 0xd4af_242d_7b58_fe68),
     ("lisa", 0x2652_3b17_602b_a756),
     ("clr", 0x0187_1e2d_8a1b_0d95),
     ("salp", 0x5755_600f_052b_eec8),
@@ -50,8 +60,12 @@ fn job(label: &str) -> (SystemConfig, Design) {
     match label {
         "std" => (cfg, Design::Standard),
         "sas" => (cfg, Design::SasDram),
+        "charm" => (cfg, Design::Charm),
         "das" => (cfg, Design::DasDram),
+        "das_fm" => (cfg, Design::DasDramFm),
+        "das_incl" => (cfg, Design::DasInclusive),
         "fs" => (cfg, Design::FsDram),
+        "tl" => (cfg, Design::TlDram),
         "lisa" => (cfg, Design::Lisa),
         "clr" => (cfg, Design::ClrDram),
         "salp" => (cfg, Design::Salp),
