@@ -15,6 +15,7 @@
 //! victim is well-defined and found without scanning the cache.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::bus::{SnoopBus, C2C_TRANSFER_CYCLES, UPD_WORD_CYCLES};
 use crate::protocol::{BusTx, CohState, CoherenceProtocol, ProtocolKind};
@@ -102,15 +103,45 @@ struct Node {
     next: u32,
 }
 
+/// Hashes a line address with one folded 64×64→128-bit multiply, the
+/// scheme of `das_cache::fast_hash`, so the low bits the map indexes by
+/// depend on every address bit. It has no seed, which is safe here: the
+/// tag index is only probed, inserted into and removed from, never
+/// iterated, and its keys are line addresses the simulator generates.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        let p = u128::from(self.0 ^ i) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One private L1's tag store: exact LRU in O(1) per operation. Nodes
 /// live in a slab (`nodes`, recycled through `free`) and form a doubly
 /// linked recency list from `head` (most recently used) to `tail` (the
-/// eviction victim); `slot` maps a line address to its node.
+/// eviction victim); `slot` maps a line address to its node through a
+/// [`LineHasher`].
 #[derive(Debug)]
 struct LruTags {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    slot: HashMap<u64, u32>,
+    slot: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
     head: u32,
     tail: u32,
 }
@@ -120,7 +151,7 @@ impl LruTags {
         LruTags {
             nodes: Vec::with_capacity(lines),
             free: Vec::new(),
-            slot: HashMap::with_capacity(lines),
+            slot: HashMap::with_capacity_and_hasher(lines, Default::default()),
             head: NIL,
             tail: NIL,
         }

@@ -6,7 +6,7 @@
 //! threshold; counters for the least recently touched rows are recycled
 //! when the file is full.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use das_dram::geometry::GlobalRowId;
 
@@ -30,6 +30,13 @@ pub struct PromotionFilter {
     capacity: usize,
     /// row -> (access count, recency stamp)
     counters: HashMap<GlobalRowId, (u32, u64)>,
+    /// `(stamp, row)` of every bump, oldest first. An entry is live while
+    /// `counters[row]` still carries its stamp; stale ones are skipped when
+    /// recycling and dropped whenever the queue outgrows twice `capacity`,
+    /// so each bump costs amortized O(1). Stamps are unique (`clock`
+    /// advances once per note), so the oldest live entry is the least
+    /// recently touched counter.
+    recency: VecDeque<(u64, GlobalRowId)>,
     clock: u64,
     stats: FilterStats,
 }
@@ -48,6 +55,7 @@ impl PromotionFilter {
             threshold,
             capacity,
             counters: HashMap::new(),
+            recency: VecDeque::new(),
             clock: 0,
             stats: FilterStats::default(),
         }
@@ -133,15 +141,25 @@ impl PromotionFilter {
         let clock = self.clock;
         if self.counters.len() >= self.capacity && !self.counters.contains_key(&row) {
             // Recycle the least recently touched counter.
-            if let Some((&old, _)) = self.counters.iter().min_by_key(|(_, &(_, stamp))| stamp) {
-                self.counters.remove(&old);
-                self.stats.recycled += 1;
+            while let Some((stamp, old)) = self.recency.pop_front() {
+                if is_live(&self.counters, stamp, old) {
+                    self.counters.remove(&old);
+                    self.stats.recycled += 1;
+                    break;
+                }
             }
         }
         let entry = self.counters.entry(row).or_insert((0, clock));
         entry.0 += 1;
         entry.1 = clock;
-        entry.0
+        let count = entry.0;
+        self.recency.push_back((clock, row));
+        if self.recency.len() > 2 * self.capacity {
+            let counters = &self.counters;
+            self.recency
+                .retain(|&(stamp, row)| is_live(counters, stamp, row));
+        }
+        count
     }
 
     /// Forgets any counter for `row` (e.g. because it was promoted through
@@ -149,6 +167,11 @@ impl PromotionFilter {
     pub fn forget(&mut self, row: GlobalRowId) {
         self.counters.remove(&row);
     }
+}
+
+/// Whether the recency entry `(stamp, row)` is `row`'s latest bump.
+fn is_live(counters: &HashMap<GlobalRowId, (u32, u64)>, stamp: u64, row: GlobalRowId) -> bool {
+    counters.get(&row).is_some_and(|&(_, s)| s == stamp)
 }
 
 #[cfg(test)]
@@ -245,6 +268,74 @@ mod tests {
                 assert_eq!(grant, want, "threshold {threshold}, row {n}");
             }
             assert_eq!(legacy.stats(), split.stats());
+        }
+    }
+
+    /// Oracle: the counter file that recycled by scanning every counter
+    /// for the oldest stamp.
+    struct ScanFile {
+        capacity: usize,
+        counters: HashMap<GlobalRowId, (u32, u64)>,
+        recycled: u64,
+    }
+
+    impl ScanFile {
+        fn bump(&mut self, row: GlobalRowId, clock: u64) -> u32 {
+            if self.counters.len() >= self.capacity && !self.counters.contains_key(&row) {
+                if let Some((&old, _)) = self.counters.iter().min_by_key(|(_, &(_, stamp))| stamp) {
+                    self.counters.remove(&old);
+                    self.recycled += 1;
+                }
+            }
+            let entry = self.counters.entry(row).or_insert((0, clock));
+            entry.0 += 1;
+            entry.1 = clock;
+            entry.0
+        }
+    }
+
+    #[test]
+    fn recency_queue_recycles_like_a_stamp_scan() {
+        for case in 0..24u64 {
+            // xorshift64, seeded per case.
+            let mut x = 0x2545_f491_4f6c_dd1d ^ (case + 1).wrapping_mul(0x9e37_79b9);
+            let mut below = |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % n
+            };
+            let capacity = 1 + below(12) as usize;
+            let threshold = 2 + below(4) as u32;
+            let mut f = PromotionFilter::new(threshold, capacity);
+            let mut oracle = ScanFile {
+                capacity,
+                counters: HashMap::new(),
+                recycled: 0,
+            };
+            let rows = capacity as u64 * 2 + 1;
+            for step in 0..4000 {
+                let r = row(below(rows));
+                match below(10) {
+                    0 => {
+                        f.forget(r);
+                        oracle.counters.remove(&r);
+                    }
+                    _ => {
+                        let count = f.note(r);
+                        assert_eq!(count, oracle.bump(r, f.clock), "case {case} step {step}");
+                        let grant = count >= threshold || below(8) == 0;
+                        f.resolve(r, grant);
+                        if grant {
+                            oracle.counters.remove(&r);
+                        }
+                    }
+                }
+                assert_eq!(f.counters, oracle.counters, "case {case} step {step}");
+                assert_eq!(f.stats().recycled, oracle.recycled);
+                assert!(f.recency.len() <= 2 * capacity);
+            }
+            assert!(oracle.recycled > 100, "case {case}: the file rarely filled");
         }
     }
 

@@ -14,6 +14,16 @@
 //! tick of a pick computed at `t0` is `max(at, now)` for any later `now`.
 //! So the pick is cached until the next enqueue, issued command, or
 //! time-based edge, whichever comes first.
+//!
+//! A fresh pick finds the oldest request and the oldest row hit without a
+//! scan. The read and write queues are kept sorted by `(arrival, id)`, so
+//! the oldest request is entry 0, and each queue carries a bitmask of the
+//! entries whose row is open in its serving row buffer, so the oldest row
+//! hit is the mask's lowest set bit. Only ACT and PRE change which rows
+//! are open (REF and SWAP need a precharged bank), so after either the
+//! controller re-tests the entries of that one bank; this stays exact
+//! under SALP's per-subarray buffers. A mask is one `u64`, which bounds
+//! each queue at 64 entries.
 
 use core::fmt;
 
@@ -165,8 +175,14 @@ struct CachedPick {
 pub struct MemoryController {
     cfg: ControllerConfig,
     channel: ChannelDevice,
+    /// Sorted by `(arrival, id)`, oldest first.
     reads: Vec<Pending>,
+    /// Sorted by `(arrival, id)`, oldest first.
     writes: Vec<Pending>,
+    /// Bit `i` is set iff `reads[i]`'s row is open in its serving buffer.
+    read_hits: u64,
+    /// Bit `i` is set iff `writes[i]`'s row is open in its serving buffer.
+    write_hits: u64,
     swaps: Vec<SwapOp>,
     draining: bool,
     /// Command-bus spacing: commands are at least one tCK apart.
@@ -181,6 +197,10 @@ impl MemoryController {
     /// Creates a controller owning `channel`.
     pub fn new(cfg: ControllerConfig, channel: ChannelDevice) -> Self {
         assert!(cfg.read_queue > 0 && cfg.write_queue > 0);
+        assert!(
+            cfg.read_queue <= 64 && cfg.write_queue <= 64,
+            "a queue's row-hit mask is one u64"
+        );
         assert!(cfg.write_drain_high <= cfg.write_queue);
         assert!(cfg.write_drain_low < cfg.write_drain_high);
         MemoryController {
@@ -188,6 +208,8 @@ impl MemoryController {
             channel,
             reads: Vec::new(),
             writes: Vec::new(),
+            read_hits: 0,
+            write_hits: 0,
             swaps: Vec::new(),
             draining: false,
             last_cmd: Tick::ZERO,
@@ -247,29 +269,34 @@ impl MemoryController {
     /// [`ControllerError::QueueOverflow`] when the corresponding queue is
     /// full (callers should check `can_accept_*` first).
     pub fn enqueue(&mut self, req: Request) -> Result<(), ControllerError> {
-        if req.is_write {
-            if !self.can_accept_write() {
-                return Err(ControllerError::QueueOverflow {
-                    is_write: true,
-                    capacity: self.cfg.write_queue,
-                });
-            }
-            self.writes.push(Pending {
-                req,
-                activated: None,
-            });
+        let (accept, capacity) = if req.is_write {
+            (self.can_accept_write(), self.cfg.write_queue)
         } else {
-            if !self.can_accept_read() {
-                return Err(ControllerError::QueueOverflow {
-                    is_write: false,
-                    capacity: self.cfg.read_queue,
-                });
-            }
-            self.reads.push(Pending {
-                req,
-                activated: None,
+            (self.can_accept_read(), self.cfg.read_queue)
+        };
+        if !accept {
+            return Err(ControllerError::QueueOverflow {
+                is_write: req.is_write,
+                capacity,
             });
         }
+        let hit = self.channel.is_row_open(req.coord.bank, req.coord.row);
+        let (q, hits) = if req.is_write {
+            (&mut self.writes, &mut self.write_hits)
+        } else {
+            (&mut self.reads, &mut self.read_hits)
+        };
+        // After every equal key: a duplicate id would keep enqueue order.
+        let key = (req.arrival, req.id);
+        let pos = q.partition_point(|p| (p.req.arrival, p.req.id) <= key);
+        q.insert(
+            pos,
+            Pending {
+                req,
+                activated: None,
+            },
+        );
+        *hits = insert_bit(*hits, pos, hit);
         self.cached = None;
         Ok(())
     }
@@ -320,6 +347,9 @@ impl MemoryController {
             let outcome = self.channel.issue(&cmd, at);
             self.last_cmd = at;
             self.first_cmd_issued = true;
+            if let DramCommand::Activate { bank, .. } | DramCommand::Precharge { bank, .. } = cmd {
+                self.retest_hits(bank);
+            }
             match role {
                 Role::Refresh => self.stats.refreshes += 1,
                 Role::Activate {
@@ -448,15 +478,48 @@ impl MemoryController {
     }
 
     fn remove_pending(&mut self, list: List, idx: usize) -> Pending {
-        match list {
-            List::Reads => self.reads.remove(idx),
-            List::Writes => self.writes.remove(idx),
-        }
+        let (q, hits) = match list {
+            List::Reads => (&mut self.reads, &mut self.read_hits),
+            List::Writes => (&mut self.writes, &mut self.write_hits),
+        };
+        *hits = remove_bit(*hits, idx);
+        q.remove(idx)
+    }
+
+    /// Re-tests the row-hit bits of every queued request to `bank`, after
+    /// an ACT or PRE there changed which of its rows are open.
+    fn retest_hits(&mut self, bank: BankCoord) {
+        let channel = &self.channel;
+        let retest = |q: &[Pending], mut hits: u64| {
+            for (i, p) in q.iter().enumerate() {
+                if p.req.coord.bank == bank {
+                    let bit = 1u64 << i;
+                    if channel.is_row_open(bank, p.req.coord.row) {
+                        hits |= bit;
+                    } else {
+                        hits &= !bit;
+                    }
+                }
+            }
+            hits
+        };
+        self.read_hits = retest(&self.reads, self.read_hits);
+        self.write_hits = retest(&self.writes, self.write_hits);
+    }
+
+    /// The row-hit mask of `q` recomputed from the device.
+    fn fresh_hits(&self, q: &[Pending]) -> u64 {
+        q.iter().enumerate().fold(0, |hits, (i, p)| {
+            let open = self.channel.is_row_open(p.req.coord.bank, p.req.coord.row);
+            hits | (u64::from(open) << i)
+        })
     }
 
     /// Chooses the next command per the scheduling policy, returning the
     /// command, its earliest issue tick, and the bookkeeping role.
     fn best_command(&self, now: Tick) -> Option<Pick> {
+        debug_assert_eq!(self.read_hits, self.fresh_hits(&self.reads));
+        debug_assert_eq!(self.write_hits, self.fresh_hits(&self.writes));
         // 1. Refresh when due (mandatory, before new work).
         if let Some(rank) = self.channel.refresh_due(now) {
             let cmd = DramCommand::Refresh { rank };
@@ -552,42 +615,30 @@ impl MemoryController {
         self.channel.open_banks_of_rank(rank)
     }
 
+    /// The oldest queued request of `list` whose row is open: its column
+    /// command. A column command's `earliest_issue` is `Some` iff its row
+    /// is open, so the lowest set bit is the whole search.
     fn oldest_row_hit(&self, now: Tick, list: List) -> Option<Pick> {
-        let q = match list {
-            List::Reads => &self.reads,
-            List::Writes => &self.writes,
+        let (q, hits) = match list {
+            List::Reads => (&self.reads, self.read_hits),
+            List::Writes => (&self.writes, self.write_hits),
         };
-        let mut best: Option<(usize, Tick)> = None;
-        for (i, p) in q.iter().enumerate() {
-            if !self.channel.is_row_open(p.req.coord.bank, p.req.coord.row) {
-                continue;
-            }
-            let Some(t) = self.channel.earliest_issue(&column_cmd(&p.req), now) else {
-                continue;
-            };
-            let t = self.bus_ready(t);
-            let better = match best {
-                None => true,
-                Some((bi, _)) => (p.req.arrival, p.req.id) < (q[bi].req.arrival, q[bi].req.id),
-            };
-            if better {
-                best = Some((i, t));
-            }
+        if hits == 0 {
+            return None;
         }
-        best.map(|(i, t)| (column_cmd(&q[i].req), t, Role::Column { list, idx: i }))
+        let idx = hits.trailing_zeros() as usize;
+        let cmd = column_cmd(&q[idx].req);
+        let t = self.bus_ready(self.channel.earliest_issue(&cmd, now)?);
+        Some((cmd, t, Role::Column { list, idx }))
     }
 
+    /// The next command of the oldest queued request of `list` (entry 0).
     fn oldest_next_step(&self, now: Tick, list: List) -> Option<Pick> {
         let q = match list {
             List::Reads => &self.reads,
             List::Writes => &self.writes,
         };
-        let oldest = q
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, p)| (p.req.arrival, p.req.id))
-            .map(|(i, _)| i)?;
-        let p = &q[oldest];
+        let p = q.first()?;
         let bank = p.req.coord.bank;
         let cmd = match self.channel.open_row_in_buffer_of(bank, p.req.coord.row) {
             Some(row) if row == p.req.coord.row => column_cmd(&p.req),
@@ -606,10 +657,10 @@ impl MemoryController {
             DramCommand::Precharge { .. } => Role::Precharge,
             DramCommand::Activate { phys_row, .. } => Role::Activate {
                 list,
-                idx: oldest,
+                idx: 0,
                 phys_row,
             },
-            _ => Role::Column { list, idx: oldest },
+            _ => Role::Column { list, idx: 0 },
         };
         Some((cmd, t, role))
     }
@@ -655,6 +706,18 @@ impl MemoryController {
         }
         None
     }
+}
+
+/// `hits` with a bit `hit` inserted at `pos`, the bits above moving up.
+fn insert_bit(hits: u64, pos: usize, hit: bool) -> u64 {
+    let below = (1u64 << pos) - 1;
+    (hits & below) | ((hits & !below) << 1) | (u64::from(hit) << pos)
+}
+
+/// `hits` with bit `pos` removed, the bits above moving down.
+fn remove_bit(hits: u64, pos: usize) -> u64 {
+    let below = (1u64 << pos) - 1;
+    (hits & below) | ((hits >> 1) & !below)
 }
 
 fn column_cmd(req: &Request) -> DramCommand {
@@ -1107,9 +1170,100 @@ mod tests {
         }
     }
 
+    /// Oracle: the full-queue row-hit scan the hit masks replaced. It takes
+    /// the minimum by `(arrival, id)`, so queue order does not affect it.
+    fn scan_oldest_row_hit(c: &MemoryController, now: Tick, list: List) -> Option<Pick> {
+        let q = match list {
+            List::Reads => &c.reads,
+            List::Writes => &c.writes,
+        };
+        let mut best: Option<(usize, Tick)> = None;
+        for (i, p) in q.iter().enumerate() {
+            if !c.channel.is_row_open(p.req.coord.bank, p.req.coord.row) {
+                continue;
+            }
+            let Some(t) = c.channel.earliest_issue(&column_cmd(&p.req), now) else {
+                continue;
+            };
+            let t = c.bus_ready(t);
+            let better = match best {
+                None => true,
+                Some((bi, _)) => (p.req.arrival, p.req.id) < (q[bi].req.arrival, q[bi].req.id),
+            };
+            if better {
+                best = Some((i, t));
+            }
+        }
+        best.map(|(i, t)| (column_cmd(&q[i].req), t, Role::Column { list, idx: i }))
+    }
+
+    /// Oracle: the oldest-request scan that entry 0 of the sorted queue
+    /// replaced.
+    fn scan_oldest_next_step(c: &MemoryController, now: Tick, list: List) -> Option<Pick> {
+        let q = match list {
+            List::Reads => &c.reads,
+            List::Writes => &c.writes,
+        };
+        let oldest = q
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, p)| (p.req.arrival, p.req.id))
+            .map(|(i, _)| i)?;
+        let p = &q[oldest];
+        let bank = p.req.coord.bank;
+        let cmd = match c.channel.open_row_in_buffer_of(bank, p.req.coord.row) {
+            Some(row) if row == p.req.coord.row => column_cmd(&p.req),
+            Some(_) => DramCommand::Precharge {
+                bank,
+                phys_row: p.req.coord.row,
+            },
+            None => DramCommand::Activate {
+                bank,
+                phys_row: p.req.coord.row,
+            },
+        };
+        let t = c.channel.earliest_issue(&cmd, now)?;
+        let t = c.bus_ready(t);
+        let role = match cmd {
+            DramCommand::Precharge { .. } => Role::Precharge,
+            DramCommand::Activate { phys_row, .. } => Role::Activate {
+                list,
+                idx: oldest,
+                phys_row,
+            },
+            _ => Role::Column { list, idx: oldest },
+        };
+        Some((cmd, t, role))
+    }
+
+    /// A pick with the id of the request behind its role's queue index.
+    fn with_id(c: &MemoryController, pick: Option<Pick>) -> Option<(Pick, Option<u64>)> {
+        pick.map(|(cmd, at, role)| {
+            let id = match role {
+                Role::Activate { list, idx, .. } | Role::Column { list, idx } => {
+                    let q = match list {
+                        List::Reads => &c.reads,
+                        List::Writes => &c.writes,
+                    };
+                    Some(q[idx].req.id)
+                }
+                _ => None,
+            };
+            ((cmd, at, role), id)
+        })
+    }
+
+    /// Drives seeded random enqueues (single and bursts, with equal
+    /// arrivals, older arrivals and out-of-order ids), swaps and advances
+    /// over every scheduler × page policy × SALP shape with refresh on.
+    /// After every step the cached pick must equal a fresh
+    /// `best_command`, and the age-ordered queue picks must equal the
+    /// scan oracles above: command, tick and the request behind the role.
     #[test]
     fn cached_pick_matches_uncached_best_command() {
         let mut hits = 0u64;
+        let (mut full_reads, mut full_writes, mut drain_cycles) = (0u32, 0u32, 0u32);
+        let (mut multi_hit_picks, mut multi_open_steps) = (0u64, 0u64);
         for case in 0..60u64 {
             let mut rng = XorShift(0x9e37_79b9_7f4a_7c15 ^ (case + 1).wrapping_mul(0x2545_f491));
             let cfg = ControllerConfig {
@@ -1127,44 +1281,50 @@ mod tests {
                 migration_starvation: Tick::from_ns_int(150 + 50 * (case % 5)),
                 ..ControllerConfig::paper_default()
             };
-            let mut c = MemoryController::new(cfg, device(TimingSet::asymmetric(), true));
-            let rows: Vec<u32> = (0..3)
+            let salp = (case / 4) % 2 == 1;
+            let layout =
+                BankLayout::build(4096, FastRatio::new(1, 8), Arrangement::default(), 128, 512);
+            let dev =
+                ChannelDevice::with_salp(0, 2, 8, layout, TimingSet::asymmetric(), true, salp);
+            let mut c = MemoryController::new(cfg, dev);
+            // Slow rows 0 and 1 share a 512-row subarray, so they conflict
+            // even under SALP; 600 and 1200 sit in two more, so SALP keeps
+            // several rows of one bank open at once. Two fast rows follow.
+            let rows: Vec<u32> = [0, 1, 600, 1200]
+                .into_iter()
                 .map(|i| c.channel().layout().slow_to_phys(i))
                 .chain((0..2).map(|i| c.channel().layout().fast_to_phys(i)))
                 .collect();
+            let slow_rows = 4;
             let mut now = Tick::ZERO;
             let mut next_id = 0u64;
+            // Ids handed out earlier than their request is enqueued, the
+            // way a table read's follow-up demand keeps its older arrival.
+            let mut reserved: Vec<(u64, Tick)> = Vec::new();
+            let mut was_draining = false;
             let mut out = Vec::new();
             for step in 0..1500 {
                 let ctx = format!("case {case} step {step} at {now}");
-                match rng.below(10) {
-                    0..=3 => {
-                        let is_write = rng.below(4) == 0;
-                        let ok = if is_write {
-                            c.can_accept_write()
-                        } else {
-                            c.can_accept_read()
-                        };
-                        if ok {
+                // Alternate busy and quiet phases, so queues fill up and
+                // then drain below the low watermark again.
+                let quiet = (step / 250) % 2 == 1;
+                let enqueues = match rng.below(12) {
+                    0..=3 | 8 if quiet => {
+                        c.advance_into(now, &mut out).unwrap();
+                        0
+                    }
+                    0..=3 => 1,
+                    8 => 1 + rng.below(16),
+                    9 => {
+                        for _ in 0..1 + rng.below(3) {
                             next_id += 1;
-                            let bank = BankCoord::new(0, rng.below(2) as u8, rng.below(3) as u8);
-                            let row = rows[rng.below(rows.len() as u64) as usize];
-                            c.enqueue(Request {
-                                id: next_id,
-                                coord: MemCoord {
-                                    bank,
-                                    row,
-                                    col: rng.below(8) as u32,
-                                },
-                                is_write,
-                                arrival: now,
-                            })
-                            .unwrap();
+                            reserved.push((next_id, now));
                         }
+                        0
                     }
                     4 => {
-                        let a = rng.below(3) as usize;
-                        let b = 3 + rng.below(2) as usize;
+                        let a = rng.below(slow_rows) as usize;
+                        let b = slow_rows as usize + rng.below(2) as usize;
                         c.enqueue_swap(SwapOp {
                             token: step,
                             bank: BankCoord::new(0, rng.below(2) as u8, rng.below(3) as u8),
@@ -1173,10 +1333,47 @@ mod tests {
                             kind: Default::default(),
                             arrival: now,
                         });
+                        0
                     }
-                    5..=7 => c.advance_into(now, &mut out).unwrap(),
-                    _ => {}
+                    5..=7 => {
+                        c.advance_into(now, &mut out).unwrap();
+                        0
+                    }
+                    _ => 0,
+                };
+                let write_bias = if enqueues > 1 { 2 } else { 4 };
+                for _ in 0..enqueues {
+                    let is_write = rng.below(write_bias) == 0;
+                    let ok = if is_write {
+                        c.can_accept_write()
+                    } else {
+                        c.can_accept_read()
+                    };
+                    if !ok {
+                        continue;
+                    }
+                    let (id, arrival) = if !reserved.is_empty() && rng.below(3) == 0 {
+                        reserved.swap_remove(rng.below(reserved.len() as u64) as usize)
+                    } else {
+                        next_id += 1;
+                        (next_id, now)
+                    };
+                    let bank = BankCoord::new(0, rng.below(2) as u8, rng.below(3) as u8);
+                    let row = rows[rng.below(rows.len() as u64) as usize];
+                    c.enqueue(Request {
+                        id,
+                        coord: MemCoord {
+                            bank,
+                            row,
+                            col: rng.below(8) as u32,
+                        },
+                        is_write,
+                        arrival,
+                    })
+                    .unwrap();
                 }
+                full_reads += u32::from(c.reads.len() == 32);
+                full_writes += u32::from(c.writes.len() == 32);
                 // Move time forward without touching state: either to the
                 // controller's own wake-up or by a random stride.
                 match c.next_action_time(now) {
@@ -1194,6 +1391,26 @@ mod tests {
                     uncached_next_action(&c, now),
                     "{ctx}"
                 );
+                if was_draining && !c.draining {
+                    drain_cycles += 1;
+                }
+                was_draining = c.draining;
+                for list in [List::Reads, List::Writes] {
+                    assert_eq!(
+                        with_id(&c, c.oldest_row_hit(now, list)),
+                        with_id(&c, scan_oldest_row_hit(&c, now, list)),
+                        "{ctx} {list:?} row hit"
+                    );
+                    assert_eq!(
+                        with_id(&c, c.oldest_next_step(now, list)),
+                        with_id(&c, scan_oldest_next_step(&c, now, list)),
+                        "{ctx} {list:?} next step"
+                    );
+                }
+                multi_hit_picks += u64::from(c.read_hits.count_ones() > 1);
+                multi_open_steps += u64::from((0..2).any(|r| {
+                    (0..3).any(|b| c.channel().open_rows(BankCoord::new(0, r, b)).len() > 1)
+                }));
             }
             assert!(c.stats().refreshes > 0, "case {case}: refresh never fired");
             assert!(c.stats().swaps > 0, "case {case}: no swap completed");
@@ -1201,6 +1418,22 @@ mod tests {
         assert!(
             hits > 10_000,
             "the cache was rarely exercised ({hits} hits)"
+        );
+        assert!(
+            full_reads > 0 && full_writes > 0,
+            "queues never filled ({full_reads} full reads, {full_writes} full writes)"
+        );
+        assert!(
+            drain_cycles > 10,
+            "the write drain never crossed both marks"
+        );
+        assert!(
+            multi_open_steps > 1000,
+            "SALP rarely held two rows of a bank open ({multi_open_steps} steps)"
+        );
+        assert!(
+            multi_hit_picks > 1000,
+            "too few picks among several row hits ({multi_hit_picks})"
         );
     }
 }

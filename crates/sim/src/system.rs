@@ -1178,7 +1178,6 @@ impl System {
             .insert((addr / self.cfg.geometry.row_bytes as u64) as usize);
         let now_cycles = t.raw() / self.cfg.core.ticks_per_cycle;
         let line = addr & !(self.cfg.hierarchy.line_bytes - 1);
-        let row_coord = self.cfg.geometry.decode(addr);
         let coh = self.coherence.as_mut().expect("checked above");
         // Per-access coherence deltas feed only the telemetry sink.
         let before = self.tel.enabled().then(|| coh.cluster.stats().clone());
@@ -1186,6 +1185,7 @@ impl System {
         if out.shared {
             // The line was valid in another core's L1: sharing-induced
             // heat for its DRAM row, surfaced to the migration policy.
+            let row_coord = self.cfg.geometry.decode(addr);
             let heat = self
                 .shared_row_heat
                 .entry((row_coord.bank, row_coord.row))

@@ -1,5 +1,6 @@
 //! Output lock for the coherent front end: the rendered report of every
-//! shared-footprint kind under both protocols on DAS-DRAM must stay
+//! shared-footprint kind under both protocols on DAS-DRAM, and of one job
+//! per protocol on Std-DRAM (the coherent workload's baseline), must stay
 //! byte-identical. The digests below were captured before the private
 //! L1s moved from a stamp-scan tag store to an O(1) LRU list; any change
 //! to the cluster that moves a single report byte fails here.
@@ -19,29 +20,55 @@ const INSTS: u64 = 150_000;
 /// Cores of each locked run (the catalog's coherent default).
 const CORES: usize = 4;
 
-/// (kind, protocol, FNV-1a digest of the rendered report).
-const LOCKED: [(SharedKind, ProtocolKind, u64); 6] = [
-    (SharedKind::Ring, ProtocolKind::Mesi, 0x6c41_679b_82ca_bad2),
+/// (design, kind, protocol, FNV-1a digest of the rendered report).
+const LOCKED: [(Design, SharedKind, ProtocolKind, u64); 8] = [
     (
+        Design::DasDram,
+        SharedKind::Ring,
+        ProtocolKind::Mesi,
+        0x6c41_679b_82ca_bad2,
+    ),
+    (
+        Design::DasDram,
         SharedKind::Ring,
         ProtocolKind::Dragon,
         0xdd06_8861_f7b7_6461,
     ),
-    (SharedKind::Lock, ProtocolKind::Mesi, 0xf269_4f1f_05ba_3e2f),
     (
+        Design::DasDram,
+        SharedKind::Lock,
+        ProtocolKind::Mesi,
+        0xf269_4f1f_05ba_3e2f,
+    ),
+    (
+        Design::DasDram,
         SharedKind::Lock,
         ProtocolKind::Dragon,
         0xb86b_7fe0_e95e_6527,
     ),
     (
+        Design::DasDram,
         SharedKind::Frontier,
         ProtocolKind::Mesi,
         0xd771_7401_66b4_64c2,
     ),
     (
+        Design::DasDram,
         SharedKind::Frontier,
         ProtocolKind::Dragon,
         0x97e9_d089_bd5a_6805,
+    ),
+    (
+        Design::Standard,
+        SharedKind::Ring,
+        ProtocolKind::Mesi,
+        0x26ce_a5cc_4273_90bc,
+    ),
+    (
+        Design::Standard,
+        SharedKind::Lock,
+        ProtocolKind::Dragon,
+        0xb791_5187_7b67_ce50,
     ),
 ];
 
@@ -57,19 +84,19 @@ fn coherent_reports_are_byte_identical() {
     cfg.inst_budget = INSTS;
     let l1_lines = cfg.hierarchy.l1_bytes / cfg.hierarchy.line_bytes;
     let mut mismatches = Vec::new();
-    for (kind, protocol, want) in LOCKED {
+    for (design, kind, protocol, want) in LOCKED {
         let spec = SharedSpec::new(kind, CORES, Sharing::Mid);
-        let m = run_one_coherent(&cfg, Design::DasDram, &spec, protocol).expect("run completes");
+        let m = run_one_coherent(&cfg, design, &spec, protocol).expect("run completes");
         let coh = m.coherence.as_ref().expect("coherence block present");
         assert!(
             coh.stats.l1_misses > CORES as u64 * l1_lines,
-            "{kind:?}/{protocol:?}: {} misses never exercise LRU eviction",
+            "{design:?}/{kind:?}/{protocol:?}: {} misses never exercise LRU eviction",
             coh.stats.l1_misses
         );
         let got = fnv1a(run_report(&m, None).render().as_bytes());
         if got != want {
             mismatches.push(format!(
-                "{kind:?}/{protocol:?}: {got:#018x} != {want:#018x}"
+                "{design:?}/{kind:?}/{protocol:?}: {got:#018x} != {want:#018x}"
             ));
         }
     }

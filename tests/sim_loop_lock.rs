@@ -1,24 +1,29 @@
 //! Output lock for the simulation loop: the rendered report of one job per
 //! DRAM backend, of the CHARM, DAS-FM, inclusive and TL-DRAM designs, of a
 //! feedback-policy job on a scarce fast level and of a fault-injected job
-//! must stay byte-identical. The digests were captured before the
-//! controller cached its scheduling pick and the event queue moved to
-//! compact heap entries (the four extra designs before the request path's
-//! per-request lookups became O(1)); any change to the loop that moves a
-//! single report byte fails here.
+//! must stay byte-identical, and so must a closed-page and an FCFS job.
+//! The digests were captured before the controller cached its scheduling
+//! pick and the event queue moved to compact heap entries (the four extra
+//! designs before the request path's per-request lookups became O(1), the
+//! closed-page and FCFS jobs before the controller queues became
+//! age-ordered); any change to the loop that moves a single report byte
+//! fails here.
 //!
 //! CHARM runs the profile pre-pass through the cache hierarchy, and the
 //! inclusive design is the only one that clears the translation registers
 //! on a fill commit.
 //!
 //! Refresh is on (the catalog default), so the refresh-deadline edge of
-//! the controller's pick cache is exercised. The fault-injected job runs
+//! the controller's pick cache is exercised. The closed-page and FCFS jobs
+//! pin the controller's other two scheduling paths: precharging rows no
+//! queued request wants, and serving strictly by age. The fault-injected job runs
 //! the periodic invariant audit every `INVARIANT_EVENTS` events and seeds
 //! translation corruption with the event count, so its digest also guards
 //! the order and number of processed events.
 
 use das_dram::geometry::FastRatio;
 use das_faults::FaultPlan;
+use das_memctrl::controller::{PagePolicy, SchedulerKind};
 use das_policy::PolicyKind;
 use das_sim::config::{Design, SystemConfig};
 use das_sim::experiments::run_one;
@@ -32,7 +37,7 @@ const INSTS: u64 = 500_000;
 const INVARIANT_EVENTS: u64 = 10_000;
 
 /// (job label, FNV-1a digest of the rendered report).
-const LOCKED: [(&str, u64); 13] = [
+const LOCKED: [(&str, u64); 15] = [
     ("std", 0xc0df_03f3_5270_4ae0),
     ("sas", 0xc6a0_cd31_6bc7_dd2b),
     ("charm", 0xdcb7_3b3c_6f95_36ec),
@@ -46,6 +51,8 @@ const LOCKED: [(&str, u64); 13] = [
     ("salp", 0x5755_600f_052b_eec8),
     ("das_feedback_1/32", 0xed7f_158f_7fad_76d5),
     ("das_faults", 0x57a4_8c3f_967a_280b),
+    ("das_closed", 0xe7bc_3e69_0c16_f4c3),
+    ("das_fcfs", 0x4937_5fbb_d682_4a48),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -79,6 +86,16 @@ fn job(label: &str) -> (SystemConfig, Design) {
                 .with_invariant_checks(INVARIANT_EVENTS),
             Design::DasDram,
         ),
+        "das_closed" => {
+            let mut cfg = cfg;
+            cfg.controller.page_policy = PagePolicy::Closed;
+            (cfg, Design::DasDram)
+        }
+        "das_fcfs" => {
+            let mut cfg = cfg;
+            cfg.controller.scheduler = SchedulerKind::Fcfs;
+            (cfg, Design::DasDram)
+        }
         other => unreachable!("unknown locked job {other}"),
     }
 }
