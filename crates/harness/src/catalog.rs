@@ -1,7 +1,7 @@
 //! The experiment catalog: every figure, table and ablation of the paper
 //! as a pair of pure functions — `build` (parameters → [`JobSpec`] list)
-//! and `render` (journalled reports → the exact text the original
-//! `das-bench` binary printed).
+//! and `render` (journalled reports → the exact text `harness --exp <id>`
+//! writes to `<id>.txt`).
 //!
 //! `build` encodes the run matrix; `render` never simulates. Job order
 //! within each experiment mirrors the original binary's execution order,
@@ -39,7 +39,7 @@ pub struct BuildParams {
 }
 
 impl BuildParams {
-    /// The historical defaults of every `das-bench` binary.
+    /// The defaults every catalog experiment is built with.
     pub fn new(insts: u64, scale: u32) -> BuildParams {
         BuildParams {
             insts,

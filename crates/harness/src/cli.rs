@@ -1,21 +1,16 @@
-//! Command-line drivers.
+//! The `harness` command-line driver.
 //!
-//! Two entry points share one execution core:
+//! [`harness_main`] is the experiment CLI: it executes any manifest (or
+//! any subset of the catalog) across threads with a resumable fsync'd
+//! journal, writing `<id>.txt` / `<id>.json` per experiment. Its
+//! execution core ([`execute_jobs`], [`build_catalog_manifest`],
+//! [`render_experiment_outputs`]) is shared with `das-serve`, so served
+//! artifacts are byte-identical to direct runs.
 //!
-//! * [`bin_main`] — what every legacy figure binary's `main` now calls.
-//!   It keeps the historical flags (`--insts/--scale/--only/--json`) and
-//!   output bytes, and adds `--threads N` (bit-identical results for any
-//!   N) and `--emit-manifest PATH` (describe the run matrix instead of
-//!   executing it).
-//! * [`harness_main`] — the standalone `harness` orchestrator: executes
-//!   any manifest (or the whole catalog) across threads with a resumable
-//!   fsync'd journal, writing `<id>.txt` / `<id>.json` per experiment.
-//!
-//! Argument parsing is pure and `Result`-based ([`parse_bin_args`],
-//! [`parse_harness_args`]): a malformed flag prints a structured usage
-//! error to stderr and exits with code 2 — never a panic or backtrace.
-//! Runtime failures (unreadable manifest, simulation error) keep exit
-//! code 1.
+//! Argument parsing is pure and `Result`-based ([`parse_harness_args`]):
+//! a malformed flag prints a structured usage error to stderr and exits
+//! with code 2 — never a panic or backtrace. Runtime failures
+//! (unreadable manifest, simulation error) keep exit code 1.
 
 use std::path::{Path, PathBuf};
 
@@ -128,15 +123,6 @@ fn insts_retired(report: &Value) -> u64 {
         .unwrap_or(0)
 }
 
-/// `telemetry_report.json` → `telemetry_report_trace.json` (the legacy
-/// telemetry binary's derivation).
-fn derive_trace_path(report_path: &str) -> String {
-    report_path
-        .strip_suffix(".json")
-        .map(|stem| format!("{stem}_trace.json"))
-        .unwrap_or_else(|| format!("{report_path}_trace.json"))
-}
-
 fn die(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(1);
@@ -203,72 +189,6 @@ fn need_u32(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u32, S
 
 fn need_list(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<Vec<String>, String> {
     Ok(need(args, flag)?.split(',').map(str::to_string).collect())
-}
-
-/// Usage line of the legacy figure binaries ([`bin_main`]).
-pub const BIN_USAGE: &str = "usage: <figure-bin> [--insts N] [--scale N] [--only a,b] \
-     [--json PATH] [--threads N] [--emit-manifest PATH] \
-     [--trace-store DIR] [--no-trace-store]";
-
-/// Parsed flags of a legacy figure binary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinArgs {
-    /// `--insts N` (per-core instruction budget).
-    pub insts: u64,
-    /// `--scale N` (capacity scale factor).
-    pub scale: u32,
-    /// `--only a,b` (benchmark/mix subset; empty = all).
-    pub only: Vec<String>,
-    /// `--json PATH` (run-report export).
-    pub json: Option<String>,
-    /// `--threads N` (bit-identical for any N ≥ 1).
-    pub threads: usize,
-    /// `--emit-manifest PATH` (describe the matrix instead of running).
-    pub emit_manifest: Option<String>,
-    /// `--trace-store DIR`.
-    pub trace_store_dir: Option<String>,
-    /// `--no-trace-store` (wins over `--trace-store`).
-    pub no_trace_store: bool,
-}
-
-impl Default for BinArgs {
-    fn default() -> BinArgs {
-        BinArgs {
-            insts: 3_000_000,
-            scale: 64,
-            only: Vec::new(),
-            json: None,
-            threads: 1,
-            emit_manifest: None,
-            trace_store_dir: None,
-            no_trace_store: false,
-        }
-    }
-}
-
-/// Parses a legacy figure binary's arguments.
-///
-/// # Errors
-///
-/// Returns a usage message naming the offending flag and value (malformed
-/// integers, missing values, unknown flags) — callers print it and exit 2.
-pub fn parse_bin_args<I: IntoIterator<Item = String>>(args: I) -> Result<BinArgs, String> {
-    let mut out = BinArgs::default();
-    let mut args = args.into_iter();
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--insts" => out.insts = need_u64(&mut args, "--insts")?,
-            "--scale" => out.scale = need_u32(&mut args, "--scale")?,
-            "--only" => out.only = need_list(&mut args, "--only")?,
-            "--json" => out.json = Some(need(&mut args, "--json")?),
-            "--threads" => out.threads = need_u64(&mut args, "--threads")? as usize,
-            "--emit-manifest" => out.emit_manifest = Some(need(&mut args, "--emit-manifest")?),
-            "--trace-store" => out.trace_store_dir = Some(need(&mut args, "--trace-store")?),
-            "--no-trace-store" => out.no_trace_store = true,
-            other => return Err(format!("unknown argument {other:?}")),
-        }
-    }
-    Ok(out)
 }
 
 /// Usage line of the standalone `harness` binary ([`harness_main`]).
@@ -498,77 +418,6 @@ pub fn render_experiment_outputs(
     Ok(())
 }
 
-/// Entry point of every figure/table/ablation binary: builds the
-/// experiment's manifest from the historical flags and either emits it or
-/// executes it and prints the historical text output.
-///
-/// Flags: `--insts N`, `--scale N`, `--only a,b`, `--json PATH`,
-/// `--threads N`, `--emit-manifest PATH`, `--trace-store DIR`,
-/// `--no-trace-store`. Malformed arguments (or an unknown experiment id)
-/// print a usage error to stderr and exit 2 — no panics, no backtraces.
-pub fn bin_main(id: &str) {
-    let args =
-        parse_bin_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_die(&e, BIN_USAGE));
-    let Some(exp) = catalog::by_id(id) else {
-        usage_die(&format!("unknown experiment {id:?}"), BIN_USAGE)
-    };
-    let report_path = args
-        .json
-        .clone()
-        .unwrap_or_else(|| "telemetry_report.json".to_string());
-    let trace_path = derive_trace_path(&report_path);
-    let params = BuildParams {
-        insts: args.insts,
-        scale: args.scale,
-        only: args.only.clone(),
-        trace_name: trace_path.clone(),
-    };
-    let manifest = Manifest {
-        insts: args.insts,
-        scale: args.scale,
-        experiments: vec![ExperimentPlan {
-            id: id.to_string(),
-            jobs: (exp.build)(&params),
-        }],
-    };
-    if let Err(e) = manifest.validate() {
-        die(&format!("invalid run matrix: {e}"));
-    }
-    if let Some(path) = args.emit_manifest {
-        write_or_die(Path::new(&path), &(manifest.render() + "\n"));
-        eprintln!("wrote manifest ({} jobs): {path}", manifest.jobs().len());
-        return;
-    }
-    let jobs = &manifest.experiments[0].jobs;
-    let store = open_trace_store(args.trace_store_dir, args.no_trace_store);
-    let opts = ExecOptions {
-        threads: args.threads,
-        out_dir: Path::new("."),
-        progress: false,
-        trace_store: store.as_ref(),
-    };
-    let reports = execute_jobs(jobs, &opts, None).unwrap_or_else(|e| die(&e));
-    if let Some(s) = &store {
-        eprintln!("{}", store_summary(s));
-    }
-    // Exports happen before rendering, which may assert on the results —
-    // the legacy binaries wrote their files first too.
-    if id == "telemetry" {
-        write_or_die(Path::new(&report_path), &reports[0].render());
-    } else if let Some(path) = &args.json {
-        write_or_die(Path::new(path), &journal::runs_doc(&reports).render());
-    }
-    let ctx = RenderCtx {
-        insts: args.insts,
-        scale: args.scale,
-        jobs,
-        reports: &reports,
-        report_path,
-        trace_path,
-    };
-    print!("{}", (exp.render)(&ctx));
-}
-
 /// Entry point of the standalone `harness` binary.
 ///
 /// Selects a run matrix (`--manifest PATH`, the full catalog via `--all`,
@@ -676,16 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_path_derivation_matches_the_legacy_binary() {
-        assert_eq!(
-            derive_trace_path("telemetry_report.json"),
-            "telemetry_report_trace.json"
-        );
-        assert_eq!(derive_trace_path("results/t.json"), "results/t_trace.json");
-        assert_eq!(derive_trace_path("weird.dat"), "weird.dat_trace.json");
-    }
-
-    #[test]
     fn execute_jobs_skips_the_journalled_prefix() {
         let dir = std::env::temp_dir().join("das-harness-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -730,56 +569,6 @@ mod tests {
         };
         let err = execute_jobs(&[quick_job("t/ok/std", "std"), bad], &opts, None).unwrap_err();
         assert!(err.contains("t/bad/std"), "{err}");
-    }
-
-    #[test]
-    fn bin_args_parse_the_full_flag_set() {
-        let a = parse_bin_args(argv(&[
-            "--insts",
-            "500",
-            "--scale",
-            "8",
-            "--only",
-            "mcf,lbm",
-            "--json",
-            "out.json",
-            "--threads",
-            "4",
-            "--trace-store",
-            "ts",
-            "--no-trace-store",
-        ]))
-        .unwrap();
-        assert_eq!(a.insts, 500);
-        assert_eq!(a.scale, 8);
-        assert_eq!(a.only, vec!["mcf".to_string(), "lbm".to_string()]);
-        assert_eq!(a.json.as_deref(), Some("out.json"));
-        assert_eq!(a.threads, 4);
-        assert_eq!(a.trace_store_dir.as_deref(), Some("ts"));
-        assert!(a.no_trace_store);
-        assert_eq!(parse_bin_args(argv(&[])).unwrap(), BinArgs::default());
-    }
-
-    #[test]
-    fn bin_args_reject_each_malformed_flag() {
-        // Every failure mode is a structured message, never a panic.
-        for (args, needle) in [
-            (vec!["--insts", "foo"], "--insts"),
-            (vec!["--insts"], "needs a value"),
-            (vec!["--insts", "0"], "positive"),
-            (vec!["--scale", "-3"], "--scale"),
-            (vec!["--scale", "5000000000"], "--scale"),
-            (vec!["--threads", "two"], "--threads"),
-            (vec!["--threads", "0"], "positive"),
-            (vec!["--json"], "--json needs a value"),
-            (vec!["--only"], "--only needs a value"),
-            (vec!["--emit-manifest"], "needs a value"),
-            (vec!["--trace-store"], "needs a value"),
-            (vec!["--frobnicate"], "unknown argument"),
-        ] {
-            let err = parse_bin_args(argv(&args)).unwrap_err();
-            assert!(err.contains(needle), "{args:?}: {err}");
-        }
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! flight), the SAS/CHARM profiling pre-pass is memoized across jobs
 //! ([`profile`]), and the text outputs are re-[`render`]ed from
 //! journalled reports alone — live, resumed and reloaded runs print the
-//! same bytes as the original `das-bench` binaries.
+//! same bytes.
 //!
-//! Entry points: [`cli::bin_main`] (what each figure binary calls) and
-//! [`cli::harness_main`] (the standalone `harness` orchestrator).
+//! Entry point: [`cli::harness_main`], the `harness` experiment CLI
+//! (`harness --exp <id>` reproduces one figure, table or ablation).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

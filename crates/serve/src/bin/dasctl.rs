@@ -1,38 +1,27 @@
-//! `dasctl` — the `das-serve` / `das-fleet` client.
+//! `dasctl` — the `das-serve` client.
 //!
 //! Subcommands: `submit` (submit experiments, stream results, render the
 //! same `<id>.txt` / `<id>.json` artifacts a direct `harness` run
 //! writes), `status`, `watch`, `cancel`, `stats` (one-shot JSON or a
-//! `--watch` top-style live fleet view with per-worker generation,
-//! uptime and QPS), `metrics` (Prometheus exposition text), `list`,
-//! `drain`.
+//! `--watch` top-style live view with uptime, QPS and job latency),
+//! `metrics` (Prometheus exposition text), `list`, `drain`.
 //!
-//! Targets: `--addr HOST:PORT` (one server), `--addrs A,B,C` (a static
-//! fleet), or `--fleet-dir DIR` (a `das-fleet` directory whose address
-//! file is re-read when workers restart). Against a single server,
-//! `submit` retries `busy` rejections with capped seeded-jitter backoff;
-//! against a fleet it runs the full resilience policy: shard routing,
-//! idempotent reconnect-and-resubmit, bounded retries and (with
-//! `--hedge-ms`) hedged duplicate submission. Malformed arguments exit
-//! 2; runtime failures exit 1.
+//! Every command talks to the one server at `--addr HOST:PORT`. `submit`
+//! retries `busy` rejections after the server's `retry_after_ms` hint, up
+//! to [`MAX_BUSY_RETRIES`] times. Malformed arguments exit 2; runtime
+//! failures exit 1.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use das_harness::cli::{build_catalog_manifest, render_experiment_outputs};
-use das_harness::manifest::JobSpec;
 use das_serve::client::{collect_stream, into_ok, Client};
-use das_serve::fleet_client::{AddrSource, FleetClient, FleetClientConfig};
 use das_serve::proto;
-use das_serve::retry::BackoffPolicy;
-use das_telemetry::counters::merge_numeric;
-use das_telemetry::hist::LatencyHistogram;
+use das_serve::server::ServerConfig;
 use das_telemetry::json::Value;
 
-const USAGE: &str = "usage: dasctl <command> (--addr HOST:PORT | --addrs A,B | --fleet-dir DIR) \
-[options]\n\
+const USAGE: &str = "usage: dasctl <command> --addr HOST:PORT [options]\n\
   submit  --exp a,b [--insts N] [--scale N] [--only a,b] [--out-dir DIR]\n\
-          [--ticket T] [--seed N] [--hedge-ms N] [--job-retries N] [--max-attempts N]\n\
   status  --job ID\n\
   watch   --job ID\n\
   cancel  --job ID\n\
@@ -40,24 +29,6 @@ const USAGE: &str = "usage: dasctl <command> (--addr HOST:PORT | --addrs A,B | -
   metrics\n\
   list\n\
   drain   [--wait]";
-
-/// Where requests go: one server, or a shard-indexed fleet.
-#[derive(Debug, PartialEq, Eq)]
-enum Target {
-    Single(String),
-    Addrs(Vec<String>),
-    FleetDir(String),
-}
-
-impl Target {
-    fn source(&self) -> AddrSource {
-        match self {
-            Target::Single(a) => AddrSource::Static(vec![a.clone()]),
-            Target::Addrs(a) => AddrSource::Static(a.clone()),
-            Target::FleetDir(d) => AddrSource::Dir(PathBuf::from(d)),
-        }
-    }
-}
 
 #[derive(Debug, PartialEq, Eq)]
 enum Command {
@@ -67,11 +38,6 @@ enum Command {
         scale: u32,
         only: Vec<String>,
         out_dir: String,
-        ticket: Option<String>,
-        seed: u64,
-        hedge_ms: Option<u64>,
-        job_retries: u32,
-        max_attempts: u32,
     },
     Status {
         job: String,
@@ -100,7 +66,7 @@ enum Command {
 
 #[derive(Debug, PartialEq, Eq)]
 struct Args {
-    target: Target,
+    addr: String,
     command: Command,
 }
 
@@ -117,12 +83,6 @@ fn need_u64(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, S
     }
 }
 
-fn need_any_u64(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, String> {
-    let v = need(args, flag)?;
-    v.parse::<u64>()
-        .map_err(|_| format!("{flag} needs an integer, got {v:?}"))
-}
-
 fn need_list(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<Vec<String>, String> {
     Ok(need(args, flag)?.split(',').map(str::to_string).collect())
 }
@@ -131,18 +91,11 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     let mut args = args.into_iter();
     let cmd = args.next().ok_or("missing command")?;
     let mut addr: Option<String> = None;
-    let mut addrs: Option<Vec<String>> = None;
-    let mut fleet_dir: Option<String> = None;
     let mut exps: Vec<String> = Vec::new();
     let mut insts = 3_000_000u64;
     let mut scale = 64u32;
     let mut only: Vec<String> = Vec::new();
     let mut out_dir = ".".to_string();
-    let mut ticket: Option<String> = None;
-    let mut seed = 0u64;
-    let mut hedge_ms: Option<u64> = None;
-    let mut job_retries = 3u32;
-    let mut max_attempts = 8u32;
     let mut job: Option<String> = None;
     let mut wait = false;
     let mut watch = false;
@@ -151,8 +104,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => addr = Some(need(&mut args, "--addr")?),
-            "--addrs" => addrs = Some(need_list(&mut args, "--addrs")?),
-            "--fleet-dir" => fleet_dir = Some(need(&mut args, "--fleet-dir")?),
             "--exp" => exps = need_list(&mut args, "--exp")?,
             "--insts" => insts = need_u64(&mut args, "--insts")?,
             "--scale" => {
@@ -161,17 +112,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
             }
             "--only" => only = need_list(&mut args, "--only")?,
             "--out-dir" => out_dir = need(&mut args, "--out-dir")?,
-            "--ticket" => ticket = Some(need(&mut args, "--ticket")?),
-            "--seed" => seed = need_any_u64(&mut args, "--seed")?,
-            "--hedge-ms" => hedge_ms = Some(need_u64(&mut args, "--hedge-ms")?),
-            "--job-retries" => {
-                job_retries = u32::try_from(need_any_u64(&mut args, "--job-retries")?)
-                    .map_err(|_| "--job-retries is out of range".to_string())?;
-            }
-            "--max-attempts" => {
-                max_attempts = u32::try_from(need_u64(&mut args, "--max-attempts")?)
-                    .map_err(|_| "--max-attempts is out of range".to_string())?;
-            }
             "--job" => job = Some(need(&mut args, "--job")?),
             "--wait" => wait = true,
             "--watch" => watch = true,
@@ -180,13 +120,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let target = match (addr, addrs, fleet_dir) {
-        (Some(a), None, None) => Target::Single(a),
-        (None, Some(a), None) => Target::Addrs(a),
-        (None, None, Some(d)) => Target::FleetDir(d),
-        (None, None, None) => return Err("one of --addr, --addrs, --fleet-dir is required".into()),
-        _ => return Err("pick exactly one of --addr, --addrs, --fleet-dir".into()),
-    };
+    let addr = addr.ok_or("--addr is required")?;
     let job_for =
         |cmd: &str, job: Option<String>| job.ok_or_else(|| format!("{cmd} needs --job ID"));
     let command = match cmd.as_str() {
@@ -200,11 +134,6 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
                 scale,
                 only,
                 out_dir,
-                ticket,
-                seed,
-                hedge_ms,
-                job_retries,
-                max_attempts,
             }
         }
         "status" => Command::Status {
@@ -226,30 +155,25 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         "drain" => Command::Drain { wait },
         other => return Err(format!("unknown command {other:?}")),
     };
-    Ok(Args { target, command })
+    Ok(Args { addr, command })
 }
 
 fn str_arr(items: &[String]) -> Value {
     Value::Arr(items.iter().map(|s| Value::Str(s.clone())).collect())
 }
 
-fn backoff(seed: u64, max_attempts: u32) -> BackoffPolicy {
-    BackoffPolicy {
-        max_attempts,
-        seed,
-        ..BackoffPolicy::default()
-    }
-}
+/// How many times `submit` retries a `busy` rejection before giving up.
+const MAX_BUSY_RETRIES: u32 = 8;
 
-/// Single-server `submit_experiment` with `busy` honored: the request is
-/// retried with capped seeded-jitter backoff, flooring each delay at the
-/// server's `retry_after_ms` hint, instead of failing hard.
+/// `submit_experiment` with `busy` honoured: the request is retried after
+/// sleeping (through `sleep`) for the server's `retry_after_ms` hint, at
+/// most [`MAX_BUSY_RETRIES`] times, instead of failing hard.
 fn submit_experiment_backed_off(
     client: &mut Client,
     req: &Value,
-    policy: &BackoffPolicy,
+    mut sleep: impl FnMut(Duration),
 ) -> Result<Value, String> {
-    let mut attempt = 0u32;
+    let mut retries = 0u32;
     loop {
         client.send(req)?;
         let resp = client
@@ -257,29 +181,27 @@ fn submit_experiment_backed_off(
             .map_err(|e| format!("no response: {e}"))?;
         match proto::error_of(&resp) {
             Some(("busy", msg)) => {
-                let hint = resp
-                    .get_path("error/retry_after_ms")
-                    .and_then(Value::as_u64);
-                match policy.delay_ms(attempt, hint) {
-                    Some(ms) => {
-                        attempt += 1;
-                        eprintln!("busy ({msg}); retry {attempt} in {ms} ms");
-                        std::thread::sleep(Duration::from_millis(ms));
-                    }
-                    None => return Err(format!("busy: {msg} (gave up after {attempt} retries)")),
+                if retries == MAX_BUSY_RETRIES {
+                    return Err(format!("busy: {msg} (gave up after {retries} retries)"));
                 }
+                let ms = resp
+                    .get_path("error/retry_after_ms")
+                    .and_then(Value::as_u64)
+                    .unwrap_or(ServerConfig::default().retry_after_ms);
+                retries += 1;
+                eprintln!("busy ({msg}); retry {retries} in {ms} ms");
+                sleep(Duration::from_millis(ms));
             }
             _ => return into_ok(resp),
         }
     }
 }
 
-/// The single-server `submit` flow: submit the experiments, stream every
+/// The `submit` flow: submit the experiments, stream every
 /// job's result, and render the artifacts through the exact code path a
 /// direct `harness` run uses — server-fetched `<id>.txt` / `<id>.json`
 /// are byte-identical to a local run's.
-#[allow(clippy::too_many_arguments)]
-fn cmd_submit_single(
+fn cmd_submit(
     addr: &str,
     manifest: &das_harness::manifest::Manifest,
     exps: &[String],
@@ -287,7 +209,6 @@ fn cmd_submit_single(
     scale: u32,
     only: &[String],
     out_dir: &str,
-    policy: &BackoffPolicy,
 ) -> Result<(), String> {
     let mut client = Client::connect(addr)?;
     let req = proto::request("submit_experiment")
@@ -295,7 +216,7 @@ fn cmd_submit_single(
         .set("insts", insts)
         .set("scale", u64::from(scale))
         .set("only", str_arr(only));
-    let resp = submit_experiment_backed_off(&mut client, &req, policy)?;
+    let resp = submit_experiment_backed_off(&mut client, &req, std::thread::sleep)?;
     let jobs: Vec<String> = resp
         .get("jobs")
         .and_then(Value::as_arr)
@@ -309,44 +230,6 @@ fn cmd_submit_single(
     let reports = collect_stream(&mut client, &jobs, |job, state| {
         eprintln!("{job}: {state}");
     })?;
-    render_reports(out_dir, manifest, &reports)
-}
-
-/// The fleet `submit` flow: shard-routed idempotent submission with
-/// busy-backoff, reconnect-and-resubmit, bounded job retries and
-/// optional hedging — then the same byte-identical rendering.
-#[allow(clippy::too_many_arguments)]
-fn cmd_submit_fleet(
-    source: AddrSource,
-    manifest: &das_harness::manifest::Manifest,
-    out_dir: &str,
-    ticket: &str,
-    seed: u64,
-    hedge_ms: Option<u64>,
-    job_retries: u32,
-    max_attempts: u32,
-) -> Result<(), String> {
-    let specs: Vec<JobSpec> = manifest
-        .experiments
-        .iter()
-        .flat_map(|e| e.jobs.iter().cloned())
-        .collect();
-    let cfg = FleetClientConfig {
-        backoff: backoff(seed, max_attempts),
-        hedge_after: hedge_ms.map(Duration::from_millis),
-        job_retries,
-        ..FleetClientConfig::default()
-    };
-    let mut fc = FleetClient::new(source, cfg)?;
-    eprintln!(
-        "submitting {} jobs across {} shards (ticket {ticket})",
-        specs.len(),
-        fc.shards()
-    );
-    let reports = fc.run_jobs(ticket, &specs)?;
-    if !fc.counters.is_empty() {
-        eprintln!("resilience: {}", fc.counters.summary());
-    }
     render_reports(out_dir, manifest, &reports)
 }
 
@@ -381,24 +264,7 @@ fn one_shot(addr: &str, req: Value) -> Result<Value, String> {
     Client::connect(addr)?.request(&req)
 }
 
-/// Sets `key` on an object, replacing an existing entry instead of
-/// appending a duplicate (what `Value::set` would do after a merge).
-fn put(v: Value, key: &str, val: impl Into<Value>) -> Value {
-    match v {
-        Value::Obj(mut pairs) => {
-            let val = val.into();
-            if let Some(slot) = pairs.iter_mut().find(|(k, _)| k == key) {
-                slot.1 = val;
-            } else {
-                pairs.push((key.to_string(), val));
-            }
-            Value::Obj(pairs)
-        }
-        other => other,
-    }
-}
-
-/// Total requests a worker has handled, summed across request kinds
+/// Total requests the server has handled, summed across request kinds
 /// (the basis of the watch view's QPS estimate).
 fn total_requests(stats: &Value) -> u64 {
     match stats.get("request_latency_us") {
@@ -410,89 +276,13 @@ fn total_requests(stats: &Value) -> u64 {
     }
 }
 
-/// Fleet-wide stats: per-worker stats merged by summing every numeric
-/// leaf, plus `workers` and `restarts` (the sum of worker generations —
-/// each restart bumps the incarnation's generation by one). Summed
-/// `uptime_ms` is meaningless, so it is replaced with the fleet maximum;
-/// `job_latency_ms` is recomputed *exactly* by merging the per-worker
-/// histogram buckets (percentiles do not sum); and a `per_worker` array
-/// keeps each shard's generation, uptime and load visible after the
-/// merge flattens them.
-fn fleet_stats_snapshot(fc: &mut FleetClient) -> Result<Value, String> {
-    let per_worker = fc.broadcast(&proto::request("stats"))?;
-    let restarts: u64 = per_worker
-        .iter()
-        .filter_map(|s| s.get("generation").and_then(Value::as_u64))
-        .sum();
-    let merged = per_worker
-        .iter()
-        .skip(1)
-        .fold(per_worker[0].clone(), |acc, s| merge_numeric(&acc, s));
-    let uptime = per_worker
-        .iter()
-        .filter_map(|s| s.get("uptime_ms").and_then(Value::as_u64))
-        .max()
-        .unwrap_or(0);
-    let mut fleet_wall = LatencyHistogram::new();
-    for s in &per_worker {
-        if let Some(h) = s
-            .get_path("job_latency_ms/buckets")
-            .and_then(LatencyHistogram::from_buckets_value)
-        {
-            fleet_wall.merge(&h);
-        }
-    }
-    let rows: Vec<Value> = per_worker
-        .iter()
-        .enumerate()
-        .map(|(shard, s)| {
-            let g = |k: &str| s.get(k).and_then(Value::as_u64).unwrap_or(0);
-            Value::obj()
-                .set("shard", shard as u64)
-                .set("generation", g("generation"))
-                .set("uptime_ms", g("uptime_ms"))
-                .set("pid", g("pid"))
-                .set(
-                    "running",
-                    s.get_path("jobs/running")
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0),
-                )
-                .set(
-                    "admitted",
-                    s.get_path("admission/admitted")
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0),
-                )
-                .set("requests", total_requests(s))
-        })
-        .collect();
-    // pid / generation sums are meaningless; replace or supersede them
-    // with fleet-level fields.
-    let merged = put(merged, "uptime_ms", uptime);
-    let merged = put(
-        merged,
-        "job_latency_ms",
-        Value::obj()
-            .set("summary", fleet_wall.summary_value())
-            .set("buckets", fleet_wall.buckets_value()),
-    );
-    Ok(merged
-        .set("workers", per_worker.len() as u64)
-        .set("restarts", restarts)
-        .set("per_worker", Value::Arr(rows)))
-}
-
-/// The refreshing `stats --watch` screen: fleet totals, job states,
-/// admission counters, exact job-latency percentiles, and one row per
-/// worker.
+/// The refreshing `stats --watch` screen: server uptime and load, job
+/// states, admission counters and job-latency percentiles.
 fn render_stats_watch(stats: &Value, qps: f64) -> String {
     let g = |p: &str| stats.get_path(p).and_then(Value::as_u64).unwrap_or(0);
-    let workers = g("workers").max(1);
     let mut out = format!(
-        "fleet: {} worker(s), {} restart(s), uptime {:.1}s, {:.1} req/s\n",
-        workers,
-        g("restarts"),
+        "server: pid {}, uptime {:.1}s, {:.1} req/s\n",
+        g("pid"),
         g("uptime_ms") as f64 / 1e3,
         qps,
     );
@@ -505,12 +295,10 @@ fn render_stats_watch(stats: &Value, qps: f64) -> String {
         g("jobs/cancelled"),
     );
     out += &format!(
-        "admission: admitted {} busy {} draining {} resubmitted {} hedged {} recovered {}\n",
+        "admission: admitted {} busy {} draining {} recovered {}\n",
         g("admission/admitted"),
         g("admission/rejected_busy"),
         g("admission/rejected_draining"),
-        g("admission/resubmitted"),
-        g("admission/hedged"),
         g("admission/recovered"),
     );
     out += &format!(
@@ -520,44 +308,13 @@ fn render_stats_watch(stats: &Value, qps: f64) -> String {
         g("job_latency_ms/summary/p95"),
         g("job_latency_ms/summary/p99"),
     );
-    if let Some(rows) = stats.get("per_worker").and_then(Value::as_arr) {
-        out += "shard  gen  uptime_s  pid     running  admitted  requests\n";
-        for row in rows {
-            let r = |k: &str| row.get(k).and_then(Value::as_u64).unwrap_or(0);
-            out += &format!(
-                "{:<5}  {:<3}  {:<8.1}  {:<6}  {:<7}  {:<8}  {}\n",
-                r("shard"),
-                r("generation"),
-                r("uptime_ms") as f64 / 1e3,
-                r("pid"),
-                r("running"),
-                r("admitted"),
-                r("requests"),
-            );
-        }
-    }
     out
 }
 
 /// `stats`: one-shot JSON, or a `--watch` loop that refreshes a compact
-/// fleet view and derives QPS from request-count deltas between samples.
-fn cmd_stats(
-    target: &Target,
-    watch: bool,
-    interval_ms: u64,
-    iterations: u64,
-) -> Result<(), String> {
-    let mut fleet = match target {
-        Target::Single(_) => None,
-        t => Some(FleetClient::new(t.source(), FleetClientConfig::default())?),
-    };
-    let mut snapshot = || -> Result<Value, String> {
-        match (&mut fleet, target) {
-            (Some(fc), _) => fleet_stats_snapshot(fc),
-            (None, Target::Single(addr)) => one_shot(addr, proto::request("stats")),
-            (None, _) => unreachable!("fleet client exists for non-single targets"),
-        }
-    };
+/// view and derives QPS from request-count deltas between samples.
+fn cmd_stats(addr: &str, watch: bool, interval_ms: u64, iterations: u64) -> Result<(), String> {
+    let snapshot = || one_shot(addr, proto::request("stats"));
     if !watch {
         println!("{}", snapshot()?.render());
         return Ok(());
@@ -587,35 +344,19 @@ fn cmd_stats(
     }
 }
 
-/// `metrics`: Prometheus exposition text from one server, or from every
-/// shard of a fleet (separated by shard-comment lines).
-fn cmd_metrics(target: &Target) -> Result<(), String> {
-    let responses = match target {
-        Target::Single(addr) => vec![one_shot(addr, proto::request("metrics"))?],
-        t => FleetClient::new(t.source(), FleetClientConfig::default())?
-            .broadcast(&proto::request("metrics"))?,
-    };
-    for (shard, resp) in responses.iter().enumerate() {
-        let body = resp
-            .get("body")
-            .and_then(Value::as_str)
-            .ok_or("metrics response carries no body")?;
-        if responses.len() > 1 {
-            println!("# shard {shard}");
-        }
-        print!("{body}");
-    }
+/// `metrics`: the server's Prometheus exposition text.
+fn cmd_metrics(addr: &str) -> Result<(), String> {
+    let resp = one_shot(addr, proto::request("metrics"))?;
+    let body = resp
+        .get("body")
+        .and_then(Value::as_str)
+        .ok_or("metrics response carries no body")?;
+    print!("{body}");
     Ok(())
 }
 
-fn single_addr(target: &Target, what: &str) -> Result<String, String> {
-    match target {
-        Target::Single(a) => Ok(a.clone()),
-        _ => Err(format!("{what} needs --addr (a single server)")),
-    }
-}
-
 fn run(args: Args) -> Result<(), String> {
+    let addr = args.addr.as_str();
     match &args.command {
         Command::Submit {
             exps,
@@ -623,11 +364,6 @@ fn run(args: Args) -> Result<(), String> {
             scale,
             only,
             out_dir,
-            ticket,
-            seed,
-            hedge_ms,
-            job_retries,
-            max_attempts,
         } => {
             // Build the manifest locally first: unknown experiment ids
             // fail before any network traffic, and rendering needs the
@@ -636,39 +372,16 @@ fn run(args: Args) -> Result<(), String> {
             manifest
                 .validate()
                 .map_err(|e| format!("invalid run matrix: {e}"))?;
-            match &args.target {
-                Target::Single(addr) => cmd_submit_single(
-                    addr,
-                    &manifest,
-                    exps,
-                    *insts,
-                    *scale,
-                    only,
-                    out_dir,
-                    &backoff(*seed, *max_attempts),
-                ),
-                target => cmd_submit_fleet(
-                    target.source(),
-                    &manifest,
-                    out_dir,
-                    ticket.as_deref().unwrap_or("f0"),
-                    *seed,
-                    *hedge_ms,
-                    *job_retries,
-                    *max_attempts,
-                ),
-            }
+            cmd_submit(addr, &manifest, exps, *insts, *scale, only, out_dir)
         }
         Command::Status { job } => {
-            let addr = single_addr(&args.target, "status")?;
-            let resp = one_shot(&addr, proto::request("status").set("job", job.as_str()))?;
+            let resp = one_shot(addr, proto::request("status").set("job", job.as_str()))?;
             println!("{}", resp.render());
             Ok(())
         }
-        Command::Watch { job } => cmd_watch(&single_addr(&args.target, "watch")?, job),
+        Command::Watch { job } => cmd_watch(addr, job),
         Command::Cancel { job } => {
-            let addr = single_addr(&args.target, "cancel")?;
-            let resp = one_shot(&addr, proto::request("cancel").set("job", job.as_str()))?;
+            let resp = one_shot(addr, proto::request("cancel").set("job", job.as_str()))?;
             println!("{}", resp.render());
             Ok(())
         }
@@ -676,33 +389,28 @@ fn run(args: Args) -> Result<(), String> {
             watch,
             interval_ms,
             iterations,
-        } => cmd_stats(&args.target, *watch, *interval_ms, *iterations),
-        Command::Metrics => cmd_metrics(&args.target),
+        } => cmd_stats(addr, *watch, *interval_ms, *iterations),
+        Command::Metrics => cmd_metrics(addr),
         Command::List => {
-            let addr = single_addr(&args.target, "list")?;
-            let resp = one_shot(&addr, proto::request("list"))?;
+            let resp = one_shot(addr, proto::request("list"))?;
             print!("{}", render_grouped_list(&resp));
             Ok(())
         }
         Command::Drain { wait } => {
-            let addrs = args.target.source().addrs()?;
-            for addr in addrs {
-                let mut client = Client::connect(&addr)?;
-                // Draining can outlive any default read timeout; block as
-                // long as the server needs.
-                let _ = client.set_read_timeout(None);
-                let resp = client.request(&proto::request("drain").set("wait", *wait))?;
-                println!("{}", resp.render());
-            }
+            let mut client = Client::connect(addr)?;
+            // Draining can outlive any default read timeout; block as long
+            // as the server needs.
+            let _ = client.set_read_timeout(None);
+            let resp = client.request(&proto::request("drain").set("wait", *wait))?;
+            println!("{}", resp.render());
             Ok(())
         }
     }
 }
 
 /// The experiment family of a served job id (`<ticket>/<exp>/...`): the
-/// first path segment naming a catalog experiment decides, so ticket
-/// prefixes, retry (`r<k>/`) and hedge (`h/`) wrappers all group
-/// correctly. Ids with no catalog segment fall into `other`.
+/// first path segment naming a catalog experiment decides, so the ticket
+/// prefix is skipped. Ids with no catalog segment fall into `other`.
 fn job_family(id: &str) -> &str {
     id.split('/')
         .find(|seg| das_harness::catalog::by_id(seg).is_some())
@@ -804,7 +512,7 @@ mod tests {
             "results",
         ]))
         .unwrap();
-        assert_eq!(a.target, Target::Single("127.0.0.1:4750".into()));
+        assert_eq!(a.addr, "127.0.0.1:4750");
         assert_eq!(
             a.command,
             Command::Submit {
@@ -813,11 +521,6 @@ mod tests {
                 scale: 8,
                 only: vec!["mcf".into()],
                 out_dir: "results".into(),
-                ticket: None,
-                seed: 0,
-                hedge_ms: None,
-                job_retries: 3,
-                max_attempts: 8,
             }
         );
         let a = parse_args(argv(&["status", "--addr", "h:1", "--job", "t1/x"])).unwrap();
@@ -835,8 +538,8 @@ mod tests {
         );
         let a = parse_args(argv(&[
             "stats",
-            "--fleet-dir",
-            "fleet",
+            "--addr",
+            "h:1",
             "--watch",
             "--interval-ms",
             "200",
@@ -859,7 +562,7 @@ mod tests {
     #[test]
     fn list_groups_jobs_by_experiment_family() {
         // A synthetic `list` response: ticket-prefixed jobs from three
-        // families, including a hedge-wrapped cross-arch job.
+        // families, plus an id outside the catalog.
         let jobs = vec![
             Value::obj()
                 .set("job", "t1/fig7a/mcf/das")
@@ -868,7 +571,7 @@ mod tests {
                 .set("job", "t1/cross_arch_rank/mcf/lisa")
                 .set("state", "running"),
             Value::obj()
-                .set("job", "h/t2/cross_arch_sweep/mcf/clr_d8")
+                .set("job", "t2/cross_arch_sweep/mcf/clr_d8")
                 .set("state", "queued"),
             Value::obj()
                 .set("job", "t3/fault_sweep/das/clean")
@@ -896,8 +599,8 @@ mod tests {
             .collect();
         assert_eq!(policy_catalog.len(), 1, "{text}");
         assert!(policy_catalog[0].contains("policy_search_adapt"), "{text}");
-        // Jobs section: grouped headers, members under their family, the
-        // hedge-wrapped id resolved by its catalog segment.
+        // Jobs section: grouped headers, members under their family, each
+        // id resolved by its catalog segment past the ticket prefix.
         assert!(text.contains("jobs: 6"), "{text}");
         let fam_of_line = |needle: &str| {
             let mut fam = "";
@@ -914,10 +617,7 @@ mod tests {
         };
         assert_eq!(fam_of_line("t1/fig7a/mcf/das"), "fig7");
         assert_eq!(fam_of_line("t1/cross_arch_rank/mcf/lisa"), "cross_arch");
-        assert_eq!(
-            fam_of_line("h/t2/cross_arch_sweep/mcf/clr_d8"),
-            "cross_arch"
-        );
+        assert_eq!(fam_of_line("t2/cross_arch_sweep/mcf/clr_d8"), "cross_arch");
         assert_eq!(fam_of_line("t3/fault_sweep/das/clean"), "fault_sweep");
         assert_eq!(
             fam_of_line("t4/policy_search_rank/mcf/das_feedback"),
@@ -929,60 +629,12 @@ mod tests {
     }
 
     #[test]
-    fn parses_fleet_targets_and_resilience_flags() {
-        let a = parse_args(argv(&[
-            "submit",
-            "--addrs",
-            "h:1,h:2,h:3",
-            "--exp",
-            "scale",
-            "--ticket",
-            "ci1",
-            "--seed",
-            "0",
-            "--hedge-ms",
-            "150",
-            "--job-retries",
-            "2",
-            "--max-attempts",
-            "5",
-        ]))
-        .unwrap();
-        assert_eq!(
-            a.target,
-            Target::Addrs(vec!["h:1".into(), "h:2".into(), "h:3".into()])
-        );
-        match a.command {
-            Command::Submit {
-                ticket,
-                seed,
-                hedge_ms,
-                job_retries,
-                max_attempts,
-                ..
-            } => {
-                assert_eq!(ticket.as_deref(), Some("ci1"));
-                assert_eq!(seed, 0);
-                assert_eq!(hedge_ms, Some(150));
-                assert_eq!(job_retries, 2);
-                assert_eq!(max_attempts, 5);
-            }
-            other => panic!("wrong command: {other:?}"),
-        }
-        let a = parse_args(argv(&["stats", "--fleet-dir", "fleet"])).unwrap();
-        assert_eq!(a.target, Target::FleetDir("fleet".into()));
-    }
-
-    #[test]
     fn rejects_each_malformed_invocation() {
         for (args, needle) in [
             (vec![] as Vec<&str>, "missing command"),
             (vec!["frobnicate", "--addr", "h:1"], "unknown command"),
-            (vec!["stats"], "one of --addr"),
-            (
-                vec!["stats", "--addr", "h:1", "--fleet-dir", "d"],
-                "exactly one",
-            ),
+            (vec!["stats"], "--addr is required"),
+            (vec!["stats", "--addrs", "h:1,h:2"], "unknown argument"),
             (vec!["submit", "--addr", "h:1"], "--exp"),
             (
                 vec!["submit", "--addr", "h:1", "--exp", "a", "--insts", "x"],
@@ -1007,15 +659,68 @@ mod tests {
                 vec!["stats", "--addr", "h:1", "--iterations", "x"],
                 "positive",
             ),
-            (vec!["list", "--addrs", "h:1,h:2"], "needs --addr"),
+            (
+                vec!["submit", "--addr", "h:1", "--exp", "a", "--seed", "5"],
+                "unknown argument",
+            ),
         ] {
-            // A case that parses fine must fail in run() instead (e.g.
-            // `list --addrs` rejecting a fleet target before connecting).
-            let err = match parse_args(argv(&args)) {
-                Err(e) => e,
-                Ok(a) => run(a).unwrap_err(),
-            };
+            let err = parse_args(argv(&args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
+    }
+
+    /// A one-connection fake server: answers each request with the next
+    /// canned response, then closes. Returns its address and a handle
+    /// yielding how many requests it read.
+    fn fake_server(responses: Vec<Value>) -> (String, std::thread::JoinHandle<usize>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut requests = 0;
+            for resp in &responses {
+                if proto::read_frame(&mut conn, proto::DEFAULT_MAX_FRAME).is_err() {
+                    break;
+                }
+                requests += 1;
+                proto::write_frame(&mut conn, resp).unwrap();
+            }
+            requests
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn busy_is_retried_after_the_servers_hint() {
+        let busy = proto::busy("1 outstanding + 1 submitted exceeds capacity 1", 5);
+        let ok = proto::ok("submit_experiment").set("ticket", 1u64);
+        let (addr, server) = fake_server(vec![busy.clone(), busy, ok]);
+        let mut client = Client::connect(&addr).unwrap();
+        let mut slept = Vec::new();
+        let req = proto::request("submit_experiment");
+        let resp = submit_experiment_backed_off(&mut client, &req, |d| slept.push(d)).unwrap();
+        assert_eq!(resp.get("ticket").and_then(Value::as_u64), Some(1));
+        assert_eq!(server.join().unwrap(), 3, "two busy answers, then ok");
+        assert_eq!(slept, vec![Duration::from_millis(5); 2]);
+    }
+
+    #[test]
+    fn busy_retries_give_up_at_the_cap() {
+        // One more busy answer than the client may ask for: a client that
+        // retried past the cap would find the connection closed instead.
+        let busy = proto::busy("16 outstanding + 1 submitted exceeds capacity 16", 5);
+        let cap = MAX_BUSY_RETRIES as usize;
+        let (addr, server) = fake_server(vec![busy; cap + 2]);
+        let mut client = Client::connect(&addr).unwrap();
+        let mut slept = Vec::new();
+        let req = proto::request("submit_experiment");
+        let err = submit_experiment_backed_off(&mut client, &req, |d| slept.push(d)).unwrap_err();
+        assert!(
+            err.contains(&format!("gave up after {cap} retries")),
+            "{err}"
+        );
+        assert_eq!(slept.len(), cap);
+        drop(client);
+        assert_eq!(server.join().unwrap(), cap + 1);
     }
 }

@@ -1,9 +1,9 @@
-//! Prometheus-style text exposition of a worker's `stats` document.
+//! Prometheus-style text exposition of a server's `stats` document.
 //!
 //! The `metrics` wire method answers with this rendering (as a `body`
 //! string plus the standard `text/plain; version=0.0.4` content type), so
 //! any scraper that can speak the exposition format — or a human with
-//! `dasctl metrics` — can watch a worker without knowing the JSON stats
+//! `dasctl metrics` — can watch a server without knowing the JSON stats
 //! shape. The renderer is a pure function of the `stats` response value:
 //! one source of truth for the numbers, two encodings.
 
@@ -89,7 +89,7 @@ fn summary_family(out: &mut String, summaries: &Value, name: &str, label: &str, 
     }
 }
 
-/// Renders a worker's `stats` response as Prometheus exposition text.
+/// Renders a server's `stats` response as Prometheus exposition text.
 /// Unknown or missing fields are skipped, never errored: the text form is
 /// a lossy projection of the JSON stats, not a second contract.
 pub fn render(stats: &Value) -> String {
@@ -99,13 +99,7 @@ pub fn render(stats: &Value) -> String {
             "uptime_ms",
             "das_uptime_ms",
             "gauge",
-            "Worker uptime in milliseconds.",
-        ),
-        (
-            "generation",
-            "das_generation",
-            "gauge",
-            "Supervisor restart generation.",
+            "Server uptime in milliseconds.",
         ),
         (
             "capacity",
@@ -241,7 +235,7 @@ pub fn render(stats: &Value) -> String {
         );
     }
     if let Some(job) = stats.get("job_latency_ms") {
-        // The job-latency block nests its summary beside the raw buckets.
+        // The job-latency block nests its summary under `summary`.
         if let Some(s) = job.get("summary") {
             summary_family(
                 &mut out,
@@ -262,7 +256,6 @@ mod tests {
     fn sample_stats() -> Value {
         Value::obj()
             .set("uptime_ms", 1234u64)
-            .set("generation", 2u64)
             .set("capacity", 16u64)
             .set("threads", 2u64)
             .set("draining", false)
@@ -327,7 +320,6 @@ mod tests {
         for needle in [
             "# TYPE das_uptime_ms gauge",
             "das_uptime_ms 1234",
-            "das_generation 2",
             "das_draining 0",
             "das_jobs{state=\"queued\"} 1",
             "das_jobs{state=\"done\"} 7",

@@ -19,7 +19,9 @@
 //! that would exceed it is rejected with a structured `busy` error
 //! carrying `retry_after_ms` — never blocked, never dropped — and a batch
 //! is admitted atomically or not at all, so a rejected client retries the
-//! whole submission. While draining, every submission gets `draining`.
+//! whole submission. A batch larger than the capacity itself could never
+//! be admitted, so it gets `bad_request` instead: `busy` always means a
+//! retry can succeed. While draining, every submission gets `draining`.
 //!
 //! ## Determinism
 //!
@@ -61,7 +63,6 @@ use das_harness::runner;
 use das_telemetry::json::Value;
 use das_trace::TraceStore;
 
-use crate::chaos::{Chaos, ChaosConfig, ConnFate};
 use crate::proto::{self, code, ProtoError};
 use crate::state::{JobState, Metrics, Registry};
 
@@ -91,12 +92,6 @@ pub struct ServerConfig {
     /// torn-tail-truncate, journal a `restart` marker, and re-drive every
     /// orphaned job whose admission carried a spec (crash recovery).
     pub resume_journal: bool,
-    /// Worker incarnation number, bumped by the supervisor on each
-    /// restart; reported by `ping` and `stats`.
-    pub generation: u64,
-    /// Chaos injection knobs (normally parsed from `DAS_CHAOS_*` env by
-    /// the binary; `None` disables the layer entirely).
-    pub chaos: Option<ChaosConfig>,
 }
 
 impl Default for ServerConfig {
@@ -110,8 +105,6 @@ impl Default for ServerConfig {
             max_frame: proto::DEFAULT_MAX_FRAME,
             retry_after_ms: 250,
             resume_journal: false,
-            generation: 0,
-            chaos: None,
         }
     }
 }
@@ -139,15 +132,13 @@ struct Shared {
     /// picking up new requests.
     stop: AtomicBool,
     tickets: AtomicU64,
-    chaos: Option<Chaos>,
     /// Read-halves of live connections, shut down on stop so handlers
     /// blocked in a read see EOF instead of holding shutdown for up to
-    /// `read_timeout` (a drained worker must exit promptly or its
-    /// supervisor will mistake it for hung).
+    /// `read_timeout` (a drained server exits promptly).
     conn_socks: Mutex<HashMap<u64, TcpStream>>,
     conn_seq: AtomicU64,
     /// When this incarnation bound its listener; `stats` reports the
-    /// elapsed time as `uptime_ms` so fleet views can spot fresh restarts.
+    /// elapsed time as `uptime_ms`.
     started: Instant,
 }
 
@@ -213,7 +204,6 @@ impl Server {
                 }
             }
         }
-        let chaos = cfg.chaos.clone().map(Chaos::new);
         let shared = Arc::new(Shared {
             cfg,
             registry: Mutex::new(registry),
@@ -226,7 +216,6 @@ impl Server {
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             tickets: AtomicU64::new(admitted_before),
-            chaos,
             conn_socks: Mutex::new(HashMap::new()),
             conn_seq: AtomicU64::new(0),
             started: Instant::now(),
@@ -269,18 +258,13 @@ impl Server {
             }
             match stream {
                 Ok(s) => {
-                    let fate = self
-                        .shared
-                        .chaos
-                        .as_ref()
-                        .and_then(Chaos::fate_for_connection);
                     let id = self.shared.conn_seq.fetch_add(1, Ordering::SeqCst);
                     if let Ok(dup) = s.try_clone() {
                         lock(&self.shared.conn_socks).insert(id, dup);
                     }
                     let shared = Arc::clone(&self.shared);
                     conns.push(std::thread::spawn(move || {
-                        sabotage_connection(&shared, s, fate);
+                        handle_connection(&shared, s);
                         lock(&shared.conn_socks).remove(&id);
                     }));
                 }
@@ -335,28 +319,6 @@ fn drain_completer(shared: &Arc<Shared>, addr: SocketAddr) {
 // ---------------------------------------------------------------------------
 // Connection handling
 // ---------------------------------------------------------------------------
-
-/// Applies the chaos layer's connection fate (if any) before — or
-/// instead of — serving the connection normally. `Drop` closes the
-/// socket unread; `Truncate` writes a torn partial frame header then
-/// closes (exercising the client's malformed-frame recovery); `Delay`
-/// stalls, then serves normally (exercising client timeouts/hedging).
-fn sabotage_connection(shared: &Arc<Shared>, mut stream: TcpStream, fate: Option<ConnFate>) {
-    match fate {
-        Some(ConnFate::Drop) => (),
-        Some(ConnFate::Truncate) => {
-            use std::io::Write;
-            let _ = stream.write_all(&[0x00, 0x00]);
-        }
-        Some(ConnFate::Delay) => {
-            if let Some(chaos) = &shared.chaos {
-                std::thread::sleep(chaos.delay());
-            }
-            handle_connection(shared, stream);
-        }
-        None => handle_connection(shared, stream),
-    }
-}
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
@@ -437,7 +399,6 @@ fn handle_request(
         "ping" => {
             let resp = proto::ok("pong")
                 .set("pid", u64::from(std::process::id()))
-                .set("generation", shared.cfg.generation)
                 .set("draining", shared.draining.load(Ordering::SeqCst))
                 .set("outstanding", lock(&shared.registry).outstanding());
             proto::write_frame(writer, &resp)
@@ -472,10 +433,22 @@ fn handle_request(
 
 /// Admits a batch of jobs atomically: capacity-checked, journalled and
 /// registered under one ticket, then handed to the pool. `Err` carries
-/// the ready-made rejection response (`draining`, `busy`, `internal`).
+/// the ready-made rejection response (`bad_request` for a batch larger
+/// than the whole capacity, `draining`, `busy`, `internal`).
 fn admit(shared: &Arc<Shared>, specs: Vec<JobSpec>) -> Result<(u64, Vec<String>), Value> {
     if specs.is_empty() {
         return Err(proto::error(code::BAD_REQUEST, "nothing to admit"));
+    }
+    if specs.len() > shared.cfg.capacity {
+        // No retry can ever admit this batch, so it is not `busy`.
+        return Err(proto::error(
+            code::BAD_REQUEST,
+            &format!(
+                "batch of {} jobs exceeds capacity {}",
+                specs.len(),
+                shared.cfg.capacity
+            ),
+        ));
     }
     let mut reg = lock(&shared.registry);
     if shared.draining.load(Ordering::SeqCst) {
@@ -536,28 +509,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         }
     };
     shared.changed.notify_all();
-    if let Some(chaos) = &shared.chaos {
-        if chaos.should_kill_on_job_start() {
-            // Simulated worker crash: die hard, mid-job, no cleanup. The
-            // journal has this job admitted but not terminal; the
-            // supervisor restarts us and resume re-drives it.
-            eprintln!("das-serve: chaos kill on job {id}");
-            std::process::abort();
-        }
-        if let Some(err) = chaos.trace_read_error() {
-            let mut reg = lock(&shared.registry);
-            {
-                let mut jr = lock(&shared.journal);
-                if let Err(e) = jr.terminal("failed", id, Some(&err)) {
-                    eprintln!("das-serve: {e}");
-                }
-            }
-            reg.finish(id, Err(err));
-            drop(reg);
-            shared.changed.notify_all();
-            return;
-        }
-    }
     let exec_start = Instant::now();
     let outcome = match catch_unwind(AssertUnwindSafe(|| {
         runner::execute(
@@ -602,60 +553,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     shared.changed.notify_all();
 }
 
-/// Admits one job under a client-chosen id — the idempotent path retries,
-/// resubmissions and hedges use. If the id is already registered the
-/// submission is a no-op answered with the job's current state
-/// (`duplicate: true`), making reconnect-and-resubmit safe: the client
-/// can blindly resend after a transport drop without double-running.
-fn admit_explicit(shared: &Arc<Shared>, id: String, spec: JobSpec, hedge: bool) -> Value {
-    let mut reg = lock(&shared.registry);
-    if let Some(e) = reg.entry(&id) {
-        lock(&shared.metrics).resubmitted += 1;
-        return proto::ok("submit_job")
-            .set("ticket", 0u64)
-            .set("job", id.as_str())
-            .set("duplicate", true)
-            .set("state", e.state.as_str());
-    }
-    if shared.draining.load(Ordering::SeqCst) {
-        lock(&shared.metrics).rejected_draining += 1;
-        return proto::error(code::DRAINING, "server is draining and admits no new work");
-    }
-    let outstanding = reg.outstanding();
-    if outstanding + 1 > shared.cfg.capacity {
-        lock(&shared.metrics).rejected_busy += 1;
-        return proto::busy(
-            &format!(
-                "{outstanding} outstanding + 1 submitted exceeds capacity {}",
-                shared.cfg.capacity
-            ),
-            shared.cfg.retry_after_ms,
-        );
-    }
-    {
-        let mut jr = lock(&shared.journal);
-        if let Err(e) = jr.admit_with_spec(&id, &spec.to_value()) {
-            return proto::error(code::INTERNAL, &e);
-        }
-    }
-    reg.insert_queued(id.clone(), spec);
-    {
-        let mut m = lock(&shared.metrics);
-        m.admitted += 1;
-        if hedge {
-            m.hedged += 1;
-        }
-    }
-    drop(reg);
-    let task_shared = Arc::clone(shared);
-    let task_id = id.clone();
-    shared.pool.submit(move || run_job(&task_shared, &task_id));
-    proto::ok("submit_job")
-        .set("ticket", 0u64)
-        .set("job", id.as_str())
-        .set("duplicate", false)
-}
-
 fn handle_submit_job(shared: &Arc<Shared>, req: &Value) -> Value {
     let Some(job) = req.get("job") else {
         return proto::error(code::BAD_REQUEST, "submit_job needs a \"job\" object");
@@ -664,13 +561,6 @@ fn handle_submit_job(shared: &Arc<Shared>, req: &Value) -> Value {
         Ok(s) => s,
         Err(e) => return proto::error(code::BAD_REQUEST, &format!("bad job spec: {e}")),
     };
-    if let Some(id) = req.get("as").and_then(Value::as_str) {
-        if id.is_empty() {
-            return proto::error(code::BAD_REQUEST, "\"as\" id must be non-empty");
-        }
-        let hedge = req.get("hedge").and_then(Value::as_bool).unwrap_or(false);
-        return admit_explicit(shared, id.to_string(), spec, hedge);
-    }
     match admit(shared, vec![spec]) {
         Ok((ticket, ids)) => proto::ok("submit_job")
             .set("ticket", ticket)
@@ -792,7 +682,6 @@ fn handle_stats(shared: &Arc<Shared>) -> Value {
         .set("capacity", shared.cfg.capacity)
         .set("threads", shared.cfg.threads)
         .set("pid", u64::from(std::process::id()))
-        .set("generation", shared.cfg.generation)
         .set(
             "uptime_ms",
             u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX),
@@ -813,8 +702,6 @@ fn handle_stats(shared: &Arc<Shared>) -> Value {
                 .set("admitted", m.admitted)
                 .set("rejected_busy", m.rejected_busy)
                 .set("rejected_draining", m.rejected_draining)
-                .set("resubmitted", m.resubmitted)
-                .set("hedged", m.hedged)
                 .set("recovered", m.recovered),
         )
         .set("malformed_frames", m.malformed_frames)

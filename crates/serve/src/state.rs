@@ -196,11 +196,6 @@ pub struct Metrics {
     pub rejected_busy: u64,
     /// Submissions rejected with `draining`.
     pub rejected_draining: u64,
-    /// Idempotent resubmissions answered from the registry (a client
-    /// retried a job id that was already admitted).
-    pub resubmitted: u64,
-    /// Submissions marked as hedged duplicates by the client.
-    pub hedged: u64,
     /// Orphaned jobs re-driven from the journal after a crash restart.
     pub recovered: u64,
     /// Frames that violated the codec (answered with `frame`/`parse`).
@@ -209,7 +204,7 @@ pub struct Metrics {
     /// JSON renders in a deterministic key order.
     latency: BTreeMap<String, LatencyHistogram>,
     /// Wall-clock execution time of completed jobs (milliseconds,
-    /// success and failure alike) — the fleet-level job-latency signal.
+    /// success and failure alike).
     job_wall: LatencyHistogram,
     /// Coherence counters aggregated per protocol label from finished
     /// coherent jobs' reports. BTreeMap for deterministic render; empty
@@ -263,14 +258,9 @@ impl Metrics {
         self.job_wall.record(millis);
     }
 
-    /// The job wall-time distribution as `{summary, buckets}`. The raw
-    /// buckets ride along so a fleet aggregator can merge histograms
-    /// exactly (via `LatencyHistogram::from_buckets_value`) instead of
-    /// averaging percentiles.
+    /// The job wall-time distribution as `{summary}`.
     pub fn job_latency_value(&self) -> Value {
-        Value::obj()
-            .set("summary", self.job_wall.summary_value())
-            .set("buckets", self.job_wall.buckets_value())
+        Value::obj().set("summary", self.job_wall.summary_value())
     }
 
     /// The per-kind latency summaries as a JSON object
@@ -553,25 +543,5 @@ mod tests {
         // BTreeMap ordering keeps the render deterministic.
         let text = v.render();
         assert!(text.find("cost_aware").unwrap() < text.find("feedback").unwrap());
-    }
-
-    #[test]
-    fn job_wall_times_round_trip_through_buckets() {
-        let mut m = Metrics::default();
-        for ms in [12, 40, 40, 900] {
-            m.record_job_wall(ms);
-        }
-        let v = m.job_latency_value();
-        assert_eq!(v.get_path("summary/count").and_then(Value::as_u64), Some(4));
-        // Reconstruction is exact at bucket granularity: re-projecting a
-        // rebuilt histogram is a fixed point (what fleet merging relies
-        // on), even though raw values were quantized to bucket bounds.
-        let rebuilt = LatencyHistogram::from_buckets_value(v.get("buckets").unwrap())
-            .expect("buckets must reconstruct");
-        assert_eq!(rebuilt.count(), 4);
-        assert_eq!(
-            rebuilt.buckets_value().render(),
-            v.get("buckets").unwrap().render()
-        );
     }
 }

@@ -2,7 +2,8 @@
 //! TCP clients, no mocks. Covers the protocol's failure modes (malformed
 //! frames, version/kind violations, idle timeouts), the admission
 //! contract (deterministic structured `busy`, `draining`), the graceful
-//! drain + journal-audit story, and the headline determinism guarantee:
+//! drain + journal-audit story, crash recovery from a resumed journal,
+//! and the headline determinism guarantee:
 //! artifacts fetched through the server are byte-identical to a direct
 //! harness run's.
 
@@ -14,7 +15,7 @@ use std::time::Duration;
 use das_harness::cli::{
     build_catalog_manifest, execute_jobs, render_experiment_outputs, ExecOptions,
 };
-use das_harness::journal::load_service;
+use das_harness::journal::{load_service, ServiceJournal};
 use das_harness::manifest::{JobSpec, Overrides};
 use das_serve::client::{collect_stream, Client};
 use das_serve::proto::{self, code};
@@ -177,22 +178,26 @@ fn busy_backpressure_is_deterministic_and_structured() {
     let (addr, h) = start(cfg);
     let mut c = Client::connect(&addr).unwrap();
 
-    // A batch larger than capacity is rejected atomically — no timing
-    // involved: fig8a is five jobs against capacity 1.
+    // A batch larger than the whole capacity can never be admitted, so it
+    // is a bad request, not `busy` — no timing involved: fig8a is five
+    // jobs against capacity 1.
     let req = proto::request("submit_experiment")
         .set("exp", Value::Arr(vec![Value::Str("fig8a".into())]))
         .set("insts", 100_000u64)
         .set("scale", 64u64)
         .set("only", Value::Arr(vec![Value::Str("libquantum".into())]));
     let err = c.request(&req).unwrap_err();
-    assert!(err.starts_with("busy:"), "{err}");
-    assert!(err.contains("retry after 123 ms"), "{err}");
+    assert!(err.starts_with("bad_request:"), "{err}");
+    assert!(err.contains("capacity 1"), "{err}");
+    assert!(!err.contains("retry after"), "{err}");
 
     // A rejected submission leaves capacity untouched: a single job still
-    // fits, and while it is outstanding the next submit is busy.
+    // fits, and while it is outstanding the next submit is busy with the
+    // server's retry hint.
     let id = submit(&mut c, &spec("heavy", 400_000)).unwrap();
     let err = submit(&mut c, &spec("turned-away", 50_000)).unwrap_err();
     assert!(err.starts_with("busy:"), "{err}");
+    assert!(err.contains("retry after 123 ms"), "{err}");
 
     // The admitted job still completes; the rejections were observable.
     let reports = collect_stream(&mut c, &[id], |_, _| {}).unwrap();
@@ -202,7 +207,7 @@ fn busy_backpressure_is_deterministic_and_structured() {
         stats
             .get_path("admission/rejected_busy")
             .and_then(Value::as_u64),
-        Some(2)
+        Some(1)
     );
     assert_eq!(
         stats.get_path("admission/admitted").and_then(Value::as_u64),
@@ -403,4 +408,80 @@ fn idle_connections_are_closed_by_the_read_timeout() {
     // Fresh connections still work.
     let mut c = Client::connect(&addr).unwrap();
     assert!(c.request(&proto::request("stats")).is_ok());
+}
+
+#[test]
+fn resume_redrives_spec_carrying_orphans_and_fails_the_rest() {
+    let dir = tmp_dir("resume");
+    let path = dir.join(SERVE_JOURNAL_NAME);
+    let redrive = spec("redrive", 60_000);
+    // Craft the journal a crashed server leaves behind: a finished job, a
+    // spec-carrying orphan, a spec-less orphan, and a torn final record
+    // (killed mid-append).
+    {
+        let mut j = ServiceJournal::create(&path).unwrap();
+        j.admit_with_spec("t1/finished", &spec("finished", 50_000).to_value())
+            .unwrap();
+        j.terminal("done", "t1/finished", None).unwrap();
+        j.admit_with_spec("t2/redrive", &redrive.to_value())
+            .unwrap();
+        j.admit("t3/lost").unwrap();
+    }
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    f.write_all(b"{\"event\":\"admit\",\"job\":\"t4/torn")
+        .unwrap();
+    drop(f);
+
+    let mut cfg = config(&dir);
+    cfg.resume_journal = true;
+    let (addr, h) = start(cfg);
+    let mut c = Client::connect(&addr).unwrap();
+
+    // The spec-carrying orphan is re-driven to done with the exact bytes
+    // a fault-free run produces — and no fresh admit line.
+    let ids = vec!["t2/redrive".to_string()];
+    let reports = collect_stream(&mut c, &ids, |_, _| {}).unwrap();
+    let direct_dir = tmp_dir("resume-direct");
+    let opts = ExecOptions {
+        threads: 1,
+        out_dir: &direct_dir,
+        progress: false,
+        trace_store: None,
+    };
+    let direct = execute_jobs(std::slice::from_ref(&redrive), &opts, None).unwrap();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(
+        direct[0].render(),
+        reports[0].render(),
+        "redrive bytes differ"
+    );
+
+    // The spec-less orphan and the torn admit are gone from the registry:
+    // a client's status poll sees not_found and resubmits.
+    for id in ["t3/lost", "t4/torn", "t1/finished"] {
+        let err = c
+            .request(&proto::request("status").set("job", id))
+            .unwrap_err();
+        assert!(err.starts_with("not_found:"), "{id}: {err}");
+    }
+
+    let stats = c.request(&proto::request("stats")).unwrap();
+    assert_eq!(
+        stats
+            .get_path("admission/recovered")
+            .and_then(Value::as_u64),
+        Some(1)
+    );
+
+    // After drain the journal validates clean: the restart is recorded,
+    // the recovered job is done, the spec-less orphan is failed, and the
+    // torn record never happened.
+    drain_and_join(&addr, h);
+    let s = load_service(&path).unwrap();
+    assert_eq!(s.restarts, 1);
+    assert_eq!((s.admitted, s.done, s.failed), (3, 2, 1));
+    assert!(s.orphans.is_empty(), "{:?}", s.orphans);
 }

@@ -1,16 +1,15 @@
-//! Fleet observability loopback test: a real `das-fleet` supervising
-//! real `das-serve` workers, observed end to end through the new
-//! surfaces — the `metrics` wire method (Prometheus exposition text),
-//! per-worker `uptime_ms`/`job_latency_ms` in `stats`, the supervisor's
-//! `workers` metadata in `fleet-addrs.json`, and the `dasctl stats`
-//! fleet view (one-shot JSON and the `--watch` refreshing screen).
+//! Observability loopback test: a real `das-serve` process observed end
+//! to end through its monitoring surfaces — the `metrics` wire method
+//! (Prometheus exposition text), `uptime_ms`/`job_latency_ms` in `stats`,
+//! and `dasctl stats` (one-shot JSON and the `--watch` refreshing
+//! screen) and `dasctl metrics`.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
 
 use das_harness::manifest::{JobSpec, Overrides};
-use das_serve::fleet_client::{AddrSource, FleetClient, FleetClientConfig, FLEET_ADDRS_NAME};
+use das_serve::client::{collect_stream, Client};
 use das_serve::proto;
 use das_telemetry::json::{self, Value};
 
@@ -46,131 +45,107 @@ fn dasctl(args: &[&str]) -> (String, String, bool) {
 }
 
 #[test]
-fn a_live_fleet_is_observable_through_metrics_stats_and_watch() {
-    let dir = tmp_dir("fleet");
-    let child = Command::new(env!("CARGO_BIN_EXE_das-fleet"))
+fn a_live_server_is_observable_through_metrics_stats_and_watch() {
+    let dir = tmp_dir("serve");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_das-serve"))
         .args([
-            "--dir",
-            dir.to_str().unwrap(),
-            "--workers",
-            "2",
+            "--addr",
+            "127.0.0.1:0",
             "--threads",
             "1",
             "--capacity",
             "8",
-            "--heartbeat-ms",
-            "100",
-            "--retry-after-ms",
-            "5",
-            "--worker-bin",
-            env!("CARGO_BIN_EXE_das-serve"),
+            "--json-dir",
+            dir.to_str().unwrap(),
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("spawn das-fleet");
+        .expect("spawn das-serve");
 
-    let addrs_path = dir.join(FLEET_ADDRS_NAME);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !addrs_path.is_file() {
-        assert!(Instant::now() < deadline, "fleet never published addresses");
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    // The server prints its bound address as its first stdout line.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_string();
 
-    // The supervisor stamps per-worker metadata beside the flat address
-    // list: shard index, generation, and wall-clock spawn time.
-    let addrs_doc = json::parse(&std::fs::read_to_string(&addrs_path).unwrap()).unwrap();
-    let workers = addrs_doc.get("workers").and_then(Value::as_arr).unwrap();
-    assert_eq!(workers.len(), 2);
-    for (i, w) in workers.iter().enumerate() {
-        assert_eq!(w.get("shard").and_then(Value::as_u64), Some(i as u64));
-        assert_eq!(w.get("generation").and_then(Value::as_u64), Some(0));
-        assert!(w.get("spawned_unix_ms").and_then(Value::as_u64).unwrap() > 0);
-        assert!(w.get("addr").and_then(Value::as_str).is_some());
-    }
-
-    // Run a few jobs so job-latency histograms have content.
-    let mut fc =
-        FleetClient::new(AddrSource::Dir(dir.clone()), FleetClientConfig::default()).unwrap();
+    // Run a few jobs so the job-latency histogram has content.
+    let mut c = Client::connect(&addr).unwrap();
     let specs: Vec<JobSpec> = ["a", "b", "c", "d"].iter().map(|id| spec(id)).collect();
-    let reports = fc.run_jobs("obs0", &specs).unwrap();
+    let ids: Vec<String> = specs
+        .iter()
+        .map(|s| {
+            let resp = c
+                .request(&proto::request("submit_job").set("job", s.to_value()))
+                .unwrap();
+            resp.get("job").and_then(Value::as_str).unwrap().to_string()
+        })
+        .collect();
+    let reports = collect_stream(&mut c, &ids, |_, _| {}).unwrap();
     assert_eq!(reports.len(), specs.len());
 
-    // Per-worker stats now expose uptime and the job wall-time
-    // distribution (summary + raw buckets for exact fleet merging).
-    let per_worker = fc.broadcast(&proto::request("stats")).unwrap();
-    let mut jobs_counted = 0;
-    for s in &per_worker {
-        assert!(s.get("uptime_ms").and_then(Value::as_u64).unwrap() > 0);
-        jobs_counted += s
-            .get_path("job_latency_ms/summary/count")
-            .and_then(Value::as_u64)
-            .unwrap();
-    }
-    assert_eq!(jobs_counted, specs.len() as u64, "every job must be timed");
-
-    // The `metrics` wire method answers with Prometheus exposition text.
-    let metrics = fc.broadcast(&proto::request("metrics")).unwrap();
-    for resp in &metrics {
-        assert_eq!(
-            resp.get("content_type").and_then(Value::as_str),
-            Some("text/plain; version=0.0.4")
-        );
-        let body = resp.get("body").and_then(Value::as_str).unwrap();
-        for needle in [
-            "# TYPE das_uptime_ms gauge",
-            "das_generation 0",
-            "das_jobs{state=\"done\"}",
-            "das_admission_total{kind=\"admitted\"}",
-            "das_job_latency_ms_count{scope=\"all\"}",
-        ] {
-            assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
-        }
-        for line in body.lines().filter(|l| !l.starts_with('#')) {
-            let value = line.rsplit(' ').next().unwrap();
-            assert!(value.parse::<f64>().is_ok(), "bad exposition line {line:?}");
-        }
-    }
-
-    // `dasctl stats` one-shot: merged fleet JSON with exact job-latency
-    // percentiles and a per-worker array carrying generation and uptime.
-    let (stdout, stderr, ok) = dasctl(&["stats", "--fleet-dir", dir.to_str().unwrap()]);
-    assert!(ok, "dasctl stats failed: {stderr}");
-    let merged = json::parse(stdout.trim()).unwrap();
-    assert_eq!(merged.get("workers").and_then(Value::as_u64), Some(2));
+    // Stats expose uptime and the job wall-time distribution.
+    let stats = c.request(&proto::request("stats")).unwrap();
+    assert!(stats.get("uptime_ms").and_then(Value::as_u64).unwrap() > 0);
     assert_eq!(
-        merged
+        stats
             .get_path("job_latency_ms/summary/count")
             .and_then(Value::as_u64),
         Some(specs.len() as u64),
-        "fleet job-latency histogram must merge exactly"
+        "every job must be timed"
     );
-    let rows = merged.get("per_worker").and_then(Value::as_arr).unwrap();
-    assert_eq!(rows.len(), 2);
-    for (i, row) in rows.iter().enumerate() {
-        assert_eq!(row.get("shard").and_then(Value::as_u64), Some(i as u64));
-        assert_eq!(row.get("generation").and_then(Value::as_u64), Some(0));
-        assert!(row.get("uptime_ms").and_then(Value::as_u64).unwrap() > 0);
+
+    // The `metrics` wire method answers with Prometheus exposition text.
+    let resp = c.request(&proto::request("metrics")).unwrap();
+    assert_eq!(
+        resp.get("content_type").and_then(Value::as_str),
+        Some("text/plain; version=0.0.4")
+    );
+    let body = resp.get("body").and_then(Value::as_str).unwrap();
+    for needle in [
+        "# TYPE das_uptime_ms gauge",
+        "das_jobs{state=\"done\"}",
+        "das_admission_total{kind=\"admitted\"}",
+        "das_job_latency_ms_count{scope=\"all\"}",
+    ] {
+        assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
     }
-    let admitted: u64 = rows
-        .iter()
-        .filter_map(|r| r.get("admitted").and_then(Value::as_u64))
-        .sum();
-    assert_eq!(admitted, specs.len() as u64);
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        let value = line.rsplit(' ').next().unwrap();
+        assert!(value.parse::<f64>().is_ok(), "bad exposition line {line:?}");
+    }
 
-    // `dasctl metrics` prints every shard's exposition text.
-    let (stdout, stderr, ok) = dasctl(&["metrics", "--fleet-dir", dir.to_str().unwrap()]);
+    // `dasctl stats` one-shot: the server's stats JSON.
+    let (out, stderr, ok) = dasctl(&["stats", "--addr", &addr]);
+    assert!(ok, "dasctl stats failed: {stderr}");
+    let one_shot = json::parse(out.trim()).unwrap();
+    assert_eq!(
+        one_shot
+            .get_path("job_latency_ms/summary/count")
+            .and_then(Value::as_u64),
+        Some(specs.len() as u64)
+    );
+    assert_eq!(
+        one_shot
+            .get_path("admission/admitted")
+            .and_then(Value::as_u64),
+        Some(specs.len() as u64)
+    );
+
+    // `dasctl metrics` prints the exposition text.
+    let (out, stderr, ok) = dasctl(&["metrics", "--addr", &addr]);
     assert!(ok, "dasctl metrics failed: {stderr}");
-    assert!(stdout.contains("# shard 0"), "{stdout}");
-    assert!(stdout.contains("# shard 1"), "{stdout}");
-    assert!(stdout.contains("das_uptime_ms"), "{stdout}");
+    assert!(out.contains("das_uptime_ms"), "{out}");
 
-    // `dasctl stats --watch`: a bounded run of the refreshing view shows
-    // fleet totals and one row per worker.
-    let (stdout, stderr, ok) = dasctl(&[
+    // `dasctl stats --watch`: a bounded run of the refreshing view.
+    let (out, stderr, ok) = dasctl(&[
         "stats",
-        "--fleet-dir",
-        dir.to_str().unwrap(),
+        "--addr",
+        &addr,
         "--watch",
         "--interval-ms",
         "50",
@@ -178,22 +153,25 @@ fn a_live_fleet_is_observable_through_metrics_stats_and_watch() {
         "2",
     ]);
     assert!(ok, "dasctl stats --watch failed: {stderr}");
-    assert!(stdout.contains("fleet: 2 worker(s)"), "{stdout}");
-    assert!(stdout.contains("job latency ms: n=4"), "{stdout}");
-    assert!(stdout.contains("shard  gen  uptime_s"), "{stdout}");
+    assert!(out.contains("job latency ms: n=4"), "{out}");
     assert!(
-        stdout.matches("\x1b[2J").count() >= 2,
+        out.matches("\x1b[2J").count() >= 2,
         "watch must refresh the screen per iteration"
     );
 
-    // Drain; the supervisor exits 0.
-    fc.broadcast(&proto::request("drain").set("wait", true))
+    // Drain; the server exits 0.
+    c.set_read_timeout(None).unwrap();
+    c.request(&proto::request("drain").set("wait", true))
         .unwrap();
-    let out = child.wait_with_output().expect("fleet exit");
-    assert!(
-        out.status.success(),
-        "fleet failed:\n{}\n{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let status = child.wait().expect("server exit");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "das-serve failed:\n{rest}\n{stderr}");
 }

@@ -187,55 +187,6 @@ impl LatencyHistogram {
             .map(|(i, &c)| (bucket_low(i), c))
             .collect()
     }
-
-    /// Records `n` identical samples in O(1) — the bulk path
-    /// [`LatencyHistogram::from_buckets_value`] reconstruction uses.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[bucket_index(v)] += n;
-        self.count += n;
-        self.sum += v as u128 * u128::from(n);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// The non-empty buckets as a JSON array of `[bucket_low, count]`
-    /// pairs — the wire shape `das-serve` stats carry so a fleet client
-    /// can rebuild a *mergeable* histogram instead of trying to average
-    /// percentiles (which is not a thing).
-    pub fn buckets_value(&self) -> crate::json::Value {
-        crate::json::Value::Arr(
-            self.nonzero_buckets()
-                .into_iter()
-                .map(|(low, c)| {
-                    crate::json::Value::Arr(vec![
-                        crate::json::Value::from(low),
-                        crate::json::Value::from(c),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    /// Rebuilds a histogram from a [`LatencyHistogram::buckets_value`]
-    /// array. Bucket counts round-trip exactly (`bucket_low` maps back to
-    /// its own bucket), so merges and percentiles of the reconstruction
-    /// match the original to bucket resolution; min/max/mean are
-    /// bucket-floor approximations. Returns `None` on a malformed value.
-    pub fn from_buckets_value(v: &crate::json::Value) -> Option<LatencyHistogram> {
-        let arr = v.as_arr()?;
-        let mut h = LatencyHistogram::new();
-        for pair in arr {
-            let pair = pair.as_arr()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            h.record_n(pair[0].as_u64()?, pair[1].as_u64()?);
-        }
-        Some(h)
-    }
 }
 
 #[cfg(test)]
@@ -406,54 +357,6 @@ mod tests {
         for p in [0.0, 50.0, 99.9, 100.0] {
             assert_eq!(a.percentile(p), 7, "a one-value histogram is flat");
         }
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut bulk = LatencyHistogram::new();
-        let mut loop_h = LatencyHistogram::new();
-        for (v, n) in [(5u64, 3u64), (100, 1), (65_537, 4)] {
-            bulk.record_n(v, n);
-            for _ in 0..n {
-                loop_h.record(v);
-            }
-        }
-        bulk.record_n(9, 0); // no-op
-        assert_eq!(bulk.count(), loop_h.count());
-        assert_eq!(bulk.mean(), loop_h.mean());
-        assert_eq!(bulk.nonzero_buckets(), loop_h.nonzero_buckets());
-    }
-
-    #[test]
-    fn buckets_value_round_trips_counts_exactly() {
-        let mut h = LatencyHistogram::new();
-        for v in 0..3_000u64 {
-            h.record((v * 2_654_435_761) % 1_000_000);
-        }
-        let rebuilt =
-            LatencyHistogram::from_buckets_value(&h.buckets_value()).expect("well-formed buckets");
-        assert_eq!(rebuilt.count(), h.count());
-        assert_eq!(rebuilt.nonzero_buckets(), h.nonzero_buckets());
-        // Percentiles agree to bucket resolution: the rebuilt value can
-        // only differ by intra-bucket interpolation.
-        for p in [50.0, 95.0, 99.0] {
-            let (a, b) = (h.percentile(p), rebuilt.percentile(p));
-            let i = bucket_index(a);
-            assert!(
-                bucket_low(i).saturating_sub(bucket_high(i) - bucket_low(i)) <= b
-                    && b <= bucket_high(i),
-                "p{p}: original {a} rebuilt {b}"
-            );
-        }
-        // Malformed shapes are rejected, not mis-parsed.
-        use crate::json::Value;
-        assert!(LatencyHistogram::from_buckets_value(&Value::obj()).is_none());
-        assert!(
-            LatencyHistogram::from_buckets_value(&Value::Arr(vec![Value::Arr(vec![Value::from(
-                1u64
-            )])]))
-            .is_none()
-        );
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   instants, per-epoch counters) exporting Chrome trace-event JSON
 //!   viewable in Perfetto;
 //!
-//! plus [`json`], the minimal value builder/validator the exporters share,
-//! and [`counters`], a deterministic string-keyed counter map.
+//! plus [`json`], the minimal value builder/validator the exporters share.
 //!
 //! [`Telemetry`] is the sink the simulator holds. Constructed [`SinkMode::Off`]
 //! (the default), every record method returns after one branch and no
@@ -24,7 +23,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod counters;
 pub mod hist;
 pub mod json;
 pub mod series;
@@ -32,7 +30,6 @@ pub mod trace;
 
 use std::collections::HashMap;
 
-pub use counters::Counters;
 pub use hist::LatencyHistogram;
 pub use series::{EpochCounters, EpochSample, EpochSeries};
 pub use trace::{Arg, EventTrace, Phase, TraceEvent};
