@@ -1,104 +1,22 @@
-//! Pluggable DRAM timing-architecture backends.
+//! Plain value types of the DRAM design table.
 //!
-//! The paper's evaluation is comparative: DAS-DRAM is judged against rival
-//! low-latency DRAM proposals. This crate turns the simulator's single
-//! hard-wired DDR3+DAS timing path into a *backend family*: each backend
-//! describes one published architecture as a bundle of
-//!
-//! * **latency-class resolution** — which [`TimingParams`] a row sees,
-//!   expressed as the fast/slow [`TimingSet`] the constraint engine in
-//!   `das-dram` already consumes (refresh lives inside `TimingParams` as
-//!   `tREFI`/`tRFC`);
-//! * **inter-row copy cost** — the `single_migration`/`swap` fields of the
-//!   same [`TimingSet`], reused by the existing migration machinery with a
-//!   backend-specific cost model;
-//! * **row placement** — geometry overrides (fast ratio, grouping,
-//!   arrangement) the backend requires, plus whether the fast level is
-//!   managed exclusively (DAS swaps) or inclusively (TL-DRAM caching);
-//! * **capacity accounting** — usable rows per bank when the architecture
-//!   trades capacity for latency (CLR-DRAM row coupling);
-//! * **area accounting** — the die-area overhead models from `dram::area`.
-//!
-//! The six implementations are [`Ddr3Baseline`], [`Das`], [`TlDram`],
-//! [`ClrDram`], [`Lisa`], and [`Salp`]. All are stateless unit structs
-//! reachable through the [`backend`] registry, so higher layers can select
-//! one by [`BackendKind`] carried in their configuration.
+//! Each design the simulator compares (the paper's Std/SAS/CHARM/DAS/FM/FS
+//! probes plus TL-DRAM, CLR-DRAM, LISA and SALP) is described once, as one
+//! entry of `das_sim::config::Design`'s table. An entry names its timing
+//! set, its area model, its capacity rule and the two kinds defined here:
+//! how its fast latency level is managed ([`FastLevelManagement`]) and
+//! which geometry it pins down ([`PlacementSpec`]).
 
-use das_dram::area::{
-    AsymmetricAreaModel, ClrDramAreaModel, LisaAreaModel, SalpAreaModel, TlDramAreaModel,
-};
-use das_dram::geometry::{Arrangement, BankLayout, FastRatio};
-use das_dram::timing::{RefreshCadence, TimingSet};
-
-/// Identifies one of the six backend architectures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// Commodity DDR3-1600: homogeneous slow timings, no migration.
-    Ddr3Baseline,
-    /// The paper's dynamic asymmetric subarray design.
-    Das,
-    /// Tiered-Latency DRAM: near/far bitline segments, near segment managed
-    /// as an inclusive cache of hot far rows.
-    TlDram,
-    /// Capacity-Latency-Reconfigurable DRAM: rows morph into a coupled
-    /// low-latency mode, sacrificing the partner row's capacity.
-    ClrDram,
-    /// LISA: DAS-style asymmetric device whose inter-subarray copies ride
-    /// linked bitlines instead of migration cells.
-    Lisa,
-    /// Subarray-level parallelism: commodity timings, but precharge/activate
-    /// overlap across subarrays within a bank.
-    Salp,
-}
-
-impl BackendKind {
-    /// All six kinds, in catalog order (baseline first).
-    pub fn all() -> [BackendKind; 6] {
-        [
-            BackendKind::Ddr3Baseline,
-            BackendKind::Das,
-            BackendKind::TlDram,
-            BackendKind::ClrDram,
-            BackendKind::Lisa,
-            BackendKind::Salp,
-        ]
-    }
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            BackendKind::Ddr3Baseline => "DDR3",
-            BackendKind::Das => "DAS-DRAM",
-            BackendKind::TlDram => "TL-DRAM",
-            BackendKind::ClrDram => "CLR-DRAM",
-            BackendKind::Lisa => "LISA",
-            BackendKind::Salp => "SALP",
-        }
-    }
-
-    /// Stable machine key (used in manifests and job ids).
-    pub fn key(self) -> &'static str {
-        match self {
-            BackendKind::Ddr3Baseline => "std",
-            BackendKind::Das => "das",
-            BackendKind::TlDram => "tl",
-            BackendKind::ClrDram => "clr",
-            BackendKind::Lisa => "lisa",
-            BackendKind::Salp => "salp",
-        }
-    }
-
-    /// Parses a machine key produced by [`BackendKind::key`].
-    pub fn parse(key: &str) -> Option<BackendKind> {
-        BackendKind::all().into_iter().find(|k| k.key() == key)
-    }
-}
+use das_dram::geometry::{Arrangement, FastRatio};
 
 /// How the fast latency level is managed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastLevelManagement {
-    /// No fast level (or no management): rows never move.
+    /// No fast level (or a homogeneous device): rows never move.
     None,
+    /// Static: rows are pre-placed from a profiling pre-pass and never
+    /// move afterwards (SAS-DRAM, CHARM).
+    Static,
     /// Exclusive: a row lives in exactly one level; promotion swaps it with
     /// a victim (DAS, CLR-DRAM morph exchange, LISA).
     Exclusive,
@@ -107,10 +25,10 @@ pub enum FastLevelManagement {
     Inclusive,
 }
 
-/// Geometry overrides a backend imposes on the system configuration.
+/// Geometry overrides a design imposes on the system configuration.
 ///
 /// `None` fields leave the configured value untouched, so sweeps can still
-/// vary parameters the backend does not pin down.
+/// vary parameters the design does not pin down.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlacementSpec {
     /// Required fast-level capacity share.
@@ -121,401 +39,6 @@ pub struct PlacementSpec {
     pub arrangement: Option<Arrangement>,
     /// Required slow-subarray row count (TL-DRAM's 384-row far segment).
     pub slow_subarray_rows: Option<u32>,
-    /// Whether the backend enables subarray-level parallelism.
+    /// Whether the design enables subarray-level parallelism.
     pub salp: bool,
-}
-
-/// Per-latency-level refresh rates of a backend.
-///
-/// Short-bitline (fast) cells can trade retention for latency, so an
-/// architecture may refresh its fast level on a different cadence than its
-/// slow level. The stock backends are all homogeneous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefreshAsymmetry {
-    /// Refresh cadence of the slow level.
-    pub slow: RefreshCadence,
-    /// Refresh cadence of the fast level.
-    pub fast: RefreshCadence,
-}
-
-impl RefreshAsymmetry {
-    /// The cadences already carried by a timing set (homogeneous for every
-    /// stock device).
-    pub fn from_timing(t: &TimingSet) -> Self {
-        RefreshAsymmetry {
-            slow: t.slow.refresh_cadence(),
-            fast: t.fast.refresh_cadence(),
-        }
-    }
-
-    /// Whether both levels refresh on the same cadence.
-    pub fn is_homogeneous(&self) -> bool {
-        self.slow == self.fast
-    }
-
-    /// Writes the cadences back into a timing set, from which the channel
-    /// device derives its per-rank refresh schedules.
-    pub fn apply(&self, t: &mut TimingSet) {
-        t.slow.trefi = self.slow.trefi;
-        t.slow.trfc = self.slow.trfc;
-        t.fast.trefi = self.fast.trefi;
-        t.fast.trfc = self.fast.trfc;
-    }
-}
-
-/// One DRAM timing architecture.
-///
-/// Implementations are stateless: everything the constraint engine needs is
-/// returned by value, and the same backend instance serves every job.
-pub trait DramBackend: Sync {
-    /// The kind tag for this backend.
-    fn kind(&self) -> BackendKind;
-
-    /// Human-readable label (defaults to the kind's label).
-    fn label(&self) -> &'static str {
-        self.kind().label()
-    }
-
-    /// The timing sets the DDR3 constraint engine applies: per-kind
-    /// latency-class parameters (including `tREFI`/`tRFC` refresh costs)
-    /// plus the inter-row copy costs driving the migration machinery.
-    fn timing(&self) -> TimingSet;
-
-    /// How rows move (or don't) between latency levels.
-    fn management(&self) -> FastLevelManagement;
-
-    /// Refresh rates of the two latency levels. The default derives the
-    /// homogeneous cadences already carried by [`DramBackend::timing`], so
-    /// overriding nothing is bit-identical to the pre-hook engine; backends
-    /// modelling shorter-retention fast cells override this with distinct
-    /// tREFI/tRFC per level.
-    fn refresh(&self) -> RefreshAsymmetry {
-        RefreshAsymmetry::from_timing(&self.timing())
-    }
-
-    /// Geometry the backend requires (defaults to no constraints).
-    fn placement(&self) -> PlacementSpec {
-        PlacementSpec::default()
-    }
-
-    /// Usable rows per bank when the architecture trades capacity for
-    /// latency; `None` means full capacity. (Inclusive caching losses are
-    /// accounted separately by the management layer.)
-    fn usable_rows(&self, _layout: &BankLayout) -> Option<u64> {
-        None
-    }
-
-    /// Fractional die-area overhead versus commodity DRAM of the same
-    /// nominal capacity.
-    fn area_overhead(&self) -> f64;
-}
-
-/// Commodity DDR3-1600.
-pub struct Ddr3Baseline;
-
-impl DramBackend for Ddr3Baseline {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Ddr3Baseline
-    }
-
-    fn timing(&self) -> TimingSet {
-        TimingSet::homogeneous_slow()
-    }
-
-    fn management(&self) -> FastLevelManagement {
-        FastLevelManagement::None
-    }
-
-    fn area_overhead(&self) -> f64 {
-        0.0
-    }
-}
-
-/// The paper's DAS-DRAM: asymmetric subarrays, exclusive fast level managed
-/// by migration-cell row swaps (146.25 ns per swap).
-pub struct Das;
-
-impl DramBackend for Das {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Das
-    }
-
-    fn timing(&self) -> TimingSet {
-        TimingSet::asymmetric()
-    }
-
-    fn management(&self) -> FastLevelManagement {
-        FastLevelManagement::Exclusive
-    }
-
-    fn area_overhead(&self) -> f64 {
-        AsymmetricAreaModel::default().overhead()
-    }
-}
-
-/// TL-DRAM: near/far bitline segments; the near segment inclusively caches
-/// hot far rows, copied over the shared bitline in one far-segment tRC.
-pub struct TlDram;
-
-impl DramBackend for TlDram {
-    fn kind(&self) -> BackendKind {
-        BackendKind::TlDram
-    }
-
-    fn timing(&self) -> TimingSet {
-        TimingSet::tl_dram()
-    }
-
-    fn management(&self) -> FastLevelManagement {
-        FastLevelManagement::Inclusive
-    }
-
-    fn placement(&self) -> PlacementSpec {
-        PlacementSpec {
-            fast_ratio: Some(FastRatio::new(1, 4)),
-            group_size: Some(64),
-            arrangement: Some(Arrangement::Interleaving),
-            slow_subarray_rows: Some(384),
-            salp: false,
-        }
-    }
-
-    fn area_overhead(&self) -> f64 {
-        TlDramAreaModel::default().overhead()
-    }
-}
-
-/// CLR-DRAM: rows morph in place into a coupled max-latency-reduction mode.
-/// The coupled partner row loses its capacity, so a bank's usable rows drop
-/// to the slow-row count; a morph exchange costs two commodity tRCs.
-pub struct ClrDram;
-
-impl DramBackend for ClrDram {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ClrDram
-    }
-
-    fn timing(&self) -> TimingSet {
-        TimingSet::clr_dram()
-    }
-
-    fn management(&self) -> FastLevelManagement {
-        FastLevelManagement::Exclusive
-    }
-
-    fn usable_rows(&self, layout: &BankLayout) -> Option<u64> {
-        // Every morphed (fast-class) row couples with a neighbour whose
-        // capacity is lost; only the slow-row population stores data.
-        Some(layout.slow_rows() as u64)
-    }
-
-    fn area_overhead(&self) -> f64 {
-        ClrDramAreaModel::default().overhead()
-    }
-}
-
-/// LISA: the DAS asymmetric device with inter-subarray links, cutting the
-/// row-swap cost to a third of the migration-cell path.
-pub struct Lisa;
-
-impl DramBackend for Lisa {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Lisa
-    }
-
-    fn timing(&self) -> TimingSet {
-        TimingSet::lisa()
-    }
-
-    fn management(&self) -> FastLevelManagement {
-        FastLevelManagement::Exclusive
-    }
-
-    fn area_overhead(&self) -> f64 {
-        LisaAreaModel::default().overhead()
-    }
-}
-
-/// SALP: commodity timings with subarray-level parallelism — precharge and
-/// activate overlap across subarrays within a bank. No fast level.
-pub struct Salp;
-
-impl DramBackend for Salp {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Salp
-    }
-
-    fn timing(&self) -> TimingSet {
-        TimingSet::homogeneous_slow()
-    }
-
-    fn management(&self) -> FastLevelManagement {
-        FastLevelManagement::None
-    }
-
-    fn placement(&self) -> PlacementSpec {
-        PlacementSpec {
-            salp: true,
-            ..PlacementSpec::default()
-        }
-    }
-
-    fn area_overhead(&self) -> f64 {
-        SalpAreaModel::default().overhead()
-    }
-}
-
-/// Returns the registry instance for `kind`.
-pub fn backend(kind: BackendKind) -> &'static dyn DramBackend {
-    match kind {
-        BackendKind::Ddr3Baseline => &Ddr3Baseline,
-        BackendKind::Das => &Das,
-        BackendKind::TlDram => &TlDram,
-        BackendKind::ClrDram => &ClrDram,
-        BackendKind::Lisa => &Lisa,
-        BackendKind::Salp => &Salp,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use das_dram::tick::Tick;
-
-    #[test]
-    fn keys_round_trip() {
-        for kind in BackendKind::all() {
-            assert_eq!(BackendKind::parse(kind.key()), Some(kind));
-            assert_eq!(backend(kind).kind(), kind);
-            assert_eq!(backend(kind).label(), kind.label());
-        }
-        assert_eq!(BackendKind::parse("ddr4"), None);
-    }
-
-    #[test]
-    fn das_backend_is_exactly_the_paper_device() {
-        let das = backend(BackendKind::Das);
-        assert_eq!(das.timing(), TimingSet::asymmetric());
-        assert_eq!(das.management(), FastLevelManagement::Exclusive);
-        assert!(das.placement().fast_ratio.is_none(), "DAS sweeps freely");
-    }
-
-    #[test]
-    fn baseline_and_salp_have_no_fast_level() {
-        for kind in [BackendKind::Ddr3Baseline, BackendKind::Salp] {
-            let b = backend(kind);
-            assert_eq!(b.management(), FastLevelManagement::None);
-            assert!(!b.timing().supports_migration());
-        }
-        assert!(backend(BackendKind::Salp).placement().salp);
-        assert!(!backend(BackendKind::Ddr3Baseline).placement().salp);
-        assert_eq!(backend(BackendKind::Ddr3Baseline).area_overhead(), 0.0);
-    }
-
-    #[test]
-    fn copy_costs_order_lisa_below_clr_below_das() {
-        let das = backend(BackendKind::Das).timing().swap;
-        let lisa = backend(BackendKind::Lisa).timing().swap;
-        let clr = backend(BackendKind::ClrDram).timing().swap;
-        assert!(lisa < clr && clr < das);
-        assert!(lisa > Tick::ZERO);
-    }
-
-    #[test]
-    fn clr_loses_the_morphed_rows_capacity() {
-        let layout = BankLayout::build(
-            4096,
-            FastRatio::new(1, 8),
-            Arrangement::ReducedInterleaving,
-            128,
-            512,
-        );
-        let usable = backend(BackendKind::ClrDram).usable_rows(&layout).unwrap();
-        assert_eq!(usable, layout.slow_rows() as u64);
-        assert!(usable < 4096);
-        for kind in BackendKind::all() {
-            if kind != BackendKind::ClrDram {
-                assert!(backend(kind).usable_rows(&layout).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn tl_dram_placement_pins_the_paper_geometry() {
-        let p = backend(BackendKind::TlDram).placement();
-        assert_eq!(p.fast_ratio, Some(FastRatio::new(1, 4)));
-        assert_eq!(p.group_size, Some(64));
-        assert_eq!(p.arrangement, Some(Arrangement::Interleaving));
-        assert_eq!(p.slow_subarray_rows, Some(384));
-    }
-
-    #[test]
-    fn stock_backends_refresh_homogeneously() {
-        for kind in BackendKind::all() {
-            let b = backend(kind);
-            let r = b.refresh();
-            assert!(r.is_homogeneous(), "{kind:?} must default homogeneous");
-            assert_eq!(r, RefreshAsymmetry::from_timing(&b.timing()));
-            // Applying the default back is the identity.
-            let mut t = b.timing();
-            r.apply(&mut t);
-            assert_eq!(t, b.timing());
-            assert_eq!(t.refresh_cadences().len(), 1);
-        }
-    }
-
-    #[test]
-    fn refresh_asymmetry_hook_reaches_the_rank_schedule() {
-        /// A DAS variant whose fast level refreshes twice as often at half
-        /// the cost (shorter rows, shorter retention).
-        struct FastRetentionDas;
-        impl DramBackend for FastRetentionDas {
-            fn kind(&self) -> BackendKind {
-                BackendKind::Das
-            }
-            fn timing(&self) -> TimingSet {
-                let mut t = TimingSet::asymmetric();
-                self.refresh().apply(&mut t);
-                t
-            }
-            fn management(&self) -> FastLevelManagement {
-                FastLevelManagement::Exclusive
-            }
-            fn refresh(&self) -> RefreshAsymmetry {
-                let base = TimingSet::asymmetric();
-                let slow = base.slow.refresh_cadence();
-                RefreshAsymmetry {
-                    slow,
-                    fast: RefreshCadence {
-                        trefi: Tick::new(slow.trefi.raw() / 2),
-                        trfc: Tick::new(slow.trfc.raw() / 2),
-                    },
-                }
-            }
-            fn area_overhead(&self) -> f64 {
-                AsymmetricAreaModel::default().overhead()
-            }
-        }
-        let b = FastRetentionDas;
-        assert!(!b.refresh().is_homogeneous());
-        let cadences = b.timing().refresh_cadences();
-        assert_eq!(cadences.len(), 2, "distinct cadences become two schedules");
-        assert_eq!(cadences[0], b.refresh().slow);
-        assert_eq!(cadences[1], b.refresh().fast);
-        // The fast schedule fires first (half the tREFI).
-        let mut rank = das_dram::rank::RankTracker::with_cadences(&cadences);
-        assert_eq!(rank.next_refresh_due(), b.refresh().fast.trefi);
-        let due = rank.next_refresh_due();
-        assert_eq!(rank.refresh(due), due + b.refresh().fast.trfc);
-    }
-
-    #[test]
-    fn area_overheads_are_ranked() {
-        let o = |k| backend(k).area_overhead();
-        assert!(o(BackendKind::TlDram) > o(BackendKind::Das));
-        assert!(o(BackendKind::Das) > o(BackendKind::Lisa));
-        assert!(o(BackendKind::Lisa) > o(BackendKind::Salp));
-        assert!(o(BackendKind::Salp) > o(BackendKind::ClrDram));
-        assert!(o(BackendKind::ClrDram) > 0.0);
-    }
 }

@@ -270,7 +270,7 @@ impl DasManager {
     /// economics. Without this call the manager runs the paper's fixed
     /// promote-at-threshold path, byte-identical to the pre-policy code;
     /// `PaperFixed` installed here makes the same decisions through the
-    /// policy trait (locked by `crates/sim/tests/policy_identity.rs`).
+    /// policy trait (locked by `tests/locks.rs`).
     pub fn install_policy(&mut self, policy: Box<dyn MigrationPolicy>, costs: PolicyCosts) {
         self.policy = Some(PolicyRuntime {
             kind: policy.kind(),

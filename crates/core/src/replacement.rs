@@ -27,6 +27,19 @@ pub enum ReplacementPolicy {
     GlobalCounter,
 }
 
+impl ReplacementPolicy {
+    /// Parses a policy key: `lru`, `random`, `seq` or `counter`.
+    pub fn parse(key: &str) -> Option<Self> {
+        Some(match key {
+            "lru" => ReplacementPolicy::Lru,
+            "random" => ReplacementPolicy::Random,
+            "seq" => ReplacementPolicy::Sequential,
+            "counter" => ReplacementPolicy::GlobalCounter,
+            _ => return None,
+        })
+    }
+}
+
 #[derive(Debug, Clone, Default)]
 struct GroupState {
     /// Last-access stamp per fast slot (LRU).
@@ -115,6 +128,27 @@ mod tests {
 
     fn gid(g: u32) -> GroupId {
         GroupId { bank: 0, group: g }
+    }
+
+    #[test]
+    fn keys_parse() {
+        assert_eq!(
+            ReplacementPolicy::parse("lru"),
+            Some(ReplacementPolicy::Lru)
+        );
+        assert_eq!(
+            ReplacementPolicy::parse("random"),
+            Some(ReplacementPolicy::Random)
+        );
+        assert_eq!(
+            ReplacementPolicy::parse("seq"),
+            Some(ReplacementPolicy::Sequential)
+        );
+        assert_eq!(
+            ReplacementPolicy::parse("counter"),
+            Some(ReplacementPolicy::GlobalCounter)
+        );
+        assert_eq!(ReplacementPolicy::parse("fifo"), None);
     }
 
     #[test]

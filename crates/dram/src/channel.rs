@@ -75,11 +75,14 @@ impl ChannelDevice {
         refresh_enabled: bool,
         salp: bool,
     ) -> Self {
-        let cadences = timing.refresh_cadences();
+        let cadence = timing.slow.refresh_cadence();
+        assert_eq!(
+            timing.fast.refresh_cadence(),
+            cadence,
+            "both latency levels refresh on one cadence"
+        );
         let buffers = if salp { layout.subarrays().len() } else { 1 };
-        let ranks: Vec<RankTracker> = (0..ranks)
-            .map(|_| RankTracker::with_cadences(&cadences))
-            .collect();
+        let ranks: Vec<RankTracker> = (0..ranks).map(|_| RankTracker::new(cadence)).collect();
         ChannelDevice {
             channel_id,
             layout,
@@ -765,17 +768,9 @@ mod tests {
 
     #[test]
     fn refresh_queries_and_column_timing_match_the_pre_rewrite_algorithms() {
-        // Fast and slow levels on distinct tREFI: each rank runs two
-        // refresh schedules.
-        let mut two_cadences = TimingSet::asymmetric();
-        two_cadences.fast.trefi = Tick::from_ns(3900.0);
-        two_cadences.fast.trfc = Tick::from_ns(90.0);
-        assert_eq!(two_cadences.refresh_cadences().len(), 2);
         let cases = [
             (TimingSet::asymmetric(), true, false),
             (TimingSet::asymmetric(), false, false),
-            (two_cadences, true, false),
-            (two_cadences, true, true),
             (TimingSet::homogeneous_slow(), true, true),
         ];
         for (case, &(timing, enabled, salp)) in cases.iter().enumerate() {

@@ -77,13 +77,6 @@ impl DataBus {
     }
 }
 
-/// One independent refresh schedule of a rank.
-#[derive(Debug, Clone)]
-struct RefreshTrack {
-    cadence: RefreshCadence,
-    next_due: Tick,
-}
-
 /// Sliding-window activation and refresh tracker for one rank.
 #[derive(Debug, Clone)]
 pub struct RankTracker {
@@ -94,45 +87,22 @@ pub struct RankTracker {
     acts_seen: u64,
     last_act: Tick,
     busy_until: Tick,
-    /// One schedule per distinct refresh cadence (a homogeneous device has
-    /// one; fast/slow levels with distinct tREFI/tRFC each run their own).
-    tracks: Vec<RefreshTrack>,
+    cadence: RefreshCadence,
+    next_due: Tick,
     refreshes: u64,
 }
 
 impl RankTracker {
-    /// A fresh rank on a single refresh cadence, first REF due after one
-    /// tREFI.
+    /// A fresh rank on `cadence`, first REF due after one tREFI.
     pub fn new(cadence: RefreshCadence) -> Self {
-        Self::with_cadences(&[cadence])
-    }
-
-    /// A rank running one independent refresh schedule per distinct cadence
-    /// (fast and slow levels may refresh at different rates). Duplicate
-    /// cadences collapse into one schedule, reproducing the homogeneous
-    /// device exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cadences` is empty.
-    pub fn with_cadences(cadences: &[RefreshCadence]) -> Self {
-        let mut tracks: Vec<RefreshTrack> = Vec::new();
-        for &c in cadences {
-            if !tracks.iter().any(|t| t.cadence == c) {
-                tracks.push(RefreshTrack {
-                    cadence: c,
-                    next_due: c.trefi,
-                });
-            }
-        }
-        assert!(!tracks.is_empty(), "a rank needs a refresh cadence");
         RankTracker {
             act_window: [Tick::ZERO; 4],
             head: 0,
             acts_seen: 0,
             last_act: Tick::ZERO,
             busy_until: Tick::ZERO,
-            tracks,
+            cadence,
+            next_due: cadence.trefi,
             refreshes: 0,
         }
     }
@@ -159,18 +129,14 @@ impl RankTracker {
         self.acts_seen += 1;
     }
 
-    /// Whether any refresh schedule is due at `now`.
+    /// Whether a refresh is due at `now`.
     pub fn refresh_due(&self, now: Tick) -> bool {
-        now >= self.next_refresh_due()
+        now >= self.next_due
     }
 
-    /// Tick of the next scheduled refresh across all schedules.
+    /// Tick of the next scheduled refresh.
     pub fn next_refresh_due(&self) -> Tick {
-        self.tracks
-            .iter()
-            .map(|t| t.next_due)
-            .min()
-            .expect("at least one cadence")
+        self.next_due
     }
 
     /// Rank busy (refresh in progress) until this tick.
@@ -178,19 +144,12 @@ impl RankTracker {
         self.busy_until
     }
 
-    /// Starts the earliest-due refresh schedule at `at`, blocking the rank
-    /// for that schedule's tRFC and rescheduling it one of its tREFIs
-    /// later. Returns the completion tick. Ties resolve to the schedule
-    /// listed first (the slow level), deterministically.
+    /// Starts a refresh at `at`, blocking the rank for tRFC and scheduling
+    /// the next one tREFI later. Returns the completion tick.
     pub fn refresh(&mut self, at: Tick) -> Tick {
         debug_assert!(at >= self.busy_until);
-        let track = self
-            .tracks
-            .iter_mut()
-            .min_by_key(|t| t.next_due)
-            .expect("at least one cadence");
-        self.busy_until = at + track.cadence.trfc;
-        track.next_due += track.cadence.trefi;
+        self.busy_until = at + self.cadence.trfc;
+        self.next_due += self.cadence.trefi;
         self.refreshes += 1;
         self.busy_until
     }
@@ -268,33 +227,5 @@ mod tests {
         assert_eq!(r.earliest_activate(t(6.25), t(30.0)), t(260.0));
         assert_eq!(r.next_refresh_due(), t(200.0));
         assert_eq!(r.refreshes(), 1);
-    }
-
-    #[test]
-    fn duplicate_cadences_collapse_into_one_schedule() {
-        let c = cadence(100.0, 10.0);
-        let mut dual = RankTracker::with_cadences(&[c, c]);
-        let mut single = RankTracker::new(c);
-        for step in 1..=5u64 {
-            assert_eq!(dual.next_refresh_due(), single.next_refresh_due());
-            let at = dual.next_refresh_due();
-            assert_eq!(dual.refresh(at), single.refresh(at));
-            assert_eq!(dual.refreshes(), step);
-        }
-    }
-
-    #[test]
-    fn asymmetric_cadences_run_independent_schedules() {
-        // Slow level every 100 ns (cost 10), fast level every 40 ns (cost 4):
-        // the fast schedule fires more often without perturbing the slow one.
-        let mut r = RankTracker::with_cadences(&[cadence(100.0, 10.0), cadence(40.0, 4.0)]);
-        assert_eq!(r.next_refresh_due(), t(40.0));
-        assert_eq!(r.refresh(t(40.0)), t(44.0)); // fast REF
-        assert_eq!(r.next_refresh_due(), t(80.0));
-        assert_eq!(r.refresh(t(80.0)), t(84.0)); // fast REF
-        assert_eq!(r.next_refresh_due(), t(100.0));
-        assert_eq!(r.refresh(t(100.0)), t(110.0)); // slow REF
-        assert_eq!(r.next_refresh_due(), t(120.0)); // fast again
-        assert_eq!(r.refreshes(), 3);
     }
 }

@@ -164,11 +164,8 @@ impl TimingParams {
 }
 
 /// One refresh schedule: a REF command every `trefi` costing `trfc` of
-/// rank-blocking time.
-///
-/// A homogeneous device runs one cadence per rank; asymmetric-retention
-/// devices (short-bitline cells can trade retention for latency) may run
-/// the fast and slow levels on distinct cadences.
+/// rank-blocking time. Every device refreshes both latency levels on the
+/// same cadence; refresh-rate asymmetry is not modelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshCadence {
     /// Average refresh interval.
@@ -320,20 +317,6 @@ impl TimingSet {
     pub fn supports_migration(&self) -> bool {
         self.swap != Tick::MAX
     }
-
-    /// The distinct refresh cadences of the two latency levels. Equal
-    /// cadences (every stock device today) collapse into one schedule, so a
-    /// homogeneous-refresh rank is driven exactly as before the per-level
-    /// hook existed.
-    pub fn refresh_cadences(&self) -> Vec<RefreshCadence> {
-        let slow = self.slow.refresh_cadence();
-        let fast = self.fast.refresh_cadence();
-        if fast == slow {
-            vec![slow]
-        } else {
-            vec![slow, fast]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -428,24 +411,23 @@ mod tests {
     }
 
     #[test]
-    fn equal_refresh_cadences_collapse_to_one_schedule() {
+    fn both_levels_refresh_on_one_cadence() {
         for set in [
             TimingSet::homogeneous_slow(),
+            TimingSet::homogeneous_fast(),
             TimingSet::asymmetric(),
+            TimingSet::asymmetric_free_migration(),
+            TimingSet::charm(),
             TimingSet::tl_dram(),
             TimingSet::clr_dram(),
             TimingSet::lisa(),
         ] {
-            let c = set.refresh_cadences();
-            assert_eq!(c.len(), 1, "stock devices refresh homogeneously");
-            assert_eq!(c[0], set.slow.refresh_cadence());
+            assert_eq!(set.fast.refresh_cadence(), set.slow.refresh_cadence());
+            assert_eq!(
+                set.slow.refresh_cadence(),
+                TimingParams::ddr3_1600().refresh_cadence()
+            );
         }
-        let mut asym = TimingSet::asymmetric();
-        asym.fast.trefi = Tick::from_ns(3900.0);
-        let c = asym.refresh_cadences();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c[0], asym.slow.refresh_cadence());
-        assert_eq!(c[1], asym.fast.refresh_cadence());
     }
 
     #[test]

@@ -16,11 +16,11 @@ use std::fmt::Write as _;
 use das_dram::geometry::Arrangement;
 use das_dram::tick::Tick;
 use das_dram::timing::TimingSet;
-use das_sim::config::SystemConfig;
+use das_sim::config::{Design, SystemConfig};
 use das_sim::stats::gmean_improvement;
 use das_workloads::{mixes, spec};
 
-use crate::manifest::{parse_design, JobSpec, Overrides};
+use crate::manifest::{JobSpec, Overrides};
 use crate::render::{access_mix_line, improvement_table, pct, RenderCtx};
 use crate::report::ReportView;
 
@@ -348,8 +348,12 @@ fn build_none(_p: &BuildParams) -> Vec<JobSpec> {
     Vec::new()
 }
 
+fn design(key: &str) -> Design {
+    Design::parse(key).expect("catalog design key")
+}
+
 fn design_label(key: &str) -> &'static str {
-    parse_design(key).expect("catalog design key").label()
+    design(key).label()
 }
 
 /// Fig. 7a/7d layout: per workload, a Std-DRAM baseline plus the five
@@ -2013,7 +2017,7 @@ fn render_cross_arch_copy(ctx: &RenderCtx) -> String {
     );
     let _ = writeln!(o, "swap latency per design:");
     for key in COPY_KEYS {
-        let t = parse_design(key).expect("catalog design key").timing();
+        let t = design(key).timing();
         let _ = writeln!(o, "  {:<14} {:>8.3} ns", design_label(key), t.swap.as_ns());
     }
     let _ = writeln!(o);
@@ -2117,11 +2121,9 @@ fn render_cross_arch_area(ctx: &RenderCtx) -> String {
     );
     for (i, key) in CROSS_KEYS.iter().enumerate() {
         let improv = gmean_improvement(&rows.iter().map(|r| r[i]).collect::<Vec<_>>());
-        let area = parse_design(key)
-            .expect("catalog design key")
-            .backend()
-            .expect("cross-arch designs are backends")
-            .area_overhead();
+        let area = design(key)
+            .area_overhead()
+            .expect("cross-arch designs have an area model");
         let per_area = if area > 0.0 {
             format!("{:>14.2}", improv * 100.0 / (area * 100.0))
         } else {
@@ -2417,8 +2419,8 @@ fn policy_label(key: &str) -> &'static str {
 
 /// The override for a policy column. `paper_fixed` deliberately omits the
 /// token: absence *is* the paper's fixed-threshold behaviour (locked by
-/// `das-sim/tests/policy_identity.rs`), and it keeps those journal lines
-/// strip-comparable to the policy-free goldens in CI.
+/// `tests/locks.rs`), and it keeps those journal lines strip-comparable to
+/// the policy-free goldens in CI.
 fn policy_ov(key: &str) -> Overrides {
     if key == "paper_fixed" {
         Overrides::default()
@@ -2696,7 +2698,6 @@ mod tests {
 
     #[test]
     fn cross_arch_family_covers_all_backends() {
-        use das_sim::config::Design;
         let p = tiny_params();
         // rank: per workload, a DDR3 baseline plus every backend.
         let rank = (by_id("cross_arch_rank").unwrap().build)(&p);
@@ -2706,10 +2707,7 @@ mod tests {
             .filter(|j| j.id.contains("/mcf/"))
             .map(|j| j.design.as_str())
             .collect();
-        let backend_keys: Vec<&str> = Design::backends()
-            .iter()
-            .map(|d| crate::manifest::design_key(*d))
-            .collect();
+        let backend_keys: Vec<&str> = Design::backends().iter().map(|d| d.key()).collect();
         assert_eq!(mcf_designs, backend_keys);
         // sweep: TL-DRAM excluded (its placement pins ratio 1/4).
         let sweep = (by_id("cross_arch_sweep").unwrap().build)(&p);

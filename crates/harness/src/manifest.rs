@@ -68,8 +68,8 @@ pub struct ExperimentPlan {
 pub struct JobSpec {
     /// Manifest-unique job id (`<experiment>/<row>/<column>`).
     pub id: String,
-    /// Design key (see [`design_key`]): `std`, `sas`, `charm`, `das`,
-    /// `das_fm`, `fs`, `das_incl`, `tl`.
+    /// Design key (see [`Design::key`]): `std`, `sas`, `charm`, `das`,
+    /// `das_fm`, `fs`, `das_incl`, `tl`, `clr`, `lisa`, `salp`.
     pub design: String,
     /// Workload token: a Table 2 benchmark name (`mcf`) or a mix
     /// (`mix:M1`, which expands to the paper's four benchmarks with
@@ -139,45 +139,6 @@ pub struct Overrides {
 
 /// Default fault-plan seed (the fault-sweep bench's historic constant).
 pub const DEFAULT_FAULT_SEED: u64 = 0xda5_fa17;
-
-/// The stable manifest key of a design.
-pub fn design_key(d: Design) -> &'static str {
-    match d {
-        Design::Standard => "std",
-        Design::SasDram => "sas",
-        Design::Charm => "charm",
-        Design::DasDram => "das",
-        Design::DasDramFm => "das_fm",
-        Design::FsDram => "fs",
-        Design::DasInclusive => "das_incl",
-        Design::TlDram => "tl",
-        Design::ClrDram => "clr",
-        Design::Lisa => "lisa",
-        Design::Salp => "salp",
-    }
-}
-
-/// Parses a design key back to the [`Design`].
-///
-/// # Errors
-///
-/// Returns a message naming the unknown key.
-pub fn parse_design(key: &str) -> Result<Design, String> {
-    Ok(match key {
-        "std" => Design::Standard,
-        "sas" => Design::SasDram,
-        "charm" => Design::Charm,
-        "das" => Design::DasDram,
-        "das_fm" => Design::DasDramFm,
-        "fs" => Design::FsDram,
-        "das_incl" => Design::DasInclusive,
-        "tl" => Design::TlDram,
-        "clr" => Design::ClrDram,
-        "lisa" => Design::Lisa,
-        "salp" => Design::Salp,
-        other => return Err(format!("unknown design key {other:?}")),
-    })
-}
 
 /// Resolves a workload token into the (full-scale) workload set:
 /// `"<bench>"` → one Table 2 benchmark; `"mix:<M>"` → the paper's
@@ -262,7 +223,8 @@ impl JobSpec {
         use das_dram::geometry::{Arrangement, FastRatio};
         use das_memctrl::controller::{PagePolicy, SchedulerKind};
 
-        let design = parse_design(&self.design)?;
+        let design = Design::parse(&self.design)
+            .ok_or_else(|| format!("unknown design key {:?}", self.design))?;
         let workloads = match self.coherent_spec()? {
             Some((spec, _)) => {
                 if design.needs_profile() {
@@ -292,13 +254,8 @@ impl JobSpec {
             cfg.management.fast_ratio = FastRatio::new(1, den);
         }
         if let Some(r) = &ov.replacement {
-            cfg.management.replacement = match r.as_str() {
-                "lru" => ReplacementPolicy::Lru,
-                "random" => ReplacementPolicy::Random,
-                "seq" => ReplacementPolicy::Sequential,
-                "counter" => ReplacementPolicy::GlobalCounter,
-                other => return Err(format!("unknown replacement policy {other:?}")),
-            };
+            cfg.management.replacement = ReplacementPolicy::parse(r)
+                .ok_or_else(|| format!("unknown replacement policy {r:?}"))?;
         }
         if let Some(s) = &ov.scheduler {
             cfg.controller.scheduler = match s.as_str() {
@@ -804,23 +761,13 @@ mod tests {
     }
 
     #[test]
-    fn design_keys_round_trip() {
-        for d in [
-            Design::Standard,
-            Design::SasDram,
-            Design::Charm,
-            Design::DasDram,
-            Design::DasDramFm,
-            Design::FsDram,
-            Design::DasInclusive,
-            Design::TlDram,
-            Design::ClrDram,
-            Design::Lisa,
-            Design::Salp,
-        ] {
-            assert_eq!(parse_design(design_key(d)).unwrap(), d);
-        }
-        assert!(parse_design("warp").is_err());
+    fn unknown_tokens_are_rejected() {
+        let mut job = sample_job(&sample(), "fig8a/mcf/t4");
+        job.design = "warp".to_string();
+        assert_eq!(
+            job.materialize().unwrap_err(),
+            "unknown design key \"warp\""
+        );
         assert!(resolve_workload("mix:M99").is_err());
         assert!(resolve_workload("nosuchbench").is_err());
     }

@@ -52,7 +52,8 @@ impl ProfileCache {
     /// Returns the profile for `key`, computing it at most once across all
     /// threads. `cfg`/`workloads` must be the materialised (full-scale)
     /// job inputs; the workloads are scaled here exactly as
-    /// [`das_sim::experiments::run_one_with_profile`] scales them.
+    /// [`das_sim::experiments::run_one_instrumented_with_profile`] scales
+    /// them.
     pub fn get_or_compute(
         &self,
         key: &str,

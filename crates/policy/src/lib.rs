@@ -265,7 +265,7 @@ impl Clone for Box<dyn MigrationPolicy> {
 /// The source paper's rule: promote exactly when the filter count
 /// reaches the threshold. Epochs are ignored. This is the behaviour the
 /// simulator's policy-free default path implements, and
-/// `crates/sim/tests/policy_identity.rs` locks the two byte-identical.
+/// `tests/locks.rs` locks the two byte-identical.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PaperFixed;
 

@@ -8,17 +8,24 @@
 //! while leaving all *latencies* untouched — the capacity ratios that drive
 //! the paper's results (footprint : fast level : LLC) are preserved.
 
-use das_backends::{backend, BackendKind, DramBackend, FastLevelManagement};
+use das_backends::{FastLevelManagement, PlacementSpec};
 use das_cache::hierarchy::HierarchyConfig;
 use das_core::management::ManagementConfig;
 use das_core::replacement::ReplacementPolicy;
 use das_cpu::core::CoreConfig;
+use das_dram::area::{
+    AsymmetricAreaModel, ClrDramAreaModel, LisaAreaModel, SalpAreaModel, TlDramAreaModel,
+};
 use das_dram::geometry::{Arrangement, BankLayout, DramGeometry, FastRatio};
 use das_dram::tick::Tick;
+use das_dram::timing::TimingSet;
 use das_memctrl::controller::{ControllerConfig, SchedulerKind};
 use das_telemetry::TelemetryConfig;
 
-/// The five DRAM designs compared in §7.
+/// The DRAM designs the simulator compares: the paper's §7 designs plus
+/// the rival low-latency architectures. Each design's facts live in one
+/// entry of the design table (`Design::entry`); every method reads them
+/// from there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
     /// Traditional homogeneous DRAM (the baseline everything is measured
@@ -53,8 +60,163 @@ pub enum Design {
     Salp,
 }
 
+/// How many rows of a bank store data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Capacity {
+    /// Every row.
+    Full,
+    /// Only the slow rows: every morphed (fast-class) row couples with a
+    /// neighbour whose capacity is lost (CLR-DRAM).
+    SlowRowsOnly,
+}
+
+/// One row of the design table.
+struct DesignEntry {
+    /// Stable machine key (manifests, job ids, the `das` CLI).
+    key: &'static str,
+    /// Label matching the paper's legends.
+    label: &'static str,
+    /// Latency classes and inter-row copy costs.
+    timing: fn() -> TimingSet,
+    /// How rows move (or don't) between latency levels.
+    fast_level: FastLevelManagement,
+    /// Geometry the design pins down.
+    placement: PlacementSpec,
+    /// Usable capacity.
+    capacity: Capacity,
+    /// Die-area overhead versus commodity DRAM, where a model exists.
+    area: Option<fn() -> f64>,
+}
+
+impl DesignEntry {
+    /// An entry with full capacity and no placement constraints.
+    fn new(
+        key: &'static str,
+        label: &'static str,
+        timing: fn() -> TimingSet,
+        fast_level: FastLevelManagement,
+        area: Option<fn() -> f64>,
+    ) -> Self {
+        DesignEntry {
+            key,
+            label,
+            timing,
+            fast_level,
+            placement: PlacementSpec::default(),
+            capacity: Capacity::Full,
+            area,
+        }
+    }
+}
+
 impl Design {
-    /// All designs in the paper's presentation order.
+    /// The design table: this design's facts.
+    fn entry(self) -> DesignEntry {
+        use FastLevelManagement as F;
+        match self {
+            Design::Standard => DesignEntry::new(
+                "std",
+                "Std-DRAM",
+                TimingSet::homogeneous_slow,
+                F::None,
+                Some(|| 0.0),
+            ),
+            Design::SasDram => {
+                DesignEntry::new("sas", "SAS-DRAM", TimingSet::asymmetric, F::Static, None)
+            }
+            Design::Charm => DesignEntry::new("charm", "CHARM", TimingSet::charm, F::Static, None),
+            Design::DasDram => DesignEntry::new(
+                "das",
+                "DAS-DRAM",
+                TimingSet::asymmetric,
+                F::Exclusive,
+                Some(|| AsymmetricAreaModel::default().overhead()),
+            ),
+            Design::DasDramFm => DesignEntry::new(
+                "das_fm",
+                "DAS-DRAM (FM)",
+                TimingSet::asymmetric_free_migration,
+                F::Exclusive,
+                None,
+            ),
+            Design::FsDram => {
+                DesignEntry::new("fs", "FS-DRAM", TimingSet::homogeneous_fast, F::None, None)
+            }
+            Design::DasInclusive => DesignEntry::new(
+                "das_incl",
+                "DAS-incl",
+                TimingSet::asymmetric,
+                F::Inclusive,
+                None,
+            ),
+            // 128-row near / 384-row far segments at ratio 1/4.
+            Design::TlDram => DesignEntry {
+                placement: PlacementSpec {
+                    fast_ratio: Some(FastRatio::new(1, 4)),
+                    group_size: Some(64),
+                    arrangement: Some(Arrangement::Interleaving),
+                    slow_subarray_rows: Some(384),
+                    salp: false,
+                },
+                ..DesignEntry::new(
+                    "tl",
+                    "TL-DRAM",
+                    TimingSet::tl_dram,
+                    F::Inclusive,
+                    Some(|| TlDramAreaModel::default().overhead()),
+                )
+            },
+            Design::ClrDram => DesignEntry {
+                capacity: Capacity::SlowRowsOnly,
+                ..DesignEntry::new(
+                    "clr",
+                    "CLR-DRAM",
+                    TimingSet::clr_dram,
+                    F::Exclusive,
+                    Some(|| ClrDramAreaModel::default().overhead()),
+                )
+            },
+            Design::Lisa => DesignEntry::new(
+                "lisa",
+                "LISA",
+                TimingSet::lisa,
+                F::Exclusive,
+                Some(|| LisaAreaModel::default().overhead()),
+            ),
+            Design::Salp => DesignEntry {
+                placement: PlacementSpec {
+                    salp: true,
+                    ..PlacementSpec::default()
+                },
+                ..DesignEntry::new(
+                    "salp",
+                    "SALP",
+                    TimingSet::homogeneous_slow,
+                    F::None,
+                    Some(|| SalpAreaModel::default().overhead()),
+                )
+            },
+        }
+    }
+
+    /// Every design, in declaration order.
+    pub fn every() -> [Design; 11] {
+        [
+            Design::Standard,
+            Design::SasDram,
+            Design::Charm,
+            Design::DasDram,
+            Design::DasDramFm,
+            Design::FsDram,
+            Design::DasInclusive,
+            Design::TlDram,
+            Design::ClrDram,
+            Design::Lisa,
+            Design::Salp,
+        ]
+    }
+
+    /// The paper's §7 designs in presentation order.
     pub fn all() -> [Design; 6] {
         [
             Design::Standard,
@@ -66,8 +228,8 @@ impl Design {
         ]
     }
 
-    /// The six backend architectures of the cross-architecture family, in
-    /// catalog order (baseline first).
+    /// The six architectures of the cross-architecture family, in catalog
+    /// order (baseline first).
     pub fn backends() -> [Design; 6] {
         [
             Design::Standard,
@@ -79,103 +241,71 @@ impl Design {
         ]
     }
 
-    /// The `das-backends` kind this design corresponds to, if any. The
-    /// paper's intermediate probes (SAS/CHARM/FM/FS/inclusive-DAS) are not
-    /// standalone architectures and keep their bespoke timing paths.
-    pub fn backend_kind(self) -> Option<BackendKind> {
-        match self {
-            Design::Standard => Some(BackendKind::Ddr3Baseline),
-            Design::DasDram => Some(BackendKind::Das),
-            Design::TlDram => Some(BackendKind::TlDram),
-            Design::ClrDram => Some(BackendKind::ClrDram),
-            Design::Lisa => Some(BackendKind::Lisa),
-            Design::Salp => Some(BackendKind::Salp),
-            _ => None,
-        }
+    /// Stable machine key: `std`, `sas`, `charm`, `das`, `das_fm`, `fs`,
+    /// `das_incl`, `tl`, `clr`, `lisa` or `salp`.
+    pub fn key(self) -> &'static str {
+        self.entry().key
     }
 
-    /// The backend implementation behind this design, if it has one.
-    pub fn backend(self) -> Option<&'static dyn DramBackend> {
-        self.backend_kind().map(backend)
+    /// Parses a key produced by [`Design::key`].
+    pub fn parse(key: &str) -> Option<Design> {
+        Design::every().into_iter().find(|d| d.key() == key)
     }
 
     /// Display label matching the paper's legends.
     pub fn label(self) -> &'static str {
-        match self {
-            Design::Standard => "Std-DRAM",
-            Design::SasDram => "SAS-DRAM",
-            Design::Charm => "CHARM",
-            Design::DasDram => "DAS-DRAM",
-            Design::DasDramFm => "DAS-DRAM (FM)",
-            Design::FsDram => "FS-DRAM",
-            Design::DasInclusive => "DAS-incl",
-            Design::TlDram => "TL-DRAM",
-            Design::ClrDram => "CLR-DRAM",
-            Design::Lisa => "LISA",
-            Design::Salp => "SALP",
-        }
+        self.entry().label
     }
 
-    /// The device timing set for this design. Backend designs take their
-    /// latency classes and copy costs from the `das-backends` registry; the
-    /// paper's probe designs keep their bespoke sets.
-    pub fn timing(self) -> das_dram::timing::TimingSet {
-        use das_dram::timing::TimingSet;
-        if let Some(b) = self.backend() {
-            // The per-level refresh hook is applied here so a backend whose
-            // fast level refreshes on its own cadence reaches the channel's
-            // rank schedules; the default derives from `timing()` itself,
-            // leaving stock backends bit-identical.
-            let mut t = b.timing();
-            b.refresh().apply(&mut t);
-            return t;
-        }
-        match self {
-            Design::SasDram => TimingSet::asymmetric(),
-            Design::Charm => TimingSet::charm(),
-            Design::DasDramFm => TimingSet::asymmetric_free_migration(),
-            Design::FsDram => TimingSet::homogeneous_fast(),
-            Design::DasInclusive => TimingSet::asymmetric(),
-            _ => unreachable!("backend designs handled above"),
-        }
+    /// The device timing set: latency classes plus inter-row copy costs.
+    pub fn timing(self) -> TimingSet {
+        (self.entry().timing)()
     }
 
     /// Whether the design manages an asymmetric fast level at all.
     pub fn is_asymmetric(self) -> bool {
-        match self.backend() {
-            Some(b) => !matches!(b.management(), FastLevelManagement::None),
-            None => !matches!(self, Design::FsDram),
-        }
+        self.entry().fast_level != FastLevelManagement::None
     }
 
     /// Whether the design migrates rows dynamically.
     pub fn is_dynamic(self) -> bool {
-        match self.backend() {
-            Some(b) => !matches!(b.management(), FastLevelManagement::None),
-            None => matches!(self, Design::DasDramFm | Design::DasInclusive),
-        }
+        matches!(
+            self.entry().fast_level,
+            FastLevelManagement::Exclusive | FastLevelManagement::Inclusive
+        )
     }
 
     /// Whether the design manages the fast level as an inclusive cache.
     pub fn is_inclusive(self) -> bool {
-        match self.backend() {
-            Some(b) => matches!(b.management(), FastLevelManagement::Inclusive),
-            None => matches!(self, Design::DasInclusive),
-        }
+        self.entry().fast_level == FastLevelManagement::Inclusive
+    }
+
+    /// Whether the design needs a profiling pre-pass (static placement).
+    pub fn needs_profile(self) -> bool {
+        self.entry().fast_level == FastLevelManagement::Static
     }
 
     /// Usable data rows per bank when the architecture trades capacity for
-    /// latency (CLR-DRAM); `None` means full capacity.
+    /// latency (CLR-DRAM); `None` means full capacity. (Inclusive caching
+    /// losses are accounted by the management layer.)
     pub fn usable_rows_per_bank(self, layout: &BankLayout) -> Option<u64> {
-        self.backend().and_then(|b| b.usable_rows(layout))
+        match self.entry().capacity {
+            Capacity::Full => None,
+            Capacity::SlowRowsOnly => Some(layout.slow_rows() as u64),
+        }
+    }
+
+    /// Fractional die-area overhead versus commodity DRAM of the same
+    /// nominal capacity (`dram::area` models); `None` for the paper's
+    /// probe designs, which have no area model.
+    pub fn area_overhead(self) -> Option<f64> {
+        self.entry().area.map(|model| model())
     }
 
     /// Adjusts a configuration for designs with non-Table-1 organisations
-    /// (e.g. TL-DRAM's 128-row near / 384-row far segments at ratio 1/4),
-    /// applying the backend's placement spec where one exists.
+    /// (TL-DRAM's segment geometry, SALP's per-subarray row buffers).
     pub fn apply_overrides(self, cfg: &mut SystemConfig) {
-        let Some(b) = self.backend() else { return };
-        let p = b.placement();
+        let p = self.entry().placement;
         if let Some(r) = p.fast_ratio {
             cfg.management.fast_ratio = r;
         }
@@ -191,11 +321,6 @@ impl Design {
         if p.salp {
             cfg.salp = true;
         }
-    }
-
-    /// Whether the design needs a profiling pre-pass (static placement).
-    pub fn needs_profile(self) -> bool {
-        matches!(self, Design::SasDram | Design::Charm)
     }
 }
 
@@ -278,8 +403,8 @@ pub struct SystemConfig {
     /// (see `das-policy`). `None` — the default — runs the paper's fixed
     /// promote-at-threshold path, byte-identical to a build without the
     /// policy layer; `Some(PaperFixed)` makes the same decisions through
-    /// the policy trait (locked by `tests/policy_identity.rs`). Only
-    /// meaningful for designs with dynamic exclusive management.
+    /// the policy trait (locked by `tests/locks.rs`). Only meaningful for
+    /// designs with dynamic exclusive management.
     pub policy: Option<das_policy::PolicyKind>,
 }
 
@@ -494,78 +619,172 @@ mod tests {
     }
 
     #[test]
-    fn design_properties() {
-        assert!(!Design::Standard.is_asymmetric());
-        assert!(Design::SasDram.is_asymmetric() && !Design::SasDram.is_dynamic());
-        assert!(Design::Charm.needs_profile());
-        assert!(Design::DasDram.is_dynamic() && !Design::DasDram.needs_profile());
-        assert!(Design::DasDramFm.timing().swap == Tick::ZERO);
-        assert_eq!(Design::all().len(), 6);
+    fn keys_round_trip_and_families_are_ordered() {
+        for d in Design::every() {
+            assert_eq!(Design::parse(d.key()), Some(d));
+        }
+        assert_eq!(Design::parse("ddr4"), None);
+        assert_eq!(Design::parse("das-fm"), None, "one spelling per design");
         assert_eq!(Design::DasDram.label(), "DAS-DRAM");
-    }
-
-    #[test]
-    fn backend_designs_delegate_to_the_registry() {
-        use das_dram::timing::TimingSet;
-        assert_eq!(Design::backends().len(), 6);
+        assert_eq!(Design::all()[0], Design::Standard);
         assert_eq!(Design::backends()[0], Design::Standard);
-        // The refactor lock: backend-backed designs produce the exact
-        // timing sets the hard-wired match used to.
-        assert_eq!(Design::Standard.timing(), TimingSet::homogeneous_slow());
-        assert_eq!(Design::DasDram.timing(), TimingSet::asymmetric());
-        assert_eq!(Design::TlDram.timing(), TimingSet::tl_dram());
-        assert_eq!(Design::ClrDram.timing(), TimingSet::clr_dram());
-        assert_eq!(Design::Lisa.timing(), TimingSet::lisa());
-        assert_eq!(Design::Salp.timing(), TimingSet::homogeneous_slow());
-        // Probe designs have no backend.
-        for d in [
-            Design::SasDram,
-            Design::Charm,
-            Design::DasDramFm,
-            Design::FsDram,
-            Design::DasInclusive,
-        ] {
-            assert!(d.backend_kind().is_none());
-        }
-        // Management classification.
-        assert!(Design::Lisa.is_asymmetric() && Design::Lisa.is_dynamic());
-        assert!(Design::ClrDram.is_dynamic() && !Design::ClrDram.is_inclusive());
-        assert!(!Design::Salp.is_asymmetric() && !Design::Salp.is_dynamic());
-        assert!(Design::TlDram.is_inclusive());
-        for d in Design::backends() {
-            assert!(!d.needs_profile());
-        }
     }
 
     #[test]
-    fn overrides_follow_backend_placement() {
-        let mut cfg = SystemConfig::test_small();
-        Design::Salp.apply_overrides(&mut cfg);
-        assert!(cfg.salp);
-        assert_eq!(cfg.management.fast_ratio, FastRatio::PAPER_DEFAULT);
-        let mut cfg = SystemConfig::test_small();
-        Design::TlDram.apply_overrides(&mut cfg);
-        assert_eq!(cfg.management.fast_ratio, FastRatio::new(1, 4));
-        assert_eq!(cfg.management.group_size, 64);
-        assert_eq!(cfg.arrangement, Arrangement::Interleaving);
-        assert_eq!(cfg.slow_subarray_rows, 384);
-        // CLR and LISA leave the geometry free for sweeps.
-        let before = SystemConfig::test_small();
-        let mut cfg = SystemConfig::test_small();
-        Design::ClrDram.apply_overrides(&mut cfg);
-        Design::Lisa.apply_overrides(&mut cfg);
-        assert_eq!(cfg.management.fast_ratio, before.management.fast_ratio);
-        assert!(!cfg.salp);
+    fn copy_costs_and_area_rank_the_architectures() {
+        let swap = |d: Design| d.timing().swap;
+        assert!(swap(Design::Lisa) < swap(Design::ClrDram));
+        assert!(swap(Design::ClrDram) < swap(Design::DasDram));
+        assert!(swap(Design::Lisa) > Tick::ZERO);
+        assert_eq!(swap(Design::DasDramFm), Tick::ZERO);
+        let area = |d: Design| d.area_overhead().expect("architecture has an area model");
+        assert!(area(Design::TlDram) > area(Design::DasDram));
+        assert!(area(Design::DasDram) > area(Design::Lisa));
+        assert!(area(Design::Lisa) > area(Design::Salp));
+        assert!(area(Design::Salp) > area(Design::ClrDram));
+        assert!(area(Design::ClrDram) > 0.0);
+        for d in [Design::Standard, Design::Salp] {
+            assert!(!d.timing().supports_migration(), "{d:?} never migrates");
+        }
     }
 
+    /// Every design's facts, pinned value by value: timing set, fast-level
+    /// predicates, placement overrides, usable capacity and area.
     #[test]
-    fn clr_capacity_loss_is_the_fast_share() {
-        let cfg = SystemConfig::test_small();
-        let layout = cfg.bank_layout();
-        let usable = Design::ClrDram.usable_rows_per_bank(&layout).unwrap();
-        assert_eq!(usable, layout.slow_rows() as u64);
-        assert!(Design::DasDram.usable_rows_per_bank(&layout).is_none());
-        assert!(Design::Standard.usable_rows_per_bank(&layout).is_none());
+    fn every_design_keeps_its_facts() {
+        let das_area = Some(AsymmetricAreaModel::default().overhead());
+        // (design, timing, asymmetric, dynamic, inclusive, needs profile, area)
+        let table = [
+            (
+                Design::Standard,
+                TimingSet::homogeneous_slow(),
+                false,
+                false,
+                false,
+                false,
+                Some(0.0),
+            ),
+            (
+                Design::SasDram,
+                TimingSet::asymmetric(),
+                true,
+                false,
+                false,
+                true,
+                None,
+            ),
+            (
+                Design::Charm,
+                TimingSet::charm(),
+                true,
+                false,
+                false,
+                true,
+                None,
+            ),
+            (
+                Design::DasDram,
+                TimingSet::asymmetric(),
+                true,
+                true,
+                false,
+                false,
+                das_area,
+            ),
+            (
+                Design::DasDramFm,
+                TimingSet::asymmetric_free_migration(),
+                true,
+                true,
+                false,
+                false,
+                None,
+            ),
+            (
+                Design::FsDram,
+                TimingSet::homogeneous_fast(),
+                false,
+                false,
+                false,
+                false,
+                None,
+            ),
+            (
+                Design::DasInclusive,
+                TimingSet::asymmetric(),
+                true,
+                true,
+                true,
+                false,
+                None,
+            ),
+            (
+                Design::TlDram,
+                TimingSet::tl_dram(),
+                true,
+                true,
+                true,
+                false,
+                Some(TlDramAreaModel::default().overhead()),
+            ),
+            (
+                Design::ClrDram,
+                TimingSet::clr_dram(),
+                true,
+                true,
+                false,
+                false,
+                Some(ClrDramAreaModel::default().overhead()),
+            ),
+            (
+                Design::Lisa,
+                TimingSet::lisa(),
+                true,
+                true,
+                false,
+                false,
+                Some(LisaAreaModel::default().overhead()),
+            ),
+            (
+                Design::Salp,
+                TimingSet::homogeneous_slow(),
+                false,
+                false,
+                false,
+                false,
+                Some(SalpAreaModel::default().overhead()),
+            ),
+        ];
+        let untouched = format!("{:?}", SystemConfig::test_small());
+        let layout = SystemConfig::test_small().bank_layout();
+        for (d, timing, asym, dynamic, inclusive, profile, overhead) in table {
+            assert_eq!(d.timing(), timing, "{d:?} timing");
+            assert_eq!(d.is_asymmetric(), asym, "{d:?} is_asymmetric");
+            assert_eq!(d.is_dynamic(), dynamic, "{d:?} is_dynamic");
+            assert_eq!(d.is_inclusive(), inclusive, "{d:?} is_inclusive");
+            assert_eq!(d.needs_profile(), profile, "{d:?} needs_profile");
+            assert_eq!(d.area_overhead(), overhead, "{d:?} area");
+            let usable = (d == Design::ClrDram).then_some(layout.slow_rows() as u64);
+            assert_eq!(d.usable_rows_per_bank(&layout), usable, "{d:?} capacity");
+            let mut cfg = SystemConfig::test_small();
+            d.apply_overrides(&mut cfg);
+            let mut expected = SystemConfig::test_small();
+            match d {
+                Design::TlDram => {
+                    expected.management.fast_ratio = FastRatio::new(1, 4);
+                    expected.management.group_size = 64;
+                    expected.arrangement = Arrangement::Interleaving;
+                    expected.slow_subarray_rows = 384;
+                }
+                Design::Salp => expected.salp = true,
+                _ => assert_eq!(format!("{cfg:?}"), untouched, "{d:?} overrides"),
+            }
+            assert_eq!(
+                format!("{cfg:?}"),
+                format!("{expected:?}"),
+                "{d:?} overrides"
+            );
+        }
     }
 
     #[test]

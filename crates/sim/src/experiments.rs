@@ -81,27 +81,7 @@ pub fn run_one(
     design: Design,
     workloads: &[WorkloadConfig],
 ) -> Result<RunMetrics, SimError> {
-    run_one_with_profile(cfg, design, workloads, None)
-}
-
-/// Like [`run_one`], but accepts a precomputed profiling pre-pass (as
-/// returned by [`profile_row_counts`] over the **scaled** workload set
-/// under the same configuration). The experiment harness memoizes the
-/// pre-pass across jobs this way: every static-design run over the same
-/// (workload set, seed, scale) shares one profile instead of recomputing
-/// it. `None` falls back to computing the profile in-line when the design
-/// needs one, which is exactly [`run_one`].
-///
-/// # Errors
-///
-/// Returns the [`SimError`] if the run could not finish.
-pub fn run_one_with_profile(
-    cfg: &SystemConfig,
-    design: Design,
-    workloads: &[WorkloadConfig],
-    profile: Option<&HashMap<GlobalRowId, u64>>,
-) -> Result<RunMetrics, SimError> {
-    run_one_instrumented_with_profile(cfg, design, workloads, profile).0
+    run_one_instrumented(cfg, design, workloads).0
 }
 
 /// Like [`run_one`], but also returns the telemetry report (`None` when
@@ -115,8 +95,13 @@ pub fn run_one_instrumented(
     run_one_instrumented_with_profile(cfg, design, workloads, None)
 }
 
-/// Like [`run_one_instrumented`] with an optional precomputed profiling
-/// pre-pass (see [`run_one_with_profile`] for the contract).
+/// Like [`run_one_instrumented`], but accepts a precomputed profiling
+/// pre-pass (as returned by [`profile_row_counts`] over the **scaled**
+/// workload set under the same configuration). The experiment harness
+/// memoizes the pre-pass across jobs this way: every static-design run
+/// over the same (workload set, seed, scale) shares one profile instead of
+/// recomputing it. `None` falls back to computing the profile in-line when
+/// the design needs one, which is exactly [`run_one_instrumented`].
 pub fn run_one_instrumented_with_profile(
     cfg: &SystemConfig,
     design: Design,
@@ -226,22 +211,6 @@ pub fn run_one_coherent_instrumented(
     System::with_coherence(cfg.clone(), design, &scaled, protocol).run_instrumented()
 }
 
-/// Runs `designs` over the same workload set, returning results in order.
-///
-/// # Errors
-///
-/// Returns the first [`SimError`] encountered.
-pub fn run_suite(
-    cfg: &SystemConfig,
-    designs: &[Design],
-    workloads: &[WorkloadConfig],
-) -> Result<Vec<RunMetrics>, SimError> {
-    designs
-        .iter()
-        .map(|&d| run_one(cfg, d, workloads))
-        .collect()
-}
-
 /// The paper's performance-improvement metric against the Std-DRAM
 /// baseline: for single-programming the IPC ratio; for multi-programming
 /// the mean per-core speedup (weighted speedup normalised by core count).
@@ -325,7 +294,10 @@ mod tests {
         let scaled: Vec<_> = libq().iter().map(|w| w.scaled(cfg.scale as u64)).collect();
         let profile = profile_row_counts(&cfg, &scaled);
         let inline = run_one(&cfg, Design::SasDram, &libq()).unwrap();
-        let shared = run_one_with_profile(&cfg, Design::SasDram, &libq(), Some(&profile)).unwrap();
+        let shared =
+            run_one_instrumented_with_profile(&cfg, Design::SasDram, &libq(), Some(&profile))
+                .0
+                .unwrap();
         assert_eq!(inline.promotions, shared.promotions);
         assert_eq!(inline.memory_accesses, shared.memory_accesses);
         assert_eq!(inline.llc_misses, shared.llc_misses);

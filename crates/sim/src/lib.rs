@@ -6,10 +6,10 @@
 //! FR-FCFS memory controllers (`das-memctrl`) and the command-level DRAM
 //! device (`das-dram`), driven by a global event queue.
 //!
-//! * [`config`] — [`config::SystemConfig`] (Table 1) and the six
-//!   [`config::Design`]s of §7;
+//! * [`config`] — [`config::SystemConfig`] (Table 1) and the design
+//!   table ([`config::Design`]);
 //! * [`system`] — the event-driven [`system::System`];
-//! * [`experiments`] — profiling pre-pass, suite runners and the
+//! * [`experiments`] — profiling pre-pass, run entry points and the
 //!   improvement metric;
 //! * [`stats`] — everything the paper's figures report;
 //! * [`report`] — machine-readable JSON run reports (metrics + telemetry).
@@ -47,7 +47,7 @@ pub mod system;
 
 pub use config::{Design, SystemConfig};
 pub use experiments::{
-    improvement, profile_row_counts, run_one, run_one_instrumented, run_recorded, run_suite,
+    improvement, profile_row_counts, run_one, run_one_instrumented, run_recorded,
 };
 pub use report::{metrics_to_value, run_report, run_report_json};
 pub use stats::{AccessMix, CoreMetrics, EnergyBreakdown, EnergyModel, RunMetrics};

@@ -20,7 +20,9 @@ use das_sim::stats::RunMetrics;
 use das_workloads::config::WorkloadConfig;
 use das_workloads::{mixes, spec, trace_file};
 
-const USAGE: &str = "\
+fn usage() -> String {
+    format!(
+        "\
 das — Dynamic Asymmetric-Subarray DRAM simulator
 
 USAGE:
@@ -29,7 +31,7 @@ USAGE:
     das list
 
 OPTIONS:
-    --design <std|sas|charm|das|das-fm|fs|das-incl|tl|clr|lisa|salp>
+    --design <{designs}>
                          design (default: das)
     --insts <N>          instructions per core (default: 3000000)
     --scale <N>          capacity scale factor (default: 64)
@@ -41,23 +43,14 @@ OPTIONS:
     --salp               enable subarray-level parallelism
     --no-baseline        skip the Std-DRAM comparison run
     --seed <N>           workload seed (default: 42)
-";
+",
+        designs = design_list("|")
+    )
+}
 
-fn parse_design(s: &str) -> Option<Design> {
-    Some(match s {
-        "std" => Design::Standard,
-        "sas" => Design::SasDram,
-        "charm" => Design::Charm,
-        "das" => Design::DasDram,
-        "das-fm" => Design::DasDramFm,
-        "fs" => Design::FsDram,
-        "das-incl" => Design::DasInclusive,
-        "tl" => Design::TlDram,
-        "clr" => Design::ClrDram,
-        "lisa" => Design::Lisa,
-        "salp" => Design::Salp,
-        _ => return None,
-    })
+/// Every design key, in declaration order, joined by `sep`.
+fn design_list(sep: &str) -> String {
+    Design::every().map(Design::key).join(sep)
 }
 
 struct Options {
@@ -110,7 +103,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--design" => {
                 let v = next("--design")?;
-                o.design = parse_design(&v).ok_or_else(|| format!("unknown design {v:?}"))?;
+                o.design = Design::parse(&v).ok_or_else(|| format!("unknown design {v:?}"))?;
             }
             "--bench" => o.bench = Some(next("--bench")?),
             "--mix" => o.mix = Some(next("--mix")?),
@@ -130,13 +123,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--tcache" => o.tcache_kb = next("--tcache")?.parse().map_err(|e| format!("{e}"))?,
             "--replacement" => {
-                o.replacement = match next("--replacement")?.as_str() {
-                    "lru" => ReplacementPolicy::Lru,
-                    "random" => ReplacementPolicy::Random,
-                    "seq" => ReplacementPolicy::Sequential,
-                    "counter" => ReplacementPolicy::GlobalCounter,
-                    other => return Err(format!("unknown replacement {other:?}")),
-                }
+                let v = next("--replacement")?;
+                o.replacement = ReplacementPolicy::parse(&v)
+                    .ok_or_else(|| format!("unknown replacement {v:?}"))?;
             }
             "--salp" => o.salp = true,
             "--no-baseline" => o.baseline = false,
@@ -253,7 +242,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_list() {
-    println!("designs    : std, sas, charm, das, das-fm, fs, das-incl, tl, clr, lisa, salp");
+    println!("designs    : {}", design_list(", "));
     println!("benchmarks : {}", spec::names().join(", "));
     println!("mixes      : {}", mixes::names().join(", "));
 }
@@ -268,7 +257,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some("--help" | "-h" | "help") | None => {
-            print!("{USAGE}");
+            print!("{}", usage());
             Ok(())
         }
         Some(other) => Err(format!("unknown subcommand {other:?}")),
@@ -277,7 +266,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             ExitCode::FAILURE
         }
     }
@@ -293,20 +282,22 @@ mod tests {
 
     #[test]
     fn designs_parse() {
-        assert_eq!(parse_design("das"), Some(Design::DasDram));
-        assert_eq!(parse_design("fs"), Some(Design::FsDram));
-        assert_eq!(parse_design("tl"), Some(Design::TlDram));
-        assert_eq!(parse_design("clr"), Some(Design::ClrDram));
-        assert_eq!(parse_design("lisa"), Some(Design::Lisa));
-        assert_eq!(parse_design("salp"), Some(Design::Salp));
-        assert_eq!(parse_design("bogus"), None);
+        let parsed = |key: &str| parse_args(&args(&["--design", key])).map(|o| o.design);
+        for d in Design::every() {
+            assert_eq!(parsed(d.key()), Ok(d));
+        }
+        assert_eq!(parsed("das_fm"), Ok(Design::DasDramFm));
+        assert_eq!(parsed("das_incl"), Ok(Design::DasInclusive));
+        assert!(parsed("das-fm").is_err(), "manifest spelling only");
+        assert!(parsed("bogus").is_err());
+        assert!(usage().contains(&design_list("|")));
     }
 
     #[test]
     fn run_args_parse_into_config() {
         let o = parse_args(&args(&[
             "--design",
-            "das-fm",
+            "das_fm",
             "--bench",
             "mcf",
             "--insts",
