@@ -195,7 +195,7 @@ pub struct PolicyStats {
 /// independent of the telemetry configuration.
 pub const POLICY_EPOCH_ACCESSES: u64 = 4096;
 
-/// An installed [`MigrationPolicy`] plus the bookkeeping the manager
+/// The [`MigrationPolicy`] in force plus the bookkeeping the manager
 /// needs to drive it: epoch accounting and action tallies.
 #[derive(Debug, Clone)]
 struct PolicyRuntime {
@@ -209,6 +209,20 @@ struct PolicyRuntime {
     /// Stats snapshot at the previous epoch boundary (for deltas).
     last: ManagementStats,
     stats: PolicyStats,
+}
+
+impl PolicyRuntime {
+    fn new(policy: Box<dyn MigrationPolicy>, costs: PolicyCosts, last: ManagementStats) -> Self {
+        PolicyRuntime {
+            kind: policy.kind(),
+            policy,
+            costs,
+            epoch_fill: 0,
+            epoch_index: 0,
+            last,
+            stats: PolicyStats::default(),
+        }
+    }
 }
 
 /// The §5 management mechanism. See the [module docs](self).
@@ -225,9 +239,10 @@ pub struct DasManager {
     /// Groups with a swap in flight (no second promotion may start).
     busy_groups: HashSet<GroupId>,
     stats: ManagementStats,
-    /// Online migration policy; `None` (the default) is the paper's
-    /// fixed path, byte-identical to the pre-policy code.
-    policy: Option<PolicyRuntime>,
+    /// The migration policy deciding every promotion: the paper's
+    /// [`PaperFixed`](das_policy::PaperFixed) rule unless
+    /// [`DasManager::install_policy`] replaced it.
+    policy: PolicyRuntime,
 }
 
 impl DasManager {
@@ -262,33 +277,29 @@ impl DasManager {
             filter: PromotionFilter::new(cfg.promotion_threshold, cfg.filter_counters),
             busy_groups: HashSet::new(),
             stats: ManagementStats::default(),
-            policy: None,
+            // `PaperFixed` ignores the promotion economics.
+            policy: PolicyRuntime::new(
+                Box::new(das_policy::PaperFixed),
+                PolicyCosts {
+                    benefit_ns: 0.0,
+                    swap_cost_ns: 0.0,
+                },
+                ManagementStats::default(),
+            ),
         }
     }
 
-    /// Installs an online migration policy with the backend's promotion
-    /// economics. Without this call the manager runs the paper's fixed
-    /// promote-at-threshold path, byte-identical to the pre-policy code;
-    /// `PaperFixed` installed here makes the same decisions through the
-    /// policy trait (locked by `tests/locks.rs`).
+    /// Replaces the migration policy (the paper's `PaperFixed` rule by
+    /// default) with `policy` and the backend's promotion economics.
     pub fn install_policy(&mut self, policy: Box<dyn MigrationPolicy>, costs: PolicyCosts) {
-        self.policy = Some(PolicyRuntime {
-            kind: policy.kind(),
-            policy,
-            costs,
-            epoch_fill: 0,
-            epoch_index: 0,
-            last: self.stats,
-            stats: PolicyStats::default(),
-        });
+        self.policy = PolicyRuntime::new(policy, costs, self.stats);
     }
 
-    /// The installed policy's kind, action tallies and the threshold it
-    /// has steered the filter to; `None` when no policy is installed.
-    pub fn policy_stats(&self) -> Option<(PolicyKind, PolicyStats, u32)> {
-        self.policy
-            .as_ref()
-            .map(|rt| (rt.kind, rt.stats, self.filter.threshold()))
+    /// The policy's kind, action tallies and the threshold it has steered
+    /// the filter to.
+    pub fn policy_stats(&self) -> (PolicyKind, PolicyStats, u32) {
+        let rt = &self.policy;
+        (rt.kind, rt.stats, self.filter.threshold())
     }
 
     /// The configuration in force.
@@ -356,7 +367,7 @@ impl DasManager {
 
     /// [`on_data_access`] with the row's coherence sharing-induced access
     /// count, so cost-aware policies can weight sharing-hot rows. The
-    /// count is advisory and ignored on the policy-free default path.
+    /// count is advisory; the default `PaperFixed` rule ignores it.
     ///
     /// [`on_data_access`]: DasManager::on_data_access
     pub fn on_data_access_shared(
@@ -386,12 +397,7 @@ impl DasManager {
         }
         let row_id = self.geometry.global_row_id(bank, logical_row);
         let group_busy = self.busy_groups.contains(&gid);
-        let grant = if self.policy.is_some() {
-            self.policy_decide(row_id, shared_count, group_busy)
-        } else {
-            self.filter.observe(row_id)
-        };
-        if !grant {
+        if !self.policy_decide(row_id, shared_count, group_busy) {
             return None;
         }
         if group_busy {
@@ -416,13 +422,13 @@ impl DasManager {
         Some(req)
     }
 
-    /// Runs the installed policy for one promotion-candidate access and
+    /// Runs the policy for one promotion-candidate access and
     /// returns whether to promote. The filter still does the counting
     /// (`PaperFixed` uses the paper's exact counter semantics, adaptive
     /// policies the always-counted variant) and the policy the deciding.
     fn policy_decide(&mut self, row_id: GlobalRowId, shared_count: u32, group_busy: bool) -> bool {
         let threshold = self.filter.threshold();
-        let rt = self.policy.as_mut().expect("caller checked");
+        let rt = &mut self.policy;
         let count = if rt.kind == PolicyKind::PaperFixed {
             self.filter.note(row_id)
         } else {
@@ -449,10 +455,7 @@ impl DasManager {
         let threshold = self.filter.threshold();
         let current = self.stats;
         let actions = {
-            let rt = match self.policy.as_mut() {
-                Some(rt) => rt,
-                None => return,
-            };
+            let rt = &mut self.policy;
             rt.epoch_fill += 1;
             if rt.epoch_fill < POLICY_EPOCH_ACCESSES {
                 return;
@@ -481,7 +484,7 @@ impl DasManager {
     /// acted on (or held as advisory pressure) by the caller.
     fn apply_policy_actions(&mut self, actions: &[PolicyAction]) {
         for action in actions {
-            let rt = self.policy.as_mut().expect("caller checked");
+            let rt = &mut self.policy;
             match action {
                 PolicyAction::Promote => rt.stats.promotes += 1,
                 PolicyAction::Demote => rt.stats.demotes += 1,
@@ -936,7 +939,7 @@ mod tests {
         // controller must still defer (no second swap may start).
         assert!(m.on_data_access(bank0(), 18, 2).is_none());
         assert_eq!(m.stats().deferred_busy, 1);
-        let (_, pstats, _) = m.policy_stats().unwrap();
+        let (_, pstats, _) = m.policy_stats();
         assert_eq!(pstats.promotes, 2, "both grants are tallied");
         m.commit_swap(&r1, 2);
         assert!(m.on_data_access(bank0(), 18, 3).is_some());
@@ -985,7 +988,7 @@ mod tests {
         }
         let req = m.on_data_access(bank0(), 17, 6).expect("7th hit promotes");
         assert_eq!(req.promotee, 17);
-        let (_, pstats, _) = m.policy_stats().unwrap();
+        let (_, pstats, _) = m.policy_stats();
         assert_eq!((pstats.promotes, pstats.holds), (1, 6));
     }
 
@@ -1013,7 +1016,7 @@ mod tests {
         for i in 0..POLICY_EPOCH_ACCESSES {
             assert!(m.on_data_access(bank0(), 0, i).is_none());
         }
-        let (kind, pstats, threshold) = m.policy_stats().unwrap();
+        let (kind, pstats, threshold) = m.policy_stats();
         assert_eq!(kind, das_policy::PolicyKind::Feedback);
         assert_eq!(pstats.epochs, 1);
         assert_eq!(pstats.threshold_adjusts, 1);

@@ -24,9 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod core;
-pub mod source;
 pub mod trace;
 
 pub use crate::core::{Core, CoreConfig, CoreStats, MemRequest};
-pub use source::TraceSource;
-pub use trace::TraceItem;
+pub use trace::{TraceItem, TraceSource};

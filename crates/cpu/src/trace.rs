@@ -4,6 +4,10 @@
 //! number of non-memory instructions preceding it and whether it depends on
 //! the previous reference (pointer-chasing serialisation).
 
+/// A per-core reference stream, as a simulation wires it to each core:
+/// a synthetic generator, a parsed text trace or a stored-trace reader.
+pub type TraceSource = Box<dyn Iterator<Item = TraceItem> + Send>;
+
 /// One memory reference in an instruction trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceItem {

@@ -33,10 +33,11 @@ pub struct BuildParams {
     pub scale: u32,
     /// Restrict to a subset of benchmarks/mixes (empty = all).
     pub only: Vec<String>,
-    /// File name (relative to the output directory) for the telemetry
-    /// experiment's Chrome trace export.
-    pub trace_name: String,
 }
+
+/// File name (relative to the output directory) of the telemetry
+/// experiment's Chrome trace export.
+const TELEMETRY_TRACE: &str = "telemetry_trace.json";
 
 impl BuildParams {
     /// The defaults every catalog experiment is built with.
@@ -45,7 +46,6 @@ impl BuildParams {
             insts,
             scale,
             only: Vec::new(),
-            trace_name: "telemetry_trace.json".to_string(),
         }
     }
 }
@@ -1670,7 +1670,7 @@ fn build_telemetry(p: &BuildParams) -> Vec<JobSpec> {
         seed: 42,
         ov: Overrides {
             telemetry_epoch: Some(EPOCH_CYCLES),
-            trace_path: Some(p.trace_name.clone()),
+            trace_path: Some(TELEMETRY_TRACE.to_string()),
             ..Overrides::default()
         },
     }]
@@ -1752,11 +1752,13 @@ fn render_telemetry(ctx: &RenderCtx) -> String {
         r.u64("telemetry/trace_events"),
         samples.len()
     );
-    let _ = writeln!(o, "run report: {}", ctx.report_path);
+    // Both exports are named relative to the output directory, so the
+    // render does not depend on how that directory was spelled.
+    let _ = writeln!(o, "run report: telemetry.json");
     let _ = writeln!(
         o,
         "chrome trace: {} (open in https://ui.perfetto.dev)",
-        ctx.trace_path
+        job.ov.trace_path.as_deref().unwrap_or(TELEMETRY_TRACE)
     );
     o
 }

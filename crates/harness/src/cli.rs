@@ -310,10 +310,8 @@ pub fn build_catalog_manifest(
     only: &[String],
 ) -> Result<Manifest, String> {
     let params = BuildParams {
-        insts,
-        scale,
         only: only.to_vec(),
-        trace_name: "telemetry_trace.json".to_string(),
+        ..BuildParams::new(insts, scale)
     };
     let mut expanded: Vec<&'static str> = Vec::new();
     for id in ids {
@@ -383,19 +381,12 @@ pub fn render_experiment_outputs(
         let exp = catalog::by_id(&e.id)
             .ok_or_else(|| format!("manifest names unknown experiment {:?}", e.id))?;
         let report_path = out_dir.join(format!("{}.json", e.id));
-        let trace_rel = e
-            .jobs
-            .iter()
-            .find_map(|j| j.ov.trace_path.clone())
-            .unwrap_or_else(|| "telemetry_trace.json".to_string());
         let exp_reports = &reports[offset..offset + n];
         let ctx = RenderCtx {
             insts: manifest.insts,
             scale: manifest.scale,
             jobs: &e.jobs,
             reports: exp_reports,
-            report_path: report_path.display().to_string(),
-            trace_path: out_dir.join(&trace_rel).display().to_string(),
         };
         let text = (exp.render)(&ctx);
         let txt_path = out_dir.join(format!("{}.txt", e.id));

@@ -20,24 +20,11 @@ use das_workloads::{mixes, shared, spec};
 
 use crate::render::group_of;
 
-/// Manifest format version (bumped on breaking schema changes).
-///
-/// Version history:
-/// * **1** — initial schema (PR 3).
-/// * **2** — design-key vocabulary grew `clr`/`lisa`/`salp` for the
-///   cross-architecture backend family. Structurally identical to v1, so
-///   v1 documents still parse.
-/// * **3** — workload tokens grew `shared:<kind>` (coherent multi-core
-///   front end) and overrides grew `protocol`/`cores`/`sharing`. Older
-///   documents still parse.
-/// * **4** — overrides grew `policy:<name>` (adaptive migration policies:
-///   `paper_fixed`, `hysteresis`, `cost_aware`, `phase_adaptive`,
-///   `feedback`), valid only on dynamic exclusive designs. Older documents
-///   still parse.
+/// Manifest format version (bumped on schema changes). A build parses
+/// exactly this version. Version 4 is the first whose overrides carry
+/// `policy:<name>` (`paper_fixed`, `hysteresis`, `cost_aware`,
+/// `phase_adaptive`, `feedback`), valid only on dynamic exclusive designs.
 pub const MANIFEST_VERSION: u64 = 4;
-
-/// The oldest manifest version this build still reads.
-pub const MANIFEST_MIN_VERSION: u64 = 1;
 
 /// A complete run matrix: one or more experiments.
 #[derive(Debug, Clone, PartialEq)]
@@ -507,10 +494,10 @@ impl Manifest {
             .get("das_manifest")
             .and_then(Value::as_u64)
             .ok_or("not a das_manifest document")?;
-        if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
+        if version != MANIFEST_VERSION {
             return Err(format!(
                 "manifest version {version} unsupported (this build reads \
-                 {MANIFEST_MIN_VERSION}..={MANIFEST_VERSION})"
+                 {MANIFEST_VERSION})"
             ));
         }
         let insts = doc
@@ -773,25 +760,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_manifests_still_parse() {
-        // A v3 reader must accept documents written by the older schemas:
-        // same structure, smaller design-key/workload-token vocabulary.
-        for old in 1..MANIFEST_VERSION {
-            let old_text = sample().render().replace(
+    fn only_the_current_version_parses() {
+        for other in [MANIFEST_VERSION - 1, MANIFEST_VERSION + 1] {
+            let text = sample().render().replace(
                 &format!("\"das_manifest\":{MANIFEST_VERSION}"),
-                &format!("\"das_manifest\":{old}"),
+                &format!("\"das_manifest\":{other}"),
             );
-            assert_ne!(old_text, sample().render(), "substitution must hit");
-            let back = Manifest::parse(&old_text).expect("old document parses");
-            assert_eq!(back, sample());
+            assert_ne!(text, sample().render(), "substitution must hit");
+            let err = Manifest::parse(&text).unwrap_err();
+            assert!(err.contains("version"), "{err}");
         }
-        // Future versions stay rejected.
-        let next = MANIFEST_VERSION + 1;
-        let next_text = sample().render().replace(
-            &format!("\"das_manifest\":{MANIFEST_VERSION}"),
-            &format!("\"das_manifest\":{next}"),
-        );
-        assert!(Manifest::parse(&next_text).unwrap_err().contains("version"));
+        assert_eq!(Manifest::parse(&sample().render()), Ok(sample()));
     }
 
     #[test]

@@ -1,32 +1,29 @@
 //! Deterministic work distribution (std-only): a batch-mode ordered pool
-//! and a long-running service pool sharing the same stealing discipline.
+//! and a long-running service pool, both first-in first-out.
 //!
-//! Jobs are dealt round-robin onto per-worker queues; a worker pops from
-//! the *front* of its own queue and steals from the *back* of its
-//! neighbours', so a lightly loaded pool keeps the natural execution
-//! order and a contended one balances itself. For [`run_ordered`],
-//! completion order is whatever the machine gives us — the consumer
-//! callback is nevertheless invoked **in job-id order** via a reorder
-//! buffer, so anything driven from it (journal lines, progress output) is
-//! bit-identical no matter how many workers ran. With jobs that are pure
-//! functions of their index, an N-thread run is therefore
-//! indistinguishable from a 1-thread run everywhere outside wall-clock
-//! time.
+//! [`run_ordered`]'s workers claim jobs from one shared next-job index, so
+//! jobs start in index order. Completion order is whatever the machine
+//! gives us — the consumer callback is nevertheless invoked **in job-id
+//! order** via a reorder buffer, so anything driven from it (journal
+//! lines, progress output) is bit-identical no matter how many workers
+//! ran. With jobs that are pure functions of their index, an N-thread run
+//! is therefore indistinguishable from a 1-thread run everywhere outside
+//! wall-clock time.
 //!
 //! [`ServicePool`] is the embeddable, continuously-fed variant `das-serve`
-//! builds on: tasks arrive over the pool's lifetime, each task reports its
-//! own completion (the server's job registry), and a panicking task never
-//! takes a worker down.
+//! builds on: tasks arrive over the pool's lifetime into one queue and
+//! start in arrival order, each task reports its own completion (the
+//! server's job registry), and a panicking task never takes a worker down.
 //!
-//! Lock-poisoning policy: every queue mutex here guards plain
-//! `VecDeque`s whose operations (`push_back`/`pop_front`/`pop_back`)
-//! cannot panic mid-mutation, so a poisoned lock only means *some other*
-//! thread panicked while holding it — the queue itself is still
-//! consistent. All sites therefore recover with
-//! `PoisonError::into_inner` instead of cascading the panic.
+//! Lock-poisoning policy: the service queue's mutex guards a plain
+//! `VecDeque` whose operations (`push_back`/`pop_front`) cannot panic
+//! mid-mutation, so a poisoned lock only means *some other* thread
+//! panicked while holding it — the queue itself is still consistent. All
+//! sites therefore recover with `PoisonError::into_inner` instead of
+//! cascading the panic.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 
 /// Locks a mutex, recovering from poisoning (see the module-level policy).
@@ -48,38 +45,17 @@ where
     E: FnMut(usize, R),
 {
     let threads = threads.max(1).min(n_jobs.max(1));
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for job in 0..n_jobs {
-        lock_queue(&queues[job % threads]).push_back(job);
-    }
+    let next_job = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     std::thread::scope(|s| {
-        for w in 0..threads {
+        for _ in 0..threads {
             let tx = tx.clone();
-            let queues = &queues;
+            let next_job = &next_job;
             let run = &run;
             s.spawn(move || loop {
-                // Own queue first (front), then steal from the back of the
-                // others. Jobs are fixed up-front, so "every queue empty"
-                // means the pool is drained.
-                let mut job = lock_queue(&queues[w]).pop_front();
-                if job.is_none() {
-                    for off in 1..queues.len() {
-                        let victim = (w + off) % queues.len();
-                        job = lock_queue(&queues[victim]).pop_back();
-                        if job.is_some() {
-                            break;
-                        }
-                    }
-                }
-                match job {
-                    Some(j) => {
-                        if tx.send((j, run(j))).is_err() {
-                            return;
-                        }
-                    }
-                    None => return,
+                let j = next_job.fetch_add(1, Ordering::Relaxed);
+                if j >= n_jobs || tx.send((j, run(j))).is_err() {
+                    return;
                 }
             });
         }
@@ -93,10 +69,6 @@ where
                 next += 1;
             }
         }
-        while let Some(r) = pending.remove(&next) {
-            emit(next, r);
-            next += 1;
-        }
     });
 }
 
@@ -104,12 +76,11 @@ where
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct ServiceShared {
-    /// One deque per worker behind a single lock (stealing needs a
-    /// consistent view of all of them anyway).
-    queues: Mutex<Vec<VecDeque<Task>>>,
+    /// Tasks not yet picked up, oldest first.
+    queue: Mutex<VecDeque<Task>>,
     /// Signalled on submit and on shutdown.
     available: Condvar,
-    /// Once set, workers exit as soon as every queue is empty — queued
+    /// Once set, workers exit as soon as the queue is empty — queued
     /// tasks still run (drain-then-stop, never drop).
     shutdown: AtomicBool,
     /// Tasks whose panic was contained by the worker loop.
@@ -117,8 +88,8 @@ struct ServiceShared {
 }
 
 /// A long-running worker pool for continuously arriving tasks — the
-/// service-mode sibling of [`run_ordered`], with the same round-robin
-/// deal + steal-from-the-back discipline.
+/// service-mode sibling of [`run_ordered`]: idle workers take the oldest
+/// queued task.
 ///
 /// Unlike `run_ordered` there is no reorder buffer: each task carries its
 /// own completion effect (e.g. updating `das-serve`'s job registry), and
@@ -129,49 +100,39 @@ struct ServiceShared {
 pub struct ServicePool {
     shared: Arc<ServiceShared>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next: AtomicU64,
 }
 
 impl ServicePool {
     /// Starts `threads` workers (clamped to ≥ 1).
     pub fn new(threads: usize) -> ServicePool {
-        let threads = threads.max(1);
         let shared = Arc::new(ServiceShared {
-            queues: Mutex::new((0..threads).map(|_| VecDeque::new()).collect()),
+            queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
             panicked: AtomicU64::new(0),
         });
-        let workers = (0..threads)
-            .map(|w| {
+        let workers = (0..threads.max(1))
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared, w))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
         ServicePool {
             shared,
             workers: Mutex::new(workers),
-            next: AtomicU64::new(0),
         }
     }
 
-    /// Enqueues one task (round-robin dealt across worker queues).
-    /// Admission control is the caller's job — the pool itself is
-    /// unbounded.
+    /// Enqueues one task at the back of the queue. Admission control is
+    /// the caller's job — the pool itself is unbounded.
     pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
-        let mut queues = lock_queue(&self.shared.queues);
-        let w = self.next.fetch_add(1, Ordering::Relaxed) as usize % queues.len();
-        queues[w].push_back(Box::new(task));
-        drop(queues);
+        lock_queue(&self.shared.queue).push_back(Box::new(task));
         self.shared.available.notify_one();
     }
 
-    /// Tasks currently waiting in queues (not yet picked up).
+    /// Tasks currently waiting in the queue (not yet picked up).
     pub fn pending(&self) -> usize {
-        lock_queue(&self.shared.queues)
-            .iter()
-            .map(VecDeque::len)
-            .sum()
+        lock_queue(&self.shared.queue).len()
     }
 
     /// Tasks whose panic the pool contained so far.
@@ -197,27 +158,20 @@ impl Drop for ServicePool {
     }
 }
 
-fn worker_loop(shared: &ServiceShared, w: usize) {
+fn worker_loop(shared: &ServiceShared) {
     loop {
         let task = {
-            let mut queues = lock_queue(&shared.queues);
+            let mut queue = lock_queue(&shared.queue);
             loop {
-                // Own queue first (front), then steal from the back of the
-                // others — the run_ordered discipline.
-                if let Some(t) = queues[w].pop_front() {
+                if let Some(t) = queue.pop_front() {
                     break Some(t);
-                }
-                let n = queues.len();
-                let stolen = (1..n).find_map(|off| queues[(w + off) % n].pop_back());
-                if stolen.is_some() {
-                    break stolen;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                queues = shared
+                queue = shared
                     .available
-                    .wait(queues)
+                    .wait(queue)
                     .unwrap_or_else(|e| e.into_inner());
             }
         };

@@ -23,10 +23,6 @@ pub struct RenderCtx<'a> {
     pub jobs: &'a [JobSpec],
     /// Reports aligned with `jobs`.
     pub reports: &'a [Value],
-    /// Printable path of the bare-report export (telemetry experiment).
-    pub report_path: String,
-    /// Printable path of the Chrome trace export (telemetry experiment).
-    pub trace_path: String,
 }
 
 impl<'a> RenderCtx<'a> {

@@ -21,70 +21,25 @@
 
 use std::path::Path;
 
-use das_dram::geometry::GlobalRowId;
-use das_sim::config::{Design, SystemConfig};
-use das_sim::experiments::{run_one_coherent_instrumented, run_one_instrumented_with_profile};
+use das_sim::experiments::run_one_coherent_instrumented;
 use das_sim::report::run_report;
-use das_sim::stats::RunMetrics;
-use das_sim::{SimError, System, TraceSource};
+use das_sim::{System, TraceSource};
 use das_telemetry::json::{self, Value};
-use das_telemetry::TelemetryReport;
 use das_trace::TraceStore;
 use das_workloads::config::WorkloadConfig;
 use das_workloads::dtr;
+use das_workloads::gen::TraceGen;
 
 use crate::manifest::JobSpec;
 use crate::profile::{profile_key, ProfileCache};
 
-/// Runs the job's simulation with per-core streams served from `store`.
-/// Traces absent from the store are materialized first (once per key);
-/// after the run every stream's health is checked so a truncated or
-/// corrupted trace fails the job loudly instead of silently cutting it
-/// short.
-fn run_stored(
-    job: &JobSpec,
-    cfg: &SystemConfig,
-    design: Design,
-    workloads: &[WorkloadConfig],
-    profile: Option<&std::collections::HashMap<GlobalRowId, u64>>,
-    store: &TraceStore,
-) -> Result<(Result<RunMetrics, SimError>, Option<TelemetryReport>), String> {
-    let scaled: Vec<WorkloadConfig> = workloads
-        .iter()
-        .map(|w| w.scaled(u64::from(cfg.scale)))
-        .collect();
-    let mut sources = Vec::with_capacity(scaled.len());
-    let mut statuses = Vec::with_capacity(scaled.len());
-    for w in &scaled {
-        let fp = dtr::episode_fingerprint(w, cfg.seed, cfg.scale, cfg.inst_budget);
-        store
-            .get_or_materialize(&fp, |out| {
-                dtr::record_episode(w, cfg.seed, cfg.inst_budget, out).map(|_| ())
-            })
-            .map_err(|e| format!("job {}: cannot materialize {} trace: {e}", job.id, w.name))?;
-        let reader = store
-            .open_stream(&fp)
-            .map_err(|e| format!("job {}: cannot open {} trace: {e}", job.id, w.name))?;
-        statuses.push((w.name.clone(), reader.status()));
-        sources.push(TraceSource::streaming(reader));
-    }
-    let sys = System::with_sources(cfg.clone(), design, &scaled, sources, profile);
-    let out = sys.run_instrumented();
-    for (name, status) in &statuses {
-        if let Some(e) = status.error() {
-            return Err(format!(
-                "job {}: trace stream for {name} failed mid-run: {e}",
-                job.id
-            ));
-        }
-    }
-    Ok(out)
-}
-
 /// Runs one job, returning the report to journal.
 ///
 /// `out_dir` anchors relative side-effect exports (`trace_path`); `store`,
-/// when given, serves the main run's reference streams from disk.
+/// when given, serves the main run's reference streams from disk. Traces
+/// absent from the store are materialized first (once per key); after the
+/// run every stream's health is checked, so a truncated or corrupted trace
+/// fails the job loudly instead of silently cutting it short.
 ///
 /// # Errors
 ///
@@ -97,10 +52,6 @@ pub fn execute(
     store: Option<&TraceStore>,
 ) -> Result<Value, String> {
     let (cfg, design, workloads) = job.materialize()?;
-    let profile = design
-        .needs_profile()
-        .then(|| profiles.get_or_compute(&profile_key(job), &cfg, &workloads));
-    let profile = profile.as_deref();
     // The telemetry report is `None` unless the job sets `telemetry_epoch`.
     let (res, tel) = if let Some((spec, protocol)) = job.coherent_spec()? {
         // Coherent runs synthesize their shared-footprint streams
@@ -108,10 +59,42 @@ pub fn execute(
         // is bypassed.
         run_one_coherent_instrumented(&cfg, design, &spec, protocol)
     } else {
-        match store {
-            Some(s) => run_stored(job, &cfg, design, &workloads, profile, s)?,
-            None => run_one_instrumented_with_profile(&cfg, design, &workloads, profile),
+        let profile = design
+            .needs_profile()
+            .then(|| profiles.get_or_compute(&profile_key(job), &cfg, &workloads));
+        let scaled: Vec<WorkloadConfig> = workloads
+            .iter()
+            .map(|w| w.scaled(u64::from(cfg.scale)))
+            .collect();
+        let mut sources: Vec<TraceSource> = Vec::with_capacity(scaled.len());
+        let mut statuses = Vec::new();
+        for w in &scaled {
+            let Some(store) = store else {
+                sources.push(Box::new(TraceGen::new(w.clone(), cfg.seed, 0)));
+                continue;
+            };
+            let fp = dtr::episode_fingerprint(w, cfg.seed, cfg.scale, cfg.inst_budget);
+            store
+                .get_or_materialize(&fp, |out| {
+                    dtr::record_episode(w, cfg.seed, cfg.inst_budget, out).map(|_| ())
+                })
+                .map_err(|e| format!("job {}: cannot materialize {} trace: {e}", job.id, w.name))?;
+            let reader = store
+                .open_stream(&fp)
+                .map_err(|e| format!("job {}: cannot open {} trace: {e}", job.id, w.name))?;
+            statuses.push((w.name.clone(), reader.status()));
+            sources.push(Box::new(reader));
         }
+        let out = System::new(cfg, design, &scaled, sources, profile.as_deref()).run();
+        for (name, status) in &statuses {
+            if let Some(e) = status.error() {
+                return Err(format!(
+                    "job {}: trace stream for {name} failed mid-run: {e}",
+                    job.id
+                ));
+            }
+        }
+        out
     };
     let m = res.map_err(|e| {
         format!(

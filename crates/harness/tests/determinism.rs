@@ -62,8 +62,6 @@ fn run_to_journal(m: &Manifest, dir: &PathBuf, threads: usize) -> (Vec<u8>, Stri
         scale: m.scale,
         jobs: &m.experiments[0].jobs,
         reports: &reports,
-        report_path: String::new(),
-        trace_path: String::new(),
     };
     let text = (by_id(&m.experiments[0].id).unwrap().render)(&ctx);
     (fs::read(&path).unwrap(), text)

@@ -13,7 +13,8 @@
 //! Five implementations ship here:
 //!
 //! - [`PaperFixed`] — the paper's promote-at-threshold rule, bit-for-bit
-//!   (the simulator's default path is locked byte-identical to it).
+//!   (the simulator's default: management runs it unless another
+//!   policy is installed).
 //! - [`Hysteresis`] — raises the promotion bar by a fixed margin to damp
 //!   promotion ping-pong, and asks for demotions when the fast level
 //!   goes cold.
@@ -232,7 +233,7 @@ impl PolicyAction {
 ///
 /// See the crate docs for the determinism rules every implementation
 /// must obey. `Send` is required because simulations run on the
-/// harness's work-stealing pool; `Debug` because the owning controller
+/// harness's worker pool; `Debug` because the owning controller
 /// derives it.
 pub trait MigrationPolicy: fmt::Debug + Send {
     /// Which shipped kind this is (used for stats and report labels).
@@ -263,9 +264,8 @@ impl Clone for Box<dyn MigrationPolicy> {
 // ---------------------------------------------------------------------------
 
 /// The source paper's rule: promote exactly when the filter count
-/// reaches the threshold. Epochs are ignored. This is the behaviour the
-/// simulator's policy-free default path implements, and
-/// `tests/locks.rs` locks the two byte-identical.
+/// reaches the threshold. Epochs are ignored. The simulator's
+/// management runs this rule unless another policy is installed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PaperFixed;
 

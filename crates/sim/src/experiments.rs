@@ -13,43 +13,56 @@ use das_telemetry::TelemetryReport;
 
 use crate::config::{Design, SystemConfig};
 use crate::stats::RunMetrics;
-use crate::system::{recorded_workload_stubs, AddressMap, SimError, System};
+use crate::system::{recorded_workload_stubs, AddressMap, SimError, System, TraceSource};
 
 /// Runs the profiling pre-pass used by the static designs (SAS/CHARM):
-/// the same traces are pushed through a fresh cache hierarchy and LLC-miss
-/// row access counts are collected (§7: "each workload is profiled first").
+/// the same workloads are pushed through a fresh cache hierarchy and
+/// LLC-miss row access counts are collected (§7: "each workload is
+/// profiled first").
 ///
 /// Workloads must already be scaled.
 pub fn profile_row_counts(
     cfg: &SystemConfig,
     workloads: &[WorkloadConfig],
 ) -> HashMap<GlobalRowId, u64> {
-    let addr_map = AddressMap::new(cfg, workloads).profile_view();
-    let mut hierarchy = CacheHierarchy::new(cfg.hierarchy, workloads.len());
     // Profiling observes a *different run* of the program (SPEC profiles
     // are gathered on train inputs; the measured episode runs ref): phase
     // positions will not line up with the measured episode, which is what
     // limits static placement in the paper.
     let profile_seed = cfg.seed ^ 0x5052_4F46; // "PROF"
-    let mut gens: Vec<TraceGen> = workloads
+    let gens = workloads
         .iter()
         .map(|w| TraceGen::new(w.clone(), profile_seed, 0))
         .collect();
-    let mut counts = HashMap::new();
-    let mut insts = vec![0u64; workloads.len()];
-    let line_mask = !(cfg.hierarchy.line_bytes - 1);
-    // Round-robin across cores so shared-LLC contention shapes the profile
-    // as it would in the timed run.
+    let addr_map = AddressMap::new(cfg, workloads).profile_view();
     let horizon = cfg.inst_budget * cfg.profile_multiplier.max(1);
-    let mut live = workloads.len();
+    llc_miss_rows(cfg, &addr_map, gens, Some(horizon))
+}
+
+/// Walks `streams` (one per core, placed by `addr_map`) through a fresh
+/// cache hierarchy and counts LLC misses per row. The streams interleave
+/// round-robin, so shared-LLC contention shapes the counts as it would in
+/// the timed run; each stops when it ends or after `horizon` instructions.
+fn llc_miss_rows<I: Iterator<Item = TraceItem>>(
+    cfg: &SystemConfig,
+    addr_map: &AddressMap,
+    mut streams: Vec<I>,
+    horizon: Option<u64>,
+) -> HashMap<GlobalRowId, u64> {
+    let horizon = horizon.unwrap_or(u64::MAX);
+    let mut hierarchy = CacheHierarchy::new(cfg.hierarchy, streams.len());
+    let mut counts = HashMap::new();
+    let mut insts = vec![0u64; streams.len()];
+    let line_mask = !(cfg.hierarchy.line_bytes - 1);
+    let mut live = streams.len();
     while live > 0 {
         live = 0;
-        for (i, g) in gens.iter_mut().enumerate() {
+        for (i, s) in streams.iter_mut().enumerate() {
             if insts[i] >= horizon {
                 continue;
             }
             live += 1;
-            let Some(item) = g.next() else {
+            let Some(item) = s.next() else {
                 insts[i] = horizon;
                 continue;
             };
@@ -92,83 +105,52 @@ pub fn run_one_instrumented(
     design: Design,
     workloads: &[WorkloadConfig],
 ) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
-    run_one_instrumented_with_profile(cfg, design, workloads, None)
-}
-
-/// Like [`run_one_instrumented`], but accepts a precomputed profiling
-/// pre-pass (as returned by [`profile_row_counts`] over the **scaled**
-/// workload set under the same configuration). The experiment harness
-/// memoizes the pre-pass across jobs this way: every static-design run
-/// over the same (workload set, seed, scale) shares one profile instead of
-/// recomputing it. `None` falls back to computing the profile in-line when
-/// the design needs one, which is exactly [`run_one_instrumented`].
-pub fn run_one_instrumented_with_profile(
-    cfg: &SystemConfig,
-    design: Design,
-    workloads: &[WorkloadConfig],
-    profile: Option<&HashMap<GlobalRowId, u64>>,
-) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
     let scaled: Vec<WorkloadConfig> = workloads
         .iter()
         .map(|w| w.scaled(cfg.scale as u64))
         .collect();
-    let computed;
-    let profile = match profile {
-        Some(p) => design.needs_profile().then_some(p),
-        None if design.needs_profile() => {
-            computed = profile_row_counts(cfg, &scaled);
-            Some(&computed)
-        }
-        None => None,
-    };
-    System::new(cfg.clone(), design, &scaled, profile).run_instrumented()
+    let profile = design
+        .needs_profile()
+        .then(|| profile_row_counts(cfg, &scaled));
+    let sources = scaled
+        .iter()
+        .map(|w| Box::new(TraceGen::new(w.clone(), cfg.seed, 0)) as TraceSource)
+        .collect();
+    System::new(cfg.clone(), design, &scaled, sources, profile.as_ref()).run()
 }
 
 /// Runs one simulation over **recorded traces** (one per core), e.g. loaded
-/// with [`das_workloads::trace_file::read_trace`]. For the static designs
-/// the profile is derived by replaying the same traces through a fresh
-/// cache hierarchy (an oracle profile: recorded traces *are* the measured
-/// execution).
+/// with [`das_workloads::trace_file::read_trace`]. Footprints are inferred
+/// from the traces' maximum addresses. For the static designs the profile
+/// is derived by walking the same traces, interleaved round-robin, through
+/// a fresh cache hierarchy under the timed run's placement (an oracle
+/// profile: recorded traces *are* the measured execution — document
+/// accordingly when comparing).
 ///
 /// # Errors
 ///
 /// Returns the [`SimError`] if the run could not finish.
+///
+/// # Panics
+///
+/// Panics if `traces` is empty or holds an empty trace.
 pub fn run_recorded(
     cfg: &SystemConfig,
     design: Design,
     traces: Vec<Vec<TraceItem>>,
 ) -> Result<RunMetrics, SimError> {
-    let profile = if design.needs_profile() {
-        // Trace addresses are workload-local and go through the same
-        // physical placement as the timed run (no reallocation: a recorded
-        // trace profiles its own execution, so static placement is oracle
-        // here — document accordingly when comparing).
-        let mut dcfg = cfg.clone();
-        design.apply_overrides(&mut dcfg);
-        let stubs = recorded_workload_stubs(&dcfg, &traces);
-        let addr_map = AddressMap::new(&dcfg, &stubs);
-        let mut hierarchy = CacheHierarchy::new(dcfg.hierarchy, traces.len());
-        let mut counts = HashMap::new();
-        let line_mask = !(dcfg.hierarchy.line_bytes - 1);
-        for (core, t) in traces.iter().enumerate() {
-            for item in t {
-                let addr = addr_map.map(core, item.addr);
-                let out = hierarchy.access(core, addr, item.is_write);
-                if out.level == CacheLevel::Memory {
-                    let line = addr & line_mask;
-                    let coord = dcfg.geometry.decode(line);
-                    *counts
-                        .entry(dcfg.geometry.global_row_id(coord.bank, coord.row))
-                        .or_insert(0u64) += 1;
-                    hierarchy.fill_from_memory(core, line, item.is_write);
-                }
-            }
-        }
-        Some(counts)
-    } else {
-        None
-    };
-    System::from_recorded(cfg.clone(), design, traces, profile.as_ref()).run()
+    let stubs = recorded_workload_stubs(cfg, &traces);
+    let profile = design.needs_profile().then(|| {
+        let streams = traces.iter().map(|t| t.iter().copied()).collect();
+        llc_miss_rows(cfg, &AddressMap::new(cfg, &stubs), streams, None)
+    });
+    let sources = traces
+        .into_iter()
+        .map(|t| Box::new(t.into_iter()) as TraceSource)
+        .collect();
+    System::new(cfg.clone(), design, &stubs, sources, profile.as_ref())
+        .run()
+        .0
 }
 
 /// Runs one full-system simulation with the coherent multi-core front end
@@ -208,7 +190,7 @@ pub fn run_one_coherent_instrumented(
     protocol: das_coherence::ProtocolKind,
 ) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
     let scaled = spec.scaled(cfg.scale as u64);
-    System::with_coherence(cfg.clone(), design, &scaled, protocol).run_instrumented()
+    System::with_coherence(cfg.clone(), design, &scaled, protocol).run()
 }
 
 /// The paper's performance-improvement metric against the Std-DRAM
@@ -294,15 +276,15 @@ mod tests {
         let scaled: Vec<_> = libq().iter().map(|w| w.scaled(cfg.scale as u64)).collect();
         let profile = profile_row_counts(&cfg, &scaled);
         let inline = run_one(&cfg, Design::SasDram, &libq()).unwrap();
-        let shared =
-            run_one_instrumented_with_profile(&cfg, Design::SasDram, &libq(), Some(&profile))
-                .0
-                .unwrap();
-        assert_eq!(inline.promotions, shared.promotions);
-        assert_eq!(inline.memory_accesses, shared.memory_accesses);
-        assert_eq!(inline.llc_misses, shared.llc_misses);
-        assert_eq!(inline.window_cycles, shared.window_cycles);
-        assert_eq!(inline.access_mix, shared.access_mix);
+        let sources = scaled
+            .iter()
+            .map(|w| Box::new(TraceGen::new(w.clone(), cfg.seed, 0)) as TraceSource)
+            .collect();
+        let shared = System::new(cfg, Design::SasDram, &scaled, sources, Some(&profile))
+            .run()
+            .0
+            .unwrap();
+        assert_eq!(format!("{inline:?}"), format!("{shared:?}"));
     }
 
     #[test]

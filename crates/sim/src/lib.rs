@@ -16,9 +16,8 @@
 //!
 //! Telemetry (latency histograms, the epoch time-series and the Chrome
 //! trace export) lives in `das-telemetry`; enable it per run with
-//! [`config::SystemConfig::with_telemetry`] and collect it through
-//! [`system::System::run_instrumented`] or
-//! [`experiments::run_one_instrumented`].
+//! [`config::SystemConfig::with_telemetry`]; [`system::System::run`] and
+//! [`experiments::run_one_instrumented`] return it next to the metrics.
 //!
 //! # Examples
 //!

@@ -35,7 +35,6 @@ use das_memctrl::controller::{ControllerError, MemoryController};
 use das_memctrl::request::{Completion, Request, ServiceClass, SwapOp};
 use das_telemetry::{EpochCounters, LatencyClass, Telemetry, TelemetryReport};
 use das_workloads::config::WorkloadConfig;
-use das_workloads::gen::TraceGen;
 use das_workloads::shared::{SharedGen, SharedSpec};
 
 use crate::config::{Design, SystemConfig};
@@ -313,8 +312,8 @@ impl Management {
         }
     }
 
-    /// The installed migration policy's kind, action tallies and current
-    /// threshold (exclusive management only; `None` when no policy runs).
+    /// The migration policy's kind, action tallies and current threshold
+    /// (exclusive management only).
     fn policy_stats(
         &self,
     ) -> Option<(
@@ -323,7 +322,7 @@ impl Management {
         u32,
     )> {
         match self {
-            Management::Exclusive(m) => m.policy_stats(),
+            Management::Exclusive(m) => Some(m.policy_stats()),
             Management::Inclusive(_) => None,
         }
     }
@@ -586,73 +585,6 @@ pub struct System {
 }
 
 impl System {
-    /// Builds the system. `profile` carries per-row access counts for the
-    /// static designs (SAS/CHARM); it must be `Some` exactly when
-    /// [`Design::needs_profile`] holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics on configuration mismatches (wrong workload count, missing or
-    /// spurious profile, footprints exceeding memory).
-    pub fn new(
-        cfg: SystemConfig,
-        design: Design,
-        workloads: &[WorkloadConfig],
-        profile: Option<&HashMap<GlobalRowId, u64>>,
-    ) -> Self {
-        let traces: Vec<TraceSource> = workloads
-            .iter()
-            .map(|w| TraceSource::streaming(TraceGen::new(w.clone(), cfg.seed, 0)))
-            .collect();
-        Self::assemble(cfg, design, workloads, traces, profile)
-    }
-
-    /// Builds the system over explicit per-core sources paired with the
-    /// *real* workload descriptors — the store-served replay path. Using
-    /// the same scaled [`WorkloadConfig`]s as [`System::new`] keeps the
-    /// address map, footprints and labels identical, so a source that
-    /// yields the generator's exact item sequence produces a bit-identical
-    /// run (locked by tests in `das-harness`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same configuration mismatches as [`System::new`], or
-    /// if `sources.len() != workloads.len()`.
-    pub fn with_sources(
-        cfg: SystemConfig,
-        design: Design,
-        workloads: &[WorkloadConfig],
-        sources: Vec<TraceSource>,
-        profile: Option<&HashMap<GlobalRowId, u64>>,
-    ) -> Self {
-        assert_eq!(
-            sources.len(),
-            workloads.len(),
-            "one source per workload required"
-        );
-        Self::assemble(cfg, design, workloads, sources, profile)
-    }
-
-    /// Builds the system over pre-recorded reference streams (one per
-    /// core), e.g. parsed with [`das_workloads::trace_file::read_trace`].
-    /// Footprints are inferred from the traces' maximum addresses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `design` needs a profile (use
-    /// [`crate::experiments::run_recorded`], which derives one) without one
-    /// being supplied, or if a trace is empty.
-    pub fn from_recorded(
-        cfg: SystemConfig,
-        design: Design,
-        traces: Vec<Vec<TraceItem>>,
-        profile: Option<&HashMap<GlobalRowId, u64>>,
-    ) -> Self {
-        let workloads = recorded_workload_stubs(&cfg, &traces);
-        let sources = traces.into_iter().map(TraceSource::recorded).collect();
-        Self::assemble(cfg, design, &workloads, sources, profile)
-    }
-
     /// Builds a coherent multi-core system: `spec.cores` cores running the
     /// shared-footprint workload, their private L1s kept coherent by
     /// `protocol` over a snooping bus, in front of the shared LLC and the
@@ -681,9 +613,9 @@ impl System {
         );
         let workloads = spec.workload_configs();
         let sources: Vec<TraceSource> = (0..spec.cores)
-            .map(|c| TraceSource::streaming(SharedGen::new(spec.clone(), cfg.seed, c)))
+            .map(|c| Box::new(SharedGen::new(spec.clone(), cfg.seed, c)) as TraceSource)
             .collect();
-        let mut sys = Self::assemble(cfg, design, &workloads, sources, None);
+        let mut sys = Self::new(cfg, design, &workloads, sources, None);
         let h = sys.cfg.hierarchy;
         let cluster = CoherentCluster::new(
             protocol,
@@ -715,14 +647,30 @@ impl System {
         sys
     }
 
-    fn assemble(
+    /// Builds the system over per-core reference `sources` (one per
+    /// workload: generators, store readers or recorded traces) paired with
+    /// the scaled `workloads` they replay, which fix the address map,
+    /// footprints and labels. `profile` carries per-row access counts for
+    /// the static designs (SAS/CHARM); it must be `Some` exactly when
+    /// [`Design::needs_profile`] holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics on configuration mismatches (wrong source count, missing or
+    /// spurious profile, footprints exceeding memory).
+    pub fn new(
         cfg: SystemConfig,
         design: Design,
         workloads: &[WorkloadConfig],
-        traces: Vec<TraceSource>,
+        sources: Vec<TraceSource>,
         profile: Option<&HashMap<GlobalRowId, u64>>,
     ) -> Self {
         assert!(!workloads.is_empty(), "need at least one workload");
+        assert_eq!(
+            sources.len(),
+            workloads.len(),
+            "one source per workload required"
+        );
         assert_eq!(
             design.needs_profile(),
             profile.is_some(),
@@ -820,7 +768,7 @@ impl System {
             design,
             addr_map,
             cores,
-            traces,
+            traces: sources,
             hierarchy,
             ctrls,
             manager,
@@ -864,20 +812,15 @@ impl System {
         self.events.push(at.max(self.clock), kind);
     }
 
-    /// Runs the simulation to completion and returns the measured metrics,
-    /// or a [`SimError`] describing why the run could not finish (deadlock,
+    /// Runs the simulation to completion. Returns the measured metrics, or
+    /// a [`SimError`] describing why the run could not finish (deadlock,
     /// runaway event count, wake storm, or an unrecoverable consistency
-    /// violation). The simulation never panics on these paths.
-    pub fn run(self) -> Result<RunMetrics, SimError> {
-        self.run_instrumented().0
-    }
-
-    /// Like [`System::run`], but also returns the telemetry report (`None`
-    /// when the sink is off — see
-    /// [`crate::config::SystemConfig::with_telemetry`]). On a failed run the
-    /// telemetry collected up to the failure is still returned: the event
-    /// trace of a wedged controller is exactly what one wants to look at.
-    pub fn run_instrumented(mut self) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
+    /// violation), together with the telemetry report (`None` when the
+    /// sink is off — see [`crate::config::SystemConfig::with_telemetry`]).
+    /// The simulation never panics on these paths, and a failed run still
+    /// returns the telemetry collected up to the failure: the event trace
+    /// of a wedged controller is exactly what one wants to look at.
+    pub fn run(mut self) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
         let outcome = self.run_loop();
         let tel = std::mem::replace(&mut self.tel, Telemetry::off());
         let report = tel.into_report();
@@ -1881,8 +1824,14 @@ impl System {
                     cores: c.cluster.config().cores,
                     stats: c.cluster.stats().clone(),
                 }),
-            policy: self.manager.as_ref().and_then(|m| m.policy_stats()).map(
-                |(kind, stats, threshold)| crate::stats::PolicyMetrics {
+            // Reported exactly when `cfg.policy` replaced the default
+            // `PaperFixed` rule at assembly.
+            policy: self
+                .cfg
+                .policy
+                .filter(|_| !self.design.needs_profile())
+                .and_then(|_| self.manager.as_ref()?.policy_stats())
+                .map(|(kind, stats, threshold)| crate::stats::PolicyMetrics {
                     policy: kind.key().to_string(),
                     promotes: stats.promotes,
                     demotes: stats.demotes,
@@ -1890,8 +1839,7 @@ impl System {
                     threshold_adjusts: stats.threshold_adjusts,
                     epochs: stats.epochs,
                     final_threshold: threshold,
-                },
-            ),
+                }),
         }
     }
 }
@@ -1982,16 +1930,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_source_recorded_drains() {
-        let items = vec![das_cpu::trace::TraceItem::load(1, 0); 3];
-        let mut src = TraceSource::Recorded(items.into_iter());
-        assert_eq!(src.by_ref().count(), 3);
-        assert!(src.next().is_none());
-    }
-
-    #[test]
     fn table_region_occupies_top_rows() {
-        let sys = System::new(cfg(), Design::Standard, &workloads4(), None);
+        let wls = workloads4();
+        let sources = wls
+            .iter()
+            .map(|_| Box::new(std::iter::empty()) as TraceSource);
+        let sys = System::new(cfg(), Design::Standard, &wls, sources.collect(), None);
         let bank = BankCoord::new(0, 0, 0);
         let first = sys.table_region_first_row(bank);
         assert!(first < sys.cfg.geometry.rows_per_bank);

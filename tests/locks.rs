@@ -8,14 +8,18 @@
 //! * **Faults.** The catalog's `fault_sweep` renderer asserts that every
 //!   rate-0 run equals its uninjected twin.
 //! * **Policies.** The default path (`cfg.policy == None`) never grows a
-//!   `policy` key. `PaperFixed` re-derives the paper's fixed-threshold
-//!   filter through the `MigrationPolicy` trait, so every metric matches
-//!   the policy-free run and only the appended `policy` block differs.
+//!   `policy` key. It runs the manager's built-in `PaperFixed` rule, so
+//!   configuring `PaperFixed` explicitly matches every metric and only
+//!   appends the `policy` block.
+//! * **Renders.** The telemetry render names its exports relative to the
+//!   output directory, so it is the same however that directory is spelled.
 
 use das_dram::timing::TimingSet;
 use das_faults::FaultPlan;
 use das_harness::catalog::{by_id, BuildParams};
-use das_harness::cli::{execute_jobs, ExecOptions};
+use das_harness::cli::{
+    build_catalog_manifest, execute_jobs, render_experiment_outputs, ExecOptions,
+};
 use das_harness::render::RenderCtx;
 use das_policy::PolicyKind;
 use das_sim::config::{Design, SystemConfig};
@@ -85,8 +89,6 @@ fn fault_sweep_rate_zero_runs_match_their_uninjected_twins() {
         scale: params.scale,
         jobs: &jobs,
         reports: &reports,
-        report_path: "fault_sweep.json".to_string(),
-        trace_path: "telemetry_trace.json".to_string(),
     };
     // The renderer panics on the first rate-0 run that differs.
     let text = (exp.render)(&ctx);
@@ -94,6 +96,32 @@ fn fault_sweep_rate_zero_runs_match_their_uninjected_twins() {
         text.ends_with("rate-0 runs verified bit-identical to uninjected runs for all designs\n"),
         "{text}"
     );
+}
+
+#[test]
+fn telemetry_render_ignores_the_output_dir_spelling() {
+    let manifest = build_catalog_manifest(&["telemetry".to_string()], 200_000, 64, &[]).unwrap();
+    let abs = std::env::temp_dir().join(format!("das-telemetry-render-{}", std::process::id()));
+    std::fs::create_dir_all(&abs).unwrap();
+    let opts = ExecOptions {
+        threads: 1,
+        out_dir: &abs,
+        progress: false,
+        trace_store: None,
+    };
+    let reports = execute_jobs(&manifest.experiments[0].jobs, &opts, None).unwrap();
+    // The same directory, spelled relative to the working directory.
+    let cwd = std::env::current_dir().unwrap();
+    let up: std::path::PathBuf = cwd.components().skip(1).map(|_| "..").collect();
+    let rel = up.join(abs.strip_prefix("/").unwrap());
+    let render = |dir: &std::path::Path| {
+        render_experiment_outputs(dir, &manifest, &reports, false).unwrap();
+        std::fs::read_to_string(abs.join("telemetry.txt")).unwrap()
+    };
+    let (absolute, relative) = (render(&abs), render(&rel));
+    let _ = std::fs::remove_dir_all(&abs);
+    assert!(absolute.contains("run report: "), "{absolute}");
+    assert_eq!(absolute, relative);
 }
 
 #[test]

@@ -20,14 +20,20 @@
 //! the periodic invariant audit every `INVARIANT_EVENTS` events and seeds
 //! translation corruption with the event count, so its digest also guards
 //! the order and number of processed events.
+//!
+//! The three `recorded_*` jobs replay one in-memory single-core trace
+//! through `run_recorded` with an unbounded instruction budget: SAS pins
+//! the recorded profile walk, DAS and Std-DRAM the recorded trace source.
 
+use das_cpu::trace::TraceItem;
 use das_dram::geometry::FastRatio;
 use das_faults::FaultPlan;
 use das_memctrl::controller::{PagePolicy, SchedulerKind};
 use das_policy::PolicyKind;
 use das_sim::config::{Design, SystemConfig};
-use das_sim::experiments::run_one;
+use das_sim::experiments::{run_one, run_recorded};
 use das_sim::report::run_report;
+use das_sim::stats::RunMetrics;
 use das_workloads::spec;
 
 /// Instructions of each locked run.
@@ -37,7 +43,7 @@ const INSTS: u64 = 500_000;
 const INVARIANT_EVENTS: u64 = 10_000;
 
 /// (job label, FNV-1a digest of the rendered report).
-const LOCKED: [(&str, u64); 15] = [
+const LOCKED: [(&str, u64); 18] = [
     ("std", 0xc0df_03f3_5270_4ae0),
     ("sas", 0xc6a0_cd31_6bc7_dd2b),
     ("charm", 0xdcb7_3b3c_6f95_36ec),
@@ -53,6 +59,9 @@ const LOCKED: [(&str, u64); 15] = [
     ("das_faults", 0x57a4_8c3f_967a_280b),
     ("das_closed", 0xe7bc_3e69_0c16_f4c3),
     ("das_fcfs", 0x4937_5fbb_d682_4a48),
+    ("recorded_std", 0x223d_b4ab_2ce2_f1d5),
+    ("recorded_sas", 0xee03_da43_003c_0700),
+    ("recorded_das", 0xd1ab_a214_6c2c_8a42),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -100,13 +109,33 @@ fn job(label: &str) -> (SystemConfig, Design) {
     }
 }
 
+/// A hot-ring trace: 30k loads cycling over 256 rows, a few lines each.
+fn ring_trace() -> Vec<TraceItem> {
+    (0..30_000u64)
+        .map(|i| {
+            let addr = (i * 37 % 256) * 8192 + (i.wrapping_mul(0x9e37_79b9) >> 9) % 128 * 64;
+            TraceItem::load(20, addr)
+        })
+        .collect()
+}
+
+/// Runs the locked job named `label`.
+fn run(label: &str) -> RunMetrics {
+    if let Some(key) = label.strip_prefix("recorded_") {
+        let mut cfg = SystemConfig::scaled_by(64, INSTS);
+        cfg.inst_budget = u64::MAX;
+        let design = Design::parse(key).expect("a design key");
+        return run_recorded(&cfg, design, vec![ring_trace()]).expect("run completes");
+    }
+    let (cfg, design) = job(label);
+    run_one(&cfg, design, &[spec::by_name("mcf")]).expect("run completes")
+}
+
 #[test]
 fn sim_loop_reports_are_byte_identical() {
-    let workloads = [spec::by_name("mcf")];
     let mut mismatches = Vec::new();
     for (label, want) in LOCKED {
-        let (cfg, design) = job(label);
-        let m = run_one(&cfg, design, &workloads).expect("run completes");
+        let m = run(label);
         if label == "das_faults" {
             assert!(
                 m.faults.invariant_checks_passed > 0 && m.faults.total_injected() > 0,

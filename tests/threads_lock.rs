@@ -33,8 +33,6 @@ fn rendered(threads: usize) -> Vec<String> {
         scale: params.scale,
         jobs: &jobs,
         reports: &reports,
-        report_path: format!("{EXP}.json"),
-        trace_path: "telemetry_trace.json".to_string(),
     };
     let mut out: Vec<String> = reports.iter().map(|r| r.render()).collect();
     out.push((exp.render)(&ctx));
