@@ -268,11 +268,6 @@ impl CacheHierarchy {
         self.l1[core].stats()
     }
 
-    /// Statistics for one core's L2.
-    pub fn l2_stats(&self, core: usize) -> CacheStats {
-        self.l2[core].stats()
-    }
-
     /// Shared LLC statistics.
     pub fn llc_stats(&self) -> CacheStats {
         self.llc.stats()

@@ -43,15 +43,6 @@ impl CacheStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
-
-    /// Miss ratio in `[0, 1]`; zero when there were no accesses.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses() as f64
-        }
-    }
 }
 
 /// A set-associative cache.

@@ -1,5 +1,5 @@
 //! A cluster of per-core private L1 caches kept coherent over a
-//! [`SnoopBus`] by a pluggable [`CoherenceProtocol`].
+//! [`SnoopBus`] by a [`ProtocolKind`].
 //!
 //! The cluster sits between N trace-fed cores and the shared memory
 //! hierarchy: every core access goes through [`CoherentCluster::access`],
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::bus::{SnoopBus, C2C_TRANSFER_CYCLES, UPD_WORD_CYCLES};
-use crate::protocol::{BusTx, CohState, CoherenceProtocol, ProtocolKind};
+use crate::protocol::{BusTx, CohState, ProtocolKind};
 
 /// Shape of the private-cache cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,7 +270,7 @@ impl LruTags {
 
 /// N private L1s + snooping bus + protocol.
 pub struct CoherentCluster {
-    protocol: Box<dyn CoherenceProtocol + Send + Sync>,
+    protocol: ProtocolKind,
     cfg: ClusterConfig,
     /// Per-core tag store.
     l1: Vec<LruTags>,
@@ -295,7 +295,7 @@ impl CoherentCluster {
             "line size must be a power of two"
         );
         CoherentCluster {
-            protocol: kind.build(),
+            protocol: kind,
             l1: (0..cfg.cores)
                 .map(|_| LruTags::with_capacity(cfg.l1_lines))
                 .collect(),
@@ -307,7 +307,7 @@ impl CoherentCluster {
     }
 
     pub fn protocol_kind(&self) -> ProtocolKind {
-        self.protocol.kind()
+        self.protocol
     }
 
     pub fn config(&self) -> &ClusterConfig {
@@ -514,7 +514,7 @@ mod stamp_oracle {
     use super::*;
 
     pub struct StampCluster {
-        protocol: Box<dyn CoherenceProtocol + Send + Sync>,
+        protocol: ProtocolKind,
         cfg: ClusterConfig,
         l1: Vec<HashMap<u64, (CohState, u64)>>,
         use_counter: u64,
@@ -526,7 +526,7 @@ mod stamp_oracle {
     impl StampCluster {
         pub fn new(kind: ProtocolKind, cfg: ClusterConfig) -> StampCluster {
             StampCluster {
-                protocol: kind.build(),
+                protocol: kind,
                 l1: vec![HashMap::new(); cfg.cores],
                 cfg,
                 use_counter: 0,

@@ -1,16 +1,16 @@
 //! Snooping-bus cache-coherence protocol state machines.
 //!
-//! Two protocols share one trait: 4-state invalidation-based **MESI** and
-//! update-based **Dragon**. Each protocol is a pure transition table —
-//! the [`crate::cluster::CoherentCluster`] owns the caches and the bus and
-//! asks the protocol three questions:
+//! Two protocols, the two variants of [`ProtocolKind`]: 4-state
+//! invalidation-based **MESI** and update-based **Dragon**. Each protocol
+//! is a pure transition table — the [`crate::cluster::CoherentCluster`]
+//! owns the caches and the bus and asks the protocol three questions:
 //!
-//! * [`CoherenceProtocol::on_miss`] — a processor access missed its private
+//! * [`ProtocolKind::on_miss`] — a processor access missed its private
 //!   L1: which state does the filled line enter, and which bus transaction
 //!   announces the fill?
-//! * [`CoherenceProtocol::on_hit`] — a processor access hit: does the state
+//! * [`ProtocolKind::on_hit`] — a processor access hit: does the state
 //!   change, and does a bus transaction have to be broadcast first?
-//! * [`CoherenceProtocol::on_snoop`] — another core's transaction appeared
+//! * [`ProtocolKind::on_snoop`] — another core's transaction appeared
 //!   on the bus while this core holds the line: what is the next state, and
 //!   must this core supply the data or flush it to the level below?
 //!
@@ -133,35 +133,41 @@ impl ProtocolKind {
         ProtocolKind::ALL.into_iter().find(|k| k.key() == s)
     }
 
-    pub fn build(self) -> Box<dyn CoherenceProtocol + Send + Sync> {
+    /// A processor access missed its private L1. `others` reports whether
+    /// any *other* private cache holds a valid copy of the line at the
+    /// moment of the access (Dragon's shared wire; MESI uses it to pick `E`
+    /// vs `S` on read misses).
+    pub fn on_miss(self, is_write: bool, others: bool) -> MissOutcome {
         match self {
-            ProtocolKind::Mesi => Box::new(Mesi),
-            ProtocolKind::Dragon => Box::new(Dragon),
+            ProtocolKind::Mesi => mesi::on_miss(is_write, others),
+            ProtocolKind::Dragon => dragon::on_miss(is_write, others),
+        }
+    }
+
+    /// A processor access hit a line in `state` (`others` as for
+    /// [`ProtocolKind::on_miss`]).
+    pub fn on_hit(self, state: CohState, is_write: bool, others: bool) -> ProcOutcome {
+        match self {
+            ProtocolKind::Mesi => mesi::on_hit(state, is_write),
+            ProtocolKind::Dragon => dragon::on_hit(state, is_write, others),
+        }
+    }
+
+    /// Another core's `tx` appeared on the bus while this core holds the
+    /// line in `state`.
+    pub fn on_snoop(self, state: CohState, tx: BusTx) -> SnoopOutcome {
+        match self {
+            ProtocolKind::Mesi => mesi::on_snoop(state, tx),
+            ProtocolKind::Dragon => dragon::on_snoop(state, tx),
         }
     }
 }
 
-/// A snooping-bus coherence protocol as a pure transition table.
-///
-/// `others` reports whether any *other* private cache holds a valid copy of
-/// the line at the moment of the access (Dragon's shared wire; MESI uses it
-/// to pick `E` vs `S` on read misses).
-pub trait CoherenceProtocol {
-    fn kind(&self) -> ProtocolKind;
-    fn on_miss(&self, is_write: bool, others: bool) -> MissOutcome;
-    fn on_hit(&self, state: CohState, is_write: bool, others: bool) -> ProcOutcome;
-    fn on_snoop(&self, state: CohState, tx: BusTx) -> SnoopOutcome;
-}
-
 /// 4-state invalidation-based MESI.
-pub struct Mesi;
+mod mesi {
+    use super::*;
 
-impl CoherenceProtocol for Mesi {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Mesi
-    }
-
-    fn on_miss(&self, is_write: bool, others: bool) -> MissOutcome {
+    pub(super) fn on_miss(is_write: bool, others: bool) -> MissOutcome {
         if is_write {
             // Read-for-ownership: everyone else invalidates.
             MissOutcome {
@@ -178,7 +184,7 @@ impl CoherenceProtocol for Mesi {
         }
     }
 
-    fn on_hit(&self, state: CohState, is_write: bool, _others: bool) -> ProcOutcome {
+    pub(super) fn on_hit(state: CohState, is_write: bool) -> ProcOutcome {
         match (state, is_write) {
             (CohState::M, _) => ProcOutcome {
                 next: CohState::M,
@@ -208,7 +214,7 @@ impl CoherenceProtocol for Mesi {
         }
     }
 
-    fn on_snoop(&self, state: CohState, tx: BusTx) -> SnoopOutcome {
+    pub(super) fn on_snoop(state: CohState, tx: BusTx) -> SnoopOutcome {
         match (state, tx) {
             // Dirty holder answers a read: supply, demote to S, and flush —
             // with no Owned state, memory must pick the dirty data up.
@@ -265,14 +271,10 @@ impl CoherenceProtocol for Mesi {
 /// Update-based Dragon (E, Sc, Sm, M; no Invalid state — absence is
 /// invalidity, and writes broadcast the written word instead of
 /// invalidating sharers).
-pub struct Dragon;
+mod dragon {
+    use super::*;
 
-impl CoherenceProtocol for Dragon {
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::Dragon
-    }
-
-    fn on_miss(&self, is_write: bool, others: bool) -> MissOutcome {
+    pub(super) fn on_miss(is_write: bool, others: bool) -> MissOutcome {
         match (is_write, others) {
             (false, false) => MissOutcome {
                 next: CohState::E,
@@ -300,7 +302,7 @@ impl CoherenceProtocol for Dragon {
         }
     }
 
-    fn on_hit(&self, state: CohState, is_write: bool, others: bool) -> ProcOutcome {
+    pub(super) fn on_hit(state: CohState, is_write: bool, others: bool) -> ProcOutcome {
         match (state, is_write) {
             (CohState::E, false)
             | (CohState::M, false)
@@ -329,7 +331,7 @@ impl CoherenceProtocol for Dragon {
         }
     }
 
-    fn on_snoop(&self, state: CohState, tx: BusTx) -> SnoopOutcome {
+    pub(super) fn on_snoop(state: CohState, tx: BusTx) -> SnoopOutcome {
         match (state, tx) {
             (CohState::E, BusTx::BusRd) => SnoopOutcome {
                 next: CohState::Sc,

@@ -3,9 +3,9 @@
 //! The primary contribution of Lu, Lin & Yang (MICRO 2015), *Improving DRAM
 //! Latency with Dynamic Asymmetric Subarray*:
 //!
-//! * [`migration`] — the migration-cell row mechanism (§4): Fig. 3d step
-//!   decomposition, 1.5 tRC single migrations, the 3 tRC four-step swap of
-//!   Fig. 6, and hop-cost extrapolations for arrangement ablations;
+//! * [`migration`] — the migration-cell row mechanism (§4): 1.5 tRC
+//!   single migrations (Fig. 3d), the 3 tRC four-step swap of Fig. 6, and
+//!   hop-cost extrapolations for arrangement ablations;
 //! * [`groups`] — migration groups (§5.2): bounded-freedom permutations
 //!   keeping translation entries at one byte;
 //! * [`translation`] — the in-memory translation table and the controller's
@@ -56,7 +56,7 @@ pub use management::{
     DasManager, ManagementConfig, ManagementStats, PolicyCosts, PolicyStats, SwapRequest,
     Translation, POLICY_EPOCH_ACCESSES,
 };
-pub use migration::{MigrationModel, MigrationStep};
+pub use migration::MigrationModel;
 pub use promotion::{FilterStats, PromotionFilter};
 pub use replacement::{ReplacementPolicy, Replacer};
 pub use translation::{TableAddressMap, TranslationCache, TranslationSource, TranslationStats};

@@ -598,12 +598,6 @@ impl DasManager {
         self.groups[self.geometry.bank_index(bank)].is_fast(row)
     }
 
-    /// First byte of the reserved in-DRAM translation-table region; demand
-    /// data must live below this address.
-    pub fn table_region_base(&self) -> u64 {
-        self.geometry.total_bytes() - self.geometry.total_rows()
-    }
-
     /// Exclusive-cache invariant sweep: every bank's permutation is a
     /// bijection (each logical row has exactly one physical location), the
     /// translation cache passes its integrity audit, and every cached

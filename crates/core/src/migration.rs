@@ -1,5 +1,5 @@
-//! The migration-cell row mechanism of §4: step decomposition and latency
-//! model for single row migrations (Fig. 3d) and full row swaps (Fig. 6).
+//! The migration-cell row mechanism of §4: the latency model for single
+//! row migrations (Fig. 3d) and full row swaps (Fig. 6).
 //!
 //! A *single migration* moves one row to a destination row in another
 //! subarray through the migration row. Naively each of its two
@@ -13,76 +13,8 @@
 //! four-step schedule (Fig. 6) overlaps the two middle movements, and
 //! Table 1 charges **146.25 ns = 3 tRC** total.
 
-use core::fmt;
-
 use das_dram::tick::Tick;
 use das_dram::timing::TimingSet;
-
-/// Why a migration or swap could not be carried out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationError {
-    /// The underlying device has no migration support (its migration
-    /// latency is the `Tick::MAX` "never" sentinel).
-    Unsupported,
-    /// A (possibly fault-injected) step failed mid-flight; the swap can be
-    /// retried.
-    StepFailed {
-        /// Which of the Fig. 3d phases failed.
-        step: MigrationStep,
-        /// 1-based attempt number that failed.
-        attempt: u32,
-    },
-    /// The bounded retry budget is exhausted; the management layer must
-    /// fall back to demoting (abandoning) the promotion.
-    AttemptsExhausted {
-        /// Attempts made before giving up.
-        attempts: u32,
-    },
-}
-
-impl fmt::Display for MigrationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MigrationError::Unsupported => {
-                write!(f, "device does not support row migration")
-            }
-            MigrationError::StepFailed { step, attempt } => {
-                write!(f, "migration step {step:?} failed on attempt {attempt}")
-            }
-            MigrationError::AttemptsExhausted { attempts } => {
-                write!(f, "migration abandoned after {attempts} failed attempts")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MigrationError {}
-
-/// One phase of the Fig. 3d single-row migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationStep {
-    /// ① open the source row; half-row buffers sense the bits.
-    ActivateSource,
-    /// ② restore the sensed data into the migration row as well.
-    RestoreToMigrationRow,
-    /// ③ open the migration row toward the neighbouring subarray's half
-    /// row buffer.
-    ActivateMigrationRow,
-    /// ④ restore into the destination row.
-    RestoreToDestination,
-}
-
-impl MigrationStep {
-    /// The four steps in order.
-    pub fn sequence() -> [MigrationStep; 4] {
-        [
-            MigrationStep::ActivateSource,
-            MigrationStep::RestoreToMigrationRow,
-            MigrationStep::ActivateMigrationRow,
-            MigrationStep::RestoreToDestination,
-        ]
-    }
-}
 
 /// Latency model for migrations and swaps.
 #[derive(Debug, Clone, Copy)]
@@ -155,23 +87,6 @@ impl MigrationModel {
             // Both directions of the exchange pay the relay.
             Some(h) if hops > 1 => Self::saturating_hop_total(base, h, 2 * (hops - 1) as u64),
             _ => base,
-        }
-    }
-
-    /// Fallible variant of [`single_migration`](MigrationModel::single_migration):
-    /// `Err(MigrationError::Unsupported)` instead of the `Tick::MAX` sentinel.
-    pub fn try_single_migration(&self, hops: u32) -> Result<Tick, MigrationError> {
-        match self.single_migration(hops) {
-            Tick::MAX => Err(MigrationError::Unsupported),
-            t => Ok(t),
-        }
-    }
-
-    /// Fallible variant of [`swap`](MigrationModel::swap).
-    pub fn try_swap(&self, hops: u32) -> Result<Tick, MigrationError> {
-        match self.swap(hops) {
-            Tick::MAX => Err(MigrationError::Unsupported),
-            t => Ok(t),
         }
     }
 
@@ -269,47 +184,11 @@ mod tests {
         let m = MigrationModel::with_hop_cost(TimingSet::asymmetric(), Tick::new(u64::MAX / 2));
         assert_eq!(m.single_migration(u32::MAX), Tick::MAX);
         assert_eq!(m.swap(u32::MAX), Tick::MAX);
-        // Saturated results are reported as unsupported by the fallible API.
-        assert_eq!(m.try_swap(u32::MAX), Err(MigrationError::Unsupported));
         // A moderate hop count with a sane cost still adds up exactly.
         let sane = MigrationModel::with_hop_cost(TimingSet::asymmetric(), Tick::new(10));
         assert_eq!(
             sane.single_migration(3),
             TimingSet::asymmetric().single_migration + Tick::new(20)
         );
-    }
-
-    #[test]
-    fn fallible_api_reports_unsupported() {
-        let none = MigrationModel::paper(TimingSet::homogeneous_slow());
-        assert_eq!(
-            none.try_single_migration(1),
-            Err(MigrationError::Unsupported)
-        );
-        assert_eq!(none.try_swap(1), Err(MigrationError::Unsupported));
-        let some = MigrationModel::paper(TimingSet::asymmetric());
-        assert_eq!(some.try_swap(1), Ok(Tick::from_ns(146.25)));
-        assert_eq!(some.try_single_migration(1), Ok(Tick::from_ns(73.125)));
-    }
-
-    #[test]
-    fn migration_error_displays() {
-        let e = MigrationError::StepFailed {
-            step: MigrationStep::ActivateSource,
-            attempt: 2,
-        };
-        assert!(e.to_string().contains("attempt 2"));
-        assert!(MigrationError::Unsupported.to_string().contains("support"));
-        assert!(MigrationError::AttemptsExhausted { attempts: 3 }
-            .to_string()
-            .contains("3"));
-    }
-
-    #[test]
-    fn step_sequence_is_fig3d() {
-        let seq = MigrationStep::sequence();
-        assert_eq!(seq[0], MigrationStep::ActivateSource);
-        assert_eq!(seq[3], MigrationStep::RestoreToDestination);
-        assert_eq!(seq.len(), 4);
     }
 }

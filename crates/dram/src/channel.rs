@@ -148,11 +148,6 @@ impl ChannelDevice {
         self.banks[self.bank_idx(bank)].open_row(0)
     }
 
-    /// Statistics of one bank.
-    pub fn bank_stats(&self, bank: BankCoord) -> BankStats {
-        self.banks[self.bank_idx(bank)].stats()
-    }
-
     /// Aggregated statistics over all banks of the channel.
     pub fn channel_stats(&self) -> BankStats {
         let mut total = BankStats::default();

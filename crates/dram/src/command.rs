@@ -102,11 +102,6 @@ impl DramCommand {
     pub fn uses_data_bus(&self) -> bool {
         matches!(self, DramCommand::Read { .. } | DramCommand::Write { .. })
     }
-
-    /// Whether this is a column (CAS) command.
-    pub fn is_column(&self) -> bool {
-        self.uses_data_bus()
-    }
 }
 
 impl fmt::Display for DramCommand {

@@ -11,8 +11,6 @@
 
 use core::fmt;
 
-use crate::tick::Tick;
-
 /// Whether a subarray uses short (fast) or conventional (slow) bitlines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SubarrayKind {
@@ -563,12 +561,6 @@ impl DramGeometry {
         (bank.channel as usize * self.ranks_per_channel as usize + bank.rank as usize)
             * self.banks_per_rank as usize
             + bank.bank as usize
-    }
-
-    /// The DRAM access time contribution of transferring one line over the
-    /// channel at the given burst duration (helper used in docs/tests).
-    pub fn burst_time(&self, burst: Tick) -> Tick {
-        burst
     }
 }
 

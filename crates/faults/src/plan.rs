@@ -24,18 +24,15 @@ pub enum FaultSite {
     /// A weak-retention bit flip on a row resident in a fast subarray
     /// (short bitlines hold less charge).
     RetentionFlip,
-    /// A trace-file line fails to read/parse.
-    TraceRead,
 }
 
 impl FaultSite {
     /// All sites, for iteration in reports.
-    pub const ALL: [FaultSite; 5] = [
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::SwapStep,
         FaultSite::SwapLatency,
         FaultSite::TranslationCorrupt,
         FaultSite::RetentionFlip,
-        FaultSite::TraceRead,
     ];
 
     /// Stable label used in stats tables.
@@ -45,7 +42,6 @@ impl FaultSite {
             FaultSite::SwapLatency => "swap-latency",
             FaultSite::TranslationCorrupt => "tcache-corrupt",
             FaultSite::RetentionFlip => "retention-flip",
-            FaultSite::TraceRead => "trace-read",
         }
     }
 
@@ -55,7 +51,6 @@ impl FaultSite {
             FaultSite::SwapLatency => 1,
             FaultSite::TranslationCorrupt => 2,
             FaultSite::RetentionFlip => 3,
-            FaultSite::TraceRead => 4,
         }
     }
 }
@@ -77,8 +72,6 @@ pub struct FaultPlan {
     /// Probability a read from a fast-resident row observes a retention
     /// flip and must be re-read.
     pub retention_flip_rate: f64,
-    /// Probability a trace line read fails.
-    pub trace_read_error_rate: f64,
     /// Bounded retry budget for a failing swap before the management layer
     /// demotes (aborts) it.
     pub max_swap_attempts: u32,
@@ -98,7 +91,6 @@ impl FaultPlan {
             swap_latency_spike_ticks: 0,
             translation_corrupt_rate: 0.0,
             retention_flip_rate: 0.0,
-            trace_read_error_rate: 0.0,
             max_swap_attempts: 3,
             max_read_retries: 2,
         }
@@ -114,7 +106,6 @@ impl FaultPlan {
             swap_latency_spike_ticks: 1170,
             translation_corrupt_rate: rate,
             retention_flip_rate: rate,
-            trace_read_error_rate: rate,
             ..FaultPlan::none()
         }
     }
@@ -126,7 +117,6 @@ impl FaultPlan {
             FaultSite::SwapLatency => self.swap_latency_rate,
             FaultSite::TranslationCorrupt => self.translation_corrupt_rate,
             FaultSite::RetentionFlip => self.retention_flip_rate,
-            FaultSite::TraceRead => self.trace_read_error_rate,
         }
     }
 
@@ -158,7 +148,7 @@ pub struct SiteCounts {
 /// Aggregate accounting across all sites plus the consistency machinery.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    sites: [SiteCounts; 5],
+    sites: [SiteCounts; 4],
     /// Exclusive-cache invariant sweeps that passed.
     pub invariant_checks_passed: u64,
     /// Translation-cache rebuilds triggered by a failed audit.
@@ -210,7 +200,7 @@ impl FaultStats {
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    streams: [Prng; 5],
+    streams: [Prng; 4],
     stats: FaultStats,
 }
 
@@ -274,12 +264,6 @@ impl FaultInjector {
     /// The accounting so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
-    }
-
-    /// Fold externally collected counts (e.g. from the trace reader) into
-    /// this injector's accounting.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.stats.absorb(other);
     }
 }
 
@@ -363,13 +347,13 @@ mod tests {
         inj.note_retry(FaultSite::SwapStep);
         inj.note_retry(FaultSite::SwapStep);
         inj.note_recovered(FaultSite::SwapStep);
-        inj.note_fatal(FaultSite::TraceRead);
+        inj.note_fatal(FaultSite::RetentionFlip);
         inj.note_invariant_pass();
         inj.note_tcache_rebuild();
         let s = inj.stats();
         assert_eq!(s.site(FaultSite::SwapStep).retried, 2);
         assert_eq!(s.site(FaultSite::SwapStep).recovered, 1);
-        assert_eq!(s.site(FaultSite::TraceRead).fatal, 1);
+        assert_eq!(s.site(FaultSite::RetentionFlip).fatal, 1);
         assert_eq!(s.invariant_checks_passed, 1);
         assert_eq!(s.tcache_rebuilds, 1);
         assert_eq!(s.total_fatal(), 1);

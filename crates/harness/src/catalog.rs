@@ -10,6 +10,12 @@
 //! executed twice — `power`'s breakdown loop, `ablation_salp`'s baseline —
 //! are journalled once and re-used, which deterministic simulation makes
 //! an identical-output transformation).
+//!
+//! Every experiment's run matrix is a grid: rows (workloads, or designs
+//! for `fault_sweep`) × columns (`(id segment, design key, overrides)`).
+//! One private builder turns a grid into jobs, row-major, at one seed,
+//! with job id `<exp>/<row>/<seg>`; renderers read a cell back by
+//! `(row, seg)` through [`RenderCtx::cell`] and never spell an id.
 
 use std::fmt::Write as _;
 
@@ -21,7 +27,7 @@ use das_sim::stats::gmean_improvement;
 use das_workloads::{mixes, spec};
 
 use crate::manifest::{JobSpec, Overrides};
-use crate::render::{access_mix_line, improvement_table, pct, RenderCtx};
+use crate::render::{access_mix_line, cell_id, gmean_row, improvement_table, pct, RenderCtx};
 use crate::report::ReportView;
 
 /// Parameters the run matrix is built from.
@@ -292,7 +298,7 @@ pub fn family_of(id: &str) -> &str {
 }
 
 // ---------------------------------------------------------------------------
-// Shared building blocks
+// Shared building blocks: the grid
 // ---------------------------------------------------------------------------
 
 /// The Fig. 7 non-baseline design keys, paper order.
@@ -308,40 +314,115 @@ const FAULT_RATES: [(f64, &str); 4] = [
 ];
 /// Telemetry epoch length in CPU cycles (the legacy binary's constant).
 const EPOCH_CYCLES: u64 = 100_000;
+/// The workload-generator seed of every catalog job.
+const SEED: u64 = 42;
 
-fn filter(only: &[String], names: Vec<&'static str>) -> Vec<&'static str> {
-    if only.is_empty() {
-        names
-    } else {
-        names
-            .into_iter()
-            .filter(|n| only.iter().any(|o| o == n))
-            .collect()
+/// The rows of a grid: their names (the id's row segment), the workload
+/// token each row runs and the per-core instruction budget.
+struct Rows {
+    names: Vec<&'static str>,
+    workload: fn(&str) -> String,
+    insts: u64,
+}
+
+/// One column of a grid: `(id segment, design key, overrides)`.
+type Col = (String, &'static str, Overrides);
+
+/// Builds the jobs of `rows × cols`, row-major. Cell `(row, seg)` is job
+/// [`cell_id`]`(exp, row, seg)`, which renderers read back through
+/// [`RenderCtx::cell`].
+fn grid(p: &BuildParams, exp: &str, rows: &Rows, cols: &[Col]) -> Vec<JobSpec> {
+    let mut jobs = Vec::new();
+    for row in &rows.names {
+        for (seg, design, ov) in cols {
+            jobs.push(JobSpec {
+                id: cell_id(exp, row, seg),
+                design: design.to_string(),
+                workload: (rows.workload)(row),
+                insts: rows.insts,
+                scale: p.scale,
+                seed: SEED,
+                ov: ov.clone(),
+            });
+        }
+    }
+    jobs
+}
+
+fn filter(only: &[String], names: &[&'static str]) -> Vec<&'static str> {
+    names
+        .iter()
+        .filter(|n| only.is_empty() || only.iter().any(|o| o == *n))
+        .copied()
+        .collect()
+}
+
+fn bench(name: &str) -> String {
+    name.to_string()
+}
+
+/// Named benchmarks at the full budget, pruned by `--only`.
+fn benches(p: &BuildParams, names: &[&'static str]) -> Rows {
+    Rows {
+        names: filter(&p.only, names),
+        workload: bench,
+        insts: p.insts,
     }
 }
 
-fn singles(p: &BuildParams) -> Vec<&'static str> {
-    filter(&p.only, spec::names())
+/// Every single-programming benchmark.
+fn singles(p: &BuildParams) -> Rows {
+    benches(p, &spec::names())
 }
 
-fn mix_list(p: &BuildParams) -> Vec<&'static str> {
-    filter(&p.only, mixes::names())
+/// One benchmark at the full budget, whatever `--only` says.
+fn pinned(p: &BuildParams, name: &'static str) -> Rows {
+    Rows {
+        names: vec![name],
+        workload: bench,
+        insts: p.insts,
+    }
 }
 
+/// Half the single-programming budget per core: four cores share the
+/// memory system.
 fn multi_insts(p: &BuildParams) -> u64 {
     (p.insts / 2).max(1)
 }
 
-fn job(p: &BuildParams, id: String, design: &str, workload: &str, ov: Overrides) -> JobSpec {
-    JobSpec {
-        id,
-        design: design.to_string(),
-        workload: workload.to_string(),
-        insts: p.insts,
-        scale: p.scale,
-        seed: 42,
-        ov,
+/// The four-program mixes.
+fn mix_rows(p: &BuildParams) -> Rows {
+    Rows {
+        names: filter(&p.only, &mixes::names()),
+        workload: |m| format!("mix:{m}"),
+        insts: multi_insts(p),
     }
+}
+
+/// The shared-footprint kinds of the coherent front end.
+fn shared_rows(p: &BuildParams) -> Rows {
+    Rows {
+        names: filter(&p.only, &SHARED_KINDS),
+        workload: |k| format!("shared:{k}"),
+        insts: multi_insts(p),
+    }
+}
+
+/// One default-override column per design key, segment = key.
+fn designs(keys: &[&'static str]) -> Vec<Col> {
+    keys.iter()
+        .map(|&k| (k.to_string(), k, Overrides::default()))
+        .collect()
+}
+
+/// `cols` after the Std-DRAM baseline column `std`.
+fn with_std(cols: Vec<Col>) -> Vec<Col> {
+    designs(&["std"]).into_iter().chain(cols).collect()
+}
+
+/// The id segments of `cols`.
+fn segs(cols: &[Col]) -> Vec<&str> {
+    cols.iter().map(|(seg, ..)| seg.as_str()).collect()
 }
 
 fn build_none(_p: &BuildParams) -> Vec<JobSpec> {
@@ -356,106 +437,74 @@ fn design_label(key: &str) -> &'static str {
     design(key).label()
 }
 
-/// Fig. 7a/7d layout: per workload, a Std-DRAM baseline plus the five
-/// designs.
-fn fig7_jobs(
-    exp: &str,
-    names: &[&str],
-    workload_of: impl Fn(&str) -> String,
-    insts: u64,
-    p: &BuildParams,
-) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in names {
-        let wl = workload_of(name);
-        for key in std::iter::once("std").chain(FIG7_KEYS) {
-            jobs.push(JobSpec {
-                id: format!("{exp}/{name}/{key}"),
-                design: key.to_string(),
-                workload: wl.clone(),
-                insts,
-                scale: p.scale,
-                seed: 42,
-                ov: Overrides::default(),
-            });
-        }
-    }
-    jobs
+fn design_labels(keys: &[&str]) -> Vec<&'static str> {
+    keys.iter().map(|k| design_label(k)).collect()
 }
 
-fn render_fig7_table(ctx: &RenderCtx, exp: &str, title: &str) -> String {
+/// Per row, the improvement of each column's cell over its baseline
+/// cell: `cols` pairs an id segment with its baseline's segment.
+fn improvements<'a, S: AsRef<str>, B: AsRef<str>>(
+    ctx: &RenderCtx<'a>,
+    cols: &[(S, B)],
+) -> (Vec<&'a str>, Vec<Vec<f64>>) {
     let names = ctx.group_names();
-    let columns: Vec<String> = FIG7_KEYS
+    let rows = names
         .iter()
-        .map(|k| design_label(k).to_string())
-        .collect();
-    let rows: Vec<Vec<f64>> = names
-        .iter()
-        .map(|name| {
-            let base = ctx.by_id(&format!("{exp}/{name}/std"));
-            FIG7_KEYS
-                .iter()
-                .map(|key| {
-                    ctx.by_id(&format!("{exp}/{name}/{key}"))
-                        .improvement_over(&base)
+        .map(|row| {
+            cols.iter()
+                .map(|(seg, base)| {
+                    ctx.cell(row, seg.as_ref())
+                        .improvement_over(&ctx.cell(row, base.as_ref()))
                 })
                 .collect()
         })
         .collect();
-    let mut out = String::new();
-    improvement_table(&mut out, title, &names, &columns, 14, &rows);
-    out
+    (names, rows)
 }
 
-/// Fig. 8a/9a/9b-style sweep: per workload a baseline plus one DAS run
-/// per sweep point, rendered as an improvement table with a gmean row.
-fn sweep_jobs(exp: &str, p: &BuildParams, points: &[(String, Overrides)]) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        jobs.push(job(
-            p,
-            format!("{exp}/{name}/std"),
-            "std",
-            name,
-            Overrides::default(),
-        ));
-        for (seg, ov) in points {
-            jobs.push(job(
-                p,
-                format!("{exp}/{name}/{seg}"),
-                "das",
-                name,
-                ov.clone(),
-            ));
-        }
-    }
-    jobs
+/// [`improvements`] of `segs` over each row's Std-DRAM cell.
+fn over_std<'a>(ctx: &RenderCtx<'a>, segs: &[&str]) -> (Vec<&'a str>, Vec<Vec<f64>>) {
+    let cols: Vec<(&str, &str)> = segs.iter().map(|s| (*s, "std")).collect();
+    improvements(ctx, &cols)
 }
 
-fn render_sweep_table(
+/// An improvement table of `segs` over each row's Std-DRAM cell, with a
+/// gmean row.
+fn sweep_table(
     ctx: &RenderCtx,
-    exp: &str,
     title: &str,
     segs: &[&str],
-    columns: &[String],
+    columns: &[impl AsRef<str>],
     width: usize,
 ) -> String {
-    let names = ctx.group_names();
-    let rows: Vec<Vec<f64>> = names
-        .iter()
-        .map(|name| {
-            let base = ctx.by_id(&format!("{exp}/{name}/std"));
-            segs.iter()
-                .map(|seg| {
-                    ctx.by_id(&format!("{exp}/{name}/{seg}"))
-                        .improvement_over(&base)
-                })
-                .collect()
-        })
-        .collect();
+    let (names, rows) = over_std(ctx, segs);
     let mut out = String::new();
     improvement_table(&mut out, title, &names, columns, width, &rows);
     out
+}
+
+/// `(label, gmean of its column of rows)`, best first (ties by label).
+fn ranked<'l>(labels: &[&'l str], rows: &[Vec<f64>]) -> Vec<(&'l str, f64)> {
+    let mut ranked: Vec<(&str, f64)> = labels
+        .iter()
+        .enumerate()
+        .map(|(i, &label)| {
+            let col: Vec<f64> = rows.iter().map(|r| r[i]).collect();
+            (label, gmean_improvement(&col))
+        })
+        .collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
+    ranked
+}
+
+/// Writes `head`, then the columns ranked by gmean and joined with `>`.
+fn write_ranking(o: &mut String, head: &str, labels: &[&str], rows: &[Vec<f64>]) {
+    let _ = write!(o, "{head}");
+    for (i, (label, g)) in ranked(labels, rows).iter().enumerate() {
+        let sep = if i > 0 { "  >" } else { "" };
+        let _ = write!(o, "{sep} {label} {}", pct(*g));
+    }
+    let _ = writeln!(o);
 }
 
 // ---------------------------------------------------------------------------
@@ -584,30 +633,21 @@ fn render_table2(_ctx: &RenderCtx) -> String {
 // ---------------------------------------------------------------------------
 
 fn build_fig7a(p: &BuildParams) -> Vec<JobSpec> {
-    fig7_jobs("fig7a", &singles(p), |n| n.to_string(), p.insts, p)
+    grid(p, "fig7a", &singles(p), &with_std(designs(&FIG7_KEYS)))
 }
 
 fn render_fig7a(ctx: &RenderCtx) -> String {
-    render_fig7_table(
+    sweep_table(
         ctx,
-        "fig7a",
         "Figure 7a: Single-Programming Performance Improvements",
+        &FIG7_KEYS,
+        &design_labels(&FIG7_KEYS),
+        14,
     )
 }
 
 fn build_fig7b(p: &BuildParams) -> Vec<JobSpec> {
-    singles(p)
-        .iter()
-        .map(|name| {
-            job(
-                p,
-                format!("fig7b/{name}/das"),
-                "das",
-                name,
-                Overrides::default(),
-            )
-        })
-        .collect()
+    grid(p, "fig7b", &singles(p), &designs(&["das"]))
 }
 
 fn render_fig7b(ctx: &RenderCtx) -> String {
@@ -622,7 +662,7 @@ fn render_fig7b(ctx: &RenderCtx) -> String {
         "workload", "MPKI", "PPKM", "footprint(MB)", "paper-equiv(MB)"
     );
     for name in ctx.group_names() {
-        let r = ctx.by_id(&format!("fig7b/{name}/das"));
+        let r = ctx.cell(name, "das");
         let fp = r.u64("metrics/footprint_bytes");
         let _ = writeln!(
             o,
@@ -637,85 +677,50 @@ fn render_fig7b(ctx: &RenderCtx) -> String {
     o
 }
 
-fn access_mix_panels(
-    exp: &'static str,
-    names: Vec<&'static str>,
-    workload_of: impl Fn(&str) -> String,
-    insts: u64,
-    p: &BuildParams,
-) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for key in ["sas", "das"] {
-        for name in &names {
-            jobs.push(JobSpec {
-                id: format!("{exp}/{name}/{key}"),
-                design: key.to_string(),
-                workload: workload_of(name),
-                insts,
-                scale: p.scale,
-                seed: 42,
-                ov: Overrides::default(),
-            });
-        }
-    }
-    jobs
+/// Fig. 7c/7f panels: every row on SAS-DRAM, then every row on DAS-DRAM.
+fn access_mix_panels(p: &BuildParams, exp: &str, rows: &Rows) -> Vec<JobSpec> {
+    ["sas", "das"]
+        .into_iter()
+        .flat_map(|key| grid(p, exp, rows, &designs(&[key])))
+        .collect()
 }
 
-fn render_access_mix_panels(ctx: &RenderCtx, exp: &str, title: &str) -> String {
+fn render_access_mix_panels(ctx: &RenderCtx, title: &str) -> String {
     let mut o = String::new();
     let _ = writeln!(o, "# {title}");
     for (panel, key) in [("Static (SAS-DRAM)", "sas"), ("Dynamic (DAS-DRAM)", "das")] {
         let _ = writeln!(o, "## {panel}");
         for name in ctx.group_names() {
-            access_mix_line(&mut o, name, &ctx.by_id(&format!("{exp}/{name}/{key}")));
+            access_mix_line(&mut o, name, &ctx.cell(name, key));
         }
     }
     o
 }
 
 fn build_fig7c(p: &BuildParams) -> Vec<JobSpec> {
-    access_mix_panels("fig7c", singles(p), |n| n.to_string(), p.insts, p)
+    access_mix_panels(p, "fig7c", &singles(p))
 }
 
 fn render_fig7c(ctx: &RenderCtx) -> String {
-    render_access_mix_panels(
-        ctx,
-        "fig7c",
-        "Figure 7c: Access Locations (single-programming)",
-    )
+    render_access_mix_panels(ctx, "Figure 7c: Access Locations (single-programming)")
 }
 
 fn build_fig7d(p: &BuildParams) -> Vec<JobSpec> {
-    fig7_jobs(
-        "fig7d",
-        &mix_list(p),
-        |n| format!("mix:{n}"),
-        multi_insts(p),
-        p,
-    )
+    grid(p, "fig7d", &mix_rows(p), &with_std(designs(&FIG7_KEYS)))
 }
 
 fn render_fig7d(ctx: &RenderCtx) -> String {
-    render_fig7_table(
+    sweep_table(
         ctx,
-        "fig7d",
         "Figure 7d: Multi-Programming Performance Improvements",
+        &FIG7_KEYS,
+        &design_labels(&FIG7_KEYS),
+        14,
     )
 }
 
 fn build_fig7e(p: &BuildParams) -> Vec<JobSpec> {
-    mix_list(p)
-        .iter()
-        .map(|name| JobSpec {
-            id: format!("fig7e/{name}/das"),
-            design: "das".to_string(),
-            workload: format!("mix:{name}"),
-            insts: multi_insts(p),
-            scale: p.scale,
-            seed: 42,
-            ov: Overrides::default(),
-        })
-        .collect()
+    grid(p, "fig7e", &mix_rows(p), &designs(&["das"]))
 }
 
 fn render_fig7e(ctx: &RenderCtx) -> String {
@@ -730,7 +735,7 @@ fn render_fig7e(ctx: &RenderCtx) -> String {
         "mix", "MPKI", "PPKM", "footprint(MB)"
     );
     for name in ctx.group_names() {
-        let r = ctx.by_id(&format!("fig7e/{name}/das"));
+        let r = ctx.cell(name, "das");
         let _ = writeln!(
             o,
             "{:<4} {:>8.1} {:>8.1} {:>14.1}",
@@ -744,73 +749,48 @@ fn render_fig7e(ctx: &RenderCtx) -> String {
 }
 
 fn build_fig7f(p: &BuildParams) -> Vec<JobSpec> {
-    access_mix_panels(
-        "fig7f",
-        mix_list(p),
-        |n| format!("mix:{n}"),
-        multi_insts(p),
-        p,
-    )
+    access_mix_panels(p, "fig7f", &mix_rows(p))
 }
 
 fn render_fig7f(ctx: &RenderCtx) -> String {
-    render_access_mix_panels(
-        ctx,
-        "fig7f",
-        "Figure 7f: Access Locations (multi-programming)",
-    )
+    render_access_mix_panels(ctx, "Figure 7f: Access Locations (multi-programming)")
 }
 
 // ---------------------------------------------------------------------------
 // Figure 8 (promotion-filter thresholds)
 // ---------------------------------------------------------------------------
 
-fn threshold_ov(t: u32) -> Overrides {
-    Overrides {
-        threshold: Some(t),
-        ..Overrides::default()
-    }
+/// One DAS column per promotion threshold, segment `t<threshold>`.
+fn threshold_cols() -> Vec<Col> {
+    THRESHOLDS
+        .iter()
+        .map(|&t| {
+            let ov = Overrides {
+                threshold: Some(t),
+                ..Overrides::default()
+            };
+            (format!("t{t}"), "das", ov)
+        })
+        .collect()
 }
 
 fn build_fig8a(p: &BuildParams) -> Vec<JobSpec> {
-    let points: Vec<(String, Overrides)> = THRESHOLDS
-        .iter()
-        .map(|&t| (format!("t{t}"), threshold_ov(t)))
-        .collect();
-    sweep_jobs("fig8a", p, &points)
+    grid(p, "fig8a", &singles(p), &with_std(threshold_cols()))
 }
 
 fn render_fig8a(ctx: &RenderCtx) -> String {
-    let segs: Vec<String> = THRESHOLDS.iter().map(|t| format!("t{t}")).collect();
-    let seg_refs: Vec<&str> = segs.iter().map(String::as_str).collect();
-    let columns: Vec<String> = THRESHOLDS
-        .iter()
-        .map(|t| format!("threshold {t}"))
-        .collect();
-    render_sweep_table(
+    let columns = THRESHOLDS.map(|t| format!("threshold {t}"));
+    sweep_table(
         ctx,
-        "fig8a",
         "Figure 8a: Filtering Policies - Performance Improvement",
-        &seg_refs,
+        &segs(&threshold_cols()),
         &columns,
         12,
     )
 }
 
 fn build_fig8b(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        for t in THRESHOLDS {
-            jobs.push(job(
-                p,
-                format!("fig8b/{name}/t{t}"),
-                "das",
-                name,
-                threshold_ov(t),
-            ));
-        }
-    }
-    jobs
+    grid(p, "fig8b", &singles(p), &threshold_cols())
 }
 
 fn render_fig8b(ctx: &RenderCtx) -> String {
@@ -818,31 +798,15 @@ fn render_fig8b(ctx: &RenderCtx) -> String {
     let _ = writeln!(o, "# Figure 8b: Access Locations vs Promotion Threshold");
     for name in ctx.group_names() {
         let _ = writeln!(o, "## {name}");
-        for t in THRESHOLDS {
-            access_mix_line(
-                &mut o,
-                &format!("threshold {t}"),
-                &ctx.by_id(&format!("fig8b/{name}/t{t}")),
-            );
+        for (t, (seg, ..)) in THRESHOLDS.iter().zip(threshold_cols()) {
+            access_mix_line(&mut o, &format!("threshold {t}"), &ctx.cell(name, &seg));
         }
     }
     o
 }
 
 fn build_fig8c(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        for t in THRESHOLDS {
-            jobs.push(job(
-                p,
-                format!("fig8c/{name}/t{t}"),
-                "das",
-                name,
-                threshold_ov(t),
-            ));
-        }
-    }
-    jobs
+    grid(p, "fig8c", &singles(p), &threshold_cols())
 }
 
 fn render_fig8c(ctx: &RenderCtx) -> String {
@@ -855,8 +819,8 @@ fn render_fig8c(ctx: &RenderCtx) -> String {
     let _ = writeln!(o);
     for name in ctx.group_names() {
         let _ = write!(o, "{name:<12}");
-        for t in THRESHOLDS {
-            let r = ctx.by_id(&format!("fig8c/{name}/t{t}"));
+        for (seg, ..) in threshold_cols() {
+            let r = ctx.cell(name, &seg);
             let (promos, accesses) = (
                 r.u64("metrics/promotions"),
                 r.u64("metrics/memory_accesses"),
@@ -881,109 +845,101 @@ const CAPS_KB: [u64; 4] = [32, 64, 128, 256];
 const GROUPS: [u32; 4] = [8, 16, 32, 64];
 const RATIO_DENS: [u32; 4] = [32, 16, 8, 4];
 
-fn build_fig9a(p: &BuildParams) -> Vec<JobSpec> {
-    let points: Vec<(String, Overrides)> = CAPS_KB
+fn tcache_cols() -> Vec<Col> {
+    CAPS_KB
         .iter()
         .map(|&kb| {
-            (
-                format!("kb{kb}"),
-                Overrides {
-                    tcache_bytes: Some(kb << 10),
-                    ..Overrides::default()
-                },
-            )
-        })
-        .collect();
-    sweep_jobs("fig9a", p, &points)
-}
-
-fn render_fig9a(ctx: &RenderCtx) -> String {
-    let segs: Vec<String> = CAPS_KB.iter().map(|kb| format!("kb{kb}")).collect();
-    let seg_refs: Vec<&str> = segs.iter().map(String::as_str).collect();
-    let columns: Vec<String> = CAPS_KB.iter().map(|kb| format!("{kb} KB")).collect();
-    render_sweep_table(
-        ctx,
-        "fig9a",
-        "Figure 9a: Translation Cache Capacities (full-scale labels)",
-        &seg_refs,
-        &columns,
-        10,
-    )
-}
-
-fn build_fig9b(p: &BuildParams) -> Vec<JobSpec> {
-    let points: Vec<(String, Overrides)> = GROUPS
-        .iter()
-        .map(|&g| {
-            (
-                format!("g{g}"),
-                Overrides {
-                    group_size: Some(g),
-                    ..Overrides::default()
-                },
-            )
-        })
-        .collect();
-    sweep_jobs("fig9b", p, &points)
-}
-
-fn render_fig9b(ctx: &RenderCtx) -> String {
-    let segs: Vec<String> = GROUPS.iter().map(|g| format!("g{g}")).collect();
-    let seg_refs: Vec<&str> = segs.iter().map(String::as_str).collect();
-    let columns: Vec<String> = GROUPS.iter().map(|g| format!("{g}-row")).collect();
-    render_sweep_table(
-        ctx,
-        "fig9b",
-        "Figure 9b: Sizes of Migration Group",
-        &seg_refs,
-        &columns,
-        12,
-    )
-}
-
-fn ratio_points(replacement: &str) -> Vec<(String, Overrides)> {
-    RATIO_DENS
-        .iter()
-        .map(|&den| {
-            (
-                format!("d{den}"),
-                Overrides {
-                    fast_ratio_den: Some(den),
-                    replacement: Some(replacement.to_string()),
-                    ..Overrides::default()
-                },
-            )
+            let ov = Overrides {
+                tcache_bytes: Some(kb << 10),
+                ..Overrides::default()
+            };
+            (format!("kb{kb}"), "das", ov)
         })
         .collect()
 }
 
-fn render_ratio_sweep(ctx: &RenderCtx, exp: &str, title: &str) -> String {
-    let segs: Vec<String> = RATIO_DENS.iter().map(|d| format!("d{d}")).collect();
-    let seg_refs: Vec<&str> = segs.iter().map(String::as_str).collect();
-    let columns: Vec<String> = RATIO_DENS.iter().map(|d| format!("1/{d}")).collect();
-    render_sweep_table(ctx, exp, title, &seg_refs, &columns, 10)
+fn build_fig9a(p: &BuildParams) -> Vec<JobSpec> {
+    grid(p, "fig9a", &singles(p), &with_std(tcache_cols()))
+}
+
+fn render_fig9a(ctx: &RenderCtx) -> String {
+    sweep_table(
+        ctx,
+        "Figure 9a: Translation Cache Capacities (full-scale labels)",
+        &segs(&tcache_cols()),
+        &CAPS_KB.map(|kb| format!("{kb} KB")),
+        10,
+    )
+}
+
+fn group_cols() -> Vec<Col> {
+    GROUPS
+        .iter()
+        .map(|&g| {
+            let ov = Overrides {
+                group_size: Some(g),
+                ..Overrides::default()
+            };
+            (format!("g{g}"), "das", ov)
+        })
+        .collect()
+}
+
+fn build_fig9b(p: &BuildParams) -> Vec<JobSpec> {
+    grid(p, "fig9b", &singles(p), &with_std(group_cols()))
+}
+
+fn render_fig9b(ctx: &RenderCtx) -> String {
+    sweep_table(
+        ctx,
+        "Figure 9b: Sizes of Migration Group",
+        &segs(&group_cols()),
+        &GROUPS.map(|g| format!("{g}-row")),
+        12,
+    )
+}
+
+/// One DAS column per fast-level ratio under `replacement`, segment
+/// `d<denominator>`.
+fn ratio_cols(replacement: &str) -> Vec<Col> {
+    RATIO_DENS
+        .iter()
+        .map(|&den| {
+            let ov = Overrides {
+                fast_ratio_den: Some(den),
+                replacement: Some(replacement.to_string()),
+                ..Overrides::default()
+            };
+            (format!("d{den}"), "das", ov)
+        })
+        .collect()
+}
+
+fn render_ratio_sweep(ctx: &RenderCtx, replacement: &str, title: &str) -> String {
+    let columns = RATIO_DENS.map(|d| format!("1/{d}"));
+    sweep_table(ctx, title, &segs(&ratio_cols(replacement)), &columns, 10)
 }
 
 fn build_fig9c(p: &BuildParams) -> Vec<JobSpec> {
-    sweep_jobs("fig9c", p, &ratio_points("random"))
+    grid(p, "fig9c", &singles(p), &with_std(ratio_cols("random")))
 }
 
 fn render_fig9c(ctx: &RenderCtx) -> String {
     render_ratio_sweep(
         ctx,
-        "fig9c",
+        "random",
         "Figure 9c: Ratios of Fast Level with Random Replacement",
     )
 }
 
 fn build_fig9d(p: &BuildParams) -> Vec<JobSpec> {
-    sweep_jobs("fig9d", p, &ratio_points("lru"))
+    grid(p, "fig9d", &singles(p), &with_std(ratio_cols("lru")))
 }
 
 fn render_fig9d(ctx: &RenderCtx) -> String {
     render_ratio_sweep(
         ctx,
-        "fig9d",
+        "lru",
         "Figure 9d: Ratios of Fast Level with LRU Replacement",
     )
 }
@@ -993,7 +949,7 @@ fn render_fig9d(ctx: &RenderCtx) -> String {
 // ---------------------------------------------------------------------------
 
 fn build_power(p: &BuildParams) -> Vec<JobSpec> {
-    fig7_jobs("power", &singles(p), |n| n.to_string(), p.insts, p)
+    grid(p, "power", &singles(p), &with_std(designs(&FIG7_KEYS)))
 }
 
 fn render_power(ctx: &RenderCtx) -> String {
@@ -1008,16 +964,11 @@ fn render_power(ctx: &RenderCtx) -> String {
         "workload", "SAS", "CHARM", "DAS", "DAS(FM)", "FS"
     );
     let names = ctx.group_names();
+    let energy = |name: &str, key: &str| ctx.cell(name, key).f64("metrics/energy_nj/total");
     for name in &names {
-        let base_e = ctx
-            .by_id(&format!("power/{name}/std"))
-            .f64("metrics/energy_nj/total");
         let _ = write!(o, "{name:<12}");
         for key in FIG7_KEYS {
-            let e = ctx
-                .by_id(&format!("power/{name}/{key}"))
-                .f64("metrics/energy_nj/total");
-            let _ = write!(o, " {:>9.3}x", e / base_e);
+            let _ = write!(o, " {:>9.3}x", energy(name, key) / energy(name, "std"));
         }
         let _ = writeln!(o);
     }
@@ -1028,7 +979,7 @@ fn render_power(ctx: &RenderCtx) -> String {
         "workload", "act/pre nJ", "burst nJ", "migration nJ", "background nJ"
     );
     for name in &names {
-        let r = ctx.by_id(&format!("power/{name}/das"));
+        let r = ctx.cell(name, "das");
         let _ = writeln!(
             o,
             "{name:<12} {:>12.0} {:>12.0} {:>12.0} {:>12.0}",
@@ -1046,21 +997,11 @@ fn render_power(ctx: &RenderCtx) -> String {
 const PD_OVERHEAD_NS: f64 = 50.0;
 /// Fraction of die area in slow subarrays at the paper's 1/8 ratio.
 const SLOW_AREA_FRACTION: f64 = 8.0 / 9.0;
+/// The power-down experiment's designs.
+const PD_KEYS: [&str; 3] = ["std", "sas", "das"];
 
 fn build_powerdown(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        for key in ["std", "sas", "das"] {
-            jobs.push(job(
-                p,
-                format!("powerdown/{name}/{key}"),
-                key,
-                name,
-                Overrides::default(),
-            ));
-        }
-    }
-    jobs
+    grid(p, "powerdown", &singles(p), &designs(&PD_KEYS))
 }
 
 fn render_powerdown(ctx: &RenderCtx) -> String {
@@ -1072,8 +1013,8 @@ fn render_powerdown(ctx: &RenderCtx) -> String {
         "workload", "design", "slow act %", "pd residency", "bg power saved"
     );
     for name in ctx.group_names() {
-        for key in ["std", "sas", "das"] {
-            let r = ctx.by_id(&format!("powerdown/{name}/{key}"));
+        for key in PD_KEYS {
+            let r = ctx.cell(name, key);
             let window_ns = r.u64("metrics/window_cycles") as f64 / 3.0;
             let slow_acts = r.u64("metrics/access_mix/slow") as f64;
             let slow_subarrays =
@@ -1107,80 +1048,60 @@ fn render_powerdown(ctx: &RenderCtx) -> String {
 // ---------------------------------------------------------------------------
 
 /// Migration-mechanism variants: `(render label, id segment, swap ticks)`.
-fn migration_variants() -> [(String, String, u64); 4] {
+fn migration_variants() -> [(&'static str, &'static str, u64); 4] {
     let trc = TimingSet::asymmetric().slow.trc();
     [
-        ("free".to_string(), "free".to_string(), 0),
-        (
-            "paper 3tRC".to_string(),
-            "paper".to_string(),
-            (3 * trc).raw(),
-        ),
-        (
-            "naive 4.5tRC".to_string(),
-            "naive".to_string(),
-            trc.raw() * 9 / 2,
-        ),
-        (
-            "untight 6tRC".to_string(),
-            "untight".to_string(),
-            (6 * trc).raw(),
-        ),
+        ("free", "free", 0),
+        ("paper 3tRC", "paper", (3 * trc).raw()),
+        ("naive 4.5tRC", "naive", trc.raw() * 9 / 2),
+        ("untight 6tRC", "untight", (6 * trc).raw()),
     ]
 }
 
 fn build_ablation_migration(p: &BuildParams) -> Vec<JobSpec> {
-    let points: Vec<(String, Overrides)> = migration_variants()
-        .into_iter()
-        .map(|(_, seg, swap)| {
-            (
-                seg,
-                Overrides {
-                    swap_ticks: Some(swap),
-                    ..Overrides::default()
-                },
-            )
-        })
-        .collect();
-    sweep_jobs("ablation_migration", p, &points)
+    let cols = migration_variants().map(|(_, seg, swap)| {
+        let ov = Overrides {
+            swap_ticks: Some(swap),
+            ..Overrides::default()
+        };
+        (seg.to_string(), "das", ov)
+    });
+    grid(
+        p,
+        "ablation_migration",
+        &singles(p),
+        &with_std(cols.to_vec()),
+    )
 }
 
 fn render_ablation_migration(ctx: &RenderCtx) -> String {
     let variants = migration_variants();
-    let segs: Vec<&str> = variants.iter().map(|(_, seg, _)| seg.as_str()).collect();
-    let columns: Vec<String> = variants.iter().map(|(label, _, _)| label.clone()).collect();
-    render_sweep_table(
+    sweep_table(
         ctx,
-        "ablation_migration",
         "Ablation: Migration Mechanism (DAS-DRAM improvement over Std-DRAM)",
-        &segs,
-        &columns,
+        &variants.map(|(_, seg, _)| seg),
+        &variants.map(|(label, ..)| label),
         14,
     )
 }
 
-fn build_ablation_scheduler(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        for (design, sched) in [
-            ("std", "frfcfs"),
-            ("std", "fcfs"),
-            ("das", "frfcfs"),
-            ("das", "fcfs"),
-        ] {
-            jobs.push(job(
-                p,
-                format!("ablation_scheduler/{name}/{design}_{sched}"),
-                design,
-                name,
-                Overrides {
-                    scheduler: Some(sched.to_string()),
-                    ..Overrides::default()
-                },
-            ));
+/// One column per design and scheduler, segment `<design>_<scheduler>`.
+fn sched_cols() -> Vec<Col> {
+    let mut cols = Vec::new();
+    for design in ["std", "das"] {
+        for sched in ["frfcfs", "fcfs"] {
+            let ov = Overrides {
+                scheduler: Some(sched.to_string()),
+                ..Overrides::default()
+            };
+            cols.push((format!("{design}_{sched}"), design, ov));
         }
     }
-    jobs
+    cols
+}
+
+fn build_ablation_scheduler(p: &BuildParams) -> Vec<JobSpec> {
+    grid(p, "ablation_scheduler", &singles(p), &sched_cols())
 }
 
 fn render_ablation_scheduler(ctx: &RenderCtx) -> String {
@@ -1192,83 +1113,59 @@ fn render_ablation_scheduler(ctx: &RenderCtx) -> String {
         "workload", "Std frfcfs", "Std fcfs", "DAS frfcfs", "DAS fcfs"
     );
     for name in ctx.group_names() {
-        let ipc = |seg: &str| {
-            ctx.by_id(&format!("ablation_scheduler/{name}/{seg}"))
-                .core_ipcs()[0]
-        };
-        let _ = writeln!(
-            o,
-            "{:<12} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
-            name,
-            ipc("std_frfcfs"),
-            ipc("std_fcfs"),
-            ipc("das_frfcfs"),
-            ipc("das_fcfs")
-        );
+        let _ = write!(o, "{name:<12}");
+        for (seg, ..) in sched_cols() {
+            let ipc = ctx.cell(name, &seg).core_ipcs()[0];
+            let _ = write!(o, " {ipc:>12.3}");
+        }
+        let _ = writeln!(o);
     }
     o
 }
 
-/// The §Fig. 5 arrangement variants: `(label, id segment, arrangement key,
-/// mean hop count on the full-scale bank, swap ticks at that hop count)`.
-fn arrangement_variants() -> [(&'static str, &'static str, &'static str, u32, u64); 2] {
+/// The §Fig. 5 arrangement variants: `(label, arrangement key and id
+/// segment, mean hop count on the full-scale bank, swap ticks at that hop
+/// count)`.
+fn arrangement_variants() -> [(&'static str, &'static str, u32, u64); 2] {
     use das_core::groups::BankGroups;
     use das_core::migration::MigrationModel;
     use das_dram::geometry::BankLayout;
     let mgmt = SystemConfig::paper_full().management;
     let base_t = TimingSet::asymmetric();
     let model = MigrationModel::with_hop_cost(base_t, Tick::new(base_t.slow.trc().raw() / 2));
-    let mut out = [("reduced-interleaving", "reduced", "reduced", 0, 0); 2];
-    for (slot, (label, seg, key, arr)) in out.iter_mut().zip([
-        (
-            "reduced-interleaving",
-            "reduced",
-            "reduced",
-            Arrangement::ReducedInterleaving,
-        ),
-        (
-            "partitioning",
-            "partitioning",
-            "partitioning",
-            Arrangement::Partitioning,
-        ),
-    ]) {
+    let variant = |label, key, arr| {
         // Hop distance is a property of the full-scale physical design, so
         // compute it on the paper's 32768-row bank regardless of scale.
         let full = BankLayout::build(32768, mgmt.fast_ratio, arr, 128, 512);
         let groups = BankGroups::new(32768, mgmt.group_size, mgmt.fast_ratio);
         let hops = groups.mean_intra_group_hops(&full).round().max(1.0) as u32;
-        *slot = (label, seg, key, hops, model.swap(hops.max(1)).raw());
-    }
-    out
+        (label, key, hops, model.swap(hops.max(1)).raw())
+    };
+    [
+        variant(
+            "reduced-interleaving",
+            "reduced",
+            Arrangement::ReducedInterleaving,
+        ),
+        variant("partitioning", "partitioning", Arrangement::Partitioning),
+    ]
 }
 
 fn build_ablation_arrangement(p: &BuildParams) -> Vec<JobSpec> {
-    let variants = arrangement_variants();
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        jobs.push(job(
-            p,
-            format!("ablation_arrangement/{name}/std"),
-            "std",
-            name,
-            Overrides::default(),
-        ));
-        for (_, seg, key, _, swap) in variants {
-            jobs.push(job(
-                p,
-                format!("ablation_arrangement/{name}/{seg}"),
-                "das",
-                name,
-                Overrides {
-                    arrangement: Some(key.to_string()),
-                    swap_ticks: Some(swap),
-                    ..Overrides::default()
-                },
-            ));
-        }
-    }
-    jobs
+    let cols = arrangement_variants().map(|(_, key, _, swap)| {
+        let ov = Overrides {
+            arrangement: Some(key.to_string()),
+            swap_ticks: Some(swap),
+            ..Overrides::default()
+        };
+        (key.to_string(), "das", ov)
+    });
+    grid(
+        p,
+        "ablation_arrangement",
+        &singles(p),
+        &with_std(cols.to_vec()),
+    )
 }
 
 fn render_ablation_arrangement(ctx: &RenderCtx) -> String {
@@ -1283,42 +1180,25 @@ fn render_ablation_arrangement(ctx: &RenderCtx) -> String {
         let _ = write!(o, " {label:>22}");
     }
     let _ = writeln!(o);
-    let names = ctx.group_names();
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); variants.len()];
-    for name in &names {
-        let base = ctx.by_id(&format!("ablation_arrangement/{name}/std"));
+    let (names, rows) = over_std(ctx, &variants.map(|(_, key, ..)| key));
+    for (name, row) in names.iter().zip(&rows) {
         let _ = write!(o, "{name:<12}");
-        for (i, (_, seg, _, hops, _)) in variants.iter().enumerate() {
-            let imp = ctx
-                .by_id(&format!("ablation_arrangement/{name}/{seg}"))
-                .improvement_over(&base);
-            cols[i].push(imp);
-            let _ = write!(o, " {:>22}", format!("{} (hops {})", pct(imp), hops));
+        for (imp, (_, _, hops, _)) in row.iter().zip(variants) {
+            let _ = write!(o, " {:>22}", format!("{} (hops {})", pct(*imp), hops));
         }
         let _ = writeln!(o);
     }
-    let _ = write!(o, "{:<12}", "gmean");
-    for col in &cols {
-        let _ = write!(o, " {:>22}", pct(gmean_improvement(col)));
-    }
-    let _ = writeln!(o);
+    gmean_row(&mut o, &rows, variants.len(), 22);
     o
 }
 
 fn build_ablation_inclusive(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        for key in ["std", "das", "das_incl"] {
-            jobs.push(job(
-                p,
-                format!("ablation_inclusive/{name}/{key}"),
-                key,
-                name,
-                Overrides::default(),
-            ));
-        }
-    }
-    jobs
+    grid(
+        p,
+        "ablation_inclusive",
+        &singles(p),
+        &designs(&["std", "das", "das_incl"]),
+    )
 }
 
 fn render_ablation_inclusive(ctx: &RenderCtx) -> String {
@@ -1342,33 +1222,19 @@ fn render_ablation_inclusive(ctx: &RenderCtx) -> String {
         "{:<12} {:>12} {:>12} {:>14} {:>14}",
         "workload", "exclusive", "inclusive", "excl promos", "incl promos"
     );
-    let names = ctx.group_names();
-    let mut excl_col = Vec::new();
-    let mut incl_col = Vec::new();
-    for name in &names {
-        let base = ctx.by_id(&format!("ablation_inclusive/{name}/std"));
-        let e = ctx.by_id(&format!("ablation_inclusive/{name}/das"));
-        let i = ctx.by_id(&format!("ablation_inclusive/{name}/das_incl"));
-        let (ei, ii) = (e.improvement_over(&base), i.improvement_over(&base));
-        excl_col.push(ei);
-        incl_col.push(ii);
+    let (names, rows) = over_std(ctx, &["das", "das_incl"]);
+    for (name, row) in names.iter().zip(&rows) {
         let _ = writeln!(
             o,
             "{:<12} {:>12} {:>12} {:>14} {:>14}",
             name,
-            pct(ei),
-            pct(ii),
-            e.u64("metrics/promotions"),
-            i.u64("metrics/promotions")
+            pct(row[0]),
+            pct(row[1]),
+            ctx.cell(name, "das").u64("metrics/promotions"),
+            ctx.cell(name, "das_incl").u64("metrics/promotions")
         );
     }
-    let _ = writeln!(
-        o,
-        "{:<12} {:>12} {:>12}",
-        "gmean",
-        pct(gmean_improvement(&excl_col)),
-        pct(gmean_improvement(&incl_col))
-    );
+    gmean_row(&mut o, &rows, 2, 12);
     let _ = writeln!(
         o,
         "\nPerformance is comparable; the exclusive design is adopted for the\n\
@@ -1379,19 +1245,12 @@ fn render_ablation_inclusive(ctx: &RenderCtx) -> String {
 }
 
 fn build_ablation_tldram(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        for key in ["std", "tl", "das"] {
-            jobs.push(job(
-                p,
-                format!("ablation_tldram/{name}/{key}"),
-                key,
-                name,
-                Overrides::default(),
-            ));
-        }
-    }
-    jobs
+    grid(
+        p,
+        "ablation_tldram",
+        &singles(p),
+        &designs(&["std", "tl", "das"]),
+    )
 }
 
 fn render_ablation_tldram(ctx: &RenderCtx) -> String {
@@ -1408,28 +1267,11 @@ fn render_ablation_tldram(ctx: &RenderCtx) -> String {
         AsymmetricAreaModel::default().overhead() * 100.0
     );
     let _ = writeln!(o, "{:<12} {:>12} {:>12}", "workload", "TL-DRAM", "DAS-DRAM");
-    let names = ctx.group_names();
-    let mut tl_col = Vec::new();
-    let mut das_col = Vec::new();
-    for name in &names {
-        let base = ctx.by_id(&format!("ablation_tldram/{name}/std"));
-        let tl = ctx
-            .by_id(&format!("ablation_tldram/{name}/tl"))
-            .improvement_over(&base);
-        let das = ctx
-            .by_id(&format!("ablation_tldram/{name}/das"))
-            .improvement_over(&base);
-        tl_col.push(tl);
-        das_col.push(das);
-        let _ = writeln!(o, "{:<12} {:>12} {:>12}", name, pct(tl), pct(das));
+    let (names, rows) = over_std(ctx, &["tl", "das"]);
+    for (name, row) in names.iter().zip(&rows) {
+        let _ = writeln!(o, "{:<12} {:>12} {:>12}", name, pct(row[0]), pct(row[1]));
     }
-    let _ = writeln!(
-        o,
-        "{:<12} {:>12} {:>12}",
-        "gmean",
-        pct(gmean_improvement(&tl_col)),
-        pct(gmean_improvement(&das_col))
-    );
+    gmean_row(&mut o, &rows, 2, 12);
     let _ = writeln!(
         o,
         "\nTL-DRAM's larger near level helps, but every far-segment access\n\
@@ -1448,54 +1290,24 @@ const SALP_COMBOS: [(&str, &str, &str, bool); 4] = [
 ];
 
 fn build_ablation_salp(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        for (seg, _, key, salp) in SALP_COMBOS {
-            jobs.push(job(
-                p,
-                format!("ablation_salp/{name}/{seg}"),
-                key,
-                name,
-                Overrides {
-                    salp: Some(salp),
-                    ..Overrides::default()
-                },
-            ));
-        }
-    }
-    jobs
+    let cols = SALP_COMBOS.map(|(seg, _, key, salp)| {
+        let ov = Overrides {
+            salp: Some(salp),
+            ..Overrides::default()
+        };
+        (seg.to_string(), key, ov)
+    });
+    grid(p, "ablation_salp", &singles(p), &cols)
 }
 
 fn render_ablation_salp(ctx: &RenderCtx) -> String {
-    let mut o = String::new();
-    let _ = writeln!(
-        o,
-        "# Ablation: SALP Composition (improvement over Std-DRAM without SALP)"
+    let mut o = sweep_table(
+        ctx,
+        "Ablation: SALP Composition (improvement over Std-DRAM without SALP)",
+        &SALP_COMBOS.map(|(seg, ..)| seg),
+        &SALP_COMBOS.map(|(_, label, ..)| label),
+        12,
     );
-    let _ = writeln!(
-        o,
-        "{:<12} {:>12} {:>12} {:>12} {:>12}",
-        "workload", "Std", "Std+SALP", "DAS", "DAS+SALP"
-    );
-    let names = ctx.group_names();
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); SALP_COMBOS.len()];
-    for name in &names {
-        let base = ctx.by_id(&format!("ablation_salp/{name}/std"));
-        let _ = write!(o, "{name:<12}");
-        for (i, (seg, ..)) in SALP_COMBOS.iter().enumerate() {
-            let v = ctx
-                .by_id(&format!("ablation_salp/{name}/{seg}"))
-                .improvement_over(&base);
-            cols[i].push(v);
-            let _ = write!(o, " {:>12}", pct(v));
-        }
-        let _ = writeln!(o);
-    }
-    let _ = write!(o, "{:<12}", "gmean");
-    for col in &cols {
-        let _ = write!(o, " {:>12}", pct(gmean_improvement(col)));
-    }
-    let _ = writeln!(o);
     let _ = writeln!(
         o,
         "\nSALP removes row-buffer conflicts; DAS removes activation latency —\n\
@@ -1504,100 +1316,66 @@ fn render_ablation_salp(ctx: &RenderCtx) -> String {
     o
 }
 
-/// Page-policy combos: `(id segment, design key, policy key)`.
-const PAGE_COMBOS: [(&str, &str, &str); 4] = [
-    ("std_closed", "std", "closed"),
-    ("das_open", "das", "open"),
-    ("das_closed", "das", "closed"),
-    ("fs_open", "fs", "open"),
+/// Page-policy combos: `(id segment, column label, design key, policy key)`.
+const PAGE_COMBOS: [(&str, &str, &str, &str); 4] = [
+    ("std_closed", "Std closed", "std", "closed"),
+    ("das_open", "DAS open", "das", "open"),
+    ("das_closed", "DAS closed", "das", "closed"),
+    ("fs_open", "FS open", "fs", "open"),
 ];
 
 fn build_ablation_pagepolicy(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        jobs.push(job(
-            p,
-            format!("ablation_pagepolicy/{name}/std"),
-            "std",
-            name,
-            Overrides::default(),
-        ));
-        for (seg, key, policy) in PAGE_COMBOS {
-            jobs.push(job(
-                p,
-                format!("ablation_pagepolicy/{name}/{seg}"),
-                key,
-                name,
-                Overrides {
-                    page_policy: Some(policy.to_string()),
-                    ..Overrides::default()
-                },
-            ));
-        }
-    }
-    jobs
+    let cols = PAGE_COMBOS.map(|(seg, _, key, policy)| {
+        let ov = Overrides {
+            page_policy: Some(policy.to_string()),
+            ..Overrides::default()
+        };
+        (seg.to_string(), key, ov)
+    });
+    grid(
+        p,
+        "ablation_pagepolicy",
+        &singles(p),
+        &with_std(cols.to_vec()),
+    )
 }
 
 fn render_ablation_pagepolicy(ctx: &RenderCtx) -> String {
-    let mut o = String::new();
-    let _ = writeln!(
-        o,
-        "# Ablation: Page Policy (improvement over open-page Std-DRAM)"
-    );
-    let _ = writeln!(
-        o,
-        "{:<12} {:>12} {:>12} {:>12} {:>12}",
-        "workload", "Std closed", "DAS open", "DAS closed", "FS open"
-    );
-    let names = ctx.group_names();
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); PAGE_COMBOS.len()];
-    for name in &names {
-        let base = ctx.by_id(&format!("ablation_pagepolicy/{name}/std"));
-        let _ = write!(o, "{name:<12}");
-        for (i, (seg, ..)) in PAGE_COMBOS.iter().enumerate() {
-            let v = ctx
-                .by_id(&format!("ablation_pagepolicy/{name}/{seg}"))
-                .improvement_over(&base);
-            cols[i].push(v);
-            let _ = write!(o, " {:>12}", pct(v));
-        }
-        let _ = writeln!(o);
-    }
-    let _ = write!(o, "{:<12}", "gmean");
-    for col in &cols {
-        let _ = write!(o, " {:>12}", pct(gmean_improvement(col)));
-    }
-    let _ = writeln!(o);
-    o
+    sweep_table(
+        ctx,
+        "Ablation: Page Policy (improvement over open-page Std-DRAM)",
+        &PAGE_COMBOS.map(|(seg, ..)| seg),
+        &PAGE_COMBOS.map(|(_, label, ..)| label),
+        12,
+    )
 }
 
 // ---------------------------------------------------------------------------
 // Fault sweep and telemetry
 // ---------------------------------------------------------------------------
 
+/// One row per Fig. 7 design over mcf (so, unlike every other grid, the
+/// design varies per row): an uninjected `clean` run, then one run per
+/// fault rate.
 fn build_fault_sweep(p: &BuildParams) -> Vec<JobSpec> {
     let mut jobs = Vec::new();
     for key in FIG7_KEYS {
-        jobs.push(job(
-            p,
-            format!("fault_sweep/{key}/clean"),
-            key,
-            "mcf",
-            Overrides::default(),
-        ));
-        for (rate, seg) in FAULT_RATES {
-            jobs.push(job(
-                p,
-                format!("fault_sweep/{key}/{seg}"),
-                key,
-                "mcf",
-                Overrides {
-                    fault_rate: Some(rate),
-                    invariant_check_events: (rate > 0.0).then_some(10_000),
-                    ..Overrides::default()
-                },
-            ));
-        }
+        let rows = Rows {
+            names: vec![key],
+            workload: |_| "mcf".to_string(),
+            insts: p.insts,
+        };
+        let rates = FAULT_RATES.map(|(rate, seg)| {
+            let ov = Overrides {
+                fault_rate: Some(rate),
+                invariant_check_events: (rate > 0.0).then_some(10_000),
+                ..Overrides::default()
+            };
+            (seg.to_string(), key, ov)
+        });
+        let clean = ("clean".to_string(), key, Overrides::default());
+        let cols: Vec<Col> = std::iter::once(clean).chain(rates).collect();
+        jobs.extend(grid(p, "fault_sweep", &rows, &cols));
     }
     jobs
 }
@@ -1626,9 +1404,9 @@ fn render_fault_sweep(ctx: &RenderCtx) -> String {
         "design", "rate", "injected", "retried", "recovered", "fatal", "audits", "rebuilds", "ipc"
     );
     for key in FIG7_KEYS {
-        let clean = ctx.by_id(&format!("fault_sweep/{key}/clean"));
+        let clean = ctx.cell(key, "clean");
         for (rate, seg) in FAULT_RATES {
-            let r = ctx.by_id(&format!("fault_sweep/{key}/{seg}"));
+            let r = ctx.cell(key, seg);
             if rate == 0.0 {
                 assert_eq!(
                     fault_fingerprint(&r),
@@ -1661,19 +1439,17 @@ fn render_fault_sweep(ctx: &RenderCtx) -> String {
 }
 
 fn build_telemetry(p: &BuildParams) -> Vec<JobSpec> {
-    vec![JobSpec {
-        id: "telemetry/mcf/das".to_string(),
-        design: "das".to_string(),
-        workload: "mcf".to_string(),
-        insts: p.insts,
-        scale: p.scale,
-        seed: 42,
-        ov: Overrides {
-            telemetry_epoch: Some(EPOCH_CYCLES),
-            trace_path: Some(TELEMETRY_TRACE.to_string()),
-            ..Overrides::default()
-        },
-    }]
+    let ov = Overrides {
+        telemetry_epoch: Some(EPOCH_CYCLES),
+        trace_path: Some(TELEMETRY_TRACE.to_string()),
+        ..Overrides::default()
+    };
+    grid(
+        p,
+        "telemetry",
+        &pinned(p, "mcf"),
+        &[("das".to_string(), "das", ov)],
+    )
 }
 
 fn render_telemetry(ctx: &RenderCtx) -> String {
@@ -1799,48 +1575,6 @@ fn workload_class(name: &str) -> &'static str {
     }
 }
 
-/// Per-workload jobs: a DDR3 baseline plus every non-baseline backend.
-fn cross_arch_jobs(exp: &str, names: &[&str], insts: u64, p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in names {
-        for key in std::iter::once("std").chain(CROSS_KEYS) {
-            jobs.push(JobSpec {
-                id: format!("{exp}/{name}/{key}"),
-                design: key.to_string(),
-                workload: name.to_string(),
-                insts,
-                scale: p.scale,
-                seed: 42,
-                ov: Overrides::default(),
-            });
-        }
-    }
-    jobs
-}
-
-/// Improvement matrix over the per-group DDR3 baseline:
-/// `(group names, rows[group][backend])` in `keys` column order.
-fn cross_arch_matrix<'a>(
-    ctx: &RenderCtx<'a>,
-    exp: &str,
-    keys: &[&str],
-) -> (Vec<&'a str>, Vec<Vec<f64>>) {
-    let names = ctx.group_names();
-    let rows = names
-        .iter()
-        .map(|name| {
-            let base = ctx.by_id(&format!("{exp}/{name}/std"));
-            keys.iter()
-                .map(|key| {
-                    ctx.by_id(&format!("{exp}/{name}/{key}"))
-                        .improvement_over(&base)
-                })
-                .collect()
-        })
-        .collect();
-    (names, rows)
-}
-
 /// Appends a gmean-ranking block: backends ordered by gmean IPC
 /// improvement over the DDR3 baseline, one ranking per workload class.
 fn write_class_ranking(o: &mut String, names: &[&str], rows: &[Vec<f64>], keys: &[&str]) {
@@ -1853,48 +1587,34 @@ fn write_class_ranking(o: &mut String, names: &[&str], rows: &[Vec<f64>], keys: 
     classes.sort_unstable();
     classes.dedup();
     for class in classes {
-        let member_rows: Vec<&Vec<f64>> = names
+        let member_rows: Vec<Vec<f64>> = names
             .iter()
             .zip(rows)
             .filter(|(n, _)| workload_class(n) == class)
-            .map(|(_, r)| r)
+            .map(|(_, r)| r.clone())
             .collect();
-        let mut ranked: Vec<(&str, f64)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, key)| {
-                let col: Vec<f64> = member_rows.iter().map(|r| r[i]).collect();
-                (design_label(key), gmean_improvement(&col))
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-        let _ = write!(o, "{:<12}", format!("{class}:"));
-        for (i, (label, g)) in ranked.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(o, "  >");
-            }
-            let _ = write!(o, " {label} {}", pct(*g));
-        }
-        let _ = writeln!(o);
+        let head = format!("{:<12}", format!("{class}:"));
+        write_ranking(o, &head, &design_labels(keys), &member_rows);
     }
 }
 
 fn build_cross_arch_rank(p: &BuildParams) -> Vec<JobSpec> {
-    cross_arch_jobs("cross_arch_rank", &singles(p), p.insts, p)
+    grid(
+        p,
+        "cross_arch_rank",
+        &singles(p),
+        &with_std(designs(&CROSS_KEYS)),
+    )
 }
 
 fn render_cross_arch_rank(ctx: &RenderCtx) -> String {
-    let (names, rows) = cross_arch_matrix(ctx, "cross_arch_rank", &CROSS_KEYS);
-    let columns: Vec<String> = CROSS_KEYS
-        .iter()
-        .map(|k| design_label(k).to_string())
-        .collect();
+    let (names, rows) = over_std(ctx, &CROSS_KEYS);
     let mut o = String::new();
     improvement_table(
         &mut o,
         "Cross-architecture: IPC improvement over DDR3 baseline",
         &names,
-        &columns,
+        &design_labels(&CROSS_KEYS),
         14,
         &rows,
     );
@@ -1903,89 +1623,58 @@ fn render_cross_arch_rank(ctx: &RenderCtx) -> String {
 }
 
 fn build_cross_arch_mix(p: &BuildParams) -> Vec<JobSpec> {
-    let mixes: Vec<String> = mix_list(p).iter().map(|m| format!("mix:{m}")).collect();
-    let mut jobs = Vec::new();
-    for (name, wl) in mix_list(p).iter().zip(&mixes) {
-        for key in std::iter::once("std").chain(CROSS_KEYS) {
-            jobs.push(JobSpec {
-                id: format!("cross_arch_mix/{name}/{key}"),
-                design: key.to_string(),
-                workload: wl.clone(),
-                insts: multi_insts(p),
-                scale: p.scale,
-                seed: 42,
-                ov: Overrides::default(),
-            });
-        }
-    }
-    jobs
+    grid(
+        p,
+        "cross_arch_mix",
+        &mix_rows(p),
+        &with_std(designs(&CROSS_KEYS)),
+    )
 }
 
 fn render_cross_arch_mix(ctx: &RenderCtx) -> String {
-    let (names, rows) = cross_arch_matrix(ctx, "cross_arch_mix", &CROSS_KEYS);
-    let columns: Vec<String> = CROSS_KEYS
-        .iter()
-        .map(|k| design_label(k).to_string())
-        .collect();
-    let mut o = String::new();
-    improvement_table(
-        &mut o,
+    sweep_table(
+        ctx,
         "Cross-architecture: four-program mixes (weighted IPC improvement over DDR3)",
-        &names,
-        &columns,
+        &CROSS_KEYS,
+        &design_labels(&CROSS_KEYS),
         14,
-        &rows,
-    );
-    o
+    )
 }
 
-fn cross_sweep_segs() -> Vec<String> {
-    CROSS_SWEEP_KEYS
-        .iter()
-        .flat_map(|key| RATIO_DENS.iter().map(move |den| format!("{key}_d{den}")))
-        .collect()
+/// One column per sweeping backend and fast-level ratio, segment
+/// `<backend>_d<denominator>`.
+fn cross_sweep_cols() -> Vec<Col> {
+    let mut cols = Vec::new();
+    for key in CROSS_SWEEP_KEYS {
+        for den in RATIO_DENS {
+            let ov = Overrides {
+                fast_ratio_den: Some(den),
+                ..Overrides::default()
+            };
+            cols.push((format!("{key}_d{den}"), key, ov));
+        }
+    }
+    cols
 }
 
 fn build_cross_arch_sweep(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        jobs.push(job(
-            p,
-            format!("cross_arch_sweep/{name}/std"),
-            "std",
-            name,
-            Overrides::default(),
-        ));
-        for key in CROSS_SWEEP_KEYS {
-            for den in RATIO_DENS {
-                jobs.push(job(
-                    p,
-                    format!("cross_arch_sweep/{name}/{key}_d{den}"),
-                    key,
-                    name,
-                    Overrides {
-                        fast_ratio_den: Some(den),
-                        ..Overrides::default()
-                    },
-                ));
-            }
-        }
-    }
-    jobs
+    grid(
+        p,
+        "cross_arch_sweep",
+        &singles(p),
+        &with_std(cross_sweep_cols()),
+    )
 }
 
 fn render_cross_arch_sweep(ctx: &RenderCtx) -> String {
-    let segs = cross_sweep_segs();
-    let seg_refs: Vec<&str> = segs.iter().map(String::as_str).collect();
     let columns: Vec<String> = CROSS_SWEEP_KEYS
         .iter()
         .flat_map(|key| RATIO_DENS.iter().map(move |den| format!("{key} 1/{den}")))
         .collect();
-    render_sweep_table(
+    sweep_table(
         ctx,
-        "cross_arch_sweep",
         "Cross-architecture: fast-capacity sweep (TL-DRAM pinned to 1/4, omitted)",
-        &seg_refs,
+        &segs(&cross_sweep_cols()),
         &columns,
         10,
     )
@@ -1995,20 +1684,8 @@ fn render_cross_arch_sweep(ctx: &RenderCtx) -> String {
 const COPY_KEYS: [&str; 4] = ["das", "das_fm", "lisa", "clr"];
 
 fn build_cross_arch_copy(p: &BuildParams) -> Vec<JobSpec> {
-    let names = filter(&p.only, POINTER_WORKLOADS.to_vec());
-    let mut jobs = Vec::new();
-    for name in names {
-        for key in std::iter::once("std").chain(COPY_KEYS) {
-            jobs.push(job(
-                p,
-                format!("cross_arch_copy/{name}/{key}"),
-                key,
-                name,
-                Overrides::default(),
-            ));
-        }
-    }
-    jobs
+    let rows = benches(p, &POINTER_WORKLOADS);
+    grid(p, "cross_arch_copy", &rows, &with_std(designs(&COPY_KEYS)))
 }
 
 fn render_cross_arch_copy(ctx: &RenderCtx) -> String {
@@ -2023,29 +1700,24 @@ fn render_cross_arch_copy(ctx: &RenderCtx) -> String {
         let _ = writeln!(o, "  {:<14} {:>8.3} ns", design_label(key), t.swap.as_ns());
     }
     let _ = writeln!(o);
-    let (names, rows) = cross_arch_matrix(ctx, "cross_arch_copy", &COPY_KEYS);
-    let columns: Vec<String> = COPY_KEYS
-        .iter()
-        .map(|k| design_label(k).to_string())
-        .collect();
-    improvement_table(
-        &mut o,
+    o += &sweep_table(
+        ctx,
         "IPC improvement over DDR3 baseline",
-        &names,
-        &columns,
+        &COPY_KEYS,
+        &design_labels(&COPY_KEYS),
         14,
-        &rows,
     );
     o
 }
 
-/// SALP composition combos: `(id segment, design key, salp override)`.
-const CROSS_SALP_COMBOS: [(&str, &str, Option<bool>); 5] = [
-    ("salp", "salp", None),
-    ("das", "das", None),
-    ("das_salp", "das", Some(true)),
-    ("lisa", "lisa", None),
-    ("lisa_salp", "lisa", Some(true)),
+/// SALP composition combos: `(id segment, column label, design key, salp
+/// override)`.
+const CROSS_SALP_COMBOS: [(&str, &str, &str, Option<bool>); 5] = [
+    ("salp", "SALP", "salp", None),
+    ("das", "DAS", "das", None),
+    ("das_salp", "DAS+SALP", "das", Some(true)),
+    ("lisa", "LISA", "lisa", None),
+    ("lisa_salp", "LISA+SALP", "lisa", Some(true)),
 ];
 
 /// The SALP composition runs on three representative workloads (one
@@ -2053,47 +1725,23 @@ const CROSS_SALP_COMBOS: [(&str, &str, Option<bool>); 5] = [
 const CROSS_SALP_WORKLOADS: [&str; 3] = ["libquantum", "mcf", "omnetpp"];
 
 fn build_cross_arch_salp(p: &BuildParams) -> Vec<JobSpec> {
-    let names = filter(&p.only, CROSS_SALP_WORKLOADS.to_vec());
-    let mut jobs = Vec::new();
-    for name in names {
-        jobs.push(job(
-            p,
-            format!("cross_arch_salp/{name}/std"),
-            "std",
-            name,
-            Overrides::default(),
-        ));
-        for (seg, key, salp) in CROSS_SALP_COMBOS {
-            jobs.push(job(
-                p,
-                format!("cross_arch_salp/{name}/{seg}"),
-                key,
-                name,
-                Overrides {
-                    salp,
-                    ..Overrides::default()
-                },
-            ));
-        }
-    }
-    jobs
+    let cols = CROSS_SALP_COMBOS.map(|(seg, _, key, salp)| {
+        let ov = Overrides {
+            salp,
+            ..Overrides::default()
+        };
+        (seg.to_string(), key, ov)
+    });
+    let rows = benches(p, &CROSS_SALP_WORKLOADS);
+    grid(p, "cross_arch_salp", &rows, &with_std(cols.to_vec()))
 }
 
 fn render_cross_arch_salp(ctx: &RenderCtx) -> String {
-    let segs: Vec<&str> = CROSS_SALP_COMBOS.iter().map(|(seg, ..)| *seg).collect();
-    let columns: Vec<String> = vec![
-        "SALP".into(),
-        "DAS".into(),
-        "DAS+SALP".into(),
-        "LISA".into(),
-        "LISA+SALP".into(),
-    ];
-    let mut o = render_sweep_table(
+    let mut o = sweep_table(
         ctx,
-        "cross_arch_salp",
         "Cross-architecture: SALP composition (improvement over DDR3)",
-        &segs,
-        &columns,
+        &CROSS_SALP_COMBOS.map(|(seg, ..)| seg),
+        &CROSS_SALP_COMBOS.map(|(_, label, ..)| label),
         11,
     );
     let _ = writeln!(
@@ -2105,11 +1753,16 @@ fn render_cross_arch_salp(ctx: &RenderCtx) -> String {
 }
 
 fn build_cross_arch_area(p: &BuildParams) -> Vec<JobSpec> {
-    cross_arch_jobs("cross_arch_area", &["mcf"], p.insts, p)
+    grid(
+        p,
+        "cross_arch_area",
+        &pinned(p, "mcf"),
+        &with_std(designs(&CROSS_KEYS)),
+    )
 }
 
 fn render_cross_arch_area(ctx: &RenderCtx) -> String {
-    let (names, rows) = cross_arch_matrix(ctx, "cross_arch_area", &CROSS_KEYS);
+    let (names, rows) = over_std(ctx, &CROSS_KEYS);
     let mut o = String::new();
     let _ = writeln!(
         o,
@@ -2166,28 +1819,35 @@ fn protocol_label(key: &str) -> &'static str {
         .label()
 }
 
-/// One coherent job at the multi-programming budget (four trace-fed
-/// cores share the memory system, like the Fig. 7e mixes).
-fn coherent_job(p: &BuildParams, id: String, design: &str, kind: &str, ov: Overrides) -> JobSpec {
-    JobSpec {
-        id,
-        design: design.to_string(),
-        workload: format!("shared:{kind}"),
-        insts: multi_insts(p),
-        scale: p.scale,
-        seed: 42,
-        ov,
+/// A Std-DRAM and a DAS-DRAM column per variant, segments
+/// `<variant>_std` and `<variant>_das`, with `ov` for each variant.
+fn std_das_cols(variants: &[&str], ov: impl Fn(&str) -> Overrides) -> Vec<Col> {
+    let mut cols = Vec::new();
+    for v in variants {
+        for key in ["std", "das"] {
+            cols.push((format!("{v}_{key}"), key, ov(v)));
+        }
     }
+    cols
 }
 
-/// Appends one coherence-traffic line per group, read from the named
-/// job's `metrics/coherence` block.
-fn write_coherence_lines(o: &mut String, ctx: &RenderCtx, ids: &[(String, String)]) {
-    for (label, id) in ids {
-        let r = ctx.by_id(id);
+/// Per row, each variant's DAS-DRAM cell over its own Std-DRAM cell.
+fn das_over_std<'a>(ctx: &RenderCtx<'a>, variants: &[&str]) -> (Vec<&'a str>, Vec<Vec<f64>>) {
+    let cols: Vec<(String, String)> = variants
+        .iter()
+        .map(|v| (format!("{v}_das"), format!("{v}_std")))
+        .collect();
+    improvements(ctx, &cols)
+}
+
+/// Appends one coherence-traffic line per row, read from the row's `seg`
+/// cell's `metrics/coherence` block.
+fn write_coherence_lines(o: &mut String, ctx: &RenderCtx, seg: &str) {
+    for row in ctx.group_names() {
+        let r = ctx.cell(row, seg);
         let _ = writeln!(
             o,
-            "{label:<12} bus_tx={:>8}  inval={:>7}  interv={:>7}  upd={:>7}  \
+            "{row:<12} bus_tx={:>8}  inval={:>7}  interv={:>7}  upd={:>7}  \
              l1_hit={:>5.1}%  bus_wait={}",
             r.u64("metrics/coherence/bus_transactions"),
             r.u64("metrics/coherence/invalidations"),
@@ -2200,110 +1860,48 @@ fn write_coherence_lines(o: &mut String, ctx: &RenderCtx, ids: &[(String, String
 }
 
 fn build_coherent_rank(p: &BuildParams) -> Vec<JobSpec> {
-    let kinds = filter(&p.only, SHARED_KINDS.to_vec());
-    let mut jobs = Vec::new();
-    for kind in kinds {
-        for key in std::iter::once("std").chain(CROSS_KEYS) {
-            jobs.push(coherent_job(
-                p,
-                format!("coherent_rank/{kind}/{key}"),
-                key,
-                kind,
-                Overrides::default(),
-            ));
-        }
-    }
-    jobs
+    grid(
+        p,
+        "coherent_rank",
+        &shared_rows(p),
+        &with_std(designs(&CROSS_KEYS)),
+    )
 }
 
 fn render_coherent_rank(ctx: &RenderCtx) -> String {
-    let (names, rows) = cross_arch_matrix(ctx, "coherent_rank", &CROSS_KEYS);
-    let columns: Vec<String> = CROSS_KEYS
-        .iter()
-        .map(|k| design_label(k).to_string())
-        .collect();
+    let (names, rows) = over_std(ctx, &CROSS_KEYS);
+    let labels = design_labels(&CROSS_KEYS);
     let mut o = String::new();
     improvement_table(
         &mut o,
         "Coherent front end: IPC improvement over DDR3 baseline (MESI, 4 cores)",
         &names,
-        &columns,
+        &labels,
         14,
         &rows,
     );
-    let mut ranked: Vec<(&str, f64)> = CROSS_KEYS
-        .iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let col: Vec<f64> = rows.iter().map(|r| r[i]).collect();
-            (design_label(key), gmean_improvement(&col))
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-    let _ = write!(o, "\nranking:");
-    for (i, (label, g)) in ranked.iter().enumerate() {
-        if i > 0 {
-            let _ = write!(o, "  >");
-        }
-        let _ = write!(o, " {label} {}", pct(*g));
-    }
-    let _ = writeln!(o);
+    write_ranking(&mut o, "\nranking:", &labels, &rows);
     let _ = writeln!(o, "\n## MESI coherence traffic (Std-DRAM backend)");
-    let ids: Vec<(String, String)> = names
-        .iter()
-        .map(|n| ((*n).to_string(), format!("coherent_rank/{n}/std")))
-        .collect();
-    write_coherence_lines(&mut o, ctx, &ids);
+    write_coherence_lines(&mut o, ctx, "std");
     o
 }
 
 fn build_coherent_protocol(p: &BuildParams) -> Vec<JobSpec> {
-    let kinds = filter(&p.only, SHARED_KINDS.to_vec());
-    let mut jobs = Vec::new();
-    for kind in kinds {
-        for proto in COH_PROTOCOLS {
-            for key in ["std", "das"] {
-                jobs.push(coherent_job(
-                    p,
-                    format!("coherent_protocol/{kind}/{proto}_{key}"),
-                    key,
-                    kind,
-                    Overrides {
-                        protocol: Some(proto.to_string()),
-                        ..Overrides::default()
-                    },
-                ));
-            }
-        }
-    }
-    jobs
+    let cols = std_das_cols(&COH_PROTOCOLS, |proto| Overrides {
+        protocol: Some(proto.to_string()),
+        ..Overrides::default()
+    });
+    grid(p, "coherent_protocol", &shared_rows(p), &cols)
 }
 
 fn render_coherent_protocol(ctx: &RenderCtx) -> String {
-    let names = ctx.group_names();
-    let columns: Vec<String> = COH_PROTOCOLS
-        .iter()
-        .map(|p| format!("DAS {}", protocol_label(p)))
-        .collect();
-    let rows: Vec<Vec<f64>> = names
-        .iter()
-        .map(|kind| {
-            COH_PROTOCOLS
-                .iter()
-                .map(|proto| {
-                    let base = ctx.by_id(&format!("coherent_protocol/{kind}/{proto}_std"));
-                    ctx.by_id(&format!("coherent_protocol/{kind}/{proto}_das"))
-                        .improvement_over(&base)
-                })
-                .collect()
-        })
-        .collect();
+    let (names, rows) = das_over_std(ctx, &COH_PROTOCOLS);
     let mut o = String::new();
     improvement_table(
         &mut o,
         "Coherent front end: protocol comparison (DAS-DRAM improvement over DDR3)",
         &names,
-        &columns,
+        &COH_PROTOCOLS.map(|p| format!("DAS {}", protocol_label(p))),
         14,
         &rows,
     );
@@ -2313,64 +1911,27 @@ fn render_coherent_protocol(ctx: &RenderCtx) -> String {
             "\n## {} coherence traffic (DAS-DRAM backend)",
             protocol_label(proto)
         );
-        let ids: Vec<(String, String)> = names
-            .iter()
-            .map(|n| {
-                (
-                    (*n).to_string(),
-                    format!("coherent_protocol/{n}/{proto}_das"),
-                )
-            })
-            .collect();
-        write_coherence_lines(&mut o, ctx, &ids);
+        write_coherence_lines(&mut o, ctx, &format!("{proto}_das"));
     }
     o
 }
 
 fn build_coherent_sharing(p: &BuildParams) -> Vec<JobSpec> {
-    let kinds = filter(&p.only, SHARED_KINDS.to_vec());
-    let mut jobs = Vec::new();
-    for kind in kinds {
-        for level in SHARING_LEVELS {
-            for key in ["std", "das"] {
-                jobs.push(coherent_job(
-                    p,
-                    format!("coherent_sharing/{kind}/{level}_{key}"),
-                    key,
-                    kind,
-                    Overrides {
-                        sharing: Some(level.to_string()),
-                        ..Overrides::default()
-                    },
-                ));
-            }
-        }
-    }
-    jobs
+    let cols = std_das_cols(&SHARING_LEVELS, |level| Overrides {
+        sharing: Some(level.to_string()),
+        ..Overrides::default()
+    });
+    grid(p, "coherent_sharing", &shared_rows(p), &cols)
 }
 
 fn render_coherent_sharing(ctx: &RenderCtx) -> String {
-    let names = ctx.group_names();
-    let columns: Vec<String> = SHARING_LEVELS.iter().map(|l| (*l).to_string()).collect();
-    let rows: Vec<Vec<f64>> = names
-        .iter()
-        .map(|kind| {
-            SHARING_LEVELS
-                .iter()
-                .map(|level| {
-                    let base = ctx.by_id(&format!("coherent_sharing/{kind}/{level}_std"));
-                    ctx.by_id(&format!("coherent_sharing/{kind}/{level}_das"))
-                        .improvement_over(&base)
-                })
-                .collect()
-        })
-        .collect();
+    let (names, rows) = das_over_std(ctx, &SHARING_LEVELS);
     let mut o = String::new();
     improvement_table(
         &mut o,
         "Coherent front end: sharing-intensity sweep (DAS-DRAM improvement over DDR3)",
         &names,
-        &columns,
+        &SHARING_LEVELS,
         14,
         &rows,
     );
@@ -2378,7 +1939,7 @@ fn render_coherent_sharing(ctx: &RenderCtx) -> String {
     for kind in &names {
         let _ = write!(o, "{kind:<12}");
         for level in SHARING_LEVELS {
-            let r = ctx.by_id(&format!("coherent_sharing/{kind}/{level}_das"));
+            let r = ctx.cell(kind, &format!("{level}_das"));
             let _ = write!(
                 o,
                 "  {level}: inval={} wait={}",
@@ -2419,6 +1980,10 @@ fn policy_label(key: &str) -> &'static str {
         .label()
 }
 
+fn policy_labels() -> Vec<&'static str> {
+    POLICY_KEYS.iter().map(|k| policy_label(k)).collect()
+}
+
 /// The override for a policy column. `paper_fixed` deliberately omits the
 /// token: absence *is* the paper's fixed-threshold behaviour (locked by
 /// `tests/locks.rs`), and it keeps those journal lines strip-comparable to
@@ -2434,136 +1999,77 @@ fn policy_ov(key: &str) -> Overrides {
     }
 }
 
+/// The policy columns on one backend, segment `<backend>_<policy>`.
+fn backend_policy_segs(backend: &str) -> Vec<String> {
+    POLICY_KEYS
+        .iter()
+        .map(|key| format!("{backend}_{key}"))
+        .collect()
+}
+
 fn build_policy_search_rank(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        jobs.push(job(
-            p,
-            format!("policy_search_rank/{name}/std"),
-            "std",
-            name,
-            Overrides::default(),
-        ));
-        for backend in POLICY_BACKENDS {
-            for key in POLICY_KEYS {
-                jobs.push(job(
-                    p,
-                    format!("policy_search_rank/{name}/{backend}_{key}"),
-                    backend,
-                    name,
-                    policy_ov(key),
-                ));
-            }
+    let mut cols = Vec::new();
+    for backend in POLICY_BACKENDS {
+        for (seg, key) in backend_policy_segs(backend).into_iter().zip(POLICY_KEYS) {
+            cols.push((seg, backend, policy_ov(key)));
         }
     }
-    jobs
+    grid(p, "policy_search_rank", &singles(p), &with_std(cols))
 }
 
 fn render_policy_search_rank(ctx: &RenderCtx) -> String {
-    let names = ctx.group_names();
-    let columns: Vec<String> = POLICY_KEYS
-        .iter()
-        .map(|k| policy_label(k).to_string())
-        .collect();
+    let labels = policy_labels();
     let mut o = String::new();
     for backend in POLICY_BACKENDS {
-        let rows: Vec<Vec<f64>> = names
-            .iter()
-            .map(|name| {
-                let base = ctx.by_id(&format!("policy_search_rank/{name}/std"));
-                POLICY_KEYS
-                    .iter()
-                    .map(|key| {
-                        ctx.by_id(&format!("policy_search_rank/{name}/{backend}_{key}"))
-                            .improvement_over(&base)
-                    })
-                    .collect()
-            })
-            .collect();
+        let segs = backend_policy_segs(backend);
+        let (names, rows) = over_std(ctx, &segs.iter().map(String::as_str).collect::<Vec<_>>());
         if !o.is_empty() {
             let _ = writeln!(o);
         }
+        let label = design_label(backend);
         improvement_table(
             &mut o,
-            &format!(
-                "Policy search: IPC improvement over DDR3 baseline ({})",
-                design_label(backend)
-            ),
+            &format!("Policy search: IPC improvement over DDR3 baseline ({label})"),
             &names,
-            &columns,
+            &labels,
             16,
             &rows,
         );
-        let mut ranked: Vec<(&str, f64)> = POLICY_KEYS
-            .iter()
-            .enumerate()
-            .map(|(i, key)| {
-                let col: Vec<f64> = rows.iter().map(|r| r[i]).collect();
-                (policy_label(key), gmean_improvement(&col))
-            })
-            .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-        let _ = write!(o, "ranking ({}):", design_label(backend));
-        for (i, (label, g)) in ranked.iter().enumerate() {
-            if i > 0 {
-                let _ = write!(o, "  >");
-            }
-            let _ = write!(o, " {label} {}", pct(*g));
-        }
-        let _ = writeln!(o);
+        write_ranking(&mut o, &format!("ranking ({label}):"), &labels, &rows);
     }
     o
 }
 
-fn build_policy_search_size(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for name in singles(p) {
-        jobs.push(job(
-            p,
-            format!("policy_search_size/{name}/std"),
-            "std",
-            name,
-            Overrides::default(),
-        ));
-        for key in POLICY_KEYS {
-            for den in RATIO_DENS {
-                let mut ov = policy_ov(key);
-                ov.fast_ratio_den = Some(den);
-                jobs.push(job(
-                    p,
-                    format!("policy_search_size/{name}/{key}_d{den}"),
-                    "das",
-                    name,
-                    ov,
-                ));
-            }
+/// Every policy at every fast-level ratio on DAS-DRAM, policy-major,
+/// segment `<policy>_d<denominator>`.
+fn policy_size_cols() -> Vec<Col> {
+    let mut cols = Vec::new();
+    for key in POLICY_KEYS {
+        for den in RATIO_DENS {
+            let mut ov = policy_ov(key);
+            ov.fast_ratio_den = Some(den);
+            cols.push((format!("{key}_d{den}"), "das", ov));
         }
     }
-    jobs
+    cols
+}
+
+fn build_policy_search_size(p: &BuildParams) -> Vec<JobSpec> {
+    grid(
+        p,
+        "policy_search_size",
+        &singles(p),
+        &with_std(policy_size_cols()),
+    )
 }
 
 fn render_policy_search_size(ctx: &RenderCtx) -> String {
-    let names = ctx.group_names();
+    let cols = policy_size_cols();
     let columns: Vec<String> = POLICY_KEYS
         .iter()
         .flat_map(|key| RATIO_DENS.iter().map(move |den| format!("{key} 1/{den}")))
         .collect();
-    let segs: Vec<String> = POLICY_KEYS
-        .iter()
-        .flat_map(|key| RATIO_DENS.iter().map(move |den| format!("{key}_d{den}")))
-        .collect();
-    let rows: Vec<Vec<f64>> = names
-        .iter()
-        .map(|name| {
-            let base = ctx.by_id(&format!("policy_search_size/{name}/std"));
-            segs.iter()
-                .map(|seg| {
-                    ctx.by_id(&format!("policy_search_size/{name}/{seg}"))
-                        .improvement_over(&base)
-                })
-                .collect()
-        })
-        .collect();
+    let (names, rows) = over_std(ctx, &segs(&cols));
     let mut o = String::new();
     improvement_table(
         &mut o,
@@ -2576,42 +2082,39 @@ fn render_policy_search_size(ctx: &RenderCtx) -> String {
     // Best policy per fast-level size, by gmean across workloads.
     let _ = writeln!(o, "\n## best policy per fast-level size (gmean)");
     for (di, den) in RATIO_DENS.iter().enumerate() {
-        let mut ranked: Vec<(&str, f64)> = POLICY_KEYS
+        let at_size: Vec<Vec<f64>> = rows
             .iter()
-            .enumerate()
-            .map(|(pi, key)| {
-                let col: Vec<f64> = rows.iter().map(|r| r[pi * RATIO_DENS.len() + di]).collect();
-                (policy_label(key), gmean_improvement(&col))
+            .map(|r| {
+                r.iter()
+                    .skip(di)
+                    .step_by(RATIO_DENS.len())
+                    .copied()
+                    .collect()
             })
             .collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
-        let (best, g) = ranked[0];
+        let (best, g) = ranked(&policy_labels(), &at_size)[0];
         let _ = writeln!(o, "1/{den:<4} {best} {}", pct(g));
     }
     o
 }
 
 fn build_policy_search_adapt(p: &BuildParams) -> Vec<JobSpec> {
-    let names = filter(&p.only, POLICY_ADAPT_WORKLOADS.to_vec());
-    let mut jobs = Vec::new();
-    for name in names {
-        for key in POLICY_ADAPTIVE {
-            // Explicit tokens throughout (including paper_fixed): this
-            // experiment reads the report's `policy` accounting block,
-            // which only materialises when a policy is installed.
-            jobs.push(job(
-                p,
-                format!("policy_search_adapt/{name}/{key}"),
-                "das",
-                name,
-                Overrides {
-                    policy: Some(key.to_string()),
-                    ..Overrides::default()
-                },
-            ));
-        }
-    }
-    jobs
+    // Explicit tokens throughout (including paper_fixed): this experiment
+    // reads the report's `policy` accounting block, which only
+    // materialises when a policy is installed.
+    let cols = POLICY_ADAPTIVE.map(|key| {
+        let ov = Overrides {
+            policy: Some(key.to_string()),
+            ..Overrides::default()
+        };
+        (key.to_string(), "das", ov)
+    });
+    grid(
+        p,
+        "policy_search_adapt",
+        &benches(p, &POLICY_ADAPT_WORKLOADS),
+        &cols,
+    )
 }
 
 fn render_policy_search_adapt(ctx: &RenderCtx) -> String {
@@ -2624,7 +2127,7 @@ fn render_policy_search_adapt(ctx: &RenderCtx) -> String {
     for name in &names {
         let _ = writeln!(o, "\n## {name}");
         for key in POLICY_ADAPTIVE {
-            let r = ctx.by_id(&format!("policy_search_adapt/{name}/{key}"));
+            let r = ctx.cell(name, key);
             let _ = writeln!(
                 o,
                 "{:<16} promotes={:>6}  demotes={:>5}  holds={:>8}  \

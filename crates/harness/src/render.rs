@@ -41,16 +41,18 @@ impl<'a> RenderCtx<'a> {
         ReportView(&self.reports[idx])
     }
 
-    /// The job spec with this exact id.
+    /// The report of grid cell `(row, seg)`: job [`cell_id`]`(exp, row,
+    /// seg)`, where `exp` is the experiment prefix of this context's jobs.
     ///
     /// # Panics
     ///
-    /// Panics if the id is absent.
-    pub fn job(&self, id: &str) -> &'a JobSpec {
-        self.jobs
-            .iter()
-            .find(|j| j.id == id)
-            .unwrap_or_else(|| panic!("no job {id:?} in this experiment"))
+    /// Panics if the cell is absent.
+    pub fn cell(&self, row: &str, seg: &str) -> ReportView<'a> {
+        let exp = self
+            .jobs
+            .first()
+            .map_or("", |j| j.id.split('/').next().unwrap_or(""));
+        self.by_id(&cell_id(exp, row, seg))
     }
 
     /// Distinct group names (the second `/`-separated id segment), in
@@ -67,6 +69,12 @@ impl<'a> RenderCtx<'a> {
         }
         names
     }
+}
+
+/// The job id of cell `(row, seg)` of experiment `exp`'s grid: the one id
+/// scheme of every catalog experiment.
+pub(crate) fn cell_id(exp: &str, row: &str, seg: &str) -> String {
+    format!("{exp}/{row}/{seg}")
 }
 
 /// The group (second `/`-separated segment, the workload row) of a job id;
@@ -87,7 +95,7 @@ pub fn improvement_table(
     out: &mut String,
     title: &str,
     names: &[&str],
-    columns: &[String],
+    columns: &[impl AsRef<str>],
     width: usize,
     rows: &[Vec<f64>],
 ) {
@@ -95,7 +103,7 @@ pub fn improvement_table(
     let _ = writeln!(out, "# {title}");
     let _ = write!(out, "{:<12}", "workload");
     for c in columns {
-        let _ = write!(out, " {c:>width$}");
+        let _ = write!(out, " {:>width$}", c.as_ref());
     }
     let _ = writeln!(out);
     for (name, row) in names.iter().zip(rows) {
@@ -105,8 +113,15 @@ pub fn improvement_table(
         }
         let _ = writeln!(out);
     }
+    gmean_row(out, rows, columns.len(), width);
+}
+
+/// Renders a table's gmean row: the gmean improvement of each of the
+/// `columns` columns of `rows`, at `width`.
+pub(crate) fn gmean_row(out: &mut String, rows: &[Vec<f64>], columns: usize, width: usize) {
+    use std::fmt::Write;
     let _ = write!(out, "{:<12}", "gmean");
-    for c in 0..columns.len() {
+    for c in 0..columns {
         let col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
         let _ = write!(out, " {:>width$}", pct(gmean_improvement(&col)));
     }

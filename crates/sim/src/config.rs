@@ -19,7 +19,7 @@ use das_dram::area::{
 use das_dram::geometry::{Arrangement, BankLayout, DramGeometry, FastRatio};
 use das_dram::tick::Tick;
 use das_dram::timing::TimingSet;
-use das_memctrl::controller::{ControllerConfig, SchedulerKind};
+use das_memctrl::controller::ControllerConfig;
 use das_telemetry::TelemetryConfig;
 
 /// The DRAM designs the simulator compares: the paper's §7 designs plus
@@ -483,14 +483,6 @@ impl SystemConfig {
         )
     }
 
-    /// A homogeneous (all one kind) layout for Standard/FS designs, built
-    /// as "all slow" — the timing set decides the actual speed.
-    pub fn homogeneous_layout(&self) -> BankLayout {
-        // The same layout machinery; a homogeneous TimingSet makes fast ==
-        // slow, so the nominal classification is inert.
-        self.bank_layout()
-    }
-
     /// Instructions after which measurement starts.
     pub fn warmup_insts(&self) -> u64 {
         (self.inst_budget as f64 * self.warmup_frac) as u64
@@ -539,12 +531,6 @@ impl SystemConfig {
     /// Convenience: set the full-scale translation-cache capacity.
     pub fn with_tcache_bytes(mut self, b: u64) -> Self {
         self.management.tcache_bytes = b;
-        self
-    }
-
-    /// Convenience: set the scheduler kind.
-    pub fn with_scheduler(mut self, s: SchedulerKind) -> Self {
-        self.controller.scheduler = s;
         self
     }
 

@@ -237,11 +237,6 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Items pushed so far.
-    pub fn items_written(&self) -> u64 {
-        self.total
-    }
-
     /// Seals the last block, writes the footer and flushes, returning the
     /// sink and the total item count.
     ///

@@ -19,7 +19,6 @@
 use std::io::{BufRead, Write};
 
 use das_cpu::TraceItem;
-use das_faults::{FaultInjector, FaultSite};
 
 /// Errors raised while parsing a trace line.
 #[derive(Debug)]
@@ -95,114 +94,38 @@ fn parse_line(line: &str, lineno: usize) -> Result<Option<TraceItem>, ParseTrace
 
 /// Parses a whole trace from a reader.
 ///
+/// A final record without its newline was cut mid-write (a truncated
+/// copy, a crashed producer): even when what is left parses
+/// (`3 0x10ff00 R dep` cut to `3 0x10ff00 R`), fields may be missing, so
+/// it is rejected. An unterminated blank or comment line carries no
+/// record data and stays harmless.
+///
 /// # Errors
 ///
-/// Returns the first I/O or syntax error, with its line number.
-pub fn read_trace<R: BufRead>(reader: R) -> Result<Vec<TraceItem>, Box<dyn std::error::Error>> {
+/// Returns the first I/O or syntax error, or the truncated final record,
+/// with its line number.
+pub fn read_trace<R: BufRead>(mut reader: R) -> Result<Vec<TraceItem>, Box<dyn std::error::Error>> {
     let mut items = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if let Some(item) = parse_line(&line, i + 1)? {
+    let mut line = String::new();
+    for lineno in 1.. {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
+        if let Some(item) = parse_line(&line, lineno)? {
+            if !line.ends_with('\n') {
+                return Err(Box::new(ParseTraceError {
+                    line: lineno,
+                    message: format!(
+                        "truncated final record (file ends mid-line): {:?}",
+                        line.trim()
+                    ),
+                }));
+            }
             items.push(item);
         }
     }
     Ok(items)
-}
-
-/// What a resilient trace read produced: the parsed items plus how many
-/// lines had to be dropped (corrupt syntax, I/O failures, or injected
-/// read faults).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceReadOutcome {
-    /// Successfully parsed references, in order.
-    pub items: Vec<TraceItem>,
-    /// Lines dropped on the way.
-    pub skipped: usize,
-}
-
-/// Parses a trace while tolerating up to `max_skipped` bad lines: syntax
-/// errors, I/O errors and (when `injector` is given) injected
-/// [`FaultSite::TraceRead`] faults each drop the offending line instead of
-/// failing the whole read. A run of damage past the budget aborts with the
-/// error that broke it — a trace that corrupt is not worth simulating.
-///
-/// Skips within budget are accounted as recovered on the injector; the
-/// aborting failure as fatal.
-///
-/// # Errors
-///
-/// Returns the first error past the skip budget, with its line number.
-pub fn read_trace_resilient<R: BufRead>(
-    mut reader: R,
-    mut injector: Option<&mut FaultInjector>,
-    max_skipped: usize,
-) -> Result<TraceReadOutcome, ParseTraceError> {
-    let mut items = Vec::new();
-    let mut skipped = 0usize;
-    let mut buf = String::new();
-    let mut lineno = 0usize;
-    loop {
-        buf.clear();
-        lineno += 1;
-        let line = reader.read_line(&mut buf);
-        if matches!(line, Ok(0)) {
-            break;
-        }
-        let injected = injector
-            .as_deref_mut()
-            .is_some_and(|inj| inj.roll(FaultSite::TraceRead));
-        let failure = if injected {
-            Some(ParseTraceError {
-                line: lineno,
-                message: "injected read fault".into(),
-            })
-        } else {
-            match &line {
-                Err(e) => Some(ParseTraceError {
-                    line: lineno,
-                    message: format!("I/O error: {e}"),
-                }),
-                // A final line without its newline is a record cut mid-write
-                // (a truncated copy, a crashed producer): even if what's left
-                // happens to parse, fields may be missing — never trust it.
-                Ok(_) if !buf.ends_with('\n') && !is_ignorable(&buf) => Some(ParseTraceError {
-                    line: lineno,
-                    message: format!(
-                        "truncated final record (file ends mid-line): {:?}",
-                        buf.trim()
-                    ),
-                }),
-                Ok(_) => match parse_line(&buf, lineno) {
-                    Ok(Some(item)) => {
-                        items.push(item);
-                        None
-                    }
-                    Ok(None) => None,
-                    Err(e) => Some(e),
-                },
-            }
-        };
-        if let Some(e) = failure {
-            if skipped >= max_skipped {
-                if let Some(inj) = injector.as_deref_mut() {
-                    inj.note_fatal(FaultSite::TraceRead);
-                }
-                return Err(e);
-            }
-            skipped += 1;
-            if let Some(inj) = injector.as_deref_mut() {
-                inj.note_recovered(FaultSite::TraceRead);
-            }
-        }
-    }
-    Ok(TraceReadOutcome { items, skipped })
-}
-
-/// Whether an unterminated final line is harmless: blank, or a comment
-/// (comments carry no record data, so losing their tail drops nothing).
-fn is_ignorable(line: &str) -> bool {
-    let t = line.trim();
-    t.is_empty() || t.starts_with('#')
 }
 
 /// Writes a trace in the canonical format.
@@ -274,102 +197,21 @@ mod tests {
     }
 
     #[test]
-    fn resilient_read_skips_corrupt_lines_within_budget() {
-        let text = "0 0x10 R\nbogus\n1 0x20 W\ngarbage line\n2 0x30 R\n";
-        let out = read_trace_resilient(BufReader::new(text.as_bytes()), None, 2).unwrap();
-        assert_eq!(out.items.len(), 3);
-        assert_eq!(out.skipped, 2);
-        assert_eq!(out.items[2].addr, 0x30);
-    }
-
-    #[test]
-    fn resilient_read_aborts_past_the_budget() {
-        let text = "bogus\nworse\n0 0x10 R\n";
-        let err = read_trace_resilient(BufReader::new(text.as_bytes()), None, 1).unwrap_err();
-        assert!(err.to_string().contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn resilient_read_with_zero_budget_matches_strict_reader() {
-        let text = "0 0x10 R\n1 0x20 W dep\n";
-        let err = read_trace_resilient(BufReader::new(text.as_bytes()), None, 0).unwrap_err();
-        assert!(err.to_string().contains("stores cannot be dependent"));
-        let ok = read_trace_resilient(BufReader::new("0 0x10 R\n".as_bytes()), None, 0).unwrap();
-        assert_eq!(ok.items.len(), 1);
-        assert_eq!(ok.skipped, 0);
-    }
-
-    #[test]
     fn truncated_final_record_is_rejected_with_its_line_number() {
-        // The last record lost its tail (and newline) mid-write. Even
-        // though "2 0x30" up to the kind field could parse as a prefix,
-        // the reader must flag it — with the 1-based number of the line.
-        let text = "0 0x10 R\n1 0x20 W\n2 0x30 R";
-        let err = read_trace_resilient(BufReader::new(text.as_bytes()), None, 0).unwrap_err();
-        assert_eq!(err.line, 3, "{err}");
+        // The last record lost its ` dep` tail and its newline mid-write;
+        // what is left parses as an independent load, so the reader must
+        // flag it instead of silently dropping the dependency.
+        let text = "0 0x10 R\n1 0x20 W\n3 0x10ff00 R";
+        let err = read_trace(BufReader::new(text.as_bytes())).unwrap_err();
+        assert!(err.to_string().contains("trace line 3"), "{err}");
         assert!(err.to_string().contains("truncated final record"), "{err}");
-        // Within a skip budget the damaged tail is dropped, not fatal.
-        let out = read_trace_resilient(BufReader::new(text.as_bytes()), None, 1).unwrap();
-        assert_eq!(out.items.len(), 2);
-        assert_eq!(out.skipped, 1);
-    }
-
-    #[test]
-    fn truncated_final_record_counts_in_fault_stats() {
-        use das_faults::{FaultInjector, FaultPlan, FaultSite};
-        let mut inj = FaultInjector::new(FaultPlan::none());
-        let text = "0 0x10 R\n1 0x20 R";
-        let err =
-            read_trace_resilient(BufReader::new(text.as_bytes()), Some(&mut inj), 0).unwrap_err();
-        assert_eq!(err.line, 2);
-        assert_eq!(inj.stats().site(FaultSite::TraceRead).fatal, 1);
-        let mut inj = FaultInjector::new(FaultPlan::none());
-        let out = read_trace_resilient(BufReader::new(text.as_bytes()), Some(&mut inj), 5).unwrap();
-        assert_eq!((out.items.len(), out.skipped), (1, 1));
-        assert_eq!(inj.stats().site(FaultSite::TraceRead).recovered, 1);
     }
 
     #[test]
     fn unterminated_trailing_comment_or_blank_is_harmless() {
-        let out =
-            read_trace_resilient(BufReader::new("0 0x10 R\n# tail".as_bytes()), None, 0).unwrap();
-        assert_eq!((out.items.len(), out.skipped), (1, 0));
-        let out =
-            read_trace_resilient(BufReader::new("0 0x10 R\n   ".as_bytes()), None, 0).unwrap();
-        assert_eq!((out.items.len(), out.skipped), (1, 0));
-    }
-
-    #[test]
-    fn injected_read_faults_drop_lines_and_are_accounted() {
-        use das_faults::{FaultInjector, FaultPlan, FaultSite};
-        let mut plan = FaultPlan::none();
-        plan.seed = 21;
-        plan.trace_read_error_rate = 0.3;
-        let mut inj = FaultInjector::new(plan);
-        let text: String = (0..200)
-            .map(|i| format!("{} {:#x} R\n", i % 7, 0x1000 + i * 64))
-            .collect();
-        let out =
-            read_trace_resilient(BufReader::new(text.as_bytes()), Some(&mut inj), 200).unwrap();
-        let s = inj.stats().site(FaultSite::TraceRead);
-        assert!(s.injected > 20, "30% of 200 lines must fire: {s:?}");
-        assert_eq!(out.skipped as u64, s.recovered);
-        assert_eq!(out.items.len() + out.skipped, 200);
-        assert_eq!(s.fatal, 0);
-    }
-
-    #[test]
-    fn injected_faults_past_budget_are_fatal() {
-        use das_faults::{FaultInjector, FaultPlan, FaultSite};
-        let mut plan = FaultPlan::none();
-        plan.seed = 5;
-        plan.trace_read_error_rate = 1.0;
-        let mut inj = FaultInjector::new(plan);
-        let text = "0 0x10 R\n1 0x20 R\n2 0x30 R\n";
-        let err =
-            read_trace_resilient(BufReader::new(text.as_bytes()), Some(&mut inj), 1).unwrap_err();
-        assert!(err.to_string().contains("injected read fault"), "{err}");
-        assert_eq!(inj.stats().site(FaultSite::TraceRead).fatal, 1);
-        assert_eq!(inj.stats().site(FaultSite::TraceRead).recovered, 1);
+        for text in ["0 0x10 R\n# tail", "0 0x10 R\n   "] {
+            let items = read_trace(BufReader::new(text.as_bytes())).unwrap();
+            assert_eq!(items.len(), 1, "{text:?}");
+        }
     }
 }

@@ -352,4 +352,19 @@ mod tests {
         let o = parse_args(&args(&["some/file.txt", "--design", "das"])).unwrap();
         assert_eq!(o.trace_path.as_deref(), Some("some/file.txt"));
     }
+
+    #[test]
+    fn truncated_trace_file_is_rejected() {
+        // The final record lost its ` dep` tail and its newline mid-write.
+        // What is left parses as an independent load, so only the missing
+        // newline shows the damage.
+        let path = std::env::temp_dir().join(format!("das_truncated_{}.txt", std::process::id()));
+        std::fs::write(&path, "0 0x1000 R\n3 0x10ff00 R").unwrap();
+        let err = cmd_trace(&args(&[path.to_str().unwrap(), "--design", "das"])).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            err.contains("trace line 2: truncated final record"),
+            "{err}"
+        );
+    }
 }
