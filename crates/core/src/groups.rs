@@ -180,13 +180,6 @@ impl BankGroups {
         debug_assert_eq!(sa as u8, self.to_logical[base + pb as usize]);
     }
 
-    /// Logical rows of `group` currently in fast slots, in slot order.
-    pub fn fast_residents(&self, group: u32) -> Vec<u32> {
-        (0..self.fast_slots)
-            .map(|p| group * self.group_size + self.logical_slot(group, p as u8) as u32)
-            .collect()
-    }
-
     /// Mean subarray hop distance between the fast and slow slots of each
     /// group under `layout` — the actual average migration path length
     /// (§4.3/Fig. 5). Partitioned layouts place a group's fast slots far
@@ -368,15 +361,6 @@ mod tests {
         g.swap_logical(10, 0);
         assert_eq!(g.phys_row_of_logical(10, &l), target);
         assert_eq!(g.phys_row_of_logical(0, &l), before);
-    }
-
-    #[test]
-    fn fast_residents_lists_current_occupants() {
-        let mut g = groups();
-        assert_eq!(g.fast_residents(0), vec![0, 1, 2, 3]);
-        g.swap_logical(20, 1);
-        let r = g.fast_residents(0);
-        assert!(r.contains(&20) && !r.contains(&1));
     }
 
     #[test]

@@ -275,16 +275,6 @@ impl InclusiveManager {
         self.stats.promotions += 1;
     }
 
-    /// Abandons a fill that could not be scheduled.
-    pub fn abort_fill(&mut self, req: &FillRequest) {
-        let bank_idx = self.geometry.bank_index(req.bank);
-        self.busy_groups.remove(&GroupId {
-            bank: bank_idx,
-            group: req.group,
-        });
-        self.stats.aborted += 1;
-    }
-
     /// Management statistics (promotions = fills).
     pub fn stats(&self) -> ManagementStats {
         self.stats
@@ -415,7 +405,7 @@ mod tests {
         let mut m = manager();
         let f = m.on_data_access(bank0(), 1, false, 1).unwrap();
         assert!(m.on_data_access(bank0(), 2, false, 2).is_none());
-        m.abort_fill(&f);
+        m.commit_fill(&f, 2);
         assert!(m.on_data_access(bank0(), 2, false, 3).is_some());
     }
 

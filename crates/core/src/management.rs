@@ -15,9 +15,7 @@ use das_policy::{AccessStats, EpochStats, MigrationPolicy, PolicyAction, PolicyE
 use crate::groups::{BankGroups, GroupId, GroupInvariantError};
 use crate::promotion::{FilterStats, PromotionFilter};
 use crate::replacement::{ReplacementPolicy, Replacer};
-use crate::translation::{
-    TableAddressMap, TranslationCache, TranslationError, TranslationSource, TranslationStats,
-};
+use crate::translation::{TableAddressMap, TranslationCache, TranslationSource, TranslationStats};
 
 /// A violation of the exclusive-cache consistency contract, found by
 /// [`DasManager::check_invariants`].
@@ -31,8 +29,6 @@ pub enum ConsistencyError {
         /// The underlying permutation violation.
         source: GroupInvariantError,
     },
-    /// The translation cache failed its integrity audit.
-    CacheCorrupt(TranslationError),
     /// A translation-cache entry disagrees with the device state: the
     /// cached row is not actually resident in the fast level (or does not
     /// exist at all).
@@ -48,7 +44,6 @@ impl fmt::Display for ConsistencyError {
             ConsistencyError::BrokenPermutation { bank, source } => {
                 write!(f, "bank {bank}: {source}")
             }
-            ConsistencyError::CacheCorrupt(e) => write!(f, "{e}"),
             ConsistencyError::CacheDeviceDisagreement { row } => {
                 write!(
                     f,
@@ -155,8 +150,6 @@ pub struct ManagementStats {
     pub promotions: u64,
     /// Promotions skipped because the group already had one in flight.
     pub deferred_busy: u64,
-    /// Promotions abandoned after being issued (swap could not complete).
-    pub aborted: u64,
 }
 
 /// Backend-specific promotion economics fed to cost-aware policies.
@@ -523,16 +516,6 @@ impl DasManager {
         self.stats.promotions += 1;
     }
 
-    /// Abandons a swap that could not be scheduled (frees the group).
-    pub fn abort_swap(&mut self, req: &SwapRequest) {
-        let bank_idx = self.geometry.bank_index(req.bank);
-        self.busy_groups.remove(&GroupId {
-            bank: bank_idx,
-            group: req.group,
-        });
-        self.stats.aborted += 1;
-    }
-
     /// Pre-places the most frequently used rows of each group into its fast
     /// slots, given profiled per-row access counts — the SAS-DRAM / CHARM
     /// methodology of §7 ("each workload is profiled first and the
@@ -599,9 +582,8 @@ impl DasManager {
     }
 
     /// Exclusive-cache invariant sweep: every bank's permutation is a
-    /// bijection (each logical row has exactly one physical location), the
-    /// translation cache passes its integrity audit, and every cached
-    /// translation agrees with the device state (the cached row really is
+    /// bijection (each logical row has exactly one physical location) and
+    /// every cached translation agrees with the device state (the cached row really is
     /// fast-resident). Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), ConsistencyError> {
         for (bank, g) in self.groups.iter().enumerate() {
@@ -611,9 +593,6 @@ impl DasManager {
         if self.cfg.static_mapping {
             return Ok(());
         }
-        self.tcache
-            .audit()
-            .map_err(ConsistencyError::CacheCorrupt)?;
         let rows_per_bank = self.geometry.rows_per_bank as u64;
         for row in self.tcache.resident_rows() {
             let bank_idx = (row.0 / rows_per_bank) as usize;
@@ -628,31 +607,6 @@ impl DasManager {
             }
         }
         Ok(())
-    }
-
-    /// Fault-injection hook: corrupts one translation-cache entry
-    /// (deterministically selected by `r`). Returns whether an entry was
-    /// actually corrupted (the cache may be empty).
-    pub fn corrupt_translation_entry(&mut self, r: u64) -> bool {
-        self.tcache.corrupt_entry(r)
-    }
-
-    /// Recovery path: declares the translation cache corrupt and rebuilds
-    /// it from the authoritative group state, re-installing every current
-    /// fast-level resident. Mirrors a controller re-walking the in-DRAM
-    /// table after a failed audit.
-    pub fn rebuild_translation_cache(&mut self) {
-        let mut fast_rows = Vec::new();
-        for bank in self.geometry.banks() {
-            let bank_idx = self.geometry.bank_index(bank);
-            let g = &self.groups[bank_idx];
-            for group in 0..g.groups() {
-                for logical in g.fast_residents(group) {
-                    fast_rows.push(self.geometry.global_row_id(bank, logical));
-                }
-            }
-        }
-        self.tcache.rebuild(fast_rows);
     }
 
     /// Management statistics.
@@ -752,15 +706,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_frees_group() {
-        let mut m = manager(cfg_scaled());
-        let r1 = m.on_data_access(bank0(), 17, 1).unwrap();
-        m.abort_swap(&r1);
-        assert!(m.on_data_access(bank0(), 18, 2).is_some());
-        assert_eq!(m.stats().promotions, 0);
-    }
-
-    #[test]
     fn translation_cache_tracks_promotions() {
         let mut m = manager(cfg_scaled());
         let row = 17u32;
@@ -852,43 +797,6 @@ mod tests {
             }
             assert_eq!(m.check_invariants(), Ok(()), "after promoting row {row}");
         }
-    }
-
-    #[test]
-    fn corruption_is_detected_and_rebuild_recovers() {
-        let mut m = manager(cfg_scaled());
-        // Warm the cache with some fast-resident rows.
-        for row in 0..8u32 {
-            let req = m.on_data_access(bank0(), 32 * row + 17, row as u64);
-            if let Some(req) = req {
-                m.commit_swap(&req, row as u64);
-            }
-        }
-        assert_eq!(m.check_invariants(), Ok(()));
-        assert!(m.corrupt_translation_entry(99));
-        let err = m.check_invariants().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                ConsistencyError::CacheCorrupt(_)
-                    | ConsistencyError::CacheDeviceDisagreement { .. }
-            ),
-            "unexpected error {err:?}"
-        );
-        m.rebuild_translation_cache();
-        assert_eq!(m.check_invariants(), Ok(()));
-        // Rebuilt entries serve fast rows from the cache again (hash
-        // conflicts may evict a few, but the bulk must hit cold).
-        let fast_rows: Vec<u32> = (0..512).filter(|&r| m.is_fast(bank0(), r)).collect();
-        let hits = fast_rows
-            .iter()
-            .filter(|&&r| m.translate(bank0(), r).source == TranslationSource::Cache)
-            .count();
-        assert!(
-            hits * 2 > fast_rows.len(),
-            "rebuilt cache should serve most fast rows: {hits}/{}",
-            fast_rows.len()
-        );
     }
 
     fn costs() -> PolicyCosts {

@@ -9,37 +9,7 @@
 //! that, reads it from memory — those timing consequences are modelled by
 //! the memory controller; this module tracks contents and hit/miss truth.
 
-use core::fmt;
-
 use das_dram::geometry::GlobalRowId;
-
-/// A detected inconsistency in the translation structures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TranslationError {
-    /// An entry's stored tag no longer matches its integrity checksum: the
-    /// cached translation is corrupt and must not be trusted.
-    CorruptEntry {
-        /// Set index of the bad entry.
-        set: usize,
-        /// Way index of the bad entry.
-        way: usize,
-    },
-}
-
-impl fmt::Display for TranslationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TranslationError::CorruptEntry { set, way } => {
-                write!(
-                    f,
-                    "translation cache entry (set {set}, way {way}) failed its checksum"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for TranslationError {}
 
 /// Where a translation lookup was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,10 +33,6 @@ pub struct TranslationStats {
     pub fills: u64,
     /// Entries invalidated by demotions.
     pub invalidations: u64,
-    /// Entries corrupted by fault injection.
-    pub corruptions: u64,
-    /// Full rebuilds from the authoritative table after a failed audit.
-    pub rebuilds: u64,
 }
 
 /// Set-associative cache of one-byte translation entries keyed by global
@@ -83,19 +49,8 @@ pub struct TranslationCache {
     /// `(row id + 1)` tags; 0 = invalid. Stamps track LRU.
     tags: Vec<u64>,
     stamps: Vec<u64>,
-    /// Per-entry integrity checksum of the tag; lets [`audit`] detect
-    /// injected corruption. Kept in lockstep with `tags` on every
-    /// legitimate update.
-    ///
-    /// [`audit`]: TranslationCache::audit
-    checks: Vec<u64>,
     clock: u64,
     stats: TranslationStats,
-}
-
-/// Integrity checksum of a tag word (cheap multiplicative mix).
-fn checksum(tag: u64) -> u64 {
-    tag.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ 0xa5a5_a5a5_5a5a_5a5a
 }
 
 impl TranslationCache {
@@ -117,7 +72,6 @@ impl TranslationCache {
             ways,
             tags: vec![0; sets * ways],
             stamps: vec![0; sets * ways],
-            checks: vec![checksum(0); sets * ways],
             clock: 0,
             stats: TranslationStats::default(),
         }
@@ -188,7 +142,6 @@ impl TranslationCache {
         }
         self.tags[base + victim] = tag;
         self.stamps[base + victim] = self.clock;
-        self.checks[base + victim] = checksum(tag);
         self.stats.fills += 1;
     }
 
@@ -200,70 +153,19 @@ impl TranslationCache {
             let i = set * self.ways + w;
             if self.tags[i] == tag {
                 self.tags[i] = 0;
-                self.checks[i] = checksum(0);
                 self.stats.invalidations += 1;
                 return;
             }
         }
     }
 
-    /// Fault-injection hook: scrambles one occupied entry's tag *without*
-    /// updating its checksum, modelling a lost/corrupted translation entry.
-    /// `r` deterministically selects the victim. Returns `false` (no-op)
-    /// when the cache holds no valid entries.
-    pub fn corrupt_entry(&mut self, r: u64) -> bool {
-        let n = self.tags.len();
-        let start = (r % n as u64) as usize;
-        for off in 0..n {
-            let i = (start + off) % n;
-            if self.tags[i] != 0 {
-                // Flip a low tag bit: the entry now answers for the wrong
-                // row (or no row), while `checks[i]` still vouches for the
-                // original — exactly what `audit` is built to catch.
-                self.tags[i] ^= 1 << (r % 8);
-                self.stats.corruptions += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Rows with a (purportedly) valid entry, in storage order. Used by the
+    /// Rows with a valid entry, in storage order. Used by the
     /// management layer's cache↔device agreement sweep.
     pub fn resident_rows(&self) -> impl Iterator<Item = GlobalRowId> + '_ {
         self.tags
             .iter()
             .filter(|&&t| t != 0)
             .map(|&t| GlobalRowId(t - 1))
-    }
-
-    /// Integrity sweep: verifies every entry's tag against its checksum.
-    /// Returns the first corrupt entry found, if any.
-    pub fn audit(&self) -> Result<(), TranslationError> {
-        for (i, (&tag, &chk)) in self.tags.iter().zip(self.checks.iter()).enumerate() {
-            if chk != checksum(tag) {
-                return Err(TranslationError::CorruptEntry {
-                    set: i / self.ways,
-                    way: i % self.ways,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Recovery path: drops every entry and re-installs the authoritative
-    /// fast-level residents supplied by the management layer. Counts one
-    /// rebuild; fills performed here are *not* charged to `fills` (they are
-    /// recovery traffic, not demand traffic).
-    pub fn rebuild<I: IntoIterator<Item = GlobalRowId>>(&mut self, fast_rows: I) {
-        self.tags.fill(0);
-        self.checks.fill(checksum(0));
-        let demand_fills = self.stats.fills;
-        for row in fast_rows {
-            self.insert(row);
-        }
-        self.stats.fills = demand_fills;
-        self.stats.rebuilds += 1;
     }
 }
 
@@ -367,54 +269,6 @@ mod tests {
             .filter(|&n| c.lookup(row(n)) == TranslationSource::Cache)
             .count();
         assert!(hits > 3500, "expected near-full coverage, got {hits}/4096");
-    }
-
-    #[test]
-    fn audit_passes_on_healthy_cache_and_catches_corruption() {
-        let mut c = TranslationCache::new(64, 8);
-        for n in 0..32 {
-            c.insert(row(n));
-        }
-        assert_eq!(c.audit(), Ok(()));
-        assert!(c.corrupt_entry(17));
-        let err = c.audit().unwrap_err();
-        assert!(matches!(err, TranslationError::CorruptEntry { .. }));
-        assert_eq!(c.stats().corruptions, 1);
-        assert!(err.to_string().contains("checksum"));
-    }
-
-    #[test]
-    fn corrupting_an_empty_cache_is_a_noop() {
-        let mut c = TranslationCache::new(64, 8);
-        assert!(!c.corrupt_entry(3));
-        assert_eq!(c.audit(), Ok(()));
-        assert_eq!(c.stats().corruptions, 0);
-    }
-
-    #[test]
-    fn rebuild_restores_a_clean_cache_from_authoritative_rows() {
-        let mut c = TranslationCache::new(64, 8);
-        for n in 0..16 {
-            c.insert(row(n));
-        }
-        let fills_before = c.stats().fills;
-        c.corrupt_entry(5);
-        assert!(c.audit().is_err());
-        c.rebuild((100..110).map(row));
-        assert_eq!(c.audit(), Ok(()));
-        for n in 100..110 {
-            assert!(c.contains(row(n)), "rebuilt entry {n} missing");
-        }
-        assert!(
-            !c.contains(row(0)),
-            "stale pre-rebuild entries must be gone"
-        );
-        assert_eq!(c.stats().rebuilds, 1);
-        assert_eq!(
-            c.stats().fills,
-            fills_before,
-            "rebuild fills are not demand fills"
-        );
     }
 
     #[test]

@@ -31,7 +31,8 @@ fn group_swaps_preserve_permutation() {
             }
             g.swap_logical(ra, rb);
             assert_eq!(g.verify(), Ok(()), "seed {seed}");
-            assert_eq!(g.fast_residents(grp).len(), 4, "seed {seed}");
+            let fast = (0..32).filter(|&s| g.is_fast(grp * 32 + s)).count();
+            assert_eq!(fast, 4, "seed {seed}");
         }
     }
 }
@@ -213,26 +214,22 @@ fn ten_thousand_mixed_ops_preserve_exclusive_cache_invariant() {
             let bank = banks[rng.range_usize(0, banks.len())];
             match rng.range_u32(0, 10) {
                 // Mostly reads; some trigger promotions that we either
-                // commit immediately, defer, or abort.
+                // commit immediately or defer.
                 0..=7 => {
                     let row = rng.range_u32(0, rows);
                     let _ = m.translate(bank, row);
                     if let Some(req) = m.on_data_access(bank, row, now) {
-                        match rng.range_u32(0, 4) {
-                            0 => pending.push(req),  // swap in flight
-                            1 => m.abort_swap(&req), // failed / demoted
-                            _ => m.commit_swap(&req, now),
+                        if rng.range_u32(0, 4) == 0 {
+                            pending.push(req); // swap in flight
+                        } else {
+                            m.commit_swap(&req, now);
                         }
                     }
                 }
                 // Drain one in-flight swap.
                 8 => {
                     if let Some(req) = pending.pop() {
-                        if rng.gen_bool(0.25) {
-                            m.abort_swap(&req);
-                        } else {
-                            m.commit_swap(&req, now);
-                        }
+                        m.commit_swap(&req, now);
                     }
                 }
                 // Pure translation probe.
@@ -246,7 +243,7 @@ fn ten_thousand_mixed_ops_preserve_exclusive_cache_invariant() {
             ops += 1;
         }
         // The tentpole contract, checked after every batch: permutation
-        // bijectivity + tcache integrity + cache/device agreement.
+        // bijectivity + cache/device agreement.
         assert_eq!(
             m.check_invariants(),
             Ok(()),

@@ -1,24 +1,12 @@
-//! Deterministic, seed-driven fault injection for the DAS-DRAM stack.
+//! The workspace's one source of randomness: [`Prng`], a dependency-free
+//! SplitMix64-seeded xoshiro256\*\* generator. The workload generators, the
+//! random replacement policy and every randomized test draw from it, so a
+//! run is a pure function of its seeds.
 //!
-//! The crate has two halves:
-//!
-//! * [`prng`] — a small, dependency-free pseudo-random number generator
-//!   (SplitMix64 seeding into xoshiro256\*\*). It is the *only* source of
-//!   randomness in the whole workspace: the workload generators, the random
-//!   replacement policy and the fault injector all draw from it, so a run is
-//!   a pure function of its seeds. No wall-clock, no OS entropy.
-//! * [`plan`] — the [`FaultPlan`] describing *what* to inject and how often,
-//!   the [`FaultInjector`] that rolls per-site dice on independent streams,
-//!   and [`FaultStats`] accounting every injected/retried/recovered/fatal
-//!   outcome so experiments can quantify graceful degradation.
-//!
-//! Determinism contract: a [`FaultInjector`] built from the same
-//! [`FaultPlan`] produces the same decision sequence, and a site whose rate
-//! is zero **never draws from its stream** — so a rate-0 plan is
-//! bit-identical to running with no injector at all.
+//! The crate name is historical: it once held a fault injector as well.
+//! Renaming it rewrites `dasbench/Cargo.lock`, so the rename waits for
+//! dasbench v2.
 
-pub mod plan;
 pub mod prng;
 
-pub use plan::{FaultInjector, FaultPlan, FaultSite, FaultStats, SiteCounts};
 pub use prng::Prng;

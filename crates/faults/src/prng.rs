@@ -7,12 +7,10 @@
 //! `das-workloads` hold to a few percent) while staying a dozen lines of
 //! arithmetic.
 
-/// SplitMix64 step: advances `state` and returns the next output.
-///
-/// Used to expand a single `u64` seed into generator state and to derive
-/// independent per-site streams from one master seed.
+/// SplitMix64 step: advances `state` and returns the next output. Expands
+/// a single `u64` seed into generator state.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

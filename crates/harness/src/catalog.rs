@@ -11,8 +11,8 @@
 //! are journalled once and re-used, which deterministic simulation makes
 //! an identical-output transformation).
 //!
-//! Every experiment's run matrix is a grid: rows (workloads, or designs
-//! for `fault_sweep`) × columns (`(id segment, design key, overrides)`).
+//! Every experiment's run matrix is a grid: rows (workloads) × columns
+//! (`(id segment, design key, overrides)`).
 //! One private builder turns a grid into jobs, row-major, at one seed,
 //! with job id `<exp>/<row>/<seg>`; renderers read a cell back by
 //! `(row, seg)` through [`RenderCtx::cell`] and never spell an id.
@@ -189,11 +189,6 @@ pub const ALL: &[Experiment] = &[
         render: render_ablation_pagepolicy,
     },
     Experiment {
-        id: "fault_sweep",
-        build: build_fault_sweep,
-        render: render_fault_sweep,
-    },
-    Experiment {
         id: "telemetry",
         build: build_telemetry,
         render: render_telemetry,
@@ -288,7 +283,7 @@ pub const FAMILIES: [&str; 9] = [
 
 /// The family an experiment id belongs to: the longest matching prefix
 /// from [`FAMILIES`], or the id itself for one-off experiments
-/// (`fault_sweep`, `telemetry`).
+/// (`telemetry`).
 pub fn family_of(id: &str) -> &str {
     FAMILIES
         .iter()
@@ -305,13 +300,6 @@ pub fn family_of(id: &str) -> &str {
 const FIG7_KEYS: [&str; 5] = ["sas", "charm", "das", "das_fm", "fs"];
 /// Promotion-filter thresholds of Fig. 8.
 const THRESHOLDS: [u32; 4] = [8, 4, 2, 1];
-/// Fault-sweep rates and their id segments.
-const FAULT_RATES: [(f64, &str); 4] = [
-    (0.0, "r0"),
-    (0.001, "r0.001"),
-    (0.01, "r0.01"),
-    (0.05, "r0.05"),
-];
 /// Telemetry epoch length in CPU cycles (the legacy binary's constant).
 const EPOCH_CYCLES: u64 = 100_000;
 /// The workload-generator seed of every catalog job.
@@ -373,15 +361,6 @@ fn benches(p: &BuildParams, names: &[&'static str]) -> Rows {
 /// Every single-programming benchmark.
 fn singles(p: &BuildParams) -> Rows {
     benches(p, &spec::names())
-}
-
-/// One benchmark at the full budget, whatever `--only` says.
-fn pinned(p: &BuildParams, name: &'static str) -> Rows {
-    Rows {
-        names: vec![name],
-        workload: bench,
-        insts: p.insts,
-    }
 }
 
 /// Half the single-programming budget per core: four cores share the
@@ -497,8 +476,12 @@ fn ranked<'l>(labels: &[&'l str], rows: &[Vec<f64>]) -> Vec<(&'l str, f64)> {
     ranked
 }
 
-/// Writes `head`, then the columns ranked by gmean and joined with `>`.
+/// Writes `head`, then the columns ranked by gmean and joined with `>`;
+/// nothing at all when there are no rows to rank.
 fn write_ranking(o: &mut String, head: &str, labels: &[&str], rows: &[Vec<f64>]) {
+    if rows.is_empty() {
+        return;
+    }
     let _ = write!(o, "{head}");
     for (i, (label, g)) in ranked(labels, rows).iter().enumerate() {
         let sep = if i > 0 { "  >" } else { "" };
@@ -1351,92 +1334,8 @@ fn render_ablation_pagepolicy(ctx: &RenderCtx) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Fault sweep and telemetry
+// Telemetry
 // ---------------------------------------------------------------------------
-
-/// One row per Fig. 7 design over mcf (so, unlike every other grid, the
-/// design varies per row): an uninjected `clean` run, then one run per
-/// fault rate.
-fn build_fault_sweep(p: &BuildParams) -> Vec<JobSpec> {
-    let mut jobs = Vec::new();
-    for key in FIG7_KEYS {
-        let rows = Rows {
-            names: vec![key],
-            workload: |_| "mcf".to_string(),
-            insts: p.insts,
-        };
-        let rates = FAULT_RATES.map(|(rate, seg)| {
-            let ov = Overrides {
-                fault_rate: Some(rate),
-                invariant_check_events: (rate > 0.0).then_some(10_000),
-                ..Overrides::default()
-            };
-            (seg.to_string(), key, ov)
-        });
-        let clean = ("clean".to_string(), key, Overrides::default());
-        let cols: Vec<Col> = std::iter::once(clean).chain(rates).collect();
-        jobs.extend(grid(p, "fault_sweep", &rows, &cols));
-    }
-    jobs
-}
-
-/// Deterministic fields of a run, for the rate-0 bit-identity proof.
-fn fault_fingerprint(r: &ReportView) -> (u64, u64, u64, u64, u64) {
-    (
-        r.u64("metrics/promotions"),
-        r.u64("metrics/memory_accesses"),
-        r.u64("metrics/llc_misses"),
-        r.u64("metrics/window_cycles"),
-        r.u64("metrics/access_mix/row_buffer"),
-    )
-}
-
-fn render_fault_sweep(ctx: &RenderCtx) -> String {
-    let bench = &ctx.jobs[0].workload;
-    let mut o = String::new();
-    let _ = writeln!(
-        o,
-        "# fault sweep over {bench}: five designs x uniform rates"
-    );
-    let _ = writeln!(
-        o,
-        "{:<14} {:>8} {:>9} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8}",
-        "design", "rate", "injected", "retried", "recovered", "fatal", "audits", "rebuilds", "ipc"
-    );
-    for key in FIG7_KEYS {
-        let clean = ctx.cell(key, "clean");
-        for (rate, seg) in FAULT_RATES {
-            let r = ctx.cell(key, seg);
-            if rate == 0.0 {
-                assert_eq!(
-                    fault_fingerprint(&r),
-                    fault_fingerprint(&clean),
-                    "{}: rate-0 plan must be bit-identical to no injection",
-                    design_label(key)
-                );
-                assert_eq!(r.u64("metrics/faults/injected"), 0);
-            }
-            let _ = writeln!(
-                o,
-                "{:<14} {:>8.3} {:>9} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8.3}",
-                design_label(key),
-                rate,
-                r.u64("metrics/faults/injected"),
-                r.u64("metrics/faults/retried"),
-                r.u64("metrics/faults/recovered"),
-                r.u64("metrics/faults/fatal"),
-                r.u64("metrics/faults/invariant_checks_passed"),
-                r.u64("metrics/faults/tcache_rebuilds"),
-                r.core_ipcs()[0],
-            );
-        }
-    }
-    let _ = writeln!(
-        o,
-        "\nrate-0 runs verified bit-identical to uninjected runs for all designs"
-    );
-    o
-}
 
 fn build_telemetry(p: &BuildParams) -> Vec<JobSpec> {
     let ov = Overrides {
@@ -1447,13 +1346,15 @@ fn build_telemetry(p: &BuildParams) -> Vec<JobSpec> {
     grid(
         p,
         "telemetry",
-        &pinned(p, "mcf"),
+        &benches(p, &["mcf"]),
         &[("das".to_string(), "das", ov)],
     )
 }
 
 fn render_telemetry(ctx: &RenderCtx) -> String {
-    let job = &ctx.jobs[0];
+    let Some(job) = ctx.jobs.first() else {
+        return "# telemetry: no workload selected\n".to_string();
+    };
     let bench = &job.workload;
     let epoch_cycles = job.ov.telemetry_epoch.expect("telemetry job has an epoch");
     let r = ctx.by_id(&job.id);
@@ -1576,8 +1477,12 @@ fn workload_class(name: &str) -> &'static str {
 }
 
 /// Appends a gmean-ranking block: backends ordered by gmean IPC
-/// improvement over the DDR3 baseline, one ranking per workload class.
+/// improvement over the DDR3 baseline, one ranking per workload class;
+/// nothing when there are no rows.
 fn write_class_ranking(o: &mut String, names: &[&str], rows: &[Vec<f64>], keys: &[&str]) {
+    if rows.is_empty() {
+        return;
+    }
     let _ = writeln!(
         o,
         "\n## ranking by gmean IPC improvement over {} (per workload class)",
@@ -1756,7 +1661,7 @@ fn build_cross_arch_area(p: &BuildParams) -> Vec<JobSpec> {
     grid(
         p,
         "cross_arch_area",
-        &pinned(p, "mcf"),
+        &benches(p, &["mcf"]),
         &with_std(designs(&CROSS_KEYS)),
     )
 }
@@ -1769,6 +1674,9 @@ fn render_cross_arch_area(ctx: &RenderCtx) -> String {
         "# Cross-architecture: performance per silicon area ({})",
         names.join("+")
     );
+    if rows.is_empty() {
+        return o;
+    }
     let _ = writeln!(
         o,
         "{:<14} {:>12} {:>10} {:>14}",
@@ -2187,15 +2095,28 @@ mod tests {
     }
 
     #[test]
+    fn only_filter_reaches_the_one_workload_experiments() {
+        let mut p = tiny_params();
+        p.only = vec!["M1".to_string(), "lock".to_string()];
+        let mcf: Vec<String> = ALL
+            .iter()
+            .flat_map(|e| (e.build)(&p))
+            .filter(|j| j.workload == "mcf")
+            .map(|j| j.id)
+            .collect();
+        assert!(mcf.is_empty(), "--only M1,lock still ran mcf: {mcf:?}");
+        for id in ["telemetry", "cross_arch_area"] {
+            assert!((by_id(id).unwrap().build)(&p).is_empty(), "{id}");
+        }
+    }
+
+    #[test]
     fn job_order_matches_the_legacy_binaries() {
         let p = tiny_params();
         let fig7c = (by_id("fig7c").unwrap().build)(&p);
         // Panel-major: every SAS job precedes every DAS job.
         let first_das = fig7c.iter().position(|j| j.design == "das").unwrap();
         assert!(fig7c[..first_das].iter().all(|j| j.design == "sas"));
-        let sweep = (by_id("fault_sweep").unwrap().build)(&p);
-        assert_eq!(sweep.len(), 25);
-        assert!(sweep[0].id.ends_with("/clean"));
         let tele = (by_id("telemetry").unwrap().build)(&p);
         assert_eq!(tele[0].ov.telemetry_epoch, Some(EPOCH_CYCLES));
         assert!(tele[0].ov.trace_path.is_some());
@@ -2230,7 +2151,7 @@ mod tests {
         assert!(salp
             .iter()
             .any(|j| j.design == "lisa" && j.ov.salp == Some(true)));
-        // area: single pinned workload.
+        // area: one workload.
         let area = (by_id("cross_arch_area").unwrap().build)(&p);
         assert_eq!(area.len(), 6);
         assert!(area.iter().all(|j| j.workload == "mcf"));
@@ -2262,7 +2183,6 @@ mod tests {
         assert_eq!(family_of("fig7a"), "fig7");
         assert_eq!(family_of("ablation_salp"), "ablation");
         assert_eq!(family_of("powerdown"), "power");
-        assert_eq!(family_of("fault_sweep"), "fault_sweep");
         assert_eq!(family_of("telemetry"), "telemetry");
         assert_eq!(family_of("coherent_rank"), "coherent");
         assert_eq!(family_of("policy_search_rank"), "policy_search");

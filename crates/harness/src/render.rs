@@ -117,9 +117,13 @@ pub fn improvement_table(
 }
 
 /// Renders a table's gmean row: the gmean improvement of each of the
-/// `columns` columns of `rows`, at `width`.
+/// `columns` columns of `rows`, at `width`. Prints nothing for zero rows:
+/// a gmean of no measurements is not "+0.00%".
 pub(crate) fn gmean_row(out: &mut String, rows: &[Vec<f64>], columns: usize, width: usize) {
     use std::fmt::Write;
+    if rows.is_empty() {
+        return;
+    }
     let _ = write!(out, "{:<12}", "gmean");
     for c in 0..columns {
         let col: Vec<f64> = rows.iter().map(|r| r[c]).collect();
@@ -175,5 +179,18 @@ mod tests {
             format!("{:<12} {:>14} {:>14}", "mcf", "+5.00%", "-1.00%")
         );
         assert!(lines[3].starts_with("gmean"));
+    }
+
+    #[test]
+    fn a_table_of_no_rows_prints_no_gmean() {
+        let mut out = String::new();
+        improvement_table(&mut out, "T", &[], &["A", "B"], 14, &[]);
+        assert_eq!(
+            out,
+            format!("# T\n{:<12} {:>14} {:>14}\n", "workload", "A", "B")
+        );
+        let mut row = String::new();
+        gmean_row(&mut row, &[], 2, 12);
+        assert_eq!(row, "");
     }
 }

@@ -24,7 +24,7 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 /// Fig. 8a over one benchmark: 5 jobs (Std baseline + four thresholds).
 /// Deliberately small and fast; the SAS/CHARM profile-memo path is covered
-/// by the unit tests and the CI fault-sweep smoke run.
+/// by the unit tests and the CI catalog journal pin.
 fn small_manifest() -> Manifest {
     let mut p = BuildParams::new(100_000, 64);
     p.only = vec!["libquantum".to_string()];

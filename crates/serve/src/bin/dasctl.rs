@@ -574,7 +574,7 @@ mod tests {
                 .set("job", "t2/cross_arch_sweep/mcf/clr_d8")
                 .set("state", "queued"),
             Value::obj()
-                .set("job", "t3/fault_sweep/das/clean")
+                .set("job", "t3/telemetry/mcf/das")
                 .set("state", "done"),
             Value::obj()
                 .set("job", "t4/policy_search_rank/mcf/das_feedback")
@@ -618,7 +618,7 @@ mod tests {
         assert_eq!(fam_of_line("t1/fig7a/mcf/das"), "fig7");
         assert_eq!(fam_of_line("t1/cross_arch_rank/mcf/lisa"), "cross_arch");
         assert_eq!(fam_of_line("t2/cross_arch_sweep/mcf/clr_d8"), "cross_arch");
-        assert_eq!(fam_of_line("t3/fault_sweep/das/clean"), "fault_sweep");
+        assert_eq!(fam_of_line("t3/telemetry/mcf/das"), "telemetry");
         assert_eq!(
             fam_of_line("t4/policy_search_rank/mcf/das_feedback"),
             "policy_search"

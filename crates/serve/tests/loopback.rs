@@ -441,7 +441,7 @@ fn resume_redrives_spec_carrying_orphans_and_fails_the_rest() {
     let mut c = Client::connect(&addr).unwrap();
 
     // The spec-carrying orphan is re-driven to done with the exact bytes
-    // a fault-free run produces — and no fresh admit line.
+    // an uninterrupted run produces — and no fresh admit line.
     let ids = vec!["t2/redrive".to_string()];
     let reports = collect_stream(&mut c, &ids, |_, _| {}).unwrap();
     let direct_dir = tmp_dir("resume-direct");

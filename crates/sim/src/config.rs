@@ -377,16 +377,6 @@ pub struct SystemConfig {
     pub salp: bool,
     /// Master seed (workloads, replacement randomness).
     pub seed: u64,
-    /// Deterministic fault-injection plan (see `das-faults`). The default
-    /// (`FaultPlan::none()`) injects nothing and draws nothing, leaving
-    /// fault-free runs bit-identical to a build without the fault layer.
-    pub faults: das_faults::FaultPlan,
-    /// Run the management-layer consistency checker (exclusive-cache
-    /// invariant + translation-cache/device agreement) every this many
-    /// events; 0 disables periodic checking. A failed check triggers a
-    /// translation-cache rebuild; an unrecoverable one ends the run with
-    /// [`crate::system::SimError::BrokenInvariant`].
-    pub invariant_check_events: u64,
     /// Telemetry sink configuration (latency histograms, epoch time-series,
     /// event trace). The default is off, which leaves the run bit-identical
     /// to a build without the telemetry layer.
@@ -430,8 +420,6 @@ impl SystemConfig {
             refresh: true,
             salp: false,
             seed: 42,
-            faults: das_faults::FaultPlan::none(),
-            invariant_check_events: 0,
             telemetry: TelemetryConfig::default(),
             event_budget: crate::system::DEFAULT_EVENT_BUDGET,
             watchdog_same_tick_wakes: crate::system::DEFAULT_WATCHDOG_SAME_TICK_WAKES,
@@ -531,18 +519,6 @@ impl SystemConfig {
     /// Convenience: set the full-scale translation-cache capacity.
     pub fn with_tcache_bytes(mut self, b: u64) -> Self {
         self.management.tcache_bytes = b;
-        self
-    }
-
-    /// Convenience: set the fault-injection plan.
-    pub fn with_faults(mut self, plan: das_faults::FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Convenience: run the consistency checker every `n` events (0 = off).
-    pub fn with_invariant_checks(mut self, n: u64) -> Self {
-        self.invariant_check_events = n;
         self
     }
 

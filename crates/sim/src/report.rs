@@ -65,7 +65,6 @@ pub fn metrics_to_value(m: &RunMetrics) -> Value {
         )
         .set("fast_activation_ratio", m.fast_activation_ratio())
         .set("promotions", m.promotions)
-        .set("aborted_promotions", m.aborted_promotions)
         .set("ppkm", m.ppkm())
         .set("memory_accesses", m.memory_accesses)
         .set("llc_misses", m.llc_misses)
@@ -90,23 +89,7 @@ pub fn metrics_to_value(m: &RunMetrics) -> Value {
         )
         .set("window_cycles", m.window_cycles)
         .set("active_subarrays", m.active_subarrays)
-        .set("total_subarrays", m.total_subarrays)
-        .set(
-            "faults",
-            Value::obj()
-                .set("injected", m.faults.total_injected())
-                .set(
-                    "retried",
-                    das_faults::FaultSite::ALL
-                        .iter()
-                        .map(|&s| m.faults.site(s).retried)
-                        .sum::<u64>(),
-                )
-                .set("recovered", m.faults.total_recovered())
-                .set("fatal", m.faults.total_fatal())
-                .set("invariant_checks_passed", m.faults.invariant_checks_passed)
-                .set("tcache_rebuilds", m.faults.tcache_rebuilds),
-        );
+        .set("total_subarrays", m.total_subarrays);
     // The keys are absent (not null) on classic runs so their reports stay
     // byte-identical to pre-coherence / pre-policy builds.
     let v = match coherence {
@@ -170,7 +153,6 @@ mod tests {
                 slow: 15,
             },
             promotions: 7,
-            aborted_promotions: 1,
             memory_accesses: 100,
             llc_misses: 50,
             ..RunMetrics::default()
@@ -183,7 +165,6 @@ mod tests {
         validate(&json).unwrap();
         assert!(json.contains("\"design\":\"DAS-DRAM\""));
         assert!(json.contains("\"telemetry\":null"));
-        assert!(json.contains("\"aborted_promotions\":1"));
         assert!(
             !json.contains("coherence"),
             "classic reports must not grow a coherence key"

@@ -210,9 +210,6 @@ pub struct RunMetrics {
     pub access_mix: AccessMix,
     /// Row promotions (swaps) committed.
     pub promotions: u64,
-    /// Promotions abandoned after being issued (fault recovery demoted the
-    /// row instead of committing the swap; whole run, not warm-up-windowed).
-    pub aborted_promotions: u64,
     /// Total DRAM data accesses (reads+writes serviced).
     pub memory_accesses: u64,
     /// Total LLC misses across cores.
@@ -235,8 +232,6 @@ pub struct RunMetrics {
     pub active_subarrays: usize,
     /// Total subarrays in the system.
     pub total_subarrays: usize,
-    /// Fault-injection accounting (all zeros under `FaultPlan::none()`).
-    pub faults: das_faults::FaultStats,
     /// Coherence metrics when the multi-core front end is mounted.
     pub coherence: Option<CoherenceMetrics>,
     /// Migration-policy metrics when an adaptive policy is installed.

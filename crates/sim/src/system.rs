@@ -22,7 +22,7 @@ use das_cache::mshr::Mshr;
 use das_cache::{FastMap, FastSet};
 use das_coherence::{ClusterConfig, CoherentCluster, ProtocolKind};
 use das_core::inclusive::{FillRequest, InclusiveManager};
-use das_core::management::{ConsistencyError, DasManager, SwapRequest};
+use das_core::management::{DasManager, SwapRequest};
 use das_core::translation::TranslationSource;
 use das_cpu::core::{Core, MemRequest};
 use das_cpu::trace::TraceItem;
@@ -30,7 +30,6 @@ pub use das_cpu::TraceSource;
 use das_dram::channel::ChannelDevice;
 use das_dram::geometry::{BankCoord, GlobalRowId, MemCoord};
 use das_dram::tick::Tick;
-use das_faults::{FaultInjector, FaultSite};
 use das_memctrl::controller::{ControllerError, MemoryController};
 use das_memctrl::request::{Completion, Request, ServiceClass, SwapOp};
 use das_telemetry::{EpochCounters, LatencyClass, Telemetry, TelemetryReport};
@@ -60,8 +59,8 @@ pub const DEFAULT_EVENT_BUDGET: u64 = 50_000_000;
 pub const DEFAULT_WATCHDOG_SAME_TICK_WAKES: u32 = 10_000;
 
 /// A fatal simulation error. [`System::run`] returns this instead of
-/// panicking so callers (experiment sweeps, the CLI, fault-injection
-/// harnesses) can report and continue.
+/// panicking so callers (experiment sweeps, the CLI) can report and
+/// continue.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The event queue drained while cores were still unfinished.
@@ -123,9 +122,6 @@ pub enum SimError {
     },
     /// The memory controller reported an error.
     Controller(ControllerError),
-    /// The periodic consistency check failed and a translation-cache
-    /// rebuild could not repair it.
-    BrokenInvariant(ConsistencyError),
 }
 
 impl fmt::Display for SimError {
@@ -172,9 +168,6 @@ impl fmt::Display for SimError {
                 write!(f, "MSHR rejected line {line:#x}")
             }
             SimError::Controller(e) => write!(f, "controller error: {e}"),
-            SimError::BrokenInvariant(e) => {
-                write!(f, "unrecoverable consistency violation: {e}")
-            }
         }
     }
 }
@@ -201,11 +194,6 @@ enum EventKind {
     },
     CtrlWake {
         ch: usize,
-    },
-    /// A migration whose hand-off to the controller was delayed (fault-
-    /// injected latency spike).
-    SwapEnqueue {
-        op: SwapOp,
     },
 }
 
@@ -244,29 +232,6 @@ enum Management {
 enum PendingMigration {
     Swap(SwapRequest),
     Fill(FillRequest),
-}
-
-/// Reconstructs the controller-level migration op for a pending migration —
-/// used to re-enqueue a swap whose data movement step failed.
-fn swap_op_for(req: &PendingMigration, token: u64, arrival: Tick) -> SwapOp {
-    match req {
-        PendingMigration::Swap(swap) => SwapOp {
-            token,
-            bank: swap.bank,
-            phys_a: swap.promotee_phys,
-            phys_b: swap.victim_phys,
-            kind: das_dram::command::MigrationKind::Swap,
-            arrival,
-        },
-        PendingMigration::Fill(fill) => SwapOp {
-            token,
-            bank: fill.bank,
-            phys_a: fill.promotee_phys,
-            phys_b: fill.slot_phys,
-            kind: fill.kind,
-            arrival,
-        },
-    }
 }
 
 impl Management {
@@ -546,12 +511,6 @@ pub struct System {
     core_reqs: Vec<MemRequest>,
     pending_swaps: FastMap<u64, PendingMigration>,
     next_swap_token: u64,
-    /// Deterministic fault injector (inert under `FaultPlan::none()`).
-    injector: FaultInjector,
-    /// Failed attempts per in-flight swap token.
-    swap_attempts: FastMap<u64, u32>,
-    /// Re-read count per in-flight retention-flip retry request id.
-    read_retries: FastMap<u64, u32>,
     /// Recently translated rows (the controller holds a handful of live row
     /// translations — one per open row — so a burst of misses to one row
     /// pays the translation lookup once).
@@ -754,7 +713,6 @@ impl System {
             .map(|w| w.name.as_str())
             .collect::<Vec<_>>()
             .join("+");
-        let injector = FaultInjector::new(cfg.faults.clone());
         let ticks_per_us = das_dram::tick::TICKS_PER_NS as f64 * 1_000.0;
         let tel = Telemetry::new(cfg.telemetry, channels, ticks_per_us);
         let epoch_ticks = cfg.cycles_to_ticks(cfg.telemetry.epoch_cycles);
@@ -786,9 +744,6 @@ impl System {
             core_reqs: Vec::new(),
             pending_swaps: FastMap::default(),
             next_swap_token: 0,
-            injector,
-            swap_attempts: FastMap::default(),
-            read_retries: FastMap::default(),
             recent_translations: RecentRows::new(RECENT_TRANSLATIONS),
             workload_label: label,
             access_mix: AccessMix::default(),
@@ -890,15 +845,6 @@ impl System {
                 } => self.handle_core_issue(core, id, addr, is_write)?,
                 EventKind::CtrlEnqueue { req } => self.handle_enqueue(req)?,
                 EventKind::CtrlWake { ch } => self.handle_wake(ch)?,
-                EventKind::SwapEnqueue { op } => {
-                    let ch = op.bank.channel as usize;
-                    self.ctrls[ch].enqueue_swap(op);
-                    self.schedule_wake(ch);
-                }
-            }
-            let cadence = self.cfg.invariant_check_events;
-            if cadence > 0 && self.events_processed.is_multiple_of(cadence) {
-                self.check_management_invariants()?;
             }
         }
         Ok(())
@@ -936,7 +882,6 @@ impl System {
             .as_ref()
             .map(Management::stats)
             .unwrap_or_default();
-        let fstats = self.injector.stats();
         let cum = EpochCounters {
             cycle: self.epochs_sampled * self.tel.epoch_cycles(),
             insts: self.cores.iter().map(Core::insts_retired).sum(),
@@ -946,47 +891,10 @@ impl System {
             fast_acts: self.access_mix.fast,
             slow_acts: self.access_mix.slow,
             promotions: mstats.promotions,
-            aborted: mstats.aborted,
-            faults_injected: fstats.total_injected(),
-            tcache_rebuilds: fstats.tcache_rebuilds,
             read_queue,
             write_queue,
         };
         self.tel.epoch_boundary(boundary.raw(), cum);
-    }
-
-    /// Runs the management-layer consistency checker. Translation-cache
-    /// damage is repaired by rebuilding from the authoritative per-group
-    /// state; a violation that survives the rebuild (or any permutation
-    /// break) is unrecoverable.
-    fn check_management_invariants(&mut self) -> Result<(), SimError> {
-        let Some(Management::Exclusive(m)) = self.manager.as_mut() else {
-            return Ok(());
-        };
-        match m.check_invariants() {
-            Ok(()) => {
-                self.injector.note_invariant_pass();
-                Ok(())
-            }
-            Err(e @ ConsistencyError::BrokenPermutation { .. }) => {
-                Err(SimError::BrokenInvariant(e))
-            }
-            Err(_) => {
-                m.rebuild_translation_cache();
-                self.injector.note_tcache_rebuild();
-                self.tel
-                    .instant("tcache_rebuild", "recovery", self.clock.raw());
-                self.recent_translations.clear();
-                match m.check_invariants() {
-                    Ok(()) => {
-                        self.injector.note_recovered(FaultSite::TranslationCorrupt);
-                        self.injector.note_invariant_pass();
-                        Ok(())
-                    }
-                    Err(e) => Err(SimError::BrokenInvariant(e)),
-                }
-            }
-        }
     }
 
     fn all_finished(&self) -> bool {
@@ -1221,15 +1129,6 @@ impl System {
         };
         let tr = manager.translate(bank, logical_row);
         self.recent_translations.note(bank, logical_row);
-        // Soft-error injection on the translation cache: flip a tag bit in
-        // some occupied entry. The damage is latent — caught by the
-        // periodic audit (which rebuilds) or surfaced as extra misses.
-        if self.injector.roll(FaultSite::TranslationCorrupt) {
-            let hint = self.events_processed;
-            if let Some(Management::Exclusive(m)) = self.manager.as_mut() {
-                let _ = m.corrupt_translation_entry(hint);
-            }
-        }
         match tr.source {
             TranslationSource::Cache => (tr.phys_row, now, None),
             TranslationSource::TableFetch => {
@@ -1436,32 +1335,6 @@ impl System {
                         logical_row,
                         fill_core,
                     } => {
-                        // Weak-retention model: a fast-resident row may
-                        // return flipped bits; ECC detects the flip and the
-                        // controller re-reads, up to a bounded budget.
-                        let flipped = self.row_is_fast(bank, logical_row)
-                            && self.injector.roll(FaultSite::RetentionFlip);
-                        if flipped {
-                            let retries = self.read_retries.remove(&id).unwrap_or(0);
-                            if retries < self.injector.plan().max_read_retries {
-                                self.injector.note_retry(FaultSite::RetentionFlip);
-                                self.reissue_read(
-                                    line,
-                                    bank,
-                                    logical_row,
-                                    fill_core,
-                                    at,
-                                    retries + 1,
-                                );
-                                return Ok(());
-                            }
-                            // Budget exhausted: the access is counted fatal
-                            // (served through the slow ECC-correction path)
-                            // and completes so the simulation can proceed.
-                            self.injector.note_fatal(FaultSite::RetentionFlip);
-                        } else if self.read_retries.remove(&id).is_some() {
-                            self.injector.note_recovered(FaultSite::RetentionFlip);
-                        }
                         self.record_mix(service);
                         self.record_subarray(bank, logical_row);
                         self.after_data_access(bank, logical_row, false, at);
@@ -1531,44 +1404,6 @@ impl System {
                         id: token,
                     });
                 };
-                // Migration-step fault: the swap's data movement failed and
-                // nothing was committed. Retry within the bounded budget;
-                // past it, demote — abandon the promotion, which keeps the
-                // exclusive mapping exactly as it was.
-                if self.injector.roll(FaultSite::SwapStep) {
-                    let attempts = self.swap_attempts.remove(&token).unwrap_or(0) + 1;
-                    if attempts < self.injector.plan().max_swap_attempts {
-                        self.injector.note_retry(FaultSite::SwapStep);
-                        self.tel.swap_retry(token);
-                        self.swap_attempts.insert(token, attempts);
-                        let op = swap_op_for(&req, token, self.clock);
-                        self.pending_swaps.insert(token, req);
-                        let ch = op.bank.channel as usize;
-                        self.ctrls[ch].enqueue_swap(op);
-                        self.schedule_wake(ch);
-                        return Ok(());
-                    }
-                    match (self.manager.as_mut(), &req) {
-                        (Some(Management::Exclusive(m)), PendingMigration::Swap(swap)) => {
-                            m.abort_swap(swap)
-                        }
-                        (Some(Management::Inclusive(m)), PendingMigration::Fill(fill)) => {
-                            m.abort_fill(fill)
-                        }
-                        _ => {
-                            return Err(SimError::ContextMismatch {
-                                kind: "swap",
-                                id: token,
-                            })
-                        }
-                    }
-                    self.injector.note_recovered(FaultSite::SwapStep);
-                    self.tel.swap_abort(token, self.clock.raw());
-                    return Ok(());
-                }
-                if self.swap_attempts.remove(&token).is_some() {
-                    self.injector.note_recovered(FaultSite::SwapStep);
-                }
                 self.tel.swap_commit(token, self.clock.raw());
                 let now = self.clock.raw();
                 match req {
@@ -1603,59 +1438,6 @@ impl System {
             }
         }
         Ok(())
-    }
-
-    /// Whether `logical_row` currently resides in a fast subarray (the
-    /// weak-retention fault site: short bitlines hold less charge). In
-    /// homogeneous fast DRAM every row qualifies.
-    fn row_is_fast(&self, bank: BankCoord, logical_row: u32) -> bool {
-        if self.design == Design::FsDram {
-            return true;
-        }
-        self.manager
-            .as_ref()
-            .is_some_and(|m| m.peek(bank, logical_row).1)
-    }
-
-    /// Re-issues a demand read whose data failed the retention check. The
-    /// re-read targets the row's current physical location; `retries` is
-    /// carried on the fresh request id.
-    fn reissue_read(
-        &mut self,
-        line: u64,
-        bank: BankCoord,
-        logical_row: u32,
-        fill_core: usize,
-        at: Tick,
-        retries: u32,
-    ) {
-        let coord = self.cfg.geometry.decode(line);
-        let (phys, _) = match self.manager.as_ref() {
-            Some(m) => m.peek(bank, logical_row),
-            None => (logical_row, false),
-        };
-        let id = self.new_req_id();
-        self.read_retries.insert(id, retries);
-        self.ctxs.insert(
-            id,
-            ReqCtx::DemandRead {
-                line,
-                bank,
-                logical_row,
-                fill_core,
-            },
-        );
-        let req = Request {
-            id,
-            coord: MemCoord {
-                bank,
-                row: phys,
-                col: coord.col,
-            },
-            is_write: false,
-            arrival: at,
-        };
-        self.push(at, EventKind::CtrlEnqueue { req });
     }
 
     fn after_data_access(&mut self, bank: BankCoord, logical_row: u32, is_write: bool, at: Tick) {
@@ -1724,15 +1506,6 @@ impl System {
             op.token = self.next_swap_token;
             self.pending_swaps.insert(op.token, pending);
             self.tel.swap_begin(op.token, at.raw(), bank.channel as u32);
-            // Latency-spike fault: the migration's hand-off to the
-            // controller is delayed (e.g. a refresh collision on the
-            // migration cells), not lost.
-            if self.injector.roll(FaultSite::SwapLatency) {
-                let spike = Tick::new(self.injector.plan().swap_latency_spike_ticks);
-                op.arrival = at + spike;
-                self.push(at + spike, EventKind::SwapEnqueue { op });
-                return;
-            }
             let ch = bank.channel as usize;
             self.ctrls[ch].enqueue_swap(op);
             self.schedule_wake(ch);
@@ -1796,7 +1569,6 @@ impl System {
             cores,
             access_mix: mix,
             promotions,
-            aborted_promotions: self.manager.as_ref().map_or(0, |m| m.stats().aborted),
             memory_accesses: accesses,
             llc_misses,
             footprint_bytes: self.footprint_rows.len() as u64 * self.cfg.geometry.row_bytes as u64,
@@ -1815,7 +1587,6 @@ impl System {
             window_cycles,
             active_subarrays: self.subarray_activity.len(),
             total_subarrays,
-            faults: *self.injector.stats(),
             coherence: self
                 .coherence
                 .as_ref()

@@ -156,27 +156,6 @@ fn exports_parse_and_carry_percentiles() {
 }
 
 #[test]
-fn faulted_instrumented_run_traces_recovery() {
-    let cfg = SystemConfig::test_small()
-        .with_faults(das_faults::FaultPlan::uniform(42, 0.02))
-        .with_invariant_checks(5_000)
-        .with_telemetry(TelemetryConfig::on(50_000));
-    let (res, report) = run_one_instrumented(&cfg, Design::DasDram, &mcf());
-    let m = res.unwrap();
-    assert!(m.faults.total_injected() > 0);
-    let report = report.unwrap();
-    // Fault counters must surface in the epoch series.
-    let total_faults: u64 = report
-        .series
-        .samples()
-        .iter()
-        .map(|s| s.counters.faults_injected)
-        .sum();
-    assert!(total_faults > 0, "epoch series must carry fault deltas");
-    json::validate(&report.chrome_trace_json()).unwrap();
-}
-
-#[test]
 fn coherent_telemetry_totals_match_the_cluster_counters() {
     use das_coherence::ProtocolKind;
     use das_sim::experiments::{run_one_coherent, run_one_coherent_instrumented};

@@ -7,9 +7,8 @@
 //!   queries and cross-channel merge;
 //! * [`series`] — an epoch sampler turning periodic cumulative counter
 //!   snapshots into a per-epoch time-series (IPC, fast-activation ratio,
-//!   queue occupancy, promotions, faults), exposing warm-up and phase
-//!   behaviour;
-//! * [`trace`] — a structured event trace (migration spans, recovery
+//!   queue occupancy, promotions), exposing warm-up and phase behaviour;
+//! * [`trace`] — a structured event trace (migration spans, watchdog
 //!   instants, per-epoch counters) exporting Chrome trace-event JSON
 //!   viewable in Perfetto;
 //!
@@ -200,8 +199,6 @@ pub struct Telemetry {
     trace: EventTrace,
     /// Begin tick and channel of in-flight migration spans, by token.
     swap_begin: HashMap<u64, (u64, u32)>,
-    /// Retries observed per in-flight migration span.
-    swap_retries: HashMap<u64, u64>,
     /// Coherence event counts, indexed as [`COH_EVENTS`].
     coh_counts: [u64; 7],
     /// Bus-arbitration wait per coherence transaction, in core cycles.
@@ -224,7 +221,6 @@ impl Telemetry {
             series: EpochSeries::new(if on { cfg.epoch_cycles } else { 0 }),
             trace: EventTrace::new(),
             swap_begin: HashMap::new(),
-            swap_retries: HashMap::new(),
             coh_counts: [0; 7],
             coh_bus_wait: LatencyHistogram::default(),
         }
@@ -294,44 +290,22 @@ impl Telemetry {
         self.swap_begin.insert(token, (tick, channel));
     }
 
-    /// Notes a retried migration (fault recovery re-enqueued it).
-    pub fn swap_retry(&mut self, token: u64) {
-        if !self.enabled() {
-            return;
-        }
-        *self.swap_retries.entry(token).or_insert(0) += 1;
-    }
-
     /// Closes a migration span as committed.
     pub fn swap_commit(&mut self, token: u64, tick: u64) {
-        self.swap_end(token, tick, "swap", "commit");
-    }
-
-    /// Closes a migration span as aborted (the row was demoted).
-    pub fn swap_abort(&mut self, token: u64, tick: u64) {
-        self.swap_end(token, tick, "swap_abort", "abort");
-    }
-
-    fn swap_end(&mut self, token: u64, tick: u64, name: &'static str, outcome: &'static str) {
         if !self.enabled() {
             return;
         }
         let Some((begin, channel)) = self.swap_begin.remove(&token) else {
             return;
         };
-        let retries = self.swap_retries.remove(&token).unwrap_or(0);
         self.trace.push(TraceEvent {
-            name,
+            name: "swap",
             cat: "migration",
             ph: Phase::Complete,
             ts_ticks: begin,
             dur_ticks: Some(tick.saturating_sub(begin)),
             tid: channel,
-            args: vec![
-                ("token", Arg::U64(token)),
-                ("outcome", Arg::Str(outcome)),
-                ("retries", Arg::U64(retries)),
-            ],
+            args: vec![("token", Arg::U64(token)), ("outcome", Arg::Str("commit"))],
         });
     }
 
@@ -353,7 +327,7 @@ impl Telemetry {
         }
     }
 
-    /// Records an instant event (`tcache_rebuild`, `watchdog_fire`, …).
+    /// Records an instant event (`watchdog_fire`).
     pub fn instant(&mut self, name: &'static str, cat: &'static str, tick: u64) {
         if !self.enabled() {
             return;
@@ -487,15 +461,13 @@ mod tests {
         t.record_latency(1, LatencyClass::SlowMiss, 900);
         t.record_latency(1, LatencyClass::RowBufferHit, 120);
         t.swap_begin(7, 100, 1);
-        t.swap_retry(7);
         t.swap_commit(7, 400);
-        t.swap_begin(8, 200, 0);
-        t.swap_abort(8, 300);
+        // A span that never began closes nothing.
+        t.swap_commit(8, 300);
         let r = t.into_report().unwrap();
         assert_eq!(r.merged.class(LatencyClass::SlowMiss).count(), 2);
         assert_eq!(r.per_channel[0].class(LatencyClass::SlowMiss).count(), 1);
         assert_eq!(r.trace.count_named("swap"), 1);
-        assert_eq!(r.trace.count_named("swap_abort"), 1);
         let doc = r.to_value().render();
         json::validate(&doc).unwrap();
         json::validate(&r.chrome_trace_json()).unwrap();

@@ -28,12 +28,6 @@ pub struct EpochCounters {
     pub slow_acts: u64,
     /// Row promotions committed.
     pub promotions: u64,
-    /// Promotions aborted (fault recovery demoted the row).
-    pub aborted: u64,
-    /// Faults injected so far.
-    pub faults_injected: u64,
-    /// Translation-cache rebuilds so far.
-    pub tcache_rebuilds: u64,
     /// Read-queue occupancy at the boundary (instantaneous, all channels).
     pub read_queue: u64,
     /// Write-queue occupancy at the boundary (instantaneous, all channels).
@@ -51,9 +45,6 @@ impl EpochCounters {
             fast_acts: self.fast_acts - prev.fast_acts,
             slow_acts: self.slow_acts - prev.slow_acts,
             promotions: self.promotions - prev.promotions,
-            aborted: self.aborted - prev.aborted,
-            faults_injected: self.faults_injected - prev.faults_injected,
-            tcache_rebuilds: self.tcache_rebuilds - prev.tcache_rebuilds,
             // Occupancies are instantaneous, not differenced.
             read_queue: self.read_queue,
             write_queue: self.write_queue,
@@ -91,9 +82,6 @@ impl EpochSample {
             .set("fast_acts", c.fast_acts)
             .set("slow_acts", c.slow_acts)
             .set("promotions", c.promotions)
-            .set("aborted", c.aborted)
-            .set("faults_injected", c.faults_injected)
-            .set("tcache_rebuilds", c.tcache_rebuilds)
             .set("read_queue", c.read_queue)
             .set("write_queue", c.write_queue)
     }

@@ -5,9 +5,8 @@
 //! Perfetto / `chrome://tracing`. Three phases are used:
 //!
 //! * `X` (complete) — spans with a duration: row migrations from the
-//!   management decision to commit/abort;
-//! * `i` (instant) — point events: translation-cache rebuilds, watchdog
-//!   fires;
+//!   management decision to commit;
+//! * `i` (instant) — point events: watchdog fires;
 //! * `C` (counter) — per-epoch series (fast-activation ratio, queue
 //!   occupancy), which Perfetto renders as step charts.
 
@@ -157,7 +156,7 @@ mod tests {
             args: vec![("token", Arg::U64(7)), ("outcome", Arg::Str("commit"))],
         });
         t.push(TraceEvent {
-            name: "tcache_rebuild",
+            name: "watchdog_fire",
             cat: "recovery",
             ph: Phase::Instant,
             ts_ticks: 0,

@@ -26,49 +26,49 @@ const LOCKED: [(Design, SharedKind, ProtocolKind, u64); 8] = [
         Design::DasDram,
         SharedKind::Ring,
         ProtocolKind::Mesi,
-        0x6c41_679b_82ca_bad2,
+        0x8cc4_36f3_a19a_407b,
     ),
     (
         Design::DasDram,
         SharedKind::Ring,
         ProtocolKind::Dragon,
-        0xdd06_8861_f7b7_6461,
+        0xec93_4999_6ae5_cf34,
     ),
     (
         Design::DasDram,
         SharedKind::Lock,
         ProtocolKind::Mesi,
-        0xf269_4f1f_05ba_3e2f,
+        0x4c4a_acf1_e360_6f06,
     ),
     (
         Design::DasDram,
         SharedKind::Lock,
         ProtocolKind::Dragon,
-        0xb86b_7fe0_e95e_6527,
+        0xebed_7880_1be4_9112,
     ),
     (
         Design::DasDram,
         SharedKind::Frontier,
         ProtocolKind::Mesi,
-        0xd771_7401_66b4_64c2,
+        0x54b8_8582_1deb_34d3,
     ),
     (
         Design::DasDram,
         SharedKind::Frontier,
         ProtocolKind::Dragon,
-        0x97e9_d089_bd5a_6805,
+        0xcfde_6cf4_a319_998c,
     ),
     (
         Design::Standard,
         SharedKind::Ring,
         ProtocolKind::Mesi,
-        0x26ce_a5cc_4273_90bc,
+        0x0dfd_2693_9198_ee53,
     ),
     (
         Design::Standard,
         SharedKind::Lock,
         ProtocolKind::Dragon,
-        0xb791_5187_7b67_ce50,
+        0x5264_8380_f46e_3555,
     ),
 ];
 

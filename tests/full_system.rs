@@ -5,6 +5,7 @@
 use das_sim::config::{Design, SystemConfig};
 use das_sim::experiments::{improvement, profile_row_counts, run_one as run_one_checked};
 use das_sim::stats::RunMetrics;
+use das_sim::SimError;
 use das_workloads::config::WorkloadConfig;
 use das_workloads::{mixes, spec};
 
@@ -156,6 +157,19 @@ fn refresh_can_be_enabled_without_deadlock() {
     c.inst_budget = 150_000;
     let m = run_one(&c, Design::DasDram, &soplex());
     sanity(&m);
+}
+
+#[test]
+fn watchdog_stops_a_wake_storm_and_spares_a_normal_run() {
+    // A zero same-tick-wake allowance turns the first repeated wake into a
+    // stall; the default allowance lets the same run finish.
+    let mcf = [spec::by_name("mcf")];
+    let strict = cfg().with_watchdog_wakes(0);
+    match run_one_checked(&strict, Design::DasDram, &mcf) {
+        Err(SimError::Stalled { channel, wakes, .. }) => assert_eq!((channel, wakes), (0, 1)),
+        other => panic!("expected a watchdog stall, got {other:?}"),
+    }
+    sanity(&run_one(&cfg(), Design::DasDram, &mcf));
 }
 
 #[test]

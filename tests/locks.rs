@@ -1,12 +1,10 @@
-//! Identity locks over the design table, the fault layer and the
-//! migration-policy layer. Each compares two runs that must agree byte for
-//! byte, so they hold at any instruction budget and run small.
+//! Identity locks over the design table and the migration-policy layer.
+//! Each compares two runs that must agree byte for byte, so they hold at
+//! any instruction budget and run small.
 //!
-//! * **Designs.** A rate-0 fault plan draws nothing; LISA is the DAS
-//!   machinery with LISA's copy cost and nothing else; CLR-DRAM shrinks the
-//!   visible address space; the non-paper architectures complete.
-//! * **Faults.** The catalog's `fault_sweep` renderer asserts that every
-//!   rate-0 run equals its uninjected twin.
+//! * **Designs.** LISA is the DAS machinery with LISA's copy cost and
+//!   nothing else; CLR-DRAM shrinks the visible address space; the
+//!   non-paper architectures complete.
 //! * **Policies.** The default path (`cfg.policy == None`) never grows a
 //!   `policy` key. It runs the manager's built-in `PaperFixed` rule, so
 //!   configuring `PaperFixed` explicitly matches every metric and only
@@ -15,12 +13,9 @@
 //!   output directory, so it is the same however that directory is spelled.
 
 use das_dram::timing::TimingSet;
-use das_faults::FaultPlan;
-use das_harness::catalog::{by_id, BuildParams};
 use das_harness::cli::{
     build_catalog_manifest, execute_jobs, render_experiment_outputs, ExecOptions,
 };
-use das_harness::render::RenderCtx;
 use das_policy::PolicyKind;
 use das_sim::config::{Design, SystemConfig};
 use das_sim::experiments::{run_one, run_one_coherent};
@@ -53,49 +48,6 @@ fn sans_policy(report: &str) -> String {
         }
         None => report.to_string(),
     }
-}
-
-#[test]
-fn rate_zero_faults_stay_bit_identical() {
-    let clean = SystemConfig::test_small();
-    // A rate-0 plan with a live seed draws nothing, so it must be
-    // indistinguishable from no plan at all.
-    let zeroed = clean.clone().with_faults(FaultPlan {
-        seed: 0xdead_beef,
-        ..FaultPlan::none()
-    });
-    for design in [Design::DasDram, Design::ClrDram, Design::Lisa] {
-        let a = report_bytes(&clean, design, "mcf");
-        let b = report_bytes(&zeroed, design, "mcf");
-        assert_eq!(a, b, "{design:?}: rate-0 faults must not perturb output");
-    }
-}
-
-#[test]
-fn fault_sweep_rate_zero_runs_match_their_uninjected_twins() {
-    let exp = by_id("fault_sweep").expect("catalog experiment");
-    let params = BuildParams::new(60_000, 64);
-    let jobs = (exp.build)(&params);
-    let out_dir = std::env::temp_dir();
-    let opts = ExecOptions {
-        threads: 1,
-        out_dir: &out_dir,
-        progress: false,
-        trace_store: None,
-    };
-    let reports = execute_jobs(&jobs, &opts, None).unwrap();
-    let ctx = RenderCtx {
-        insts: params.insts,
-        scale: params.scale,
-        jobs: &jobs,
-        reports: &reports,
-    };
-    // The renderer panics on the first rate-0 run that differs.
-    let text = (exp.render)(&ctx);
-    assert!(
-        text.ends_with("rate-0 runs verified bit-identical to uninjected runs for all designs\n"),
-        "{text}"
-    );
 }
 
 #[test]
