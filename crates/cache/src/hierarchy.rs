@@ -88,17 +88,15 @@ impl HierarchyConfig {
     }
 }
 
-/// Result of walking the hierarchy for one access.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of walking the hierarchy for one access. The dirty lines it
+/// pushed out are in [`CacheHierarchy::dram_writebacks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
     /// The level that serviced (or will service) the access.
     pub level: CacheLevel,
     /// Cumulative lookup latency in CPU cycles (for `Memory`, the latency
     /// spent discovering the miss; DRAM time is added by the caller).
     pub lookup_cycles: u64,
-    /// Dirty lines pushed out of the hierarchy entirely — the caller must
-    /// schedule DRAM writes for these.
-    pub dram_writebacks: Vec<u64>,
 }
 
 /// Multi-core cache hierarchy with private L1/L2 and shared LLC.
@@ -121,6 +119,9 @@ pub struct CacheHierarchy {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     llc: SetAssocCache,
+    /// Dirty lines the last access, fill or side access pushed out of the
+    /// hierarchy entirely; one buffer, cleared by each of those calls.
+    writebacks: Vec<u64>,
 }
 
 impl CacheHierarchy {
@@ -140,6 +141,7 @@ impl CacheHierarchy {
                 .map(|_| SetAssocCache::new(cfg.l2_bytes, cfg.l2_ways, cfg.line_bytes))
                 .collect(),
             llc: SetAssocCache::new(cfg.llc_bytes, cfg.llc_ways, cfg.line_bytes),
+            writebacks: Vec::new(),
         }
     }
 
@@ -161,66 +163,63 @@ impl CacheHierarchy {
     ///
     /// Panics if `core` is out of range.
     pub fn access(&mut self, core: usize, addr: u64, is_write: bool) -> AccessOutcome {
-        let mut writebacks = Vec::new();
-        if self.l1[core].lookup(addr, is_write) {
-            return AccessOutcome {
-                level: CacheLevel::L1,
-                lookup_cycles: self.cfg.latency_to(CacheLevel::L1),
-                dram_writebacks: writebacks,
-            };
-        }
-        if self.l2[core].lookup(addr, false) {
-            self.promote_to_l1(core, addr, is_write, &mut writebacks);
-            return AccessOutcome {
-                level: CacheLevel::L2,
-                lookup_cycles: self.cfg.latency_to(CacheLevel::L2),
-                dram_writebacks: writebacks,
-            };
-        }
-        if self.llc.lookup(addr, false) {
-            self.promote_to_l2(core, addr, &mut writebacks);
-            self.promote_to_l1(core, addr, is_write, &mut writebacks);
-            return AccessOutcome {
-                level: CacheLevel::Llc,
-                lookup_cycles: self.cfg.latency_to(CacheLevel::Llc),
-                dram_writebacks: writebacks,
-            };
-        }
+        self.writebacks.clear();
+        let level = if self.l1[core].lookup(addr, is_write) {
+            CacheLevel::L1
+        } else if self.l2[core].lookup(addr, false) {
+            self.promote_to_l1(core, addr, is_write);
+            CacheLevel::L2
+        } else if self.llc.lookup(addr, false) {
+            self.promote_to_l2(core, addr);
+            self.promote_to_l1(core, addr, is_write);
+            CacheLevel::Llc
+        } else {
+            CacheLevel::Memory
+        };
         AccessOutcome {
-            level: CacheLevel::Memory,
-            lookup_cycles: self.cfg.latency_to(CacheLevel::Memory),
-            dram_writebacks: writebacks,
+            level,
+            lookup_cycles: self.cfg.latency_to(level),
         }
     }
 
-    /// Installs a line fetched from DRAM into all levels for `core`,
-    /// returning any dirty lines displaced out to DRAM.
-    pub fn fill_from_memory(&mut self, core: usize, addr: u64, is_write: bool) -> Vec<u64> {
-        let mut writebacks = Vec::new();
+    /// Installs a line fetched from DRAM into all levels for `core`. The
+    /// dirty lines it displaces out to DRAM are in
+    /// [`CacheHierarchy::dram_writebacks`].
+    pub fn fill_from_memory(&mut self, core: usize, addr: u64, is_write: bool) {
+        self.writebacks.clear();
         if let Some(v) = self.llc.fill(addr, false) {
             if v.dirty {
-                writebacks.push(v.addr);
+                self.writebacks.push(v.addr);
             }
         }
-        self.promote_to_l2(core, addr, &mut writebacks);
-        self.promote_to_l1(core, addr, is_write, &mut writebacks);
-        writebacks
+        self.promote_to_l2(core, addr);
+        self.promote_to_l1(core, addr, is_write);
     }
 
     /// An LLC-only access on behalf of the memory controller (used for
     /// translation-table lines, §5.2): looks up the LLC and fills it on a
-    /// miss. Returns `(hit, dram_writebacks)`.
-    pub fn llc_side_access(&mut self, addr: u64) -> (bool, Vec<u64>) {
+    /// miss. Returns whether it hit; a displaced dirty line is in
+    /// [`CacheHierarchy::dram_writebacks`].
+    pub fn llc_side_access(&mut self, addr: u64) -> bool {
+        self.writebacks.clear();
         if self.llc.lookup(addr, false) {
-            return (true, Vec::new());
+            return true;
         }
-        let mut writebacks = Vec::new();
         if let Some(v) = self.llc.fill(addr, false) {
             if v.dirty {
-                writebacks.push(v.addr);
+                self.writebacks.push(v.addr);
             }
         }
-        (false, writebacks)
+        false
+    }
+
+    /// Dirty lines the last [`access`](CacheHierarchy::access),
+    /// [`fill_from_memory`](CacheHierarchy::fill_from_memory) or
+    /// [`llc_side_access`](CacheHierarchy::llc_side_access) pushed out of
+    /// the hierarchy entirely, in eviction order: the caller must schedule
+    /// DRAM writes for these before its next call.
+    pub fn dram_writebacks(&self) -> &[u64] {
+        &self.writebacks
     }
 
     /// Absorbs a dirty line written back from a cache level *above* the
@@ -231,36 +230,36 @@ impl CacheHierarchy {
         self.llc.write_back_into(addr)
     }
 
-    fn promote_to_l1(&mut self, core: usize, addr: u64, dirty: bool, wbs: &mut Vec<u64>) {
+    fn promote_to_l1(&mut self, core: usize, addr: u64, dirty: bool) {
         if let Some(v) = self.l1[core].fill(addr, dirty) {
             if v.dirty {
-                self.sink_below_l1(core, v.addr, wbs);
+                self.sink_below_l1(core, v.addr);
             }
         }
     }
 
-    fn promote_to_l2(&mut self, core: usize, addr: u64, wbs: &mut Vec<u64>) {
+    fn promote_to_l2(&mut self, core: usize, addr: u64) {
         if let Some(v) = self.l2[core].fill(addr, false) {
             if v.dirty {
-                self.sink_below_l2(v.addr, wbs);
+                self.sink_below_l2(v.addr);
             }
         }
     }
 
     /// A dirty L1 victim is written back into L2 if resident, else pushed
     /// toward the LLC/DRAM.
-    fn sink_below_l1(&mut self, core: usize, addr: u64, wbs: &mut Vec<u64>) {
+    fn sink_below_l1(&mut self, core: usize, addr: u64) {
         if self.l2[core].write_back_into(addr) {
             return;
         }
-        self.sink_below_l2(addr, wbs);
+        self.sink_below_l2(addr);
     }
 
-    fn sink_below_l2(&mut self, addr: u64, wbs: &mut Vec<u64>) {
+    fn sink_below_l2(&mut self, addr: u64) {
         if self.llc.write_back_into(addr) {
             return;
         }
-        wbs.push(addr);
+        self.writebacks.push(addr);
     }
 
     /// Statistics for one core's L1.
@@ -350,7 +349,8 @@ mod tests {
         // writeback exactly once.
         let mut wbs = Vec::new();
         for i in 1..2048u64 {
-            wbs.extend(h.fill_from_memory(0, i * 64, false));
+            h.fill_from_memory(0, i * 64, false);
+            wbs.extend_from_slice(h.dram_writebacks());
         }
         assert_eq!(wbs.iter().filter(|&&a| a == 0).count(), 1);
     }
@@ -358,10 +358,8 @@ mod tests {
     #[test]
     fn llc_side_access_fills_without_core_caches() {
         let mut h = CacheHierarchy::new(small_cfg(), 1);
-        let (hit, _) = h.llc_side_access(0x2000);
-        assert!(!hit);
-        let (hit, _) = h.llc_side_access(0x2000);
-        assert!(hit);
+        assert!(!h.llc_side_access(0x2000));
+        assert!(h.llc_side_access(0x2000));
         // Core caches untouched.
         assert_eq!(h.l1_stats(0).accesses(), 0);
     }

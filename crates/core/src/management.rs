@@ -8,6 +8,7 @@
 
 use core::fmt;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
 
 use das_dram::geometry::{BankCoord, BankLayout, DramGeometry, FastRatio, GlobalRowId};
 use das_policy::{AccessStats, EpochStats, MigrationPolicy, PolicyAction, PolicyEvent, PolicyKind};
@@ -521,56 +522,42 @@ impl DasManager {
     /// methodology of §7 ("each workload is profiled first and the
     /// most-frequently-used portion of its footprint is pre-assigned to the
     /// fast level").
-    pub fn static_place(&mut self, counts: &HashMap<GlobalRowId, u64>) {
+    pub fn static_place<S: BuildHasher>(&mut self, counts: &HashMap<GlobalRowId, u64, S>) {
+        let mut ranked: Vec<(u64, u32)> = Vec::new();
+        let mut chosen: Vec<u32> = Vec::new();
         for bank in self.geometry.banks() {
             let bank_idx = self.geometry.bank_index(bank);
             let group_size = self.groups[bank_idx].group_size();
             let fast_slots = self.groups[bank_idx].fast_slots();
             for group in 0..self.groups[bank_idx].groups() {
                 let base = group * group_size;
-                let mut ranked: Vec<(u64, u32)> = (0..group_size)
-                    .map(|s| {
-                        let row = base + s;
-                        let id = self.geometry.global_row_id(bank, row);
-                        (counts.get(&id).copied().unwrap_or(0), row)
-                    })
-                    .collect();
-                ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                ranked.clear();
+                ranked.extend((0..group_size).map(|s| {
+                    let row = base + s;
+                    let id = self.geometry.global_row_id(bank, row);
+                    (counts.get(&id).copied().unwrap_or(0), row)
+                }));
+                // Rows are distinct, so this order is total.
+                ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                chosen.clear();
+                chosen.extend(ranked.iter().take(fast_slots as usize).map(|&(_, r)| r));
                 // Move each of the top rows into a fast slot.
-                for (i, &(_, hot_row)) in ranked.iter().take(fast_slots as usize).enumerate() {
+                for (i, &hot_row) in chosen.iter().enumerate() {
                     let g = &self.groups[bank_idx];
                     if (g.phys_slot(hot_row) as u32) < fast_slots {
                         continue; // already fast
                     }
                     // Swap with the occupant of fast slot `i` unless that
-                    // occupant is itself one of the chosen hot rows.
-                    let mut target_slot = i as u8;
-                    let chosen: HashSet<u32> = ranked
-                        .iter()
-                        .take(fast_slots as usize)
-                        .map(|&(_, r)| r)
-                        .collect();
-                    let mut occupant = base + g.logical_slot(group, target_slot) as u32;
-                    if chosen.contains(&occupant) {
-                        // Find any fast slot holding a non-chosen row.
-                        let mut found = None;
-                        for s in 0..fast_slots as u8 {
-                            let occ = base + g.logical_slot(group, s) as u32;
-                            if !chosen.contains(&occ) {
-                                found = Some((s, occ));
-                                break;
-                            }
-                        }
-                        match found {
-                            Some((s, occ)) => {
-                                target_slot = s;
-                                occupant = occ;
-                            }
-                            None => continue, // all fast slots already hold chosen rows
-                        }
+                    // occupant is itself one of the chosen hot rows; then
+                    // with the first fast slot holding a non-chosen row.
+                    let occupant = std::iter::once(i as u8)
+                        .chain(0..fast_slots as u8)
+                        .map(|slot| base + g.logical_slot(group, slot) as u32)
+                        .find(|occ| !chosen.contains(occ));
+                    // None: all fast slots already hold chosen rows.
+                    if let Some(occupant) = occupant {
+                        self.groups[bank_idx].swap_logical(hot_row, occupant);
                     }
-                    let _ = target_slot;
-                    self.groups[bank_idx].swap_logical(hot_row, occupant);
                 }
             }
         }
@@ -775,6 +762,95 @@ mod tests {
         m.static_place(&counts);
         for row in [0u32, 1, 30, 31] {
             assert!(m.is_fast(bank0(), row), "row {row}");
+        }
+    }
+
+    /// `static_place` as it was before its per-group buffers: kept as the
+    /// oracle of the placement it must reproduce.
+    fn static_place_oracle(m: &mut DasManager, counts: &HashMap<GlobalRowId, u64>) {
+        for bank in m.geometry.banks() {
+            let bank_idx = m.geometry.bank_index(bank);
+            let group_size = m.groups[bank_idx].group_size();
+            let fast_slots = m.groups[bank_idx].fast_slots();
+            for group in 0..m.groups[bank_idx].groups() {
+                let base = group * group_size;
+                let mut ranked: Vec<(u64, u32)> = (0..group_size)
+                    .map(|s| {
+                        let row = base + s;
+                        let id = m.geometry.global_row_id(bank, row);
+                        (counts.get(&id).copied().unwrap_or(0), row)
+                    })
+                    .collect();
+                ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                for (i, &(_, hot_row)) in ranked.iter().take(fast_slots as usize).enumerate() {
+                    let g = &m.groups[bank_idx];
+                    if (g.phys_slot(hot_row) as u32) < fast_slots {
+                        continue;
+                    }
+                    let chosen: HashSet<u32> = ranked
+                        .iter()
+                        .take(fast_slots as usize)
+                        .map(|&(_, r)| r)
+                        .collect();
+                    let mut occupant = base + g.logical_slot(group, i as u8) as u32;
+                    if chosen.contains(&occupant) {
+                        let mut found = None;
+                        for s in 0..fast_slots as u8 {
+                            let occ = base + g.logical_slot(group, s) as u32;
+                            if !chosen.contains(&occ) {
+                                found = Some(occ);
+                                break;
+                            }
+                        }
+                        match found {
+                            Some(occ) => occupant = occ,
+                            None => continue,
+                        }
+                    }
+                    m.groups[bank_idx].swap_logical(hot_row, occupant);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn static_place_matches_the_oracle_on_seeded_profiles() {
+        let g = geometry();
+        for seed in 0..24u64 {
+            let mut rng = das_faults::Prng::new(0x57a7_1c00 + seed);
+            let cfg = ManagementConfig {
+                group_size: [16, 32, 64][rng.range_usize(0, 3)],
+                ..ManagementConfig::static_profiled()
+            };
+            let ratio = [
+                FastRatio::new(1, 8),
+                FastRatio::new(1, 4),
+                FastRatio::new(1, 16),
+            ][rng.range_usize(0, 3)];
+            let l = BankLayout::build(g.rows_per_bank, ratio, Arrangement::default(), 128, 512);
+            let mut fast = DasManager::new(cfg, g.clone(), l.clone());
+            let mut oracle = DasManager::new(cfg, g.clone(), l);
+            // A skewed profile over a random slice of rows, with ties, and
+            // with zero-count rows present and absent.
+            let mut counts = HashMap::new();
+            for _ in 0..rng.range_usize(0, 4 * g.rows_per_bank as usize) {
+                let bank = BankCoord::new(0, 0, rng.range_u32(0, 2) as u8);
+                let row = rng.range_u32(0, g.rows_per_bank);
+                let n = rng.bounded_u64(8) * rng.bounded_u64(8);
+                counts.insert(g.global_row_id(bank, row), n);
+            }
+            fast.static_place(&counts);
+            static_place_oracle(&mut oracle, &counts);
+            for bank in g.banks() {
+                let idx = g.bank_index(bank);
+                for row in 0..g.rows_per_bank {
+                    assert_eq!(
+                        fast.groups[idx].phys_slot(row),
+                        oracle.groups[idx].phys_slot(row),
+                        "seed {seed}: bank {idx} row {row}"
+                    );
+                }
+            }
         }
     }
 

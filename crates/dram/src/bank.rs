@@ -140,15 +140,13 @@ impl Bank {
         }
     }
 
-    /// All open rows of the bank (empty when fully precharged).
-    pub fn open_rows(&self) -> Vec<u32> {
-        self.buffers
-            .iter()
-            .filter_map(|b| match b.state {
-                RowBufferState::Open { phys_row, .. } => Some(phys_row),
-                RowBufferState::Precharged => None,
-            })
-            .collect()
+    /// All open rows of the bank, in buffer order (none when fully
+    /// precharged).
+    pub fn open_rows(&self) -> impl Iterator<Item = u32> + '_ {
+        self.buffers.iter().filter_map(|b| match b.state {
+            RowBufferState::Open { phys_row, .. } => Some(phys_row),
+            RowBufferState::Precharged => None,
+        })
     }
 
     /// Whether every buffer is precharged.
@@ -453,7 +451,7 @@ mod tests {
         // A second ACT in another subarray waits only the inter-ACT gap.
         assert_eq!(b.earliest_activate(1), Some(t(6.25)));
         b.activate(1, 600, SubarrayKind::Slow, &set, t(6.25));
-        assert_eq!(b.open_rows(), vec![10, 600]);
+        assert_eq!(b.open_rows().collect::<Vec<_>>(), vec![10, 600]);
         assert!(!b.all_precharged());
         // Both rows readable.
         assert!(b.earliest_read(0).is_some());

@@ -137,8 +137,8 @@ impl ChannelDevice {
         self.banks[self.bank_idx(bank)].open_row(idx)
     }
 
-    /// All rows currently open in `bank`.
-    pub fn open_rows(&self, bank: BankCoord) -> Vec<u32> {
+    /// All rows currently open in `bank`, in buffer order.
+    pub fn open_rows(&self, bank: BankCoord) -> impl Iterator<Item = u32> + '_ {
         self.banks[self.bank_idx(bank)].open_rows()
     }
 
@@ -168,11 +168,10 @@ impl ChannelDevice {
     }
 
     /// Coordinates of every bank of `rank` that currently has a row open.
-    pub fn open_banks_of_rank(&self, rank: u8) -> Vec<BankCoord> {
+    pub fn open_banks_of_rank(&self, rank: u8) -> impl Iterator<Item = BankCoord> + '_ {
         (0..self.banks_per_rank)
-            .map(|b| BankCoord::new(self.channel_id, rank, b))
+            .map(move |b| BankCoord::new(self.channel_id, rank, b))
             .filter(|&c| !self.banks[self.bank_idx(c)].all_precharged())
-            .collect()
     }
 
     /// Number of ranks on this channel.
@@ -735,8 +734,7 @@ mod tests {
         for rank in 0..d.ranks() {
             for b in 0..d.banks_per_rank {
                 let bank = BankCoord::new(0, rank, b);
-                let mut rows = d.open_rows(bank);
-                rows.push(d.layout().slow_to_phys(3));
+                let rows = d.open_rows(bank).chain([d.layout().slow_to_phys(3)]);
                 for phys_row in rows {
                     for cmd in [
                         DramCommand::Read {
@@ -783,9 +781,8 @@ mod tests {
                     now += Tick::from_ns_int(rng.range_u64(0, 3000));
                 }
                 let bank = BankCoord::new(0, rng.range_u32(0, 2) as u8, rng.range_u32(0, 2) as u8);
-                let open = d.open_rows(bank);
-                let phys_row = match open.first() {
-                    Some(&r) if rng.gen_bool(0.7) => r,
+                let phys_row = match d.open_rows(bank).next() {
+                    Some(r) if rng.gen_bool(0.7) => r,
                     _ => rows[rng.range_usize(0, rows.len())],
                 };
                 let cmd = match rng.bounded_u64(6) {

@@ -17,17 +17,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use das_dram::geometry::GlobalRowId;
 use das_sim::config::SystemConfig;
-use das_sim::experiments::profile_row_counts;
+use das_sim::experiments::{profile_row_counts, RowProfile};
 use das_workloads::config::WorkloadConfig;
 
 use crate::manifest::JobSpec;
 
-/// Row-access counts from one profiling pre-pass.
-pub type Profile = HashMap<GlobalRowId, u64>;
-
-type Slot = Arc<OnceLock<Arc<Profile>>>;
+type Slot = Arc<OnceLock<Arc<RowProfile>>>;
 
 /// Shared, thread-safe profile memo.
 #[derive(Default)]
@@ -58,7 +54,7 @@ impl ProfileCache {
         key: &str,
         cfg: &SystemConfig,
         workloads: &[WorkloadConfig],
-    ) -> Arc<Profile> {
+    ) -> Arc<RowProfile> {
         // Poison recovery: the map is only ever mutated by this
         // `entry().or_default()` (which cannot leave it half-updated), so a
         // poisoned lock means another worker panicked elsewhere while

@@ -597,7 +597,7 @@ impl MemoryController {
     fn refresh_blocking_precharge(&self, now: Tick, rank: u8) -> Option<Pick> {
         // Close any open row of the refreshing rank (oldest-first demand
         // ordering is secondary to refresh urgency).
-        for bank_coord in self.open_banks_of_rank(rank) {
+        for bank_coord in self.channel.open_banks_of_rank(rank) {
             for row in self.channel.open_rows(bank_coord) {
                 let cmd = DramCommand::Precharge {
                     bank: bank_coord,
@@ -609,10 +609,6 @@ impl MemoryController {
             }
         }
         None
-    }
-
-    fn open_banks_of_rank(&self, rank: u8) -> Vec<BankCoord> {
-        self.channel.open_banks_of_rank(rank)
     }
 
     /// The oldest queued request of `list` whose row is open: its column
@@ -681,8 +677,8 @@ impl MemoryController {
                 continue;
             }
             // Need the bank fully precharged; close open rows first.
-            let open = self.channel.open_rows(op.bank);
-            if !open.is_empty() {
+            let mut open = self.channel.open_rows(op.bank).peekable();
+            if open.peek().is_some() {
                 for row in open {
                     let cmd = DramCommand::Precharge {
                         bank: op.bank,
@@ -1409,7 +1405,7 @@ mod tests {
                 }
                 multi_hit_picks += u64::from(c.read_hits.count_ones() > 1);
                 multi_open_steps += u64::from((0..2).any(|r| {
-                    (0..3).any(|b| c.channel().open_rows(BankCoord::new(0, r, b)).len() > 1)
+                    (0..3).any(|b| c.channel().open_rows(BankCoord::new(0, r, b)).count() > 1)
                 }));
             }
             assert!(c.stats().refreshes > 0, "case {case}: refresh never fired");

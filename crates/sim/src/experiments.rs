@@ -1,9 +1,10 @@
 //! Experiment runners: profiling pre-pass, single runs, design suites and
 //! the improvement metric used across all figures.
 
-use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use das_cache::hierarchy::{CacheHierarchy, CacheLevel};
+use das_cache::FastMap;
 use das_cpu::trace::TraceItem;
 use das_dram::geometry::GlobalRowId;
 use das_workloads::config::WorkloadConfig;
@@ -15,16 +16,18 @@ use crate::config::{Design, SystemConfig};
 use crate::stats::RunMetrics;
 use crate::system::{recorded_workload_stubs, AddressMap, SimError, System, TraceSource};
 
+/// LLC-miss counts per row: the profile the static designs (SAS/CHARM) are
+/// placed from. Consumers only look rows up, so iteration order never
+/// reaches a result.
+pub type RowProfile = FastMap<GlobalRowId, u64>;
+
 /// Runs the profiling pre-pass used by the static designs (SAS/CHARM):
 /// the same workloads are pushed through a fresh cache hierarchy and
 /// LLC-miss row access counts are collected (§7: "each workload is
 /// profiled first").
 ///
 /// Workloads must already be scaled.
-pub fn profile_row_counts(
-    cfg: &SystemConfig,
-    workloads: &[WorkloadConfig],
-) -> HashMap<GlobalRowId, u64> {
+pub fn profile_row_counts(cfg: &SystemConfig, workloads: &[WorkloadConfig]) -> RowProfile {
     // Profiling observes a *different run* of the program (SPEC profiles
     // are gathered on train inputs; the measured episode runs ref): phase
     // positions will not line up with the measured episode, which is what
@@ -39,21 +42,108 @@ pub fn profile_row_counts(
     llc_miss_rows(cfg, &addr_map, gens, Some(horizon))
 }
 
+/// References per chunk handed from the profile walk's placing stage to its
+/// cache stage.
+const CHUNK_REFS: usize = 512;
+
+/// Chunks that exist per walk. They circulate between the two stages, so
+/// at most `CHUNKS × CHUNK_REFS` references (48 KB) are ever buffered.
+const CHUNKS: usize = 4;
+
+/// One reference of the profile walk, placed and resolved by the first
+/// stage: the physical address, the row an LLC miss on it counts against
+/// and the issuing core.
+struct PlacedRef {
+    addr: u64,
+    row: GlobalRowId,
+    core: u32,
+    is_write: bool,
+}
+
 /// Walks `streams` (one per core, placed by `addr_map`) through a fresh
 /// cache hierarchy and counts LLC misses per row. The streams interleave
 /// round-robin, so shared-LLC contention shapes the counts as it would in
 /// the timed run; each stops when it ends or after `horizon` instructions.
-fn llc_miss_rows<I: Iterator<Item = TraceItem>>(
+///
+/// The walk runs as two stages, joined before it returns: a helper thread
+/// pulls, places and resolves the references in walk order
+/// ([`place_refs`]), and the calling thread walks them through the
+/// hierarchy in the same order ([`count_misses`]). No hierarchy outcome
+/// feeds back into the streams, so the counts are those of one sequential
+/// walk.
+fn llc_miss_rows<I: Iterator<Item = TraceItem> + Send>(
+    cfg: &SystemConfig,
+    addr_map: &AddressMap,
+    streams: Vec<I>,
+    horizon: Option<u64>,
+) -> RowProfile {
+    let cores = streams.len();
+    let (full_tx, full_rx) = sync_channel(CHUNKS);
+    let (free_tx, free_rx) = sync_channel(CHUNKS);
+    for _ in 0..CHUNKS {
+        free_tx
+            .send(Vec::with_capacity(CHUNK_REFS))
+            .expect("the free list has room for every chunk");
+    }
+    // Each stage owns its channel ends, so a stage that stops (or panics)
+    // disconnects the other instead of leaving it blocked.
+    std::thread::scope(|scope| {
+        let placer =
+            scope.spawn(move || place_refs(cfg, addr_map, streams, horizon, free_rx, full_tx));
+        let counts = count_misses(cfg, cores, full_rx, free_tx);
+        if let Err(panic) = placer.join() {
+            std::panic::resume_unwind(panic);
+        }
+        counts
+    })
+}
+
+/// The second stage of [`llc_miss_rows`]: walks each chunk's references
+/// through a fresh hierarchy, counts the LLC misses per row and returns
+/// the emptied chunk to `free`.
+fn count_misses(
+    cfg: &SystemConfig,
+    cores: usize,
+    full: Receiver<Vec<PlacedRef>>,
+    free: SyncSender<Vec<PlacedRef>>,
+) -> RowProfile {
+    let mut hierarchy = CacheHierarchy::new(cfg.hierarchy, cores);
+    let line_mask = !(cfg.hierarchy.line_bytes - 1);
+    let mut counts = RowProfile::default();
+    for mut chunk in full {
+        for r in &chunk {
+            let core = r.core as usize;
+            if hierarchy.access(core, r.addr, r.is_write).level == CacheLevel::Memory {
+                *counts.entry(r.row).or_insert(0) += 1;
+                hierarchy.fill_from_memory(core, r.addr & line_mask, r.is_write);
+            }
+        }
+        chunk.clear();
+        // Never blocks: the free list has room for every chunk. It fails
+        // only once the first stage is done with it.
+        let _ = free.send(chunk);
+    }
+    counts
+}
+
+/// The first stage of [`llc_miss_rows`]: pulls the streams round-robin,
+/// applies the horizon, places and resolves each reference, and sends them
+/// in chunks of [`CHUNK_REFS`] (the last one partial) taken from `free`.
+/// Dropping `full` on return ends the walk.
+fn place_refs<I: Iterator<Item = TraceItem>>(
     cfg: &SystemConfig,
     addr_map: &AddressMap,
     mut streams: Vec<I>,
     horizon: Option<u64>,
-) -> HashMap<GlobalRowId, u64> {
+    free: Receiver<Vec<PlacedRef>>,
+    full: SyncSender<Vec<PlacedRef>>,
+) {
     let horizon = horizon.unwrap_or(u64::MAX);
-    let mut hierarchy = CacheHierarchy::new(cfg.hierarchy, streams.len());
-    let mut counts = HashMap::new();
-    let mut insts = vec![0u64; streams.len()];
     let line_mask = !(cfg.hierarchy.line_bytes - 1);
+    let mut insts = vec![0u64; streams.len()];
+    // A send or receive fails only if the cache stage has stopped (it
+    // panicked), and then there is no one left to feed.
+    let Ok(mut chunk) = free.recv() else { return };
     let mut live = streams.len();
     while live > 0 {
         live = 0;
@@ -68,18 +158,25 @@ fn llc_miss_rows<I: Iterator<Item = TraceItem>>(
             };
             insts[i] += item.insts();
             let addr = addr_map.map(i, item.addr);
-            let out = hierarchy.access(i, addr, item.is_write);
-            if out.level == CacheLevel::Memory {
-                let line = addr & line_mask;
-                let coord = cfg.geometry.decode(line);
-                *counts
-                    .entry(cfg.geometry.global_row_id(coord.bank, coord.row))
-                    .or_insert(0u64) += 1;
-                hierarchy.fill_from_memory(i, line, item.is_write);
+            let coord = cfg.geometry.decode(addr & line_mask);
+            chunk.push(PlacedRef {
+                addr,
+                row: cfg.geometry.global_row_id(coord.bank, coord.row),
+                core: i as u32,
+                is_write: item.is_write,
+            });
+            if chunk.len() == CHUNK_REFS {
+                if full.send(chunk).is_err() {
+                    return;
+                }
+                let Ok(next) = free.recv() else { return };
+                chunk = next;
             }
         }
     }
-    counts
+    if !chunk.is_empty() {
+        let _ = full.send(chunk);
+    }
 }
 
 /// Runs one full-system simulation of `design` over `workloads` (given at
@@ -221,7 +318,7 @@ pub fn improvement(run: &RunMetrics, base: &RunMetrics) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use das_workloads::spec;
+    use das_workloads::{mixes, spec};
 
     fn quick_cfg() -> SystemConfig {
         SystemConfig::test_small()
@@ -371,5 +468,175 @@ mod tests {
         let sas = run_one(&cfg, Design::SasDram, &libq()).unwrap();
         assert_eq!(sas.promotions, 0, "static design never migrates");
         assert!(sas.access_mix.fast > 0, "profiled placement must hit fast");
+    }
+
+    /// The profile walk before it was split into two stages: the oracle
+    /// the pipelined [`llc_miss_rows`] must reproduce.
+    fn llc_miss_rows_sequential<I: Iterator<Item = TraceItem>>(
+        cfg: &SystemConfig,
+        addr_map: &AddressMap,
+        mut streams: Vec<I>,
+        horizon: Option<u64>,
+    ) -> RowProfile {
+        let horizon = horizon.unwrap_or(u64::MAX);
+        let mut hierarchy = CacheHierarchy::new(cfg.hierarchy, streams.len());
+        let mut counts = RowProfile::default();
+        let mut insts = vec![0u64; streams.len()];
+        let line_mask = !(cfg.hierarchy.line_bytes - 1);
+        let mut live = streams.len();
+        while live > 0 {
+            live = 0;
+            for (i, s) in streams.iter_mut().enumerate() {
+                if insts[i] >= horizon {
+                    continue;
+                }
+                live += 1;
+                let Some(item) = s.next() else {
+                    insts[i] = horizon;
+                    continue;
+                };
+                insts[i] += item.insts();
+                let addr = addr_map.map(i, item.addr);
+                let out = hierarchy.access(i, addr, item.is_write);
+                if out.level == CacheLevel::Memory {
+                    let line = addr & line_mask;
+                    let coord = cfg.geometry.decode(line);
+                    *counts
+                        .entry(cfg.geometry.global_row_id(coord.bank, coord.row))
+                        .or_insert(0u64) += 1;
+                    hierarchy.fill_from_memory(i, line, item.is_write);
+                }
+            }
+        }
+        counts
+    }
+
+    /// [`profile_row_counts`] over the sequential oracle walk.
+    fn sequential_profile(cfg: &SystemConfig, workloads: &[WorkloadConfig]) -> RowProfile {
+        let gens = workloads
+            .iter()
+            .map(|w| TraceGen::new(w.clone(), cfg.seed ^ 0x5052_4F46, 0))
+            .collect();
+        let addr_map = AddressMap::new(cfg, workloads).profile_view();
+        let horizon = cfg.inst_budget * cfg.profile_multiplier.max(1);
+        llc_miss_rows_sequential(cfg, &addr_map, gens, Some(horizon))
+    }
+
+    /// Both walks over recorded `traces`, placed as [`run_recorded`] places
+    /// them, must agree; returns the total misses counted.
+    fn assert_walks_agree(
+        cfg: &SystemConfig,
+        traces: &[Vec<TraceItem>],
+        horizon: Option<u64>,
+    ) -> u64 {
+        let map = AddressMap::new(cfg, &recorded_workload_stubs(cfg, traces));
+        let streams = || traces.iter().map(|t| t.iter().copied()).collect::<Vec<_>>();
+        let piped = llc_miss_rows(cfg, &map, streams(), horizon);
+        assert_eq!(
+            piped,
+            llc_miss_rows_sequential(cfg, &map, streams(), horizon)
+        );
+        piped.values().sum()
+    }
+
+    /// `n` loads of distinct lines, each after `gap` other instructions: on
+    /// a cold hierarchy every one of them misses.
+    fn distinct_loads(n: usize, gap: u32) -> Vec<TraceItem> {
+        (0..n as u64)
+            .map(|i| TraceItem::load(gap, i * 64))
+            .collect()
+    }
+
+    /// A recorded stream: the first `n` items of `workload`'s generator.
+    fn generated(workload: &str, n: usize) -> Vec<TraceItem> {
+        let cfg = quick_cfg();
+        let w = spec::by_name(workload).scaled(u64::from(cfg.scale));
+        TraceGen::new(w, cfg.seed, 0).take(n).collect()
+    }
+
+    #[test]
+    fn chunks_in_flight_stay_within_64_kb() {
+        assert!(CHUNKS * CHUNK_REFS * std::mem::size_of::<PlacedRef>() <= 64 << 10);
+    }
+
+    #[test]
+    fn pipelined_profile_matches_the_sequential_walk_on_fig7a_workloads() {
+        let cfg = SystemConfig::scaled_by(64, 60_000);
+        for name in spec::names() {
+            let wl = [spec::by_name(name).scaled(u64::from(cfg.scale))];
+            let piped = profile_row_counts(&cfg, &wl);
+            assert!(!piped.is_empty(), "{name}: the pre-pass must miss");
+            assert_eq!(piped, sequential_profile(&cfg, &wl), "{name}");
+        }
+    }
+
+    #[test]
+    fn pipelined_profile_matches_the_sequential_walk_on_a_four_core_mix() {
+        let cfg = SystemConfig::scaled_by(64, 30_000);
+        let wl = mixes::mix("M1").map(|w| w.scaled(u64::from(cfg.scale)));
+        let piped = profile_row_counts(&cfg, &wl);
+        assert!(!piped.is_empty());
+        assert_eq!(piped, sequential_profile(&cfg, &wl));
+    }
+
+    #[test]
+    fn pipelined_walk_matches_the_sequential_walk_on_recorded_traces() {
+        // run_recorded's walk: no horizon, and the two cores end at
+        // different points, neither on a chunk boundary.
+        let traces = [generated("mcf", 20_011), generated("libquantum", 7_003)];
+        assert!(assert_walks_agree(&quick_cfg(), &traces, None) > 0);
+    }
+
+    #[test]
+    fn walk_interleaves_the_cores_reference_by_reference() {
+        // At the default shape the 256 KB private L2s dwarf the scaled LLC,
+        // so core interleaving barely moves the counts. With private
+        // caches far smaller than the LLC, which lines the shared LLC
+        // still holds depends on the exact round-robin order.
+        let mut cfg = quick_cfg();
+        cfg.hierarchy.l1_bytes = 1 << 10;
+        cfg.hierarchy.l2_bytes = 4 << 10;
+        let traces = [
+            generated("mcf", 5_000),
+            generated("soplex", 5_000),
+            generated("libquantum", 5_000),
+        ];
+        assert!(assert_walks_agree(&cfg, &traces, None) > 0);
+    }
+
+    #[test]
+    fn walk_retires_a_stream_that_ends_before_the_horizon() {
+        let traces = [generated("milc", 900), generated("omnetpp", 9_000)];
+        let misses = assert_walks_agree(&quick_cfg(), &traces, Some(20_000));
+        assert!(misses > 0);
+        let traces = [distinct_loads(300, 0), distinct_loads(2_000, 0)];
+        assert_eq!(
+            assert_walks_agree(&quick_cfg(), &traces, Some(1_000)),
+            1_300
+        );
+    }
+
+    #[test]
+    fn walk_takes_the_item_that_crosses_the_horizon() {
+        // Ten instructions per item: the third item starts at 20 < 25 and
+        // crosses it, so it is walked; the fourth is not.
+        let traces = [distinct_loads(10, 9)];
+        assert_eq!(assert_walks_agree(&quick_cfg(), &traces, Some(25)), 3);
+        assert_eq!(assert_walks_agree(&quick_cfg(), &traces, Some(30)), 3);
+        assert_eq!(assert_walks_agree(&quick_cfg(), &traces, Some(31)), 4);
+    }
+
+    #[test]
+    fn walk_handles_streams_of_whole_chunks() {
+        let traces = [distinct_loads(3 * CHUNK_REFS, 0)];
+        assert_eq!(
+            assert_walks_agree(&quick_cfg(), &traces, None) as usize,
+            3 * CHUNK_REFS
+        );
+        let traces = [distinct_loads(CHUNK_REFS, 0), distinct_loads(CHUNK_REFS, 0)];
+        assert_eq!(
+            assert_walks_agree(&quick_cfg(), &traces, None) as usize,
+            2 * CHUNK_REFS
+        );
     }
 }

@@ -46,7 +46,7 @@ pub mod system;
 
 pub use config::{Design, SystemConfig};
 pub use experiments::{
-    improvement, profile_row_counts, run_one, run_one_instrumented, run_recorded,
+    improvement, profile_row_counts, run_one, run_one_instrumented, run_recorded, RowProfile,
 };
 pub use report::{metrics_to_value, run_report, run_report_json};
 pub use stats::{AccessMix, CoreMetrics, EnergyBreakdown, EnergyModel, RunMetrics};

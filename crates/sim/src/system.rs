@@ -15,7 +15,7 @@
 //! DRAM read that precedes the data access.
 
 use core::fmt;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use das_cache::hierarchy::{CacheHierarchy, CacheLevel};
 use das_cache::mshr::Mshr;
@@ -28,7 +28,7 @@ use das_cpu::core::{Core, MemRequest};
 use das_cpu::trace::TraceItem;
 pub use das_cpu::TraceSource;
 use das_dram::channel::ChannelDevice;
-use das_dram::geometry::{BankCoord, GlobalRowId, MemCoord};
+use das_dram::geometry::{BankCoord, MemCoord};
 use das_dram::tick::Tick;
 use das_memctrl::controller::{ControllerError, MemoryController};
 use das_memctrl::request::{Completion, Request, ServiceClass, SwapOp};
@@ -39,6 +39,7 @@ use das_workloads::shared::{SharedGen, SharedSpec};
 use crate::config::{Design, SystemConfig};
 use crate::dense::{DenseSet, IdSlab, RecentRows};
 use crate::events::EventQueue;
+use crate::experiments::RowProfile;
 use crate::stats::{AccessMix, CoreMetrics, EnergyBreakdown, EnergyModel, RunMetrics};
 
 /// Capacity of the controller's recently-translated-row registers (a few
@@ -622,7 +623,7 @@ impl System {
         design: Design,
         workloads: &[WorkloadConfig],
         sources: Vec<TraceSource>,
-        profile: Option<&HashMap<GlobalRowId, u64>>,
+        profile: Option<&RowProfile>,
     ) -> Self {
         assert!(!workloads.is_empty(), "need at least one workload");
         assert_eq!(
@@ -970,9 +971,7 @@ impl System {
         self.footprint_rows
             .insert((addr / self.cfg.geometry.row_bytes as u64) as usize);
         let outcome = self.hierarchy.access(core, addr, is_write);
-        for &wb in &outcome.dram_writebacks {
-            self.issue_writeback(wb);
-        }
+        self.issue_hierarchy_writebacks(t);
         if outcome.level != CacheLevel::Memory {
             let done = t + self.cfg.cycles_to_ticks(outcome.lookup_cycles);
             if !is_write {
@@ -1075,10 +1074,8 @@ impl System {
         // LLC allocates at lookup time (as the table-fetch path does); the
         // DRAM round trip still gates this requester's completion.
         let llc_lat = self.cfg.cycles_to_ticks(self.cfg.hierarchy.llc_latency);
-        let (hit, wbs) = self.hierarchy.llc_side_access(line);
-        for wb in wbs {
-            self.issue_writeback_at(wb, done);
-        }
+        let hit = self.hierarchy.llc_side_access(line);
+        self.issue_hierarchy_writebacks(done);
         if hit {
             if !is_write {
                 self.complete_core(core, id, done + llc_lat);
@@ -1133,10 +1130,8 @@ impl System {
             TranslationSource::Cache => (tr.phys_row, now, None),
             TranslationSource::TableFetch => {
                 let llc_lat = self.cfg.cycles_to_ticks(self.cfg.hierarchy.llc_latency);
-                let (hit, wbs) = self.hierarchy.llc_side_access(tr.table_line);
-                for wb in wbs {
-                    self.issue_writeback_at(wb, now);
-                }
+                let hit = self.hierarchy.llc_side_access(tr.table_line);
+                self.issue_hierarchy_writebacks(now);
                 if hit {
                     (tr.phys_row, now + llc_lat, None)
                 } else {
@@ -1189,8 +1184,13 @@ impl System {
         }
     }
 
-    fn issue_writeback(&mut self, line: u64) {
-        self.issue_writeback_at(line, self.clock);
+    /// Issues a DRAM write at `t` for each dirty line the last hierarchy
+    /// call pushed out, in eviction order.
+    fn issue_hierarchy_writebacks(&mut self, t: Tick) {
+        for i in 0..self.hierarchy.dram_writebacks().len() {
+            let line = self.hierarchy.dram_writebacks()[i];
+            self.issue_writeback_at(line, t);
+        }
     }
 
     fn issue_writeback_at(&mut self, line: u64, t: Tick) {
@@ -1343,10 +1343,8 @@ impl System {
                             // lives in the cluster and the LLC already
                             // allocated at lookup time.
                             let dirty = self.line_dirty.remove(&line).unwrap_or(false);
-                            let wbs = self.hierarchy.fill_from_memory(fill_core, line, dirty);
-                            for wb in wbs {
-                                self.issue_writeback_at(wb, at);
-                            }
+                            self.hierarchy.fill_from_memory(fill_core, line, dirty);
+                            self.issue_hierarchy_writebacks(at);
                         }
                         let waiters = self.mshr.complete(line);
                         for w in waiters.iter().filter(|w| w.is_load) {
