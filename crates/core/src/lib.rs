@@ -15,10 +15,11 @@
 //! * [`replacement`] — LRU / Random / Sequential / global-counter victim
 //!   selection (§5.3, §7.6);
 //! * [`management`] — [`management::DasManager`], the controller-side state
-//!   machine combining all of the above, plus the static-profiled placement
-//!   used by the SAS-DRAM and CHARM baselines;
-//! * [`inclusive`] — the §5 inclusive-cache management alternative the
-//!   paper weighs against the adopted exclusive scheme.
+//!   machine combining all of the above over one of two placements: the
+//!   adopted exclusive scheme ([`DasManager::new`], including the
+//!   static-profiled placement used by the SAS-DRAM and CHARM baselines) or
+//!   the §5 inclusive-cache alternative the paper weighs against it
+//!   ([`DasManager::inclusive`]).
 //!
 //! # Examples
 //!
@@ -43,7 +44,7 @@
 #![forbid(unsafe_code)]
 
 pub mod groups;
-pub mod inclusive;
+mod inclusive;
 pub mod management;
 pub mod migration;
 pub mod promotion;
@@ -51,9 +52,8 @@ pub mod replacement;
 pub mod translation;
 
 pub use groups::{BankGroups, GroupId};
-pub use inclusive::{FillRequest, InclusiveManager};
 pub use management::{
-    DasManager, ManagementConfig, ManagementStats, PolicyCosts, PolicyStats, SwapRequest,
+    DasManager, ManagementConfig, ManagementStats, MigrationRequest, PolicyCosts, PolicyStats,
     Translation, POLICY_EPOCH_ACCESSES,
 };
 pub use migration::MigrationModel;

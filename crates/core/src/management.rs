@@ -1,6 +1,15 @@
-//! The hardware exclusive-cache management mechanism of §5: translation,
+//! The hardware fast-level management mechanism of §5: translation,
 //! promotion triggering/filtering, and replacement, packaged as the state
 //! machine the memory controller consults on every request.
+//!
+//! One [`DasManager`] serves both of the paper's placements. The adopted
+//! **exclusive** one ([`DasManager::new`]) permutes the rows of each
+//! migration group, so every logical row lives in exactly one place and a
+//! promotion swaps two rows. The **inclusive** alternative
+//! ([`DasManager::inclusive`]) keeps every row at its slow home and caches
+//! copies in the fast slots, so a promotion is a fill. Translation, the
+//! promotion filter and policy, replacement and the busy-group rule are
+//! shared.
 //!
 //! The manager is authoritative for *where every logical row currently
 //! lives*; the translation cache only affects **timing** (whether a lookup
@@ -10,15 +19,17 @@ use core::fmt;
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
 
+use das_dram::command::MigrationKind;
 use das_dram::geometry::{BankCoord, BankLayout, DramGeometry, FastRatio, GlobalRowId};
 use das_policy::{AccessStats, EpochStats, MigrationPolicy, PolicyAction, PolicyEvent, PolicyKind};
 
 use crate::groups::{BankGroups, GroupId, GroupInvariantError};
+use crate::inclusive::InclusiveTags;
 use crate::promotion::{FilterStats, PromotionFilter};
 use crate::replacement::{ReplacementPolicy, Replacer};
 use crate::translation::{TableAddressMap, TranslationCache, TranslationSource, TranslationStats};
 
-/// A violation of the exclusive-cache consistency contract, found by
+/// A violation of the placement's consistency contract, found by
 /// [`DasManager::check_invariants`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConsistencyError {
@@ -29,6 +40,16 @@ pub enum ConsistencyError {
         bank: usize,
         /// The underlying permutation violation.
         source: GroupInvariantError,
+    },
+    /// An inclusive fast slot's tag names a row outside its group, or a
+    /// row another slot of the group already caches.
+    BadTag {
+        /// Flat bank index.
+        bank: usize,
+        /// Migration group.
+        group: u32,
+        /// Fast slot within the group.
+        slot: u8,
     },
     /// A translation-cache entry disagrees with the device state: the
     /// cached row is not actually resident in the fast level (or does not
@@ -44,6 +65,12 @@ impl fmt::Display for ConsistencyError {
         match self {
             ConsistencyError::BrokenPermutation { bank, source } => {
                 write!(f, "bank {bank}: {source}")
+            }
+            ConsistencyError::BadTag { bank, group, slot } => {
+                write!(
+                    f,
+                    "bank {bank}: group {group} fast slot {slot} caches a row it may not"
+                )
             }
             ConsistencyError::CacheDeviceDisagreement { row } => {
                 write!(
@@ -122,22 +149,32 @@ pub struct Translation {
     pub table_line: u64,
 }
 
-/// A promotion the controller should perform: swap the promotee's and
-/// victim's rows through the migration mechanism.
+/// A promotion the controller should perform through the migration
+/// mechanism: the exclusive placement's swap of the promotee with a fast
+/// victim, or the inclusive placement's copy of the promotee into a fast
+/// slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwapRequest {
+pub struct MigrationRequest {
     /// Bank holding the group.
     pub bank: BankCoord,
     /// Migration group.
     pub group: u32,
-    /// Logical row being promoted (currently slow).
+    /// Logical row being promoted (currently served from the slow level).
     pub promotee: u32,
-    /// Logical row being demoted (currently fast).
-    pub victim: u32,
-    /// Physical row of the promotee.
-    pub promotee_phys: u32,
-    /// Physical row of the victim.
-    pub victim_phys: u32,
+    /// The group's fast slot the promotee moves into.
+    pub slot: u8,
+    /// The row leaving the fast slot: under the exclusive placement the
+    /// logical row demoted into the promotee's old place, under the
+    /// inclusive one the row whose copy is evicted (`None` when the slot
+    /// is empty).
+    pub victim: Option<u32>,
+    /// Physical row of the promotee (the migration's source).
+    pub phys_a: u32,
+    /// Physical row of the fast slot.
+    pub phys_b: u32,
+    /// `Swap` (exclusive), `Copy` (inclusive, clean victim) or
+    /// `CopyWithWriteback` (inclusive, dirty victim).
+    pub kind: MigrationKind,
 }
 
 /// Aggregate management statistics.
@@ -147,7 +184,7 @@ pub struct ManagementStats {
     pub fast_hits: u64,
     /// Data accesses serviced from the slow level.
     pub slow_hits: u64,
-    /// Swaps committed.
+    /// Migrations committed.
     pub promotions: u64,
     /// Promotions skipped because the group already had one in flight.
     pub deferred_busy: u64,
@@ -219,18 +256,72 @@ impl PolicyRuntime {
     }
 }
 
+/// Where the rows of the fast level live.
+#[derive(Debug, Clone)]
+enum Placement {
+    /// The adopted exclusive scheme: each bank's group permutation.
+    Exclusive(Vec<BankGroups>),
+    /// The §5 inclusive alternative: fast slots cache copies of slow rows.
+    Inclusive(InclusiveTags),
+}
+
+impl Placement {
+    /// The group of `logical_row` and the fast slot serving it, if any.
+    fn locate(&self, bank_idx: usize, logical_row: u32, fast_slots: u32) -> (u32, Option<u8>) {
+        match self {
+            Placement::Exclusive(groups) => {
+                let g = &groups[bank_idx];
+                let slot = g.phys_slot(logical_row);
+                let fast = ((slot as u32) < fast_slots).then_some(slot);
+                (g.locate(logical_row).0, fast)
+            }
+            Placement::Inclusive(tags) => (
+                tags.group_of(logical_row),
+                tags.cached_slot(bank_idx, logical_row),
+            ),
+        }
+    }
+
+    /// Physical row serving `logical_row` and whether it is fast.
+    fn peek(&self, bank_idx: usize, logical_row: u32, layout: &BankLayout) -> (u32, bool) {
+        match self {
+            Placement::Exclusive(groups) => {
+                let g = &groups[bank_idx];
+                (
+                    g.phys_row_of_logical(logical_row, layout),
+                    g.is_fast(logical_row),
+                )
+            }
+            Placement::Inclusive(tags) => tags.peek(bank_idx, logical_row, layout),
+        }
+    }
+
+    /// Whether `logical_row` of bank `bank_idx` has a fast copy; `false`
+    /// for coordinates outside the placement.
+    fn is_fast(&self, bank_idx: usize, logical_row: u32) -> bool {
+        match self {
+            Placement::Exclusive(groups) => {
+                groups.get(bank_idx).is_some_and(|g| g.is_fast(logical_row))
+            }
+            Placement::Inclusive(tags) => tags.cached_slot(bank_idx, logical_row).is_some(),
+        }
+    }
+}
+
 /// The §5 management mechanism. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct DasManager {
     cfg: ManagementConfig,
     geometry: DramGeometry,
     layout: BankLayout,
-    groups: Vec<BankGroups>,
+    placement: Placement,
+    /// Fast slots per migration group.
+    fast_slots: u32,
     tcache: TranslationCache,
     table_map: TableAddressMap,
     replacer: Replacer,
     filter: PromotionFilter,
-    /// Groups with a swap in flight (no second promotion may start).
+    /// Groups with a migration in flight (no second promotion may start).
     busy_groups: HashSet<GroupId>,
     stats: ManagementStats,
     /// The migration policy deciding every promotion: the paper's
@@ -240,23 +331,49 @@ pub struct DasManager {
 }
 
 impl DasManager {
-    /// Creates the manager for a system of `geometry` with bank `layout`.
+    /// Creates the exclusive manager for a system of `geometry` with bank
+    /// `layout`.
     ///
     /// # Panics
     ///
     /// Panics if the group size / ratio do not divide the geometry exactly.
     pub fn new(cfg: ManagementConfig, geometry: DramGeometry, layout: BankLayout) -> Self {
-        let banks = geometry.total_banks() as usize;
-        let groups = (0..banks)
+        let groups = (0..geometry.total_banks())
             .map(|b| {
                 BankGroups::with_rotation(
                     geometry.rows_per_bank,
                     cfg.group_size,
                     cfg.fast_ratio,
-                    b as u32 * 13,
+                    b * 13,
                 )
             })
             .collect();
+        Self::with_placement(cfg, geometry, layout, Placement::Exclusive(groups))
+    }
+
+    /// Creates the inclusive manager: the logical row space per bank is
+    /// the layout's **slow** rows, and the fast rows only hold copies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slow rows do not divide into groups or the fast rows
+    /// cannot give every group its slots.
+    pub fn inclusive(cfg: ManagementConfig, geometry: DramGeometry, layout: BankLayout) -> Self {
+        let tags = InclusiveTags::new(
+            geometry.total_banks() as usize,
+            cfg.group_size,
+            cfg.fast_ratio.apply(cfg.group_size),
+            &layout,
+        );
+        Self::with_placement(cfg, geometry, layout, Placement::Inclusive(tags))
+    }
+
+    fn with_placement(
+        cfg: ManagementConfig,
+        geometry: DramGeometry,
+        layout: BankLayout,
+        placement: Placement,
+    ) -> Self {
         // The table occupies a reserved region at the top of DRAM (one byte
         // per row), hidden from the OS; demand regions must stay below it.
         let table_map = TableAddressMap::new(geometry.total_bytes() - geometry.total_rows());
@@ -264,7 +381,8 @@ impl DasManager {
             cfg,
             geometry,
             layout,
-            groups,
+            placement,
+            fast_slots: cfg.fast_ratio.apply(cfg.group_size),
             tcache: TranslationCache::new(cfg.tcache_bytes, cfg.tcache_ways),
             table_map,
             replacer: Replacer::new(cfg.replacement, cfg.seed),
@@ -310,20 +428,13 @@ impl DasManager {
     /// lookup (used when the controller already holds the translation,
     /// e.g. from a just-translated request to the same row).
     pub fn peek(&self, bank: BankCoord, logical_row: u32) -> (u32, bool) {
-        let bank_idx = self.geometry.bank_index(bank);
-        let g = &self.groups[bank_idx];
-        (
-            g.phys_row_of_logical(logical_row, &self.layout),
-            g.is_fast(logical_row),
-        )
+        self.placement
+            .peek(self.geometry.bank_index(bank), logical_row, &self.layout)
     }
 
     /// Translates the logical row of a request.
     pub fn translate(&mut self, bank: BankCoord, logical_row: u32) -> Translation {
-        let bank_idx = self.geometry.bank_index(bank);
-        let g = &self.groups[bank_idx];
-        let in_fast = g.is_fast(logical_row);
-        let phys_row = g.phys_row_of_logical(logical_row, &self.layout);
+        let (phys_row, in_fast) = self.peek(bank, logical_row);
         let row_id = self.geometry.global_row_id(bank, logical_row);
         let source = if self.cfg.static_mapping {
             // Static designs hard-wire the mapping: no lookup cost.
@@ -355,7 +466,7 @@ impl DasManager {
         bank: BankCoord,
         logical_row: u32,
         now: u64,
-    ) -> Option<SwapRequest> {
+    ) -> Option<MigrationRequest> {
         self.on_data_access_shared(bank, logical_row, now, 0)
     }
 
@@ -370,19 +481,20 @@ impl DasManager {
         logical_row: u32,
         now: u64,
         shared_count: u32,
-    ) -> Option<SwapRequest> {
+    ) -> Option<MigrationRequest> {
         self.policy_epoch_tick();
         let bank_idx = self.geometry.bank_index(bank);
-        let (group, _) = self.groups[bank_idx].locate(logical_row);
+        let (group, fast_slot) = self
+            .placement
+            .locate(bank_idx, logical_row, self.fast_slots);
         let gid = GroupId {
             bank: bank_idx,
             group,
         };
-        if self.groups[bank_idx].is_fast(logical_row) {
+        if let Some(slot) = fast_slot {
             self.stats.fast_hits += 1;
-            let slot = self.groups[bank_idx].phys_slot(logical_row);
-            let fast_slots = self.groups[bank_idx].fast_slots();
-            self.replacer.note_fast_access(gid, slot, fast_slots, now);
+            self.replacer
+                .note_fast_access(gid, slot, self.fast_slots, now);
             return None;
         }
         self.stats.slow_hits += 1;
@@ -398,22 +510,68 @@ impl DasManager {
             self.stats.deferred_busy += 1;
             return None;
         }
-        let groups = &self.groups[bank_idx];
-        let fast_slots = groups.fast_slots();
-        let victim_slot = self.replacer.choose_victim(gid, fast_slots);
-        let victim_logical_slot = groups.logical_slot(group, victim_slot);
-        let victim = group * groups.group_size() + victim_logical_slot as u32;
-        debug_assert_ne!(victim, logical_row);
-        let req = SwapRequest {
-            bank,
-            group,
-            promotee: logical_row,
-            victim,
-            promotee_phys: groups.phys_row_of_logical(logical_row, &self.layout),
-            victim_phys: groups.phys_row_of_logical(victim, &self.layout),
+        let slot = self.replacer.choose_victim(gid, self.fast_slots);
+        let req = match &self.placement {
+            Placement::Exclusive(groups) => {
+                let g = &groups[bank_idx];
+                let victim = group * g.group_size() + g.logical_slot(group, slot) as u32;
+                debug_assert_ne!(victim, logical_row);
+                MigrationRequest {
+                    bank,
+                    group,
+                    promotee: logical_row,
+                    slot,
+                    victim: Some(victim),
+                    phys_a: g.phys_row_of_logical(logical_row, &self.layout),
+                    phys_b: g.phys_row(group, slot, &self.layout),
+                    kind: MigrationKind::Swap,
+                }
+            }
+            Placement::Inclusive(tags) => {
+                let occupant = tags.occupant(bank_idx, group, slot);
+                MigrationRequest {
+                    bank,
+                    group,
+                    promotee: logical_row,
+                    slot,
+                    victim: occupant.map(|(row, _)| row),
+                    phys_a: self.layout.slow_to_phys(logical_row),
+                    phys_b: tags.slot_phys(group, slot, &self.layout),
+                    kind: match occupant {
+                        Some((_, true)) => MigrationKind::CopyWithWriteback,
+                        _ => MigrationKind::Copy,
+                    },
+                }
+            }
         };
         self.busy_groups.insert(gid);
         Some(req)
+    }
+
+    /// Records a serviced write-back. Under the exclusive placement it is
+    /// a no-op: a write-back never triggers a promotion and is not counted
+    /// as a hit. The inclusive placement counts it as a fast or slow hit
+    /// and dirties a cached copy; an uncached write updates the home row
+    /// and never allocates (allocating on write-backs would churn streams).
+    pub fn on_write(&mut self, bank: BankCoord, logical_row: u32, now: u64) {
+        let Placement::Inclusive(tags) = &mut self.placement else {
+            return;
+        };
+        let bank_idx = self.geometry.bank_index(bank);
+        let group = tags.group_of(logical_row);
+        match tags.cached_slot(bank_idx, logical_row) {
+            Some(slot) => {
+                self.stats.fast_hits += 1;
+                tags.mark_dirty(bank_idx, group, slot);
+                let gid = GroupId {
+                    bank: bank_idx,
+                    group,
+                };
+                self.replacer
+                    .note_fast_access(gid, slot, self.fast_slots, now);
+            }
+            None => self.stats.slow_hits += 1,
+        }
     }
 
     /// Runs the policy for one promotion-candidate access and
@@ -492,28 +650,44 @@ impl DasManager {
         }
     }
 
-    /// Commits a completed swap: updates the group permutation, keeps the
-    /// translation cache coherent (insert promotee, drop victim), and marks
-    /// the promotee's slot most-recently-used so an immediately following
-    /// promotion in the group does not evict it.
-    pub fn commit_swap(&mut self, req: &SwapRequest, now: u64) {
+    /// Commits a completed migration: updates the placement, keeps the
+    /// translation cache coherent, and marks the promotee's slot
+    /// most-recently-used so an immediately following promotion in the
+    /// group does not evict it.
+    ///
+    /// The two placements update the translation cache in their own
+    /// order, which matters when both rows fall in one full set: a swap
+    /// inserts the promotee before dropping the victim, a fill drops the
+    /// evicted row first.
+    pub fn commit_swap(&mut self, req: &MigrationRequest, now: u64) {
         let bank_idx = self.geometry.bank_index(req.bank);
-        self.groups[bank_idx].swap_logical(req.promotee, req.victim);
+        let promotee_id = self.geometry.global_row_id(req.bank, req.promotee);
+        match &mut self.placement {
+            Placement::Exclusive(groups) => {
+                let g = &mut groups[bank_idx];
+                let victim =
+                    req.group * g.group_size() + g.logical_slot(req.group, req.slot) as u32;
+                g.swap_logical(req.promotee, victim);
+                self.tcache.insert(promotee_id);
+                self.tcache
+                    .invalidate(self.geometry.global_row_id(req.bank, victim));
+            }
+            Placement::Inclusive(tags) => {
+                if let Some(evicted) = tags.fill(bank_idx, req.group, req.slot, req.promotee) {
+                    self.tcache
+                        .invalidate(self.geometry.global_row_id(req.bank, evicted));
+                }
+                self.tcache.insert(promotee_id);
+            }
+        }
+        self.filter.forget(promotee_id);
         let gid = GroupId {
             bank: bank_idx,
             group: req.group,
         };
-        let slot = self.groups[bank_idx].phys_slot(req.promotee);
-        let fast_slots = self.groups[bank_idx].fast_slots();
-        self.replacer.note_fast_access(gid, slot, fast_slots, now);
+        self.replacer
+            .note_fast_access(gid, req.slot, self.fast_slots, now);
         self.busy_groups.remove(&gid);
-        if !self.cfg.static_mapping {
-            let promotee_id = self.geometry.global_row_id(req.bank, req.promotee);
-            let victim_id = self.geometry.global_row_id(req.bank, req.victim);
-            self.tcache.insert(promotee_id);
-            self.tcache.invalidate(victim_id);
-            self.filter.forget(promotee_id);
-        }
         self.stats.promotions += 1;
     }
 
@@ -522,14 +696,22 @@ impl DasManager {
     /// methodology of §7 ("each workload is profiled first and the
     /// most-frequently-used portion of its footprint is pre-assigned to the
     /// fast level").
+    ///
+    /// # Panics
+    ///
+    /// Panics on an inclusive manager: static designs place exclusively.
     pub fn static_place<S: BuildHasher>(&mut self, counts: &HashMap<GlobalRowId, u64, S>) {
+        let Placement::Exclusive(groups) = &mut self.placement else {
+            panic!("static placement needs the exclusive placement");
+        };
         let mut ranked: Vec<(u64, u32)> = Vec::new();
         let mut chosen: Vec<u32> = Vec::new();
         for bank in self.geometry.banks() {
             let bank_idx = self.geometry.bank_index(bank);
-            let group_size = self.groups[bank_idx].group_size();
-            let fast_slots = self.groups[bank_idx].fast_slots();
-            for group in 0..self.groups[bank_idx].groups() {
+            let g = &mut groups[bank_idx];
+            let group_size = g.group_size();
+            let fast_slots = g.fast_slots();
+            for group in 0..g.groups() {
                 let base = group * group_size;
                 ranked.clear();
                 ranked.extend((0..group_size).map(|s| {
@@ -543,7 +725,6 @@ impl DasManager {
                 chosen.extend(ranked.iter().take(fast_slots as usize).map(|&(_, r)| r));
                 // Move each of the top rows into a fast slot.
                 for (i, &hot_row) in chosen.iter().enumerate() {
-                    let g = &self.groups[bank_idx];
                     if (g.phys_slot(hot_row) as u32) < fast_slots {
                         continue; // already fast
                     }
@@ -556,26 +737,37 @@ impl DasManager {
                         .find(|occ| !chosen.contains(occ));
                     // None: all fast slots already hold chosen rows.
                     if let Some(occupant) = occupant {
-                        self.groups[bank_idx].swap_logical(hot_row, occupant);
+                        g.swap_logical(hot_row, occupant);
                     }
                 }
             }
         }
     }
 
-    /// Whether logical row `row` of `bank` currently resides in fast.
+    /// Whether logical row `row` of `bank` currently has a fast copy.
     pub fn is_fast(&self, bank: BankCoord, row: u32) -> bool {
-        self.groups[self.geometry.bank_index(bank)].is_fast(row)
+        self.placement.is_fast(self.geometry.bank_index(bank), row)
     }
 
-    /// Exclusive-cache invariant sweep: every bank's permutation is a
-    /// bijection (each logical row has exactly one physical location) and
-    /// every cached translation agrees with the device state (the cached row really is
-    /// fast-resident). Returns the first violation found.
+    /// Placement invariant sweep. Exclusive: every bank's permutation is a
+    /// bijection (each logical row has exactly one physical location).
+    /// Inclusive: each group's tags name distinct rows of that group. Both:
+    /// every cached translation names a row that really has a fast copy.
+    /// Returns the first violation found.
     pub fn check_invariants(&self) -> Result<(), ConsistencyError> {
-        for (bank, g) in self.groups.iter().enumerate() {
-            g.verify()
-                .map_err(|source| ConsistencyError::BrokenPermutation { bank, source })?;
+        match &self.placement {
+            Placement::Exclusive(groups) => {
+                for (bank, g) in groups.iter().enumerate() {
+                    g.verify()
+                        .map_err(|source| ConsistencyError::BrokenPermutation { bank, source })?;
+                }
+            }
+            Placement::Inclusive(tags) => {
+                for bank in 0..tags.banks() {
+                    tags.verify(bank)
+                        .map_err(|(group, slot)| ConsistencyError::BadTag { bank, group, slot })?;
+                }
+            }
         }
         if self.cfg.static_mapping {
             return Ok(());
@@ -584,12 +776,7 @@ impl DasManager {
         for row in self.tcache.resident_rows() {
             let bank_idx = (row.0 / rows_per_bank) as usize;
             let logical = (row.0 % rows_per_bank) as u32;
-            let fast = self
-                .groups
-                .get(bank_idx)
-                .map(|g| g.is_fast(logical))
-                .unwrap_or(false);
-            if !fast {
+            if !self.placement.is_fast(bank_idx, logical) {
                 return Err(ConsistencyError::CacheDeviceDisagreement { row });
             }
         }
@@ -667,10 +854,10 @@ mod tests {
             .on_data_access(bank0(), row, 1)
             .expect("threshold 1 promotes");
         assert_eq!(req.promotee, row);
-        assert!(m.is_fast(bank0(), req.victim));
+        assert!(m.is_fast(bank0(), req.victim.unwrap()));
         m.commit_swap(&req, 1);
         assert!(m.is_fast(bank0(), row));
-        assert!(!m.is_fast(bank0(), req.victim));
+        assert!(!m.is_fast(bank0(), req.victim.unwrap()));
         assert_eq!(m.stats().promotions, 1);
     }
 
@@ -703,7 +890,7 @@ mod tests {
         assert!(t.in_fast);
         assert_eq!(t.source, TranslationSource::Cache);
         // Victim was invalidated; its lookup must fetch.
-        let t = m.translate(bank0(), req.victim);
+        let t = m.translate(bank0(), req.victim.unwrap());
         assert!(!t.in_fast);
         assert_eq!(t.source, TranslationSource::TableFetch);
     }
@@ -767,23 +954,32 @@ mod tests {
 
     /// `static_place` as it was before its per-group buffers: kept as the
     /// oracle of the placement it must reproduce.
+    fn groups(m: &mut DasManager) -> &mut Vec<BankGroups> {
+        match &mut m.placement {
+            Placement::Exclusive(groups) => groups,
+            Placement::Inclusive(_) => panic!("an exclusive manager"),
+        }
+    }
+
     fn static_place_oracle(m: &mut DasManager, counts: &HashMap<GlobalRowId, u64>) {
-        for bank in m.geometry.banks() {
-            let bank_idx = m.geometry.bank_index(bank);
-            let group_size = m.groups[bank_idx].group_size();
-            let fast_slots = m.groups[bank_idx].fast_slots();
-            for group in 0..m.groups[bank_idx].groups() {
+        let geometry = m.geometry.clone();
+        let groups = groups(m);
+        for bank in geometry.banks() {
+            let bank_idx = geometry.bank_index(bank);
+            let group_size = groups[bank_idx].group_size();
+            let fast_slots = groups[bank_idx].fast_slots();
+            for group in 0..groups[bank_idx].groups() {
                 let base = group * group_size;
                 let mut ranked: Vec<(u64, u32)> = (0..group_size)
                     .map(|s| {
                         let row = base + s;
-                        let id = m.geometry.global_row_id(bank, row);
+                        let id = geometry.global_row_id(bank, row);
                         (counts.get(&id).copied().unwrap_or(0), row)
                     })
                     .collect();
                 ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
                 for (i, &(_, hot_row)) in ranked.iter().take(fast_slots as usize).enumerate() {
-                    let g = &m.groups[bank_idx];
+                    let g = &groups[bank_idx];
                     if (g.phys_slot(hot_row) as u32) < fast_slots {
                         continue;
                     }
@@ -807,7 +1003,7 @@ mod tests {
                             None => continue,
                         }
                     }
-                    m.groups[bank_idx].swap_logical(hot_row, occupant);
+                    groups[bank_idx].swap_logical(hot_row, occupant);
                 }
             }
         }
@@ -845,8 +1041,8 @@ mod tests {
                 let idx = g.bank_index(bank);
                 for row in 0..g.rows_per_bank {
                     assert_eq!(
-                        fast.groups[idx].phys_slot(row),
-                        oracle.groups[idx].phys_slot(row),
+                        groups(&mut fast)[idx].phys_slot(row),
+                        groups(&mut oracle)[idx].phys_slot(row),
                         "seed {seed}: bank {idx} row {row}"
                     );
                 }
@@ -945,11 +1141,14 @@ mod tests {
         let first = m.on_data_access(bank0(), 17, 1).expect("promotes");
         m.commit_swap(&first, 1);
         assert!(m.is_fast(bank0(), 17));
-        assert!(!m.is_fast(bank0(), first.victim), "last fast row demoted");
+        assert!(
+            !m.is_fast(bank0(), first.victim.unwrap()),
+            "last fast row demoted"
+        );
         assert_eq!(m.check_invariants(), Ok(()));
         // And again: row 17 is now itself the group's last fast row.
         let second = m.on_data_access(bank0(), 18, 2).expect("promotes");
-        assert_eq!(second.victim, 17);
+        assert_eq!(second.victim, Some(17));
         m.commit_swap(&second, 2);
         assert!(!m.is_fast(bank0(), 17));
         assert!(m.is_fast(bank0(), 18));
@@ -1006,10 +1205,103 @@ mod tests {
         let mut m = manager(cfg_scaled());
         let before = m.translate(bank0(), 17).phys_row;
         let req = m.on_data_access(bank0(), 17, 1).unwrap();
-        assert_eq!(req.promotee_phys, before);
+        assert_eq!(req.phys_a, before);
         m.commit_swap(&req, 1);
         let after = m.translate(bank0(), 17).phys_row;
-        assert_eq!(after, req.victim_phys);
-        assert_eq!(m.translate(bank0(), req.victim).phys_row, req.promotee_phys);
+        assert_eq!(after, req.phys_b);
+        assert_eq!(
+            m.translate(bank0(), req.victim.unwrap()).phys_row,
+            req.phys_a
+        );
+    }
+
+    fn inclusive_manager() -> DasManager {
+        let g = geometry();
+        let l = BankLayout::build(
+            g.rows_per_bank,
+            FastRatio::new(1, 8),
+            Arrangement::ReducedInterleaving,
+            128,
+            512,
+        );
+        DasManager::inclusive(cfg_scaled(), g, l)
+    }
+
+    #[test]
+    fn inclusive_first_read_fills_with_a_clean_copy() {
+        let mut m = inclusive_manager();
+        let home = m.layout().slow_to_phys(10);
+        assert_eq!(m.peek(bank0(), 10), (home, false));
+        let fill = m.on_data_access(bank0(), 10, 1).expect("threshold 1 fills");
+        assert_eq!(fill.kind, MigrationKind::Copy, "empty slot: clean fill");
+        assert_eq!((fill.phys_a, fill.victim), (home, None));
+        m.commit_swap(&fill, 2);
+        assert_eq!(m.peek(bank0(), 10), (fill.phys_b, true));
+        assert_eq!(m.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn inclusive_dirty_victim_costs_a_writeback_copy() {
+        let mut m = inclusive_manager();
+        // Fill several rows; fills may evict each other, so pick a row that
+        // is actually resident afterwards and dirty it.
+        for row in 0..8u32 {
+            if let Some(f) = m.on_data_access(bank0(), row, row as u64) {
+                m.commit_swap(&f, row as u64);
+            }
+        }
+        let dirty_row = (0..8u32)
+            .find(|&r| m.is_fast(bank0(), r))
+            .expect("something cached");
+        m.on_write(bank0(), dirty_row, 100);
+        // Make the dirty row the LRU resident by touching all others later.
+        for row in 0..8u32 {
+            if row != dirty_row && m.is_fast(bank0(), row) {
+                assert!(m.on_data_access(bank0(), row, 200 + row as u64).is_none());
+            }
+        }
+        let fill = m.on_data_access(bank0(), 20, 300).expect("fills");
+        assert_eq!(fill.kind, MigrationKind::CopyWithWriteback);
+        assert_eq!(fill.victim, Some(dirty_row));
+        m.commit_swap(&fill, 301);
+        // The dirty victim reverted to its home row.
+        let home = m.layout().slow_to_phys(dirty_row);
+        assert_eq!(m.peek(bank0(), dirty_row), (home, false));
+        assert_eq!(m.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn writes_count_only_under_the_inclusive_placement() {
+        let mut incl = inclusive_manager();
+        incl.on_write(bank0(), 5, 1);
+        assert!(!incl.is_fast(bank0(), 5), "uncached writes do not allocate");
+        assert_eq!(incl.stats().slow_hits, 1);
+        let mut excl = manager(cfg_scaled());
+        excl.on_write(bank0(), 17, 1);
+        excl.on_write(bank0(), 0, 1);
+        assert_eq!(excl.stats(), ManagementStats::default());
+    }
+
+    #[test]
+    fn inclusive_busy_group_defers() {
+        let mut m = inclusive_manager();
+        let f = m.on_data_access(bank0(), 1, 1).unwrap();
+        assert!(m.on_data_access(bank0(), 2, 2).is_none());
+        assert_eq!(m.stats().deferred_busy, 1);
+        m.commit_swap(&f, 2);
+        assert!(m.on_data_access(bank0(), 2, 3).is_some());
+    }
+
+    #[test]
+    fn inclusive_translation_tracks_fills() {
+        let mut m = inclusive_manager();
+        let t = m.translate(bank0(), 3);
+        assert!(!t.in_fast);
+        assert_eq!(t.source, TranslationSource::TableFetch);
+        let fill = m.on_data_access(bank0(), 3, 1).unwrap();
+        m.commit_swap(&fill, 2);
+        let t = m.translate(bank0(), 3);
+        assert!(t.in_fast);
+        assert_eq!(t.source, TranslationSource::Cache);
     }
 }

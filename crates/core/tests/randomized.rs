@@ -5,7 +5,7 @@
 //! drive of the whole management layer.
 
 use das_core::groups::{BankGroups, GroupId};
-use das_core::management::{DasManager, ManagementConfig};
+use das_core::management::{DasManager, ManagementConfig, MigrationRequest};
 use das_core::promotion::PromotionFilter;
 use das_core::replacement::{ReplacementPolicy, Replacer};
 use das_core::translation::TranslationCache;
@@ -161,7 +161,7 @@ fn manager_accesses_keep_translation_consistent() {
                 m.commit_swap(&swap, i as u64);
                 assert!(m.is_fast(bank, row), "seed {seed}: promotee must be fast");
                 assert!(
-                    !m.is_fast(bank, swap.victim),
+                    !m.is_fast(bank, swap.victim.unwrap()),
                     "seed {seed}: victim must be slow"
                 );
             }
@@ -182,6 +182,24 @@ fn manager_accesses_keep_translation_consistent() {
     }
 }
 
+/// The bank layout of the long-haul drives.
+fn drive_layout(geometry: &DramGeometry) -> BankLayout {
+    BankLayout::build(
+        geometry.rows_per_bank,
+        FastRatio::new(1, 8),
+        Arrangement::ReducedInterleaving,
+        128,
+        512,
+    )
+}
+
+fn drive_config() -> ManagementConfig {
+    ManagementConfig {
+        tcache_bytes: 2 << 10,
+        ..ManagementConfig::paper_default()
+    }
+}
+
 /// Long-haul consistency drive: ~10k mixed read/promote/swap operations
 /// against the management layer, checking the exclusive-cache invariant
 /// (each logical row in exactly one physical location) and translation-
@@ -189,22 +207,30 @@ fn manager_accesses_keep_translation_consistent() {
 #[test]
 fn ten_thousand_mixed_ops_preserve_exclusive_cache_invariant() {
     let geometry = DramGeometry::paper_scaled(64);
-    let layout = BankLayout::build(
-        geometry.rows_per_bank,
-        FastRatio::new(1, 8),
-        Arrangement::ReducedInterleaving,
-        128,
-        512,
-    );
-    let cfg = ManagementConfig {
-        tcache_bytes: 2 << 10,
-        ..ManagementConfig::paper_default()
-    };
-    let mut m = DasManager::new(cfg, geometry.clone(), layout);
+    let layout = drive_layout(&geometry);
+    let m = DasManager::new(drive_config(), geometry.clone(), layout);
+    mixed_ops_drive(m, &geometry, geometry.rows_per_bank);
+}
+
+/// The same op stream against the inclusive placement, whose logical rows
+/// are the layout's slow rows: each group's tags name distinct rows of the
+/// group, every cached translation names a row with a fast copy, and no
+/// two rows are served from one physical row.
+#[test]
+fn ten_thousand_mixed_ops_preserve_inclusive_tag_invariants() {
+    let geometry = DramGeometry::paper_scaled(64);
+    let layout = drive_layout(&geometry);
+    let rows = layout.slow_rows();
+    let m = DasManager::inclusive(drive_config(), geometry.clone(), layout);
+    mixed_ops_drive(m, &geometry, rows);
+}
+
+/// Runs 10 000 seeded operations over logical rows `0..rows` of every bank,
+/// checking [`DasManager::check_invariants`] after each batch.
+fn mixed_ops_drive(mut m: DasManager, geometry: &DramGeometry, rows: u32) {
     let mut rng = Prng::new(0xbadc_ab1e);
     let banks: Vec<BankCoord> = geometry.banks().collect();
-    let rows = geometry.rows_per_bank;
-    let mut pending: Vec<das_core::management::SwapRequest> = Vec::new();
+    let mut pending: Vec<MigrationRequest> = Vec::new();
     let mut ops = 0u64;
     const BATCH: usize = 250;
     const BATCHES: usize = 40; // 40 × 250 = 10 000 ops
@@ -242,14 +268,14 @@ fn ten_thousand_mixed_ops_preserve_exclusive_cache_invariant() {
             }
             ops += 1;
         }
-        // The tentpole contract, checked after every batch: permutation
-        // bijectivity + cache/device agreement.
+        // The placement contract, checked after every batch.
         assert_eq!(
             m.check_invariants(),
             Ok(()),
             "invariants broke after batch {batch} ({ops} ops)"
         );
-        // Exclusive-cache: physical rows within each bank stay distinct.
+        // Physical rows serving the logical rows of each bank stay
+        // distinct.
         if batch % 8 == 7 {
             for &bank in banks.iter().take(4) {
                 let mut seen = std::collections::HashSet::new();

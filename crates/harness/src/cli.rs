@@ -170,11 +170,21 @@ fn write_or_die(path: &Path, text: &str) {
 // Argument parsing (pure, Result-based; no process exits)
 // ---------------------------------------------------------------------------
 
-fn need(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
+/// The value following `flag`.
+///
+/// # Errors
+///
+/// `"<flag> needs a value"` when the arguments ran out.
+pub fn need(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
     args.next().ok_or_else(|| format!("{flag} needs a value"))
 }
 
-fn need_u64(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, String> {
+/// The positive integer following `flag`.
+///
+/// # Errors
+///
+/// A missing value, zero, or anything that is not a `u64`.
+pub fn need_u64(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, String> {
     let v = need(args, flag)?;
     match v.parse::<u64>() {
         Ok(0) => Err(format!("{flag} needs a positive integer, got 0")),
@@ -187,7 +197,15 @@ fn need_u32(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u32, S
     u32::try_from(need_u64(args, flag)?).map_err(|_| format!("{flag} is out of range"))
 }
 
-fn need_list(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<Vec<String>, String> {
+/// The comma-separated list following `flag`.
+///
+/// # Errors
+///
+/// `"<flag> needs a value"` when the arguments ran out.
+pub fn need_list(
+    args: &mut dyn Iterator<Item = String>,
+    flag: &str,
+) -> Result<Vec<String>, String> {
     Ok(need(args, flag)?.split(',').map(str::to_string).collect())
 }
 

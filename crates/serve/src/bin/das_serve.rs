@@ -9,6 +9,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use das_harness::cli::{need, need_u64};
 use das_harness::journal::load_service;
 use das_serve::proto::DEFAULT_MAX_FRAME;
 use das_serve::server::{Server, ServerConfig};
@@ -46,19 +47,6 @@ impl Default for Args {
             resume_journal: false,
             validate_journal: None,
         }
-    }
-}
-
-fn need(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    args.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn need_u64(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, String> {
-    let v = need(args, flag)?;
-    match v.parse::<u64>() {
-        Ok(0) => Err(format!("{flag} needs a positive integer, got 0")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("{flag} needs a positive integer, got {v:?}")),
     }
 }
 

@@ -14,7 +14,9 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use das_harness::cli::{build_catalog_manifest, render_experiment_outputs};
+use das_harness::cli::{
+    build_catalog_manifest, need, need_list, need_u64, render_experiment_outputs,
+};
 use das_serve::client::{collect_stream, into_ok, Client};
 use das_serve::proto;
 use das_serve::server::ServerConfig;
@@ -68,23 +70,6 @@ enum Command {
 struct Args {
     addr: String,
     command: Command,
-}
-
-fn need(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    args.next().ok_or_else(|| format!("{flag} needs a value"))
-}
-
-fn need_u64(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<u64, String> {
-    let v = need(args, flag)?;
-    match v.parse::<u64>() {
-        Ok(0) => Err(format!("{flag} needs a positive integer, got 0")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("{flag} needs a positive integer, got {v:?}")),
-    }
-}
-
-fn need_list(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<Vec<String>, String> {
-    Ok(need(args, flag)?.split(',').map(str::to_string).collect())
 }
 
 fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {

@@ -362,10 +362,6 @@ pub struct SystemConfig {
     /// execution and the measured run (OS reallocation across executions);
     /// limits how well the static designs' pre-placement can perform.
     pub profile_realloc: f64,
-    /// Whether write-backs count as slow-level hits for the promotion
-    /// trigger (§5.3's "every hit on the slow level" is read as demand
-    /// hits; write-back-triggered promotions only churn streams).
-    pub promote_on_writes: bool,
     /// Overrides the design's device timing set (used by the migration
     /// ablation to study naive 3x1.5 tRC swaps, untightened 2 tRC
     /// migrations, or hop-dependent costs).
@@ -393,8 +389,8 @@ pub struct SystemConfig {
     /// (see `das-policy`). `None` — the default — runs the paper's fixed
     /// promote-at-threshold path, byte-identical to a build without the
     /// policy layer; `Some(PaperFixed)` makes the same decisions through
-    /// the policy trait (locked by `tests/locks.rs`). Only meaningful for
-    /// designs with dynamic exclusive management.
+    /// the policy trait (locked by `tests/locks.rs`). Only designs with
+    /// dynamic exclusive management install it.
     pub policy: Option<das_policy::PolicyKind>,
 }
 
@@ -415,7 +411,6 @@ impl SystemConfig {
             warmup_frac: 0.2,
             profile_multiplier: 4,
             profile_realloc: 0.7,
-            promote_on_writes: false,
             timing_override: None,
             refresh: true,
             salp: false,

@@ -21,19 +21,20 @@ use das_cache::hierarchy::{CacheHierarchy, CacheLevel};
 use das_cache::mshr::Mshr;
 use das_cache::{FastMap, FastSet};
 use das_coherence::{ClusterConfig, CoherentCluster, ProtocolKind};
-use das_core::inclusive::{FillRequest, InclusiveManager};
-use das_core::management::{DasManager, SwapRequest};
+use das_core::management::{DasManager, MigrationRequest, PolicyCosts};
 use das_core::translation::TranslationSource;
 use das_cpu::core::{Core, MemRequest};
 use das_cpu::trace::TraceItem;
 pub use das_cpu::TraceSource;
 use das_dram::channel::ChannelDevice;
+use das_dram::command::MigrationKind;
 use das_dram::geometry::{BankCoord, MemCoord};
 use das_dram::tick::Tick;
 use das_memctrl::controller::{ControllerError, MemoryController};
 use das_memctrl::request::{Completion, Request, ServiceClass, SwapOp};
 use das_telemetry::{EpochCounters, LatencyClass, Telemetry, TelemetryReport};
 use das_workloads::config::WorkloadConfig;
+use das_workloads::gen::{gcd, mix64};
 use das_workloads::shared::{SharedGen, SharedSpec};
 
 use crate::config::{Design, SystemConfig};
@@ -221,77 +222,12 @@ struct Waiter {
     is_load: bool,
 }
 
-/// The management flavour in force: the paper's adopted exclusive scheme
-/// or the §5 inclusive alternative.
-#[derive(Debug)]
-enum Management {
-    Exclusive(DasManager),
-    Inclusive(InclusiveManager),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum PendingMigration {
-    Swap(SwapRequest),
-    Fill(FillRequest),
-}
-
-impl Management {
-    fn peek(&self, bank: BankCoord, row: u32) -> (u32, bool) {
-        match self {
-            Management::Exclusive(m) => m.peek(bank, row),
-            Management::Inclusive(m) => m.peek(bank, row),
-        }
-    }
-
-    fn translate(&mut self, bank: BankCoord, row: u32) -> das_core::management::Translation {
-        match self {
-            Management::Exclusive(m) => m.translate(bank, row),
-            Management::Inclusive(m) => m.translate(bank, row),
-        }
-    }
-
-    fn promotions(&self) -> u64 {
-        match self {
-            Management::Exclusive(m) => m.stats().promotions,
-            Management::Inclusive(m) => m.stats().promotions,
-        }
-    }
-
-    fn translation_stats(&self) -> das_core::translation::TranslationStats {
-        match self {
-            Management::Exclusive(m) => m.translation_stats(),
-            Management::Inclusive(m) => m.translation_stats(),
-        }
-    }
-
-    fn filter_stats(&self) -> das_core::promotion::FilterStats {
-        match self {
-            Management::Exclusive(m) => m.filter_stats(),
-            Management::Inclusive(m) => m.filter_stats(),
-        }
-    }
-
-    fn stats(&self) -> das_core::management::ManagementStats {
-        match self {
-            Management::Exclusive(m) => m.stats(),
-            Management::Inclusive(m) => m.stats(),
-        }
-    }
-
-    /// The migration policy's kind, action tallies and current threshold
-    /// (exclusive management only).
-    fn policy_stats(
-        &self,
-    ) -> Option<(
-        das_policy::PolicyKind,
-        das_core::management::PolicyStats,
-        u32,
-    )> {
-        match self {
-            Management::Exclusive(m) => Some(m.policy_stats()),
-            Management::Inclusive(_) => None,
-        }
-    }
+/// The policy `cfg` installs into `design`'s manager: only dynamic
+/// exclusive designs take one, so static and inclusive designs keep the
+/// paper's `PaperFixed` rule and report no policy block.
+fn installed_policy(cfg: &SystemConfig, design: Design) -> Option<das_policy::PolicyKind> {
+    cfg.policy
+        .filter(|_| design.is_dynamic() && !design.is_inclusive())
 }
 
 /// Maps the controller's service classification onto telemetry's
@@ -420,14 +356,6 @@ impl AddressMap {
     }
 }
 
-/// SplitMix64 finaliser.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Builds placeholder workload descriptors for recorded traces: only the
 /// name and footprint (from the maximum address) matter to the placement
 /// machinery.
@@ -457,13 +385,6 @@ pub(crate) fn recorded_workload_stubs(
         .collect()
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
 /// The coherent multi-core front end, mounted by
 /// [`System::with_coherence`]: per-core private L1s kept coherent over a
 /// snooping bus, between the trace-fed cores and the shared LLC. Always
@@ -489,7 +410,7 @@ pub struct System {
     traces: Vec<TraceSource>,
     hierarchy: CacheHierarchy,
     ctrls: Vec<MemoryController>,
-    manager: Option<Management>,
+    manager: Option<DasManager>,
     mshr: Mshr<Waiter>,
     /// Coherent front end; `None` for every classic (single-address-space)
     /// run.
@@ -510,7 +431,7 @@ pub struct System {
     /// Reused buffer for the requests one core dispatch or retirement
     /// releases.
     core_reqs: Vec<MemRequest>,
-    pending_swaps: FastMap<u64, PendingMigration>,
+    pending_swaps: FastMap<u64, MigrationRequest>,
     next_swap_token: u64,
     /// Recently translated rows (the controller holds a handful of live row
     /// translations — one per open row — so a burst of misses to one row
@@ -680,31 +601,27 @@ impl System {
             .collect();
         let manager = if design.is_inclusive() {
             let mcfg = cfg.scaled_management(false);
-            Some(Management::Inclusive(InclusiveManager::new(
-                mcfg,
-                cfg.geometry.clone(),
-                cfg.bank_layout(),
-            )))
+            Some(DasManager::inclusive(mcfg, cfg.geometry.clone(), layout))
         } else if design.is_asymmetric() {
             let mcfg = cfg.scaled_management(design.needs_profile());
             let mut m = DasManager::new(mcfg, cfg.geometry.clone(), layout);
             if let Some(counts) = profile {
                 m.static_place(counts);
             }
-            if let Some(kind) = cfg.policy.filter(|_| !design.needs_profile()) {
+            if let Some(kind) = installed_policy(&cfg, design) {
                 // Promotion economics from this backend's timing set: the
                 // per-hit benefit is the activation-cycle gap, the swap
                 // cost is what the backend charges for one promotion
                 // (146.25 ns DAS, 48.75 ns LISA, 97.5 ns CLR morph).
                 m.install_policy(
                     kind.build(),
-                    das_core::management::PolicyCosts {
+                    PolicyCosts {
                         benefit_ns: timing.slow.trc().as_ns() - timing.fast.trc().as_ns(),
                         swap_cost_ns: timing.swap.as_ns(),
                     },
                 );
             }
-            Some(Management::Exclusive(m))
+            Some(m)
         } else {
             None
         };
@@ -881,7 +798,7 @@ impl System {
         let mstats = self
             .manager
             .as_ref()
-            .map(Management::stats)
+            .map(DasManager::stats)
             .unwrap_or_default();
         let cum = EpochCounters {
             cycle: self.epochs_sampled * self.tel.epoch_cycles(),
@@ -946,7 +863,7 @@ impl System {
             if self.warm_core.iter().all(Option::is_some) && self.warm_global.is_none() {
                 self.warm_global = Some((
                     self.access_mix,
-                    self.manager.as_ref().map_or(0, |m| m.promotions()),
+                    self.manager.as_ref().map_or(0, |m| m.stats().promotions),
                     self.memory_accesses,
                     self.table_fetch_reads,
                 ));
@@ -1387,9 +1304,6 @@ impl System {
                     ReqCtx::DemandWrite { bank, logical_row } => {
                         self.record_mix(service);
                         self.record_subarray(bank, logical_row);
-                        // The managers decide internally what a write may
-                        // trigger (exclusive: gated by `promote_on_writes`;
-                        // inclusive: dirty tracking, never allocation).
                         self.after_data_access(bank, logical_row, true, at);
                     }
                     _ => return Err(SimError::ContextMismatch { kind: "write", id }),
@@ -1403,35 +1317,18 @@ impl System {
                     });
                 };
                 self.tel.swap_commit(token, self.clock.raw());
-                let now = self.clock.raw();
-                match req {
-                    PendingMigration::Swap(swap) => {
-                        self.recent_translations.forget(swap.bank, swap.promotee);
-                        self.recent_translations.forget(swap.bank, swap.victim);
-                        match self.manager.as_mut() {
-                            Some(Management::Exclusive(m)) => m.commit_swap(&swap, now),
-                            _ => {
-                                return Err(SimError::ContextMismatch {
-                                    kind: "swap",
-                                    id: token,
-                                })
-                            }
-                        }
+                if req.kind == MigrationKind::Swap {
+                    self.recent_translations.forget(req.bank, req.promotee);
+                    if let Some(victim) = req.victim {
+                        self.recent_translations.forget(req.bank, victim);
                     }
-                    PendingMigration::Fill(fill) => {
-                        // The fill moves the promotee and displaces an
-                        // unknown-to-us victim: drop all held translations.
-                        self.recent_translations.clear();
-                        match self.manager.as_mut() {
-                            Some(Management::Inclusive(m)) => m.commit_fill(&fill, now),
-                            _ => {
-                                return Err(SimError::ContextMismatch {
-                                    kind: "swap",
-                                    id: token,
-                                })
-                            }
-                        }
-                    }
+                } else {
+                    // An inclusive fill drops every held translation.
+                    self.recent_translations.clear();
+                }
+                // Only a manager issues migrations.
+                if let Some(m) = self.manager.as_mut() {
+                    m.commit_swap(&req, self.clock.raw());
                 }
             }
         }
@@ -1444,70 +1341,45 @@ impl System {
         if logical_row >= table_rows_start {
             return;
         }
-        let op = match self.manager.as_mut() {
-            None => return,
-            Some(Management::Exclusive(m)) => {
-                if is_write && !self.cfg.promote_on_writes {
-                    return;
-                }
-                // Sharing-induced heat for this row (0 without a coherent
-                // front end); only adaptive policies read it.
-                let shared = self
-                    .shared_row_heat
-                    .get(&(bank, logical_row))
-                    .copied()
-                    .unwrap_or(0);
-                m.on_data_access_shared(bank, logical_row, at.raw(), shared)
-                    .map(|swap| {
-                        (
-                            PendingMigration::Swap(swap),
-                            SwapOp {
-                                token: 0,
-                                bank,
-                                phys_a: swap.promotee_phys,
-                                phys_b: swap.victim_phys,
-                                kind: das_dram::command::MigrationKind::Swap,
-                                arrival: at,
-                            },
-                        )
-                    })
-            }
-            Some(Management::Inclusive(m)) => {
-                // The inclusive manager always observes writes (dirty
-                // tracking) even though they never allocate.
-                m.on_data_access(bank, logical_row, is_write, at.raw())
-                    .map(|fill| {
-                        (
-                            PendingMigration::Fill(fill),
-                            SwapOp {
-                                token: 0,
-                                bank,
-                                phys_a: fill.promotee_phys,
-                                phys_b: fill.slot_phys,
-                                kind: fill.kind,
-                                arrival: at,
-                            },
-                        )
-                    })
-            }
+        let Some(m) = self.manager.as_mut() else {
+            return;
         };
-        if let Some((pending, mut op)) = op {
-            // Sharing-induced promotion accounting: a promoted row inside
-            // the coherent shared footprint got hot because multiple cores
-            // hammered it.
-            if let Some(coh) = self.coherence.as_mut() {
-                if coh.shared_rows.contains(&(bank, logical_row)) {
-                    coh.cluster.note_shared_promotion();
-                }
-            }
-            self.next_swap_token += 1;
-            op.token = self.next_swap_token;
-            self.pending_swaps.insert(op.token, pending);
-            self.tel.swap_begin(op.token, at.raw(), bank.channel as u32);
-            let ch = bank.channel as usize;
-            self.ctrls[ch].enqueue_swap(op);
-            self.schedule_wake(ch);
+        if is_write {
+            m.on_write(bank, logical_row, at.raw());
+            return;
         }
+        // Sharing-induced heat for this row (0 without a coherent front
+        // end); only adaptive policies read it.
+        let shared = self
+            .shared_row_heat
+            .get(&(bank, logical_row))
+            .copied()
+            .unwrap_or(0);
+        let Some(req) = m.on_data_access_shared(bank, logical_row, at.raw(), shared) else {
+            return;
+        };
+        // Sharing-induced promotion accounting: a promoted row inside the
+        // coherent shared footprint got hot because multiple cores
+        // hammered it.
+        if let Some(coh) = self.coherence.as_mut() {
+            if coh.shared_rows.contains(&(bank, logical_row)) {
+                coh.cluster.note_shared_promotion();
+            }
+        }
+        self.next_swap_token += 1;
+        let token = self.next_swap_token;
+        self.pending_swaps.insert(token, req);
+        self.tel.swap_begin(token, at.raw(), bank.channel as u32);
+        let ch = bank.channel as usize;
+        self.ctrls[ch].enqueue_swap(SwapOp {
+            token,
+            bank,
+            phys_a: req.phys_a,
+            phys_b: req.phys_b,
+            kind: req.kind,
+            arrival: at,
+        });
+        self.schedule_wake(ch);
     }
 
     /// First logical row of `bank` that belongs to the reserved table
@@ -1539,7 +1411,7 @@ impl System {
                 }
             })
             .collect();
-        let promotions_total = self.manager.as_ref().map_or(0, |m| m.promotions());
+        let promotions_total = self.manager.as_ref().map_or(0, |m| m.stats().promotions);
         let mix = self.access_mix.since(&warm_global.0);
         let promotions = promotions_total - warm_global.1;
         let accesses = self.memory_accesses - warm_global.2;
@@ -1595,11 +1467,9 @@ impl System {
                 }),
             // Reported exactly when `cfg.policy` replaced the default
             // `PaperFixed` rule at assembly.
-            policy: self
-                .cfg
-                .policy
-                .filter(|_| !self.design.needs_profile())
-                .and_then(|_| self.manager.as_ref()?.policy_stats())
+            policy: installed_policy(&self.cfg, self.design)
+                .and(self.manager.as_ref())
+                .map(DasManager::policy_stats)
                 .map(|(kind, stats, threshold)| crate::stats::PolicyMetrics {
                     policy: kind.key().to_string(),
                     promotes: stats.promotes,

@@ -187,14 +187,15 @@ impl TraceGen {
 }
 
 /// SplitMix64 finaliser: a cheap, well-mixed 64-bit hash.
-fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+/// Greatest common divisor (Euclid).
+pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
