@@ -574,18 +574,13 @@ impl DasManager {
         }
     }
 
-    /// Runs the policy for one promotion-candidate access and
-    /// returns whether to promote. The filter still does the counting
-    /// (`PaperFixed` uses the paper's exact counter semantics, adaptive
-    /// policies the always-counted variant) and the policy the deciding.
+    /// Runs the policy for one promotion-candidate access and returns
+    /// whether to promote: the filter does the counting, the policy the
+    /// deciding.
     fn policy_decide(&mut self, row_id: GlobalRowId, shared_count: u32, group_busy: bool) -> bool {
         let threshold = self.filter.threshold();
+        let count = self.filter.note(row_id);
         let rt = &mut self.policy;
-        let count = if rt.kind == PolicyKind::PaperFixed {
-            self.filter.note(row_id)
-        } else {
-            self.filter.note_counted(row_id)
-        };
         let event = PolicyEvent::Access(AccessStats {
             count,
             threshold,

@@ -87,38 +87,18 @@ impl PromotionFilter {
         self.stats
     }
 
-    /// Records a slow-level access to `row`; returns `true` when the row
-    /// should be promoted (its counter reached the threshold, and is reset).
-    pub fn observe(&mut self, row: GlobalRowId) -> bool {
-        let count = self.note(row);
-        let grant = count >= self.threshold;
-        self.resolve(row, grant);
-        grant
-    }
-
     /// Tallies a slow-level access and returns the row's counter value
     /// including this access, without deciding; pair with [`resolve`].
     ///
-    /// Keeps the paper's exact counter-file semantics: at threshold 1 no
-    /// counters are tracked at all (the returned count is 1), above it
-    /// the LRU counter is recycled when the file is full.
+    /// Counters are tracked at every threshold, so policies that reason
+    /// about reuse depth (cost-aware promotion) see real counts under the
+    /// paper's default threshold 1; the least recently touched counter is
+    /// recycled when the file is full. The paper's rule at threshold 1
+    /// grants every note, and the grant drops the counter at once, so its
+    /// file never holds more than the one entry.
     ///
     /// [`resolve`]: PromotionFilter::resolve
     pub fn note(&mut self, row: GlobalRowId) -> u32 {
-        self.stats.observed += 1;
-        self.clock += 1;
-        if self.threshold == 1 {
-            return 1;
-        }
-        self.bump(row)
-    }
-
-    /// Like [`note`], but tracks counters even at threshold 1, so
-    /// policies that reason about reuse depth (cost-aware promotion) see
-    /// real counts under the paper's default threshold.
-    ///
-    /// [`note`]: PromotionFilter::note
-    pub fn note_counted(&mut self, row: GlobalRowId) -> u32 {
         self.stats.observed += 1;
         self.clock += 1;
         self.bump(row)
@@ -182,12 +162,19 @@ mod tests {
         GlobalRowId(n)
     }
 
+    /// The paper's rule: note the access, grant at the threshold.
+    fn observe(f: &mut PromotionFilter, r: GlobalRowId) -> bool {
+        let grant = f.note(r) >= f.threshold();
+        f.resolve(r, grant);
+        grant
+    }
+
     #[test]
     fn threshold_one_always_promotes() {
         let mut f = PromotionFilter::paper_default();
         assert_eq!(f.threshold(), 1);
         for n in 0..100 {
-            assert!(f.observe(row(n)));
+            assert!(observe(&mut f, row(n)));
         }
         assert_eq!(f.stats().granted, 100);
         assert_eq!(f.stats().suppressed, 0);
@@ -197,11 +184,11 @@ mod tests {
     fn threshold_four_requires_four_touches() {
         let mut f = PromotionFilter::new(4, 16);
         for _ in 0..3 {
-            assert!(!f.observe(row(7)));
+            assert!(!observe(&mut f, row(7)));
         }
-        assert!(f.observe(row(7)));
+        assert!(observe(&mut f, row(7)));
         // Counter reset after promotion: four more touches needed.
-        assert!(!f.observe(row(7)));
+        assert!(!observe(&mut f, row(7)));
         assert_eq!(f.stats().granted, 1);
         assert_eq!(f.stats().suppressed, 4);
     }
@@ -209,24 +196,24 @@ mod tests {
     #[test]
     fn counter_file_recycles_lru_rows() {
         let mut f = PromotionFilter::new(2, 2);
-        f.observe(row(1));
-        f.observe(row(2));
+        observe(&mut f, row(1));
+        observe(&mut f, row(2));
         // Touch row 1 again so row 2 is LRU, then bring in row 3.
-        f.observe(row(1)); // promotes row 1 (2 touches) and frees a slot
-        f.observe(row(3));
-        f.observe(row(4)); // evicts row 2
+        observe(&mut f, row(1)); // promotes row 1 (2 touches) and frees a slot
+        observe(&mut f, row(3));
+        observe(&mut f, row(4)); // evicts row 2
         assert!(f.stats().recycled >= 1);
         // Row 2 lost its progress: one touch no longer promotes at thr 2.
-        assert!(!f.observe(row(2)));
+        assert!(!observe(&mut f, row(2)));
     }
 
     #[test]
     fn forget_clears_progress() {
         let mut f = PromotionFilter::new(3, 8);
-        f.observe(row(9));
-        f.observe(row(9));
+        observe(&mut f, row(9));
+        observe(&mut f, row(9));
         f.forget(row(9));
-        assert!(!f.observe(row(9)), "progress was cleared");
+        assert!(!observe(&mut f, row(9)), "progress was cleared");
     }
 
     #[test]
@@ -249,26 +236,6 @@ mod tests {
             das_policy::THRESHOLD_MAX
         );
         assert_eq!(f.threshold(), das_policy::THRESHOLD_MAX);
-    }
-
-    #[test]
-    fn note_resolve_split_matches_observe() {
-        // Two filters fed the same access stream — one through observe(),
-        // one through the note()/resolve() pair a policy runtime uses —
-        // must agree on every decision and on final stats.
-        let stream: Vec<u64> = (0..40).map(|i| (i * 7) % 5).collect();
-        for threshold in [1, 3] {
-            let mut legacy = PromotionFilter::new(threshold, 4);
-            let mut split = PromotionFilter::new(threshold, 4);
-            for &n in &stream {
-                let want = legacy.observe(row(n));
-                let count = split.note(row(n));
-                let grant = count >= split.threshold();
-                split.resolve(row(n), grant);
-                assert_eq!(grant, want, "threshold {threshold}, row {n}");
-            }
-            assert_eq!(legacy.stats(), split.stats());
-        }
     }
 
     /// Oracle: the counter file that recycled by scanning every counter
@@ -340,15 +307,15 @@ mod tests {
     }
 
     #[test]
-    fn note_counted_tracks_reuse_at_threshold_one() {
+    fn note_tracks_reuse_at_threshold_one() {
         let mut f = PromotionFilter::new(1, 8);
-        assert_eq!(f.note_counted(row(3)), 1);
+        assert_eq!(f.note(row(3)), 1);
         f.resolve(row(3), false);
-        assert_eq!(f.note_counted(row(3)), 2);
+        assert_eq!(f.note(row(3)), 2);
         f.resolve(row(3), false);
-        assert_eq!(f.note_counted(row(3)), 3);
+        assert_eq!(f.note(row(3)), 3);
         // Granting resets the row's progress.
         f.resolve(row(3), true);
-        assert_eq!(f.note_counted(row(3)), 1);
+        assert_eq!(f.note(row(3)), 1);
     }
 }

@@ -92,9 +92,9 @@ fn filter_threshold_arithmetic() {
             let mut f = PromotionFilter::new(t, 64);
             let mut grants = 0;
             for _ in 0..n {
-                if f.observe(GlobalRowId(7)) {
-                    grants += 1;
-                }
+                let grant = f.note(GlobalRowId(7)) >= t;
+                f.resolve(GlobalRowId(7), grant);
+                grants += u32::from(grant);
             }
             assert_eq!(grants, n / t, "threshold {t}, accesses {n}");
         }

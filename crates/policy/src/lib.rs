@@ -138,8 +138,8 @@ impl fmt::Display for PolicyKind {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessStats {
     /// Promotion-filter counter value for this row, including this
-    /// access. With the paper's threshold-1 filter no counters are
-    /// tracked and this is always 1.
+    /// access; a grant resets it. Under the paper's rule at threshold 1
+    /// every access is granted, so this is always 1 there.
     pub count: u32,
     /// The promotion threshold currently programmed into the filter.
     pub threshold: u32,
