@@ -211,8 +211,6 @@ pub struct PolicyStats {
     /// `Promote` actions (promotion requested; the controller may still
     /// defer on a busy group).
     pub promotes: u64,
-    /// `Demote` actions (advisory demotion pressure).
-    pub demotes: u64,
     /// `Hold` actions.
     pub holds: u64,
     /// `AdjustThreshold` actions applied (post-clamping).
@@ -627,14 +625,13 @@ impl DasManager {
     }
 
     /// Tallies a policy's actions and applies threshold adjustments
-    /// (clamped by the filter). `Promote`/`Demote` are tallied here and
-    /// acted on (or held as advisory pressure) by the caller.
+    /// (clamped by the filter). `Promote` is tallied here and acted on
+    /// by the caller.
     fn apply_policy_actions(&mut self, actions: &[PolicyAction]) {
         for action in actions {
             let rt = &mut self.policy;
             match action {
                 PolicyAction::Promote => rt.stats.promotes += 1,
-                PolicyAction::Demote => rt.stats.demotes += 1,
                 PolicyAction::Hold => rt.stats.holds += 1,
                 PolicyAction::AdjustThreshold(delta) => {
                     rt.stats.threshold_adjusts += 1;

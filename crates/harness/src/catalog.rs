@@ -2038,11 +2038,10 @@ fn render_policy_search_adapt(ctx: &RenderCtx) -> String {
             let r = ctx.cell(name, key);
             let _ = writeln!(
                 o,
-                "{:<16} promotes={:>6}  demotes={:>5}  holds={:>8}  \
+                "{:<16} promotes={:>6}  holds={:>8}  \
                  adjusts={:>4}  epochs={:>3}  final_threshold={}",
                 policy_label(key),
                 r.u64("metrics/policy/promotes"),
-                r.u64("metrics/policy/demotes"),
                 r.u64("metrics/policy/holds"),
                 r.u64("metrics/policy/threshold_adjusts"),
                 r.u64("metrics/policy/epochs"),

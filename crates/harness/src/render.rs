@@ -41,8 +41,8 @@ impl<'a> RenderCtx<'a> {
         ReportView(&self.reports[idx])
     }
 
-    /// The report of grid cell `(row, seg)`: job [`cell_id`]`(exp, row,
-    /// seg)`, where `exp` is the experiment prefix of this context's jobs.
+    /// The report of grid cell `(row, seg)`: job `cell_id(exp, row, seg)`,
+    /// where `exp` is the experiment prefix of this context's jobs.
     ///
     /// # Panics
     ///

@@ -16,8 +16,7 @@
 //!   (the simulator's default: management runs it unless another
 //!   policy is installed).
 //! - [`Hysteresis`] — raises the promotion bar by a fixed margin to damp
-//!   promotion ping-pong, and asks for demotions when the fast level
-//!   goes cold.
+//!   promotion ping-pong.
 //! - [`CostAware`] — promotes only when the expected residency benefit
 //!   (observed reuse × per-hit latency saved, weighted by
 //!   coherence-sharing hotness) covers the backend's swap cost — 146.25 ns
@@ -65,7 +64,7 @@ pub fn clamp_threshold(raw: i64) -> u32 {
 pub enum PolicyKind {
     /// The paper's fixed promote-at-threshold rule.
     PaperFixed,
-    /// Threshold plus a fixed margin, with cold-epoch demotion requests.
+    /// Threshold plus a fixed margin.
     Hysteresis,
     /// Promote only when expected benefit covers the backend swap cost.
     CostAware,
@@ -207,9 +206,6 @@ pub enum PolicyAction {
     /// Promote the accessed row into the fast level (swap with the
     /// replacer's victim).
     Promote,
-    /// Advisory: the fast level holds rows colder than the slow-level
-    /// traffic; the controller counts these as demotion pressure.
-    Demote,
     /// Leave the row where it is.
     Hold,
     /// Adjust the promotion threshold by the given signed delta; the
@@ -222,7 +218,6 @@ impl PolicyAction {
     pub fn key(&self) -> &'static str {
         match self {
             PolicyAction::Promote => "promote",
-            PolicyAction::Demote => "demote",
             PolicyAction::Hold => "hold",
             PolicyAction::AdjustThreshold(_) => "adjust_threshold",
         }
@@ -242,10 +237,10 @@ pub trait MigrationPolicy: fmt::Debug + Send {
     /// Observe one event and decide.
     ///
     /// For [`PolicyEvent::Access`] the controller promotes iff the
-    /// returned actions contain [`PolicyAction::Promote`]; other actions
-    /// are applied (threshold adjustments) or tallied (demotion
-    /// pressure). An empty vector is equivalent to `[Hold]` for
-    /// accounting except that `Hold` is what gets tallied.
+    /// returned actions contain [`PolicyAction::Promote`]; threshold
+    /// adjustments are applied, and every action is tallied. An empty
+    /// vector is equivalent to `[Hold]` except that `Hold` is what gets
+    /// tallied.
     fn observe(&mut self, event: &PolicyEvent) -> Vec<PolicyAction>;
 
     /// Clone into a fresh box (controllers that own a policy are
@@ -292,24 +287,17 @@ impl MigrationPolicy for PaperFixed {
 // ---------------------------------------------------------------------------
 
 /// Promote at `threshold + margin` instead of `threshold`, so a row must
-/// prove itself for `margin` extra hits before paying a swap; when an
-/// epoch shows the fast level serving almost nothing, request demotion
-/// pressure so stale residents stop blocking hot candidates.
+/// prove itself for `margin` extra hits before paying a swap. Epochs are
+/// ignored.
 #[derive(Debug, Clone, Copy)]
 pub struct Hysteresis {
     /// Extra hits demanded beyond the programmed threshold.
     pub margin: u32,
-    /// Fast-hit ratio below which an epoch is "cold" and a demotion is
-    /// requested.
-    pub cold_ratio: f64,
 }
 
 impl Default for Hysteresis {
     fn default() -> Self {
-        Hysteresis {
-            margin: 2,
-            cold_ratio: 0.05,
-        }
+        Hysteresis { margin: 2 }
     }
 }
 
@@ -331,13 +319,7 @@ impl MigrationPolicy for Hysteresis {
                     vec![PolicyAction::Hold]
                 }
             }
-            PolicyEvent::Epoch(e) => {
-                if e.accesses > 0 && e.fast_ratio() < self.cold_ratio {
-                    vec![PolicyAction::Demote]
-                } else {
-                    Vec::new()
-                }
-            }
+            PolicyEvent::Epoch(_) => Vec::new(),
         }
     }
 }
@@ -385,9 +367,8 @@ impl MigrationPolicy for CostAware {
 
 /// Detect phase changes in the epoch time-series (the same series
 /// das-telemetry exports) as jumps in the fast-hit ratio. On a phase
-/// change the old fast-level contents are suspect: request demotion
-/// pressure and walk the threshold back toward the paper default so the
-/// new phase's hot set promotes quickly.
+/// change the threshold walks back toward the paper default so the new
+/// phase's hot set promotes quickly.
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseAdaptive {
     /// Absolute fast-ratio jump that counts as a phase change.
@@ -432,11 +413,11 @@ impl MigrationPolicy for PhaseAdaptive {
                 match prev {
                     Some(p) if (ratio - p).abs() > self.jump => {
                         let delta = self.reset_threshold as i64 - e.threshold as i64;
-                        let mut actions = vec![PolicyAction::Demote];
                         if delta != 0 {
-                            actions.push(PolicyAction::AdjustThreshold(delta as i32));
+                            vec![PolicyAction::AdjustThreshold(delta as i32)]
+                        } else {
+                            Vec::new()
                         }
-                        actions
                     }
                     _ => Vec::new(),
                 }
@@ -577,16 +558,14 @@ mod tests {
     }
 
     #[test]
-    fn hysteresis_demands_the_margin_and_demotes_cold_epochs() {
+    fn hysteresis_demands_the_margin_and_ignores_epochs() {
         let mut p = Hysteresis::default();
         assert_eq!(p.observe(&access(2, 2)), vec![PolicyAction::Hold]);
         assert_eq!(p.observe(&access(3, 2)), vec![PolicyAction::Hold]);
         assert_eq!(p.observe(&access(4, 2)), vec![PolicyAction::Promote]);
-        // 2% fast ratio is below the 5% cold line -> demotion pressure.
-        assert_eq!(p.observe(&epoch(0, 2, 98, 2)), vec![PolicyAction::Demote]);
-        assert!(p.observe(&epoch(1, 50, 50, 2)).is_empty());
-        // An empty epoch must not divide by zero or demote.
-        assert!(p.observe(&epoch(2, 0, 0, 2)).is_empty());
+        // Even a 2% fast epoch emits nothing, and so does an empty one.
+        assert!(p.observe(&epoch(0, 2, 98, 2)).is_empty());
+        assert!(p.observe(&epoch(1, 0, 0, 2)).is_empty());
     }
 
     #[test]
@@ -631,15 +610,15 @@ mod tests {
         assert!(p.observe(&epoch(0, 60, 40, 4)).is_empty());
         // Small drift: no phase change.
         assert!(p.observe(&epoch(1, 55, 45, 4)).is_empty());
-        // 55% -> 10% is a phase change: demote + steer threshold to 1.
+        // 55% -> 10% is a phase change: steer the threshold to 1.
         assert_eq!(
             p.observe(&epoch(2, 10, 90, 4)),
-            vec![PolicyAction::Demote, PolicyAction::AdjustThreshold(-3)]
+            vec![PolicyAction::AdjustThreshold(-3)]
         );
-        // Already at the reset threshold: a jump emits only the demote.
+        // Already at the reset threshold: a jump emits nothing.
         let mut q = PhaseAdaptive::default();
         assert!(q.observe(&epoch(0, 90, 10, 1)).is_empty());
-        assert_eq!(q.observe(&epoch(1, 10, 90, 1)), vec![PolicyAction::Demote]);
+        assert!(q.observe(&epoch(1, 10, 90, 1)).is_empty());
     }
 
     #[test]

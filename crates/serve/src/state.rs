@@ -223,7 +223,6 @@ pub struct Metrics {
 struct PolicyAgg {
     jobs: u64,
     promotes: u64,
-    demotes: u64,
     holds: u64,
     threshold_adjusts: u64,
     epochs: u64,
@@ -343,7 +342,6 @@ impl Metrics {
         let agg = self.policy.entry(key.to_string()).or_default();
         agg.jobs += 1;
         agg.promotes += n("promotes");
-        agg.demotes += n("demotes");
         agg.holds += n("holds");
         agg.threshold_adjusts += n("threshold_adjusts");
         agg.epochs += n("epochs");
@@ -363,7 +361,6 @@ impl Metrics {
                 Value::obj()
                     .set("jobs", a.jobs)
                     .set("promotes", a.promotes)
-                    .set("demotes", a.demotes)
                     .set("holds", a.holds)
                     .set("threshold_adjusts", a.threshold_adjusts)
                     .set("epochs", a.epochs),
@@ -515,7 +512,6 @@ mod tests {
                     Value::obj()
                         .set("policy", key)
                         .set("promotes", promotes)
-                        .set("demotes", 2u64)
                         .set("holds", 50u64)
                         .set("threshold_adjusts", 1u64)
                         .set("epochs", 3u64),

@@ -62,8 +62,14 @@ struct PlacedRef {
 
 /// Walks `streams` (one per core, placed by `addr_map`) through a fresh
 /// cache hierarchy and counts LLC misses per row. The streams interleave
-/// round-robin, so shared-LLC contention shapes the counts as it would in
-/// the timed run; each stops when it ends or after `horizon` instructions.
+/// round-robin, one reference per core at a time, and each stops when it
+/// ends or after `horizon` instructions.
+///
+/// The interleaving only matters when the private caches are small enough
+/// to let shared-LLC contention through. At scale 64 the unscaled 256 KB
+/// private L2s filter it: feeding each core 512 references at a time gives
+/// byte-identical fig7a and M1 profiles. Only small private caches (e.g.
+/// 1 KB L1s and 4 KB L2s) tell the two orders apart.
 ///
 /// The walk runs as two stages, joined before it returns: a helper thread
 /// pulls, places and resolves the references in walk order

@@ -102,7 +102,6 @@ pub fn metrics_to_value(m: &RunMetrics) -> Value {
             Value::obj()
                 .set("policy", p.policy.as_str())
                 .set("promotes", p.promotes)
-                .set("demotes", p.demotes)
                 .set("holds", p.holds)
                 .set("threshold_adjusts", p.threshold_adjusts)
                 .set("epochs", p.epochs)
@@ -205,7 +204,6 @@ mod tests {
         m.policy = Some(PolicyMetrics {
             policy: "feedback".into(),
             promotes: 12,
-            demotes: 0,
             holds: 88,
             threshold_adjusts: 2,
             epochs: 3,

@@ -13,8 +13,6 @@ pub struct PolicyMetrics {
     pub policy: String,
     /// Promote actions emitted.
     pub promotes: u64,
-    /// Demote advisories emitted.
-    pub demotes: u64,
     /// Hold decisions (observed accesses that did not promote).
     pub holds: u64,
     /// Threshold adjustments applied.

@@ -1473,7 +1473,6 @@ impl System {
                 .map(|(kind, stats, threshold)| crate::stats::PolicyMetrics {
                     policy: kind.key().to_string(),
                     promotes: stats.promotes,
-                    demotes: stats.demotes,
                     holds: stats.holds,
                     threshold_adjusts: stats.threshold_adjusts,
                     epochs: stats.epochs,

@@ -5,7 +5,7 @@
 //! in-process is the dataloader problem of a training stack. This crate
 //! provides the storage layer:
 //!
-//! * [`format`] — the compact `.dtr` binary trace format: magic +
+//! * [`format`](mod@format) — the compact `.dtr` binary trace format: magic +
 //!   versioned header, varint/delta-encoded [`das_cpu::TraceItem`]
 //!   records, per-block CRC32, and a counted footer, with streaming
 //!   [`TraceWriter`]/[`TraceReader`];

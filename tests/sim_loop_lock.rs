@@ -7,7 +7,8 @@
 //! designs before the request path's per-request lookups became O(1), the
 //! closed-page and FCFS jobs before the controller queues became
 //! age-ordered); any change to the loop that moves a single report byte
-//! fails here.
+//! fails here. The feedback job's digest was re-captured when the policy
+//! block lost its `demotes` key, by stripping that key from the old report.
 //!
 //! CHARM runs the profile pre-pass through the cache hierarchy, and the
 //! inclusive design is the only one that clears the translation registers
@@ -48,7 +49,7 @@ const LOCKED: [(&str, u64); 17] = [
     ("lisa", 0xf00e_680c_2b0c_79c5),
     ("clr", 0xeca1_b5ab_4ac0_e8a4),
     ("salp", 0x8395_26ac_95bb_4573),
-    ("das_feedback_1/32", 0x7fd7_5c12_60ac_185a),
+    ("das_feedback_1/32", 0x600c_afed_cf6a_49ef),
     ("das_closed", 0x693f_e7c9_150e_df9e),
     ("das_fcfs", 0xcc11_3ccd_c516_2681),
     ("recorded_std", 0x0d9b_218f_1bf6_d23c),
