@@ -136,25 +136,22 @@ impl InclusiveTags {
         evicted
     }
 
-    /// Checks that each group's tags of `bank` name distinct rows of that
-    /// group; returns the first offending `(group, slot)`.
-    pub(crate) fn verify(&self, bank: usize) -> Result<(), (u32, u8)> {
-        let fast = self.fast_slots as usize;
-        for (group, tags) in self.tags[bank].chunks(fast).enumerate() {
-            for (slot, t) in tags.iter().enumerate() {
-                let bad = t.resident as u32 > self.slow_per_group
-                    || (t.resident != 0 && tags[..slot].iter().any(|p| p.resident == t.resident));
-                if bad {
-                    return Err((group as u32, slot as u8));
+    /// Checks that each group's tags name distinct rows of that group;
+    /// returns the first offending `(bank, group, slot)`.
+    pub(crate) fn verify(&self) -> Result<(), (usize, u32, u8)> {
+        for (bank, groups) in self.tags.iter().enumerate() {
+            for (group, tags) in groups.chunks(self.fast_slots as usize).enumerate() {
+                for (slot, t) in tags.iter().enumerate() {
+                    let bad = t.resident as u32 > self.slow_per_group
+                        || (t.resident != 0
+                            && tags[..slot].iter().any(|p| p.resident == t.resident));
+                    if bad {
+                        return Err((bank, group as u32, slot as u8));
+                    }
                 }
             }
         }
         Ok(())
-    }
-
-    /// Banks covered.
-    pub(crate) fn banks(&self) -> usize {
-        self.tags.len()
     }
 }
 
@@ -201,9 +198,9 @@ mod tests {
         let (mut t, _) = tags();
         t.fill(0, 0, 0, 5);
         t.fill(0, 0, 1, 6);
-        assert_eq!(t.verify(0), Ok(()));
+        t.fill(1, 0, 2, 5);
+        assert_eq!(t.verify(), Ok(()), "banks are independent");
         t.fill(0, 0, 3, 5);
-        assert_eq!(t.verify(0), Err((0, 3)));
-        assert_eq!(t.verify(1), Ok(()));
+        assert_eq!(t.verify(), Err((0, 0, 3)));
     }
 }

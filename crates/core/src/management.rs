@@ -293,17 +293,6 @@ impl Placement {
             Placement::Inclusive(tags) => tags.peek(bank_idx, logical_row, layout),
         }
     }
-
-    /// Whether `logical_row` of bank `bank_idx` has a fast copy; `false`
-    /// for coordinates outside the placement.
-    fn is_fast(&self, bank_idx: usize, logical_row: u32) -> bool {
-        match self {
-            Placement::Exclusive(groups) => {
-                groups.get(bank_idx).is_some_and(|g| g.is_fast(logical_row))
-            }
-            Placement::Inclusive(tags) => tags.cached_slot(bank_idx, logical_row).is_some(),
-        }
-    }
 }
 
 /// The §5 management mechanism. See the [module docs](self).
@@ -410,11 +399,6 @@ impl DasManager {
     pub fn policy_stats(&self) -> (PolicyKind, PolicyStats, u32) {
         let rt = &self.policy;
         (rt.kind, rt.stats, self.filter.threshold())
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ManagementConfig {
-        &self.cfg
     }
 
     /// The bank layout the manager was built against.
@@ -738,7 +722,7 @@ impl DasManager {
 
     /// Whether logical row `row` of `bank` currently has a fast copy.
     pub fn is_fast(&self, bank: BankCoord, row: u32) -> bool {
-        self.placement.is_fast(self.geometry.bank_index(bank), row)
+        self.peek(bank, row).1
     }
 
     /// Placement invariant sweep. Exclusive: every bank's permutation is a
@@ -754,12 +738,9 @@ impl DasManager {
                         .map_err(|source| ConsistencyError::BrokenPermutation { bank, source })?;
                 }
             }
-            Placement::Inclusive(tags) => {
-                for bank in 0..tags.banks() {
-                    tags.verify(bank)
-                        .map_err(|(group, slot)| ConsistencyError::BadTag { bank, group, slot })?;
-                }
-            }
+            Placement::Inclusive(tags) => tags
+                .verify()
+                .map_err(|(bank, group, slot)| ConsistencyError::BadTag { bank, group, slot })?,
         }
         if self.cfg.static_mapping {
             return Ok(());
@@ -768,7 +749,8 @@ impl DasManager {
         for row in self.tcache.resident_rows() {
             let bank_idx = (row.0 / rows_per_bank) as usize;
             let logical = (row.0 % rows_per_bank) as u32;
-            if !self.placement.is_fast(bank_idx, logical) {
+            let (_, fast_slot) = self.placement.locate(bank_idx, logical, self.fast_slots);
+            if fast_slot.is_none() {
                 return Err(ConsistencyError::CacheDeviceDisagreement { row });
             }
         }
