@@ -160,7 +160,8 @@ mod tests {
     use super::*;
     use das_dram::geometry::{Arrangement, FastRatio};
 
-    fn tags() -> (InclusiveTags, BankLayout) {
+    #[test]
+    fn verify_catches_a_row_cached_twice() {
         let layout = BankLayout::build(
             512,
             FastRatio::new(1, 8),
@@ -168,34 +169,7 @@ mod tests {
             128,
             512,
         );
-        (InclusiveTags::new(2, 32, 4, &layout), layout)
-    }
-
-    #[test]
-    fn uncached_rows_live_at_home() {
-        let (t, layout) = tags();
-        assert_eq!(t.cached_slot(0, 10), None);
-        assert_eq!(t.peek(0, 10, &layout), (layout.slow_to_phys(10), false));
-    }
-
-    #[test]
-    fn a_fill_caches_the_row_and_reports_its_victim() {
-        let (mut t, layout) = tags();
-        // Row 30 is slot 2 of group 1 (28 slow rows per group).
-        assert_eq!(t.fill(0, 1, 2, 30), None, "empty slot");
-        assert_eq!(t.cached_slot(0, 30), Some(2));
-        assert_eq!(t.peek(0, 30, &layout), (t.slot_phys(1, 2, &layout), true));
-        assert_eq!(t.cached_slot(1, 30), None, "other banks untouched");
-        t.mark_dirty(0, 1, 2);
-        assert_eq!(t.occupant(0, 1, 2), Some((30, true)));
-        assert_eq!(t.fill(0, 1, 2, 31), Some(30));
-        assert_eq!(t.occupant(0, 1, 2), Some((31, false)), "fills are clean");
-        assert_eq!(t.cached_slot(0, 30), None);
-    }
-
-    #[test]
-    fn verify_catches_a_row_cached_twice() {
-        let (mut t, _) = tags();
+        let mut t = InclusiveTags::new(2, 32, 4, &layout);
         t.fill(0, 0, 0, 5);
         t.fill(0, 0, 1, 6);
         t.fill(1, 0, 2, 5);

@@ -111,6 +111,13 @@ impl PromotionFilter {
     pub fn resolve(&mut self, row: GlobalRowId, grant: bool) {
         if grant {
             self.counters.remove(&row);
+            if self.counters.is_empty() {
+                // Every queued stamp is stale now. Under the paper's
+                // threshold-1 rule this holds after each note, so the
+                // queue stays one entry long instead of filling to
+                // `2 * capacity` between compactions.
+                self.recency.clear();
+            }
             self.stats.granted += 1;
         } else {
             self.stats.suppressed += 1;
