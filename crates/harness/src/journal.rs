@@ -1,16 +1,21 @@
-//! The resumable run journal: one fsync'd JSON line per completed run.
+//! The two append-only journals: the resumable run journal and the
+//! `das-serve` service journal.
 //!
-//! Line 1 is a header binding the journal to a manifest fingerprint and
-//! job count; every following line is `{"job":"<id>","report":{...}}`,
-//! appended in job order and fsync'd, so a crash loses at most the run in
-//! flight. On resume the file is re-read, the longest valid prefix whose
-//! job ids match the manifest's expected sequence is kept (a torn final
-//! line from a crash is truncated away), and execution continues from the
-//! first missing job. A journal written against a *different* manifest is
-//! rejected by fingerprint instead of silently misattributing results.
+//! Both are one log: line 1 is a `{"<kind>":version,...}` header and every
+//! later line one JSON record, written with its newline and fsync'd, so a
+//! crash loses at most the record in flight. A final line without its
+//! newline is *torn*. Resume keeps the prefix of complete records the
+//! journal kind accepts and cuts the rest away; the strict readers
+//! ([`load`], [`load_service`]) reject a torn line at its line number.
+//!
+//! The run journal's header binds it to a manifest fingerprint and job
+//! count; every following line is `{"job":"<id>","report":{...}}` in job
+//! order, and resume keeps the prefix matching the manifest's job ids. A
+//! journal written against a *different* manifest is rejected by
+//! fingerprint instead of silently misattributing results.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 
 use das_telemetry::json::{self, Value};
@@ -18,27 +23,108 @@ use das_telemetry::json::{self, Value};
 /// Journal format version (line-1 schema).
 pub const JOURNAL_VERSION: u64 = 1;
 
+/// Header key of the run journal.
+const RUN_KIND: &str = "das_harness_journal";
+
+/// Header key of the service journal.
+const SERVE_KIND: &str = "das_serve_journal";
+
+/// An append-only JSON-lines file open for appending.
+#[derive(Debug)]
+struct Log(File);
+
+impl Log {
+    /// Creates (truncating) `path` holding only the `header` line.
+    fn create(path: &Path, header: &Value) -> Result<Log, String> {
+        let mut log = Log(File::create(path).map_err(|e| format!("create {path:?}: {e}"))?);
+        log.append(header)?;
+        Ok(log)
+    }
+
+    /// Opens `path` to append after its first `keep` bytes, cutting away
+    /// the rest.
+    fn reopen(path: &Path, keep: u64) -> Result<Log, String> {
+        let mut file = OpenOptions::new()
+            .write(true)
+            .open(path)
+            .map_err(|e| format!("open {path:?}: {e}"))?;
+        file.set_len(keep)
+            .and_then(|()| file.seek(SeekFrom::End(0)))
+            .and_then(|_| file.sync_data())
+            .map_err(|e| format!("truncate {path:?}: {e}"))?;
+        Ok(Log(file))
+    }
+
+    /// Appends `line` plus its newline and fsyncs.
+    fn append(&mut self, line: &Value) -> Result<(), String> {
+        let mut text = line.render();
+        text.push('\n');
+        self.0
+            .write_all(text.as_bytes())
+            .and_then(|()| self.0.sync_data())
+            .map_err(|e| format!("append journal: {e}"))
+    }
+}
+
+/// A log read back whole.
+struct Contents {
+    header: Value,
+    /// Length of the header line, newline included.
+    header_len: u64,
+    /// Every line after the header: its length in bytes and its parse,
+    /// which fails for a torn line.
+    lines: Vec<(u64, Result<Value, String>)>,
+}
+
+impl Contents {
+    /// Reads `path`, whose line 1 must carry `{"<kind>":version}`.
+    fn read(path: &Path, kind: &str, version: u64) -> Result<Contents, String> {
+        let bytes = std::fs::read(path).map_err(|e| format!("read {path:?}: {e}"))?;
+        // Bytes, not text: a crash can cut a multi-byte character, and
+        // that line is torn, not unreadable.
+        let mut lines = bytes.split_inclusive(|&b| b == b'\n').map(|line| {
+            let parsed = match line.strip_suffix(b"\n") {
+                Some(body) => std::str::from_utf8(body)
+                    .map_err(|e| e.to_string())
+                    .and_then(json::parse),
+                None => Err("torn (no final newline)".to_string()),
+            };
+            (line.len() as u64, parsed)
+        });
+        let (header_len, header) = lines.next().ok_or("line 1: empty journal")?;
+        let header = header.map_err(|e| format!("line 1: {e}"))?;
+        if header.get(kind).and_then(Value::as_u64) != Some(version) {
+            return Err(format!("line 1: not a {kind} v{version}"));
+        }
+        Ok(Contents {
+            header,
+            header_len,
+            lines: lines.collect(),
+        })
+    }
+
+    /// Every record with its line number, in file order; a line that
+    /// does not parse, or is torn, is an error at its line number.
+    fn strict(self) -> impl Iterator<Item = Result<(usize, Value), String>> {
+        (self.lines.into_iter().zip(2..))
+            .map(|((_, parsed), n)| parsed.map(|v| (n, v)).map_err(|e| format!("line {n}: {e}")))
+    }
+}
+
 /// An open, append-mode journal plus the entries it already holds.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
+    log: Log,
     /// Completed run reports, in job order (`entries[i]` is job `i`).
     pub entries: Vec<Value>,
 }
 
-fn header_line(fingerprint: &str, jobs: usize) -> String {
+/// The header binding a run journal to a manifest.
+fn run_header(fingerprint: &str, jobs: usize) -> Value {
     Value::obj()
-        .set("das_harness_journal", JOURNAL_VERSION)
+        .set(RUN_KIND, JOURNAL_VERSION)
         .set("fp", fingerprint)
         .set("jobs", jobs)
-        .render()
-}
-
-fn run_line(job_id: &str, report: &Value) -> String {
-    Value::obj()
-        .set("job", job_id)
-        .set("report", report.clone())
-        .render()
 }
 
 impl Journal {
@@ -48,19 +134,14 @@ impl Journal {
     ///
     /// Propagates filesystem errors.
     pub fn create(path: &Path, fingerprint: &str, jobs: usize) -> Result<Journal, String> {
-        let mut file = File::create(path).map_err(|e| format!("create {path:?}: {e}"))?;
-        file.write_all(header_line(fingerprint, jobs).as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.sync_data())
-            .map_err(|e| format!("write {path:?}: {e}"))?;
         Ok(Journal {
-            file,
+            log: Log::create(path, &run_header(fingerprint, jobs))?,
             entries: Vec::new(),
         })
     }
 
     /// Re-opens an existing journal for resumption: validates the header
-    /// against the manifest, keeps the longest valid prefix of run lines
+    /// against the manifest, keeps the longest prefix of run lines
     /// matching `expected_ids` in order, truncates anything after it
     /// (torn tail, stray lines), and returns the journal positioned to
     /// append. A missing file is the same as a fresh [`Journal::create`].
@@ -76,66 +157,32 @@ impl Journal {
         if !path.exists() {
             return Journal::create(path, fingerprint, expected_ids.len());
         }
-        let mut text = String::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| format!("read {path:?}: {e}"))?;
-        let mut lines = text.split_inclusive('\n');
-        let header_text = lines.next().unwrap_or("");
-        if !header_text.ends_with('\n') {
+        let contents = Contents::read(path, RUN_KIND, JOURNAL_VERSION)
+            .map_err(|e| format!("{path:?}: {e}"))?;
+        if contents.header != run_header(fingerprint, expected_ids.len()) {
             return Err(format!(
-                "{path:?}: truncated header; delete it to start over"
+                "{path:?} was written for a different manifest (fingerprint or job count \
+                 mismatch); delete it or pass the matching manifest"
             ));
         }
-        let header =
-            json::parse(header_text.trim_end()).map_err(|e| format!("{path:?} header: {e}"))?;
-        let version = header.get("das_harness_journal").and_then(Value::as_u64);
-        if version != Some(JOURNAL_VERSION) {
-            return Err(format!(
-                "{path:?}: not a das_harness_journal v{JOURNAL_VERSION}"
-            ));
-        }
-        if header.get("fp").and_then(Value::as_str) != Some(fingerprint) {
-            return Err(format!(
-                "{path:?} was written for a different manifest (fingerprint mismatch); \
-                 delete it or pass the matching manifest"
-            ));
-        }
-        if header.get("jobs").and_then(Value::as_u64) != Some(expected_ids.len() as u64) {
-            return Err(format!("{path:?}: job count disagrees with the manifest"));
-        }
-        // Keep the longest valid prefix in expected-id order.
         let mut entries = Vec::new();
-        let mut good_bytes = header_text.len() as u64;
-        for line in lines {
-            if !line.ends_with('\n') {
-                break; // torn tail from a crash mid-append
-            }
-            if entries.len() >= expected_ids.len() {
-                break; // stray lines beyond the manifest
-            }
-            let Ok(v) = json::parse(line.trim_end()) else {
-                break;
-            };
-            if v.get("job").and_then(Value::as_str) != Some(expected_ids[entries.len()]) {
-                break;
-            }
-            let Some(report) = v.get("report") else {
+        let mut keep = contents.header_len;
+        for ((len, parsed), expected) in contents.lines.iter().zip(expected_ids) {
+            let report = parsed
+                .as_ref()
+                .ok()
+                .filter(|v| v.get("job").and_then(Value::as_str) == Some(expected))
+                .and_then(|v| v.get("report"));
+            let Some(report) = report else {
                 break;
             };
             entries.push(report.clone());
-            good_bytes += line.len() as u64;
+            keep += len;
         }
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("open {path:?}: {e}"))?;
-        file.set_len(good_bytes)
-            .map_err(|e| format!("truncate {path:?}: {e}"))?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| format!("seek {path:?}: {e}"))?;
-        Ok(Journal { file, entries })
+        Ok(Journal {
+            log: Log::reopen(path, keep)?,
+            entries,
+        })
     }
 
     /// Number of runs already journalled.
@@ -149,11 +196,11 @@ impl Journal {
     ///
     /// Propagates filesystem errors.
     pub fn append(&mut self, job_id: &str, report: Value) -> Result<(), String> {
-        self.file
-            .write_all(run_line(job_id, &report).as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("append journal: {e}"))?;
+        self.log.append(
+            &Value::obj()
+                .set("job", job_id)
+                .set("report", report.clone()),
+        )?;
         self.entries.push(report);
         Ok(())
     }
@@ -170,39 +217,24 @@ pub struct JournalDoc {
 }
 
 /// Reads and structurally validates a journal: header shape, every line
-/// strict JSON with `job` + `report`, unique job ids. Does **not** check
-/// completeness — a valid partial journal is exactly what resume eats.
+/// strict JSON with `job` + `report` and its newline, unique job ids.
+/// Does **not** check completeness — a valid partial journal is exactly
+/// what resume eats.
 ///
 /// # Errors
 ///
 /// Returns the first violation with its line number.
 pub fn load(path: &Path) -> Result<JournalDoc, String> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| format!("read {path:?}: {e}"))?;
-    let mut lines = text.lines();
-    let header =
-        json::parse(lines.next().ok_or("empty journal")?).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("das_harness_journal").and_then(Value::as_u64) != Some(JOURNAL_VERSION) {
-        return Err(format!(
-            "line 1: not a das_harness_journal v{JOURNAL_VERSION}"
-        ));
-    }
-    let fingerprint = header
-        .get("fp")
-        .and_then(Value::as_str)
+    let contents = Contents::read(path, RUN_KIND, JOURNAL_VERSION)?;
+    let fingerprint = (contents.header.get("fp").and_then(Value::as_str))
         .ok_or("line 1: missing fp")?
         .to_string();
-    let jobs = header
-        .get("jobs")
-        .and_then(Value::as_u64)
-        .ok_or("line 1: missing jobs")?;
+    let jobs =
+        (contents.header.get("jobs").and_then(Value::as_u64)).ok_or("line 1: missing jobs")?;
     let mut runs = Vec::new();
     let mut seen = std::collections::HashSet::new();
-    for (i, line) in lines.enumerate() {
-        let lineno = i + 2;
-        let v = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
+    for record in contents.strict() {
+        let (lineno, v) = record?;
         let id = v
             .get("job")
             .and_then(Value::as_str)
@@ -246,7 +278,7 @@ pub const SERVE_JOURNAL_VERSION: u64 = 1;
 /// crashed instead of merely reporting them lost.
 #[derive(Debug)]
 pub struct ServiceJournal {
-    file: File,
+    log: Log,
 }
 
 impl ServiceJournal {
@@ -256,86 +288,51 @@ impl ServiceJournal {
     ///
     /// Propagates filesystem errors.
     pub fn create(path: &Path) -> Result<ServiceJournal, String> {
-        let mut file = File::create(path).map_err(|e| format!("create {path:?}: {e}"))?;
-        let header = Value::obj()
-            .set("das_serve_journal", SERVE_JOURNAL_VERSION)
-            .render();
-        file.write_all(header.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .and_then(|()| file.sync_data())
-            .map_err(|e| format!("write {path:?}: {e}"))?;
-        Ok(ServiceJournal { file })
+        let header = Value::obj().set(SERVE_KIND, SERVE_JOURNAL_VERSION);
+        Ok(ServiceJournal {
+            log: Log::create(path, &header)?,
+        })
     }
 
     /// Re-opens a crashed worker's journal for crash recovery: validates
     /// the header, keeps the longest prefix of complete, parseable lines
-    /// (a worker killed mid-append leaves a torn, newline-less tail — the
-    /// same discipline as [`Journal::resume`]), truncates the file to that
-    /// prefix, and returns the journal positioned to append together with
-    /// the summary of the kept prefix. The summary's orphans (admitted,
-    /// never terminal) are exactly the jobs the restarted worker must
-    /// re-drive; their admissions stay journalled, so recovery appends
-    /// only their terminal events. A missing file is the same as a fresh
-    /// [`ServiceJournal::create`].
+    /// (a worker killed mid-append leaves a torn tail), truncates the
+    /// file to that prefix, and returns the journal positioned to append
+    /// together with the summary of the kept prefix. The summary's
+    /// orphans (admitted, never terminal) are exactly the jobs the
+    /// restarted worker must re-drive; their admissions stay journalled,
+    /// so recovery appends only their terminal events. A missing file is
+    /// the same as a fresh [`ServiceJournal::create`].
     ///
     /// # Errors
     ///
     /// Filesystem errors, a bad header, or a kept prefix that fails
-    /// structural validation (which truncation cannot cause — it means
-    /// the journal was corrupted in place, not torn).
+    /// structural validation (which a crash cannot cause — it means the
+    /// journal was corrupted in place, not torn); the file is left as it
+    /// was on a validation error.
     pub fn resume(path: &Path) -> Result<(ServiceJournal, ServiceSummary), String> {
         if !path.exists() {
             return Ok((ServiceJournal::create(path)?, ServiceSummary::default()));
         }
-        let mut text = String::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(|e| format!("read {path:?}: {e}"))?;
-        let mut lines = text.split_inclusive('\n');
-        let header_text = lines.next().unwrap_or("");
-        if !header_text.ends_with('\n') {
-            return Err(format!(
-                "{path:?}: truncated header; delete it to start over"
-            ));
-        }
-        let header =
-            json::parse(header_text.trim_end()).map_err(|e| format!("{path:?} header: {e}"))?;
-        if header.get("das_serve_journal").and_then(Value::as_u64) != Some(SERVE_JOURNAL_VERSION) {
-            return Err(format!(
-                "{path:?}: not a das_serve_journal v{SERVE_JOURNAL_VERSION}"
-            ));
-        }
-        let mut good_bytes = header_text.len() as u64;
-        for line in lines {
-            if !line.ends_with('\n') {
-                break; // torn tail from a crash mid-append
-            }
-            if json::parse(line.trim_end()).is_err() {
-                break;
-            }
-            good_bytes += line.len() as u64;
-        }
-        let file = OpenOptions::new()
-            .write(true)
-            .open(path)
-            .map_err(|e| format!("open {path:?}: {e}"))?;
-        file.set_len(good_bytes)
-            .map_err(|e| format!("truncate {path:?}: {e}"))?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| format!("seek {path:?}: {e}"))?;
-        file.sync_data()
-            .map_err(|e| format!("sync {path:?}: {e}"))?;
-        let summary = load_service(path)?;
-        Ok((ServiceJournal { file }, summary))
-    }
-
-    fn append(&mut self, line: Value) -> Result<(), String> {
-        self.file
-            .write_all(line.render().as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| format!("append service journal: {e}"))
+        let contents = Contents::read(path, SERVE_KIND, SERVE_JOURNAL_VERSION)
+            .map_err(|e| format!("{path:?}: {e}"))?;
+        let mut keep = contents.header_len;
+        let kept = contents
+            .lines
+            .into_iter()
+            .zip(2..)
+            .map_while(|((len, parsed), lineno)| {
+                let v = parsed.ok()?;
+                keep += len;
+                Some(Ok((lineno, v)))
+            });
+        let summary = summarize(kept).map_err(|e| format!("{path:?}: {e}"))?;
+        Ok((
+            ServiceJournal {
+                log: Log::reopen(path, keep)?,
+            },
+            summary,
+        ))
     }
 
     /// Records a job admission.
@@ -344,7 +341,8 @@ impl ServiceJournal {
     ///
     /// Propagates filesystem errors.
     pub fn admit(&mut self, job: &str) -> Result<(), String> {
-        self.append(Value::obj().set("event", "admit").set("job", job))
+        self.log
+            .append(&Value::obj().set("event", "admit").set("job", job))
     }
 
     /// Records a job admission carrying the job's spec, making the job
@@ -354,8 +352,8 @@ impl ServiceJournal {
     ///
     /// Propagates filesystem errors.
     pub fn admit_with_spec(&mut self, job: &str, spec: &Value) -> Result<(), String> {
-        self.append(
-            Value::obj()
+        self.log.append(
+            &Value::obj()
                 .set("event", "admit")
                 .set("job", job)
                 .set("spec", spec.clone()),
@@ -373,7 +371,7 @@ impl ServiceJournal {
         if let Some(e) = error {
             v = v.set("error", e);
         }
-        self.append(v)
+        self.log.append(&v)
     }
 
     /// Records a bare lifecycle marker (`drain`, `drained`).
@@ -382,7 +380,7 @@ impl ServiceJournal {
     ///
     /// Propagates filesystem errors.
     pub fn marker(&mut self, event: &str) -> Result<(), String> {
-        self.append(Value::obj().set("event", event))
+        self.log.append(&Value::obj().set("event", event))
     }
 }
 
@@ -408,32 +406,27 @@ pub struct ServiceSummary {
 }
 
 /// Reads and validates a `das-serve` session journal: header shape, every
-/// line strict JSON with a known event, terminal events only for admitted
-/// jobs, no duplicate terminals. The returned summary's `orphans` lists
-/// admitted jobs that never reached a terminal event (non-empty means the
-/// server exited without draining).
+/// line strict JSON with a known event and its newline, terminal events
+/// only for admitted jobs, no duplicate terminals. The returned summary's
+/// `orphans` lists admitted jobs that never reached a terminal event
+/// (non-empty means the server exited without draining).
 ///
 /// # Errors
 ///
 /// Returns the first structural violation with its line number.
 pub fn load_service(path: &Path) -> Result<ServiceSummary, String> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| format!("read {path:?}: {e}"))?;
-    let mut lines = text.lines();
-    let header =
-        json::parse(lines.next().ok_or("empty journal")?).map_err(|e| format!("line 1: {e}"))?;
-    if header.get("das_serve_journal").and_then(Value::as_u64) != Some(SERVE_JOURNAL_VERSION) {
-        return Err(format!(
-            "line 1: not a das_serve_journal v{SERVE_JOURNAL_VERSION}"
-        ));
-    }
+    summarize(Contents::read(path, SERVE_KIND, SERVE_JOURNAL_VERSION)?.strict())
+}
+
+/// Folds numbered service events into a summary, failing on the first
+/// structural violation.
+fn summarize(
+    records: impl Iterator<Item = Result<(usize, Value), String>>,
+) -> Result<ServiceSummary, String> {
     let mut summary = ServiceSummary::default();
     let mut open: Vec<(String, Option<Value>)> = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let lineno = i + 2;
-        let v = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
+    for record in records {
+        let (lineno, v) = record?;
         let event = v
             .get("event")
             .and_then(Value::as_str)
@@ -629,13 +622,85 @@ mod tests {
         assert_eq!(s, ServiceSummary::default());
     }
 
+    /// Cuts `full` at every byte of its final line `record` and checks the
+    /// torn-line rule: every partial record fails validation as torn at
+    /// its line number (also the one that lacks only its newline), resume
+    /// keeps exactly the complete prefix (`resume` returns the records it
+    /// kept, `before` of them precede the final one), and the resumed file
+    /// validates.
+    fn assert_every_cut_of_final_record(
+        name: &str,
+        full: &[u8],
+        record: &str,
+        before: usize,
+        validate: impl Fn(&Path) -> Result<(), String>,
+        resume: impl Fn(&Path) -> usize,
+    ) {
+        assert!(
+            full.ends_with(record.as_bytes()),
+            "{name}: not the final line"
+        );
+        assert!(!record.is_ascii(), "{name}: a cut must split a character");
+        let base = full.len() - record.len();
+        let lineno = full.iter().filter(|&&b| b == b'\n').count();
+        for cut in 0..=record.len() {
+            let path = tmp(&format!("{name}_cut_{cut}.jsonl"));
+            std::fs::write(&path, &full[..base + cut]).unwrap();
+            let complete = cut == record.len();
+            match validate(&path) {
+                Ok(()) => assert!(cut == 0 || complete, "{name}: cut at byte {cut} validated"),
+                Err(e) => assert!(
+                    e.contains(&format!("line {lineno}: torn")),
+                    "{name}: cut at byte {cut}: {e}"
+                ),
+            }
+            assert_eq!(
+                resume(&path),
+                before + usize::from(complete),
+                "{name}: cut at byte {cut}"
+            );
+            let kept = if complete { full.len() } else { base };
+            assert!(
+                std::fs::read(&path).unwrap() == full[..kept],
+                "{name}: cut at byte {cut}: resume must keep exactly the complete prefix"
+            );
+            validate(&path).unwrap_or_else(|e| panic!("{name}: resumed cut {cut}: {e}"));
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
     #[test]
-    fn service_resume_survives_truncation_at_every_byte_of_final_record() {
-        // A worker killed mid-append can leave the journal cut at ANY byte
-        // of the record being written. Resume must recover at every such
-        // offset, losing at most that final record.
+    fn resume_survives_truncation_at_every_byte_of_final_record() {
+        // A process killed mid-append can leave either journal cut at ANY
+        // byte of the record being written, including inside a multi-byte
+        // character.
+        let path = tmp("run_every_byte.jsonl");
+        let ids = ["a", "b", "c"];
+        {
+            let mut j = Journal::create(&path, "fp", ids.len()).unwrap();
+            j.append("a", report(1)).unwrap();
+            j.append("b", report(2).set("note", "\u{2248}6.6 %"))
+                .unwrap();
+        }
+        let full = std::fs::read(&path).unwrap();
+        let record = format!(
+            "{}\n",
+            Value::obj()
+                .set("job", "b")
+                .set("report", report(2).set("note", "\u{2248}6.6 %"))
+                .render()
+        );
+        assert_every_cut_of_final_record(
+            "run",
+            &full,
+            &record,
+            1,
+            |p| load(p).map(drop),
+            |p| Journal::resume(p, "fp", &ids).unwrap().done(),
+        );
+
         let path = tmp("service_every_byte.jsonl");
-        let spec = Value::obj().set("id", "c").set("insts", 1000u64);
+        let spec = Value::obj().set("id", "c").set("note", "caf\u{e9}");
         {
             let mut j = ServiceJournal::create(&path).unwrap();
             j.admit("t1/a").unwrap();
@@ -643,7 +708,7 @@ mod tests {
             j.admit_with_spec("t1/c", &spec).unwrap();
         }
         let full = std::fs::read(&path).unwrap();
-        let final_record = format!(
+        let record = format!(
             "{}\n",
             Value::obj()
                 .set("event", "admit")
@@ -651,25 +716,19 @@ mod tests {
                 .set("spec", spec.clone())
                 .render()
         );
-        assert!(full.ends_with(final_record.as_bytes()));
-        let keep_base = full.len() - final_record.len();
-        for cut in 0..=final_record.len() {
-            let torn = tmp(&format!("service_cut_{cut}.jsonl"));
-            std::fs::write(&torn, &full[..keep_base + cut]).unwrap();
-            let (_, s) =
-                ServiceJournal::resume(&torn).unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
-            assert_eq!(s.admitted - s.done, u64::from(cut == final_record.len()));
-            if cut == final_record.len() {
-                assert_eq!(s.orphans, vec!["t1/c".to_string()], "complete record kept");
-            } else {
-                assert!(s.orphans.is_empty(), "torn record at byte {cut} dropped");
-            }
-            // After truncation the journal validates clean and appends work.
-            let (mut j, _) = ServiceJournal::resume(&torn).unwrap();
-            j.marker("drained").unwrap();
-            load_service(&torn).unwrap();
-            std::fs::remove_file(&torn).unwrap();
-        }
+        assert_every_cut_of_final_record(
+            "service",
+            &full,
+            &record,
+            1,
+            |p| load_service(p).map(drop),
+            |p| {
+                let (_, s) = ServiceJournal::resume(p).unwrap();
+                let orphans: &[&str] = if s.admitted == 2 { &["t1/c"] } else { &[] };
+                assert_eq!(s.orphans, orphans, "a torn admission never happened");
+                s.admitted as usize
+            },
+        );
     }
 
     #[test]
@@ -678,7 +737,7 @@ mod tests {
         std::fs::write(&path, "{\"das_serve_journal\":1}").unwrap(); // no newline
         assert!(ServiceJournal::resume(&path)
             .unwrap_err()
-            .contains("truncated header"));
+            .contains("line 1: torn"));
         std::fs::write(&path, "{\"wrong\":1}\n").unwrap();
         assert!(ServiceJournal::resume(&path)
             .unwrap_err()

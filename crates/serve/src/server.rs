@@ -55,7 +55,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use das_harness::cli::build_catalog_manifest;
-use das_harness::journal::ServiceJournal;
+use das_harness::journal::{ServiceJournal, ServiceSummary};
 use das_harness::manifest::JobSpec;
 use das_harness::pool::ServicePool;
 use das_harness::profile::ProfileCache;
@@ -160,22 +160,21 @@ impl Server {
         std::fs::create_dir_all(&cfg.out_dir)
             .map_err(|e| format!("cannot create {}: {e}", cfg.out_dir.display()))?;
         let journal_path = cfg.out_dir.join(SERVE_JOURNAL_NAME);
-        let (mut journal, orphans) = if cfg.resume_journal {
-            let (mut j, summary) = ServiceJournal::resume(&journal_path)?;
-            if !summary.orphan_specs.is_empty() || summary.admitted > 0 {
-                j.marker("restart")?;
-            }
-            (j, summary.orphan_specs)
+        let (mut journal, summary) = if cfg.resume_journal {
+            ServiceJournal::resume(&journal_path)?
         } else {
-            (ServiceJournal::create(&journal_path)?, Vec::new())
+            (
+                ServiceJournal::create(&journal_path)?,
+                ServiceSummary::default(),
+            )
         };
+        if summary.admitted > 0 {
+            journal.marker("restart")?;
+        }
         // Tickets resume past every number a prior incarnation can have
         // used (one ticket per admitted batch, each batch >= 1 job), so
         // fresh admissions never collide with journalled ids.
-        let admitted_before = {
-            let summary = das_harness::journal::load_service(&journal_path)?;
-            summary.admitted
-        };
+        let admitted_before = summary.admitted;
         let store = match &cfg.trace_store_dir {
             Some(dir) => Some(
                 TraceStore::open(dir)
@@ -192,7 +191,7 @@ impl Server {
         let mut registry = Registry::default();
         let mut recovered_ids = Vec::new();
         let mut recovered = 0u64;
-        for (id, spec) in orphans {
+        for (id, spec) in summary.orphan_specs {
             match spec.as_ref().map(JobSpec::from_value) {
                 Some(Ok(spec)) => {
                     registry.insert_queued(id.clone(), spec);
