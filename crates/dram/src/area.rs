@@ -10,196 +10,82 @@
 //! * **TL-DRAM (segmented bitlines)** — isolation transistors (~11.5 row
 //!   heights per subarray) plus the half-density near segments forced by
 //!   the open-bitline architecture; ~**24 %** for 128 near rows (§3.1).
+//! * **CLR-DRAM, LISA, SALP** — a thin stripe added to every subarray
+//!   ([`stripe_overhead`]).
+//!
+//! Every model is a formula over the named constants below, in
+//! row-equivalent heights.
 
-/// Parameters of the asymmetric-subarray area model.
-#[derive(Debug, Clone, Copy)]
-pub struct AsymmetricAreaModel {
-    /// Rows per fast subarray (paper: 128).
-    pub fast_rows: u32,
-    /// Rows per slow subarray (paper: 512).
-    pub slow_rows: u32,
-    /// Slow subarrays per fast subarray in the repeating pattern
-    /// (paper's reduced interleaving: 2).
-    pub slow_per_fast: u32,
-    /// Sense-amplifier stripe height in row-equivalents (paper follows
-    /// TL-DRAM's 108; 1/6 of a 512-row subarray ≈ 85 is the CHARM figure —
-    /// the default splits the difference the way the paper's 6.6 % implies).
-    pub sense_height: f64,
-    /// Additional peripheral (decoder/column-mux) overhead per fast
-    /// subarray, in row-equivalents.
-    pub peripheral_rows: f64,
+/// Rows per subarray of a homogeneous device, and per slow subarray.
+const SUBARRAY_ROWS: f64 = 512.0;
+
+/// Sense-amplifier stripe height (CHARM: 1/6 of a 512-row subarray).
+const SENSE_ROWS: f64 = 85.0;
+
+/// Rows per fast subarray (paper: 128).
+const FAST_ROWS: f64 = 128.0;
+
+/// Extra peripheral (decoder/column-mux) height per fast subarray.
+const FAST_PERIPHERAL_ROWS: f64 = 12.0;
+
+/// Slow subarrays per fast subarray in the paper's reduced-interleaving
+/// pattern (capacity ratio 1/8).
+pub const SLOW_PER_FAST: u32 = 2;
+
+/// TL-DRAM's near-segment rows (§3.1 discusses 128).
+const TL_NEAR_ROWS: f64 = 128.0;
+
+/// TL-DRAM's isolation-transistor stripe (§3.1: 11.5 rows).
+const TL_ISOLATION_ROWS: f64 = 11.5;
+
+/// TL-DRAM's sense-amplifier stripe (§3.1 follows TL-DRAM's 108 rows).
+const TL_SENSE_ROWS: f64 = 108.0;
+
+/// CLR-DRAM's extra isolation/coupling transistors per subarray (ISCA
+/// 2020 §6: 0.045 % of die area, about a quarter row).
+pub const CLR_DRIVER_ROWS: f64 = 0.25;
+
+/// LISA's link-transistor stripe per subarray boundary (HPCA 2016 §4:
+/// 0.8 % of die area).
+pub const LISA_LINK_ROWS: f64 = 4.8;
+
+/// SALP-MASA's subarray-select latches and designated-bit wiring per
+/// subarray (ISCA 2012 §5: ~0.15 % of die area).
+pub const SALP_LATCH_ROWS: f64 = 0.9;
+
+/// Fractional area overhead of asymmetric subarrays versus a homogeneous
+/// device of equal capacity, with `slow_per_fast` slow subarrays per fast
+/// one (§7.6 quotes 6.6 % at capacity ratio 1/8 and 11.3 % at 1/4).
+pub fn asymmetric_overhead(slow_per_fast: u32) -> f64 {
+    let slow_per_fast = f64::from(slow_per_fast);
+    // Homogeneous: the same capacity built from slow subarrays only.
+    let homogeneous_subarrays = (FAST_ROWS + slow_per_fast * SUBARRAY_ROWS) / SUBARRAY_ROWS;
+    let homogeneous_area = homogeneous_subarrays * (SUBARRAY_ROWS + SENSE_ROWS);
+    // Asymmetric: one fast subarray (its own row buffer + peripherals)
+    // plus the slow subarrays.
+    let asymmetric_area = (FAST_ROWS + SENSE_ROWS + FAST_PERIPHERAL_ROWS)
+        + slow_per_fast * (SUBARRAY_ROWS + SENSE_ROWS);
+    asymmetric_area / homogeneous_area - 1.0
 }
 
-impl Default for AsymmetricAreaModel {
-    fn default() -> Self {
-        AsymmetricAreaModel {
-            fast_rows: 128,
-            slow_rows: 512,
-            slow_per_fast: 2,
-            sense_height: 85.0,
-            peripheral_rows: 12.0,
-        }
-    }
-}
-
-impl AsymmetricAreaModel {
-    /// Fractional area overhead versus a homogeneous device of equal
-    /// capacity.
-    pub fn overhead(&self) -> f64 {
-        let pattern_rows = (self.fast_rows + self.slow_per_fast * self.slow_rows) as f64;
-        // Homogeneous: the same capacity built from slow subarrays only.
-        let homogeneous_subarrays = pattern_rows / self.slow_rows as f64;
-        let homogeneous_area = homogeneous_subarrays * (self.slow_rows as f64 + self.sense_height);
-        // Asymmetric: one fast subarray (its own row buffer + peripherals)
-        // plus the slow subarrays.
-        let asymmetric_area = (self.fast_rows as f64 + self.sense_height + self.peripheral_rows)
-            + self.slow_per_fast as f64 * (self.slow_rows as f64 + self.sense_height);
-        asymmetric_area / homogeneous_area - 1.0
-    }
-
-    /// The model at a given fast:slow subarray pattern (for ratio sweeps:
-    /// §7.6 quotes 6.6 % at capacity ratio 1/8 and 11.3 % at 1/4).
-    pub fn with_slow_per_fast(mut self, slow_per_fast: u32) -> Self {
-        self.slow_per_fast = slow_per_fast;
-        self
-    }
-}
-
-/// Parameters of the TL-DRAM segmented-bitline area model (§3.1).
-#[derive(Debug, Clone, Copy)]
-pub struct TlDramAreaModel {
-    /// Rows in the near segment (paper discusses 128).
-    pub near_rows: u32,
-    /// Rows per subarray.
-    pub subarray_rows: u32,
-    /// Isolation-transistor stripe height in row-equivalents (paper: 11.5).
-    pub isolation_rows: f64,
-    /// Sense-amplifier stripe height in row-equivalents (paper: 108).
-    pub sense_height: f64,
-}
-
-impl Default for TlDramAreaModel {
-    fn default() -> Self {
-        TlDramAreaModel {
-            near_rows: 128,
-            subarray_rows: 512,
-            isolation_rows: 11.5,
-            sense_height: 108.0,
-        }
-    }
-}
-
-impl TlDramAreaModel {
-    /// Fractional area overhead versus a homogeneous device.
-    ///
-    /// The open-bitline architecture forces near segments onto both ends
-    /// of the subarray, leaving half of each near region unusable (§3.1:
-    /// "the cell density of the fast-segment is only one half of a normal
-    /// cell array"), plus the isolation stripe itself.
-    pub fn overhead(&self) -> f64 {
-        let base = self.subarray_rows as f64 + self.sense_height;
-        let extra = self.near_rows as f64 /* empty half of the near region */
-            + self.isolation_rows;
-        extra / base
-    }
-}
-
-/// Parameters of the CLR-DRAM morphing-driver area model (ISCA 2020 §6).
+/// Fractional area overhead of TL-DRAM's segmented bitlines versus a
+/// homogeneous device.
 ///
-/// CLR-DRAM re-wires the existing sense amplifiers and wordline drivers with
-/// a handful of extra isolation transistors per local row; the paper puts
-/// the total at **0.045 % die area** — orders of magnitude below the
-/// subarray-granularity designs.
-#[derive(Debug, Clone, Copy)]
-pub struct ClrDramAreaModel {
-    /// Extra isolation/coupling transistors per subarray, in row-equivalent
-    /// heights (the paper's 0.045 % of die area ≈ a quarter row per
-    /// 512-row subarray).
-    pub driver_rows: f64,
-    /// Rows per subarray.
-    pub subarray_rows: u32,
-    /// Sense-amplifier stripe height in row-equivalents.
-    pub sense_height: f64,
+/// The open-bitline architecture forces near segments onto both ends
+/// of the subarray, leaving half of each near region unusable (§3.1:
+/// "the cell density of the fast-segment is only one half of a normal
+/// cell array"), plus the isolation stripe itself.
+pub fn tl_dram_overhead() -> f64 {
+    let extra = TL_NEAR_ROWS /* empty half of the near region */ + TL_ISOLATION_ROWS;
+    extra / (SUBARRAY_ROWS + TL_SENSE_ROWS)
 }
 
-impl Default for ClrDramAreaModel {
-    fn default() -> Self {
-        ClrDramAreaModel {
-            driver_rows: 0.25,
-            subarray_rows: 512,
-            sense_height: 85.0,
-        }
-    }
-}
-
-impl ClrDramAreaModel {
-    /// Fractional area overhead versus a homogeneous device.
-    pub fn overhead(&self) -> f64 {
-        self.driver_rows / (self.subarray_rows as f64 + self.sense_height)
-    }
-}
-
-/// Parameters of the LISA inter-subarray link area model (HPCA 2016 §4).
-///
-/// LISA adds isolation transistors linking adjacent subarrays' bitlines;
-/// the paper reports **0.8 % die area**.
-#[derive(Debug, Clone, Copy)]
-pub struct LisaAreaModel {
-    /// Link-transistor stripe height per subarray boundary, in
-    /// row-equivalents.
-    pub link_rows: f64,
-    /// Rows per subarray.
-    pub subarray_rows: u32,
-    /// Sense-amplifier stripe height in row-equivalents.
-    pub sense_height: f64,
-}
-
-impl Default for LisaAreaModel {
-    fn default() -> Self {
-        LisaAreaModel {
-            link_rows: 4.8,
-            subarray_rows: 512,
-            sense_height: 85.0,
-        }
-    }
-}
-
-impl LisaAreaModel {
-    /// Fractional area overhead versus an unlinked device.
-    pub fn overhead(&self) -> f64 {
-        self.link_rows / (self.subarray_rows as f64 + self.sense_height)
-    }
-}
-
-/// Parameters of the SALP-MASA area model (Kim et al., ISCA 2012 §5).
-///
-/// SALP's subarray-select latches and the designated-bit wiring cost
-/// **~0.15 % die area** in the MASA variant.
-#[derive(Debug, Clone, Copy)]
-pub struct SalpAreaModel {
-    /// Per-subarray latch/wiring overhead in row-equivalents.
-    pub latch_rows: f64,
-    /// Rows per subarray.
-    pub subarray_rows: u32,
-    /// Sense-amplifier stripe height in row-equivalents.
-    pub sense_height: f64,
-}
-
-impl Default for SalpAreaModel {
-    fn default() -> Self {
-        SalpAreaModel {
-            latch_rows: 0.9,
-            subarray_rows: 512,
-            sense_height: 85.0,
-        }
-    }
-}
-
-impl SalpAreaModel {
-    /// Fractional area overhead versus a single-subarray-at-a-time device.
-    pub fn overhead(&self) -> f64 {
-        self.latch_rows / (self.subarray_rows as f64 + self.sense_height)
-    }
+/// Fractional area overhead of an `extra_rows`-tall stripe added to every
+/// subarray: CLR-DRAM's morphing drivers ([`CLR_DRIVER_ROWS`]), LISA's
+/// inter-subarray links ([`LISA_LINK_ROWS`]) and SALP's latches
+/// ([`SALP_LATCH_ROWS`]).
+pub fn stripe_overhead(extra_rows: f64) -> f64 {
+    extra_rows / (SUBARRAY_ROWS + SENSE_ROWS)
 }
 
 #[cfg(test)]
@@ -208,7 +94,7 @@ mod tests {
 
     #[test]
     fn das_overhead_matches_paper_6_6_percent() {
-        let o = AsymmetricAreaModel::default().overhead();
+        let o = asymmetric_overhead(SLOW_PER_FAST);
         assert!(
             (0.05..0.08).contains(&o),
             "DAS overhead should be ≈6.6%: got {:.1}%",
@@ -219,10 +105,8 @@ mod tests {
     #[test]
     fn das_overhead_grows_with_fast_share() {
         // §7.6: 6.6% at ratio 1/8 (1:2 pattern) vs 11.3% at 1/4.
-        let eighth = AsymmetricAreaModel::default().overhead();
-        let quarter = AsymmetricAreaModel::default()
-            .with_slow_per_fast(1)
-            .overhead();
+        let eighth = asymmetric_overhead(SLOW_PER_FAST);
+        let quarter = asymmetric_overhead(1);
         assert!(quarter > eighth * 1.5, "{quarter} vs {eighth}");
         assert!(
             (0.09..0.14).contains(&quarter),
@@ -233,7 +117,7 @@ mod tests {
 
     #[test]
     fn tl_dram_overhead_matches_paper_24_percent() {
-        let o = TlDramAreaModel::default().overhead();
+        let o = tl_dram_overhead();
         assert!(
             (0.20..0.26).contains(&o),
             "TL-DRAM overhead should be ≈24%: got {:.1}%",
@@ -243,23 +127,16 @@ mod tests {
 
     #[test]
     fn tl_dram_is_far_more_expensive_than_das() {
-        assert!(
-            TlDramAreaModel::default().overhead() > 3.0 * AsymmetricAreaModel::default().overhead()
-        );
+        assert!(tl_dram_overhead() > 3.0 * asymmetric_overhead(SLOW_PER_FAST));
     }
 
     #[test]
     fn backend_overheads_match_papers_md_table() {
         // Quoted in PAPERS.md: CLR-DRAM ≈0.045 %, LISA ≈0.8 %, SALP ≈0.15 %.
         let table: [(&str, f64, f64, f64); 3] = [
-            (
-                "clr",
-                ClrDramAreaModel::default().overhead(),
-                0.0003,
-                0.0006,
-            ),
-            ("lisa", LisaAreaModel::default().overhead(), 0.007, 0.009),
-            ("salp", SalpAreaModel::default().overhead(), 0.0012, 0.0018),
+            ("clr", stripe_overhead(CLR_DRIVER_ROWS), 0.0003, 0.0006),
+            ("lisa", stripe_overhead(LISA_LINK_ROWS), 0.007, 0.009),
+            ("salp", stripe_overhead(SALP_LATCH_ROWS), 0.0012, 0.0018),
         ];
         for (name, o, lo, hi) in table {
             assert!(
@@ -274,12 +151,28 @@ mod tests {
 
     #[test]
     fn backend_overhead_ordering_is_tl_das_lisa_salp_clr() {
-        let tl = TlDramAreaModel::default().overhead();
-        let das = AsymmetricAreaModel::default().overhead();
-        let lisa = LisaAreaModel::default().overhead();
-        let salp = SalpAreaModel::default().overhead();
-        let clr = ClrDramAreaModel::default().overhead();
+        let tl = tl_dram_overhead();
+        let das = asymmetric_overhead(SLOW_PER_FAST);
+        let lisa = stripe_overhead(LISA_LINK_ROWS);
+        let salp = stripe_overhead(SALP_LATCH_ROWS);
+        let clr = stripe_overhead(CLR_DRIVER_ROWS);
         assert!(tl > das && das > lisa && lisa > salp && salp > clr);
         assert!(clr > 0.0);
+    }
+
+    #[test]
+    fn overheads_keep_their_bits() {
+        // Every f64 the renders and reports print, bit for bit.
+        let table = [
+            (asymmetric_overhead(SLOW_PER_FAST), 0x3fac_df8d_a685_80c0),
+            (asymmetric_overhead(1), 0x3fb9_fc65_e2ab_5a50),
+            (tl_dram_overhead(), 0x3fcc_cccc_cccc_cccd),
+            (stripe_overhead(CLR_DRIVER_ROWS), 0x3f3b_71a2_84ee_6b34),
+            (stripe_overhead(LISA_LINK_ROWS), 0x3f80_7761_82f5_7385),
+            (stripe_overhead(SALP_LATCH_ROWS), 0x3f58_b312_4470_2d48),
+        ];
+        for (i, (o, bits)) in table.into_iter().enumerate() {
+            assert_eq!(o.to_bits(), bits, "entry {i}: {o}");
+        }
     }
 }

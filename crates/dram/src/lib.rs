@@ -54,9 +54,6 @@ pub mod rank;
 pub mod tick;
 pub mod timing;
 
-pub use area::{
-    AsymmetricAreaModel, ClrDramAreaModel, LisaAreaModel, SalpAreaModel, TlDramAreaModel,
-};
 pub use bank::{Bank, BankStats, RowBufferState};
 pub use channel::{ChannelDevice, IssueOutcome};
 pub use command::{DramCommand, MigrationKind};

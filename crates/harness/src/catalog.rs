@@ -1237,7 +1237,7 @@ fn build_ablation_tldram(p: &BuildParams) -> Vec<JobSpec> {
 }
 
 fn render_ablation_tldram(ctx: &RenderCtx) -> String {
-    use das_dram::area::{AsymmetricAreaModel, TlDramAreaModel};
+    use das_dram::area::{asymmetric_overhead, tl_dram_overhead, SLOW_PER_FAST};
     let mut o = String::new();
     let _ = writeln!(
         o,
@@ -1246,8 +1246,8 @@ fn render_ablation_tldram(ctx: &RenderCtx) -> String {
     let _ = writeln!(
         o,
         "area overhead: TL-DRAM {:.1}%  |  DAS-DRAM {:.1}%\n",
-        TlDramAreaModel::default().overhead() * 100.0,
-        AsymmetricAreaModel::default().overhead() * 100.0
+        tl_dram_overhead() * 100.0,
+        asymmetric_overhead(SLOW_PER_FAST) * 100.0
     );
     let _ = writeln!(o, "{:<12} {:>12} {:>12}", "workload", "TL-DRAM", "DAS-DRAM");
     let (names, rows) = over_std(ctx, &["tl", "das"]);

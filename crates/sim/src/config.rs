@@ -14,7 +14,8 @@ use das_core::management::ManagementConfig;
 use das_core::replacement::ReplacementPolicy;
 use das_cpu::core::CoreConfig;
 use das_dram::area::{
-    AsymmetricAreaModel, ClrDramAreaModel, LisaAreaModel, SalpAreaModel, TlDramAreaModel,
+    asymmetric_overhead, stripe_overhead, tl_dram_overhead, CLR_DRIVER_ROWS, LISA_LINK_ROWS,
+    SALP_LATCH_ROWS, SLOW_PER_FAST,
 };
 use das_dram::geometry::{Arrangement, BankLayout, DramGeometry, FastRatio};
 use das_dram::tick::Tick;
@@ -130,7 +131,7 @@ impl Design {
                 "DAS-DRAM",
                 TimingSet::asymmetric,
                 F::Exclusive,
-                Some(|| AsymmetricAreaModel::default().overhead()),
+                Some(|| asymmetric_overhead(SLOW_PER_FAST)),
             ),
             Design::DasDramFm => DesignEntry::new(
                 "das_fm",
@@ -163,7 +164,7 @@ impl Design {
                     "TL-DRAM",
                     TimingSet::tl_dram,
                     F::Inclusive,
-                    Some(|| TlDramAreaModel::default().overhead()),
+                    Some(tl_dram_overhead),
                 )
             },
             Design::ClrDram => DesignEntry {
@@ -173,7 +174,7 @@ impl Design {
                     "CLR-DRAM",
                     TimingSet::clr_dram,
                     F::Exclusive,
-                    Some(|| ClrDramAreaModel::default().overhead()),
+                    Some(|| stripe_overhead(CLR_DRIVER_ROWS)),
                 )
             },
             Design::Lisa => DesignEntry::new(
@@ -181,7 +182,7 @@ impl Design {
                 "LISA",
                 TimingSet::lisa,
                 F::Exclusive,
-                Some(|| LisaAreaModel::default().overhead()),
+                Some(|| stripe_overhead(LISA_LINK_ROWS)),
             ),
             Design::Salp => DesignEntry {
                 placement: PlacementSpec {
@@ -193,7 +194,7 @@ impl Design {
                     "SALP",
                     TimingSet::homogeneous_slow,
                     F::None,
-                    Some(|| SalpAreaModel::default().overhead()),
+                    Some(|| stripe_overhead(SALP_LATCH_ROWS)),
                 )
             },
         }
@@ -609,7 +610,7 @@ mod tests {
     /// predicates, placement overrides, usable capacity and area.
     #[test]
     fn every_design_keeps_its_facts() {
-        let das_area = Some(AsymmetricAreaModel::default().overhead());
+        let das_area = Some(asymmetric_overhead(SLOW_PER_FAST));
         // (design, timing, asymmetric, dynamic, inclusive, needs profile, area)
         let table = [
             (
@@ -682,7 +683,7 @@ mod tests {
                 true,
                 true,
                 false,
-                Some(TlDramAreaModel::default().overhead()),
+                Some(tl_dram_overhead()),
             ),
             (
                 Design::ClrDram,
@@ -691,7 +692,7 @@ mod tests {
                 true,
                 false,
                 false,
-                Some(ClrDramAreaModel::default().overhead()),
+                Some(stripe_overhead(CLR_DRIVER_ROWS)),
             ),
             (
                 Design::Lisa,
@@ -700,7 +701,7 @@ mod tests {
                 true,
                 false,
                 false,
-                Some(LisaAreaModel::default().overhead()),
+                Some(stripe_overhead(LISA_LINK_ROWS)),
             ),
             (
                 Design::Salp,
@@ -709,7 +710,7 @@ mod tests {
                 false,
                 false,
                 false,
-                Some(SalpAreaModel::default().overhead()),
+                Some(stripe_overhead(SALP_LATCH_ROWS)),
             ),
         ];
         let untouched = format!("{:?}", SystemConfig::test_small());
