@@ -101,8 +101,6 @@ pub struct Overrides {
     pub telemetry_epoch: Option<u64>,
     /// Runaway-event budget override.
     pub event_budget: Option<u64>,
-    /// Watchdog same-tick-wake threshold override.
-    pub watchdog_wakes: Option<u32>,
     /// Side-effect export: write the run's Chrome trace-event JSON here
     /// (requires `telemetry_epoch`).
     pub trace_path: Option<String>,
@@ -271,13 +269,10 @@ impl JobSpec {
         if let Some(e) = ov.event_budget {
             cfg.event_budget = e;
         }
-        if let Some(w) = ov.watchdog_wakes {
-            cfg.watchdog_same_tick_wakes = w;
-        }
         if let Some(p) = &ov.policy {
             let kind = das_policy::PolicyKind::parse(p)
                 .ok_or_else(|| format!("unknown migration policy {p:?}"))?;
-            if !design.is_dynamic() || design.is_inclusive() || design.needs_profile() {
+            if !design.takes_policy() {
                 return Err(format!(
                     "policy override needs a dynamic exclusive design, got {:?}",
                     self.design
@@ -315,7 +310,6 @@ impl JobSpec {
         put!(swap_ticks as u64);
         put!(telemetry_epoch as u64);
         put!(event_budget as u64);
-        put!(watchdog_wakes as u64);
         put!(trace_path);
         put!(protocol);
         put!(cores as u64);
@@ -402,7 +396,6 @@ impl Overrides {
                 "swap_ticks" => ov.swap_ticks = Some(req_u64(val, k)?),
                 "telemetry_epoch" => ov.telemetry_epoch = Some(req_u64(val, k)?),
                 "event_budget" => ov.event_budget = Some(req_u64(val, k)?),
-                "watchdog_wakes" => ov.watchdog_wakes = Some(req_u32(val, k)?),
                 "trace_path" => ov.trace_path = Some(req_str(val, k)?),
                 "protocol" => ov.protocol = Some(req_str(val, k)?),
                 "cores" => ov.cores = Some(req_u32(val, k)?),
@@ -631,13 +624,15 @@ mod tests {
         // Splice an unknown override into the rendered text.
         let rendered = doc.render();
         // `warp_factor` never existed; the fault-injection keys were
-        // retired with the injector (spelled in pieces, so a source search
-        // for a retired name finds no live use).
+        // retired with the injector, and the watchdog override had no user
+        // (spelled in pieces, so a source search for a retired name finds
+        // no live use).
         for (key, val) in [
             ("warp_factor".to_string(), "9"),
             (["fault", "rate"].join("_"), "0.01"),
             (["fault", "seed"].join("_"), "7"),
             (["invariant", "check", "events"].join("_"), "10000"),
+            (["watchdog", "wakes"].join("_"), "50000"),
         ] {
             let text = rendered.replace(
                 "\"threshold\":4",

@@ -281,6 +281,12 @@ impl Design {
         self.entry().fast_level == FastLevelManagement::Inclusive
     }
 
+    /// Whether the design takes a migration policy other than the default
+    /// `PaperFixed`: only dynamic exclusive management does.
+    pub fn takes_policy(self) -> bool {
+        self.entry().fast_level == FastLevelManagement::Exclusive
+    }
+
     /// Whether the design needs a profiling pre-pass (static placement).
     pub fn needs_profile(self) -> bool {
         self.entry().fast_level == FastLevelManagement::Static
@@ -720,6 +726,11 @@ mod tests {
             assert_eq!(d.is_asymmetric(), asym, "{d:?} is_asymmetric");
             assert_eq!(d.is_dynamic(), dynamic, "{d:?} is_dynamic");
             assert_eq!(d.is_inclusive(), inclusive, "{d:?} is_inclusive");
+            assert_eq!(
+                d.takes_policy(),
+                dynamic && !inclusive,
+                "{d:?} takes_policy"
+            );
             assert_eq!(d.needs_profile(), profile, "{d:?} needs_profile");
             assert_eq!(d.area_overhead(), overhead, "{d:?} area");
             let usable = (d == Design::ClrDram).then_some(layout.slow_rows() as u64);

@@ -226,8 +226,7 @@ struct Waiter {
 /// exclusive designs take one, so static and inclusive designs keep the
 /// paper's `PaperFixed` rule and report no policy block.
 fn installed_policy(cfg: &SystemConfig, design: Design) -> Option<das_policy::PolicyKind> {
-    cfg.policy
-        .filter(|_| design.is_dynamic() && !design.is_inclusive())
+    cfg.policy.filter(|_| design.takes_policy())
 }
 
 /// Maps the controller's service classification onto telemetry's
