@@ -4,9 +4,10 @@
 //! The paper simulates 100 M/400 M instructions against 8 GB of DRAM and a
 //! 4 MB LLC. To keep the whole figure suite regenerable in minutes, the
 //! default configuration divides every *capacity* (DRAM, LLC, workload
-//! footprints, translation cache) by a common `scale` factor (default 8)
-//! while leaving all *latencies* untouched — the capacity ratios that drive
-//! the paper's results (footprint : fast level : LLC) are preserved.
+//! footprints, translation cache) by a common `scale` factor (64 in
+//! [`SystemConfig::paper_scaled`]) while leaving all *latencies*
+//! untouched — the capacity ratios that drive the paper's results
+//! (footprint : fast level : LLC) are preserved.
 
 use das_backends::{FastLevelManagement, PlacementSpec};
 use das_cache::hierarchy::HierarchyConfig;
@@ -392,12 +393,11 @@ pub struct SystemConfig {
     /// Same-tick controller wakes tolerated before the watchdog declares
     /// the event loop stalled ([`crate::system::SimError::Stalled`]).
     pub watchdog_same_tick_wakes: u32,
-    /// Online migration policy installed into the exclusive-cache manager
-    /// (see `das-policy`). `None` — the default — runs the paper's fixed
-    /// promote-at-threshold path, byte-identical to a build without the
-    /// policy layer; `Some(PaperFixed)` makes the same decisions through
-    /// the policy trait (locked by `tests/locks.rs`). Only designs with
-    /// dynamic exclusive management install it.
+    /// Online migration policy (see `das-policy`). Every manager promotes
+    /// through the policy trait and runs `PaperFixed` unless told
+    /// otherwise. `Some(kind)` installs `kind` in designs that take a
+    /// policy ([`Design::takes_policy`]: dynamic exclusive management)
+    /// and adds the report's policy block; other designs ignore it.
     pub policy: Option<das_policy::PolicyKind>,
 }
 
