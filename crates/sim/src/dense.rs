@@ -165,12 +165,6 @@ impl RecentRows {
             }
         }
     }
-
-    /// Drops every key.
-    pub(crate) fn clear(&mut self) {
-        self.order.clear();
-        self.members.clear();
-    }
 }
 
 #[cfg(test)]
@@ -251,10 +245,6 @@ mod tests {
                 60..=97 => {
                     model.retain(|&e| e != (bank, row));
                     regs.forget(bank, row);
-                }
-                98 | 99 => {
-                    model.clear();
-                    regs.clear();
                 }
                 _ => {}
             }

@@ -27,7 +27,6 @@ use das_cpu::core::{Core, MemRequest};
 use das_cpu::trace::TraceItem;
 pub use das_cpu::TraceSource;
 use das_dram::channel::ChannelDevice;
-use das_dram::command::MigrationKind;
 use das_dram::geometry::{BankCoord, MemCoord};
 use das_dram::tick::Tick;
 use das_memctrl::controller::{ControllerError, MemoryController};
@@ -1316,14 +1315,11 @@ impl System {
                     });
                 };
                 self.tel.swap_commit(token, self.clock.raw());
-                if req.kind == MigrationKind::Swap {
-                    self.recent_translations.forget(req.bank, req.promotee);
-                    if let Some(victim) = req.victim {
-                        self.recent_translations.forget(req.bank, victim);
-                    }
-                } else {
-                    // An inclusive fill drops every held translation.
-                    self.recent_translations.clear();
+                // A migration moves only its promotee and victim, so only
+                // their held translations go stale.
+                self.recent_translations.forget(req.bank, req.promotee);
+                if let Some(victim) = req.victim {
+                    self.recent_translations.forget(req.bank, victim);
                 }
                 // Only a manager issues migrations.
                 if let Some(m) = self.manager.as_mut() {

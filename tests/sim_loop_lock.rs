@@ -43,9 +43,9 @@ const LOCKED: [(&str, u64); 17] = [
     ("charm", 0xdcc2_45e4_83c5_4291),
     ("das", 0x5be5_8d5e_6ace_9049),
     ("das_fm", 0xc095_8e82_23b3_d4bd),
-    ("das_incl", 0xf934_ec9a_c919_10be),
+    ("das_incl", 0xc10e_036c_6cc6_7348),
     ("fs", 0x07cd_87ec_cb96_7c3f),
-    ("tl", 0x9185_b4de_16bf_60d5),
+    ("tl", 0xdff5_ee0f_fff9_17af),
     ("lisa", 0xf00e_680c_2b0c_79c5),
     ("clr", 0xeca1_b5ab_4ac0_e8a4),
     ("salp", 0x8395_26ac_95bb_4573),
