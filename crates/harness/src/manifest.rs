@@ -200,6 +200,13 @@ impl JobSpec {
 
         let design = Design::parse(&self.design)
             .ok_or_else(|| format!("unknown design key {:?}", self.design))?;
+        let defaults = das_core::management::ManagementConfig::paper_default();
+        SystemConfig::check_geometry(
+            design,
+            self.scale,
+            self.ov.group_size.unwrap_or(defaults.group_size),
+            self.ov.fast_ratio_den.unwrap_or(defaults.fast_ratio.den()),
+        )?;
         let workloads = match self.coherent_spec()? {
             Some((spec, _)) => {
                 if design.needs_profile() {
@@ -652,6 +659,40 @@ mod tests {
         assert!(Manifest::parse(&doc.render())
             .unwrap_err()
             .contains("version"));
+    }
+
+    #[test]
+    fn out_of_range_geometry_is_an_error_not_a_panic() {
+        let fig7b = |scale| {
+            crate::cli::build_catalog_manifest(
+                &["fig7b".to_string()],
+                50_000,
+                scale,
+                &["mcf".to_string()],
+            )
+            .unwrap()
+        };
+        for scale in [65_536, 4096] {
+            let err = fig7b(scale).validate().unwrap_err();
+            assert!(err.contains(&format!("scale {scale}")), "{err}");
+        }
+        let job = |group_size, fast_ratio_den| JobSpec {
+            ov: Overrides {
+                group_size,
+                fast_ratio_den,
+                ..Overrides::default()
+            },
+            ..sample_job(&sample(), "fig8a/mcf/t4")
+        };
+        for (j, want) in [
+            (job(Some(3), None), "group size 3 "),
+            (job(Some(512), None), "group size 512 "),
+            (job(None, Some(0)), "fast ratio 1/0 "),
+            (job(None, Some(3)), "fast ratio 1/3 "),
+        ] {
+            let err = j.materialize().unwrap_err();
+            assert!(err.starts_with(want), "{err}");
+        }
     }
 
     #[test]

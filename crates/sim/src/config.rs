@@ -446,6 +446,61 @@ impl SystemConfig {
         c
     }
 
+    /// Checks a run's capacity scale, migration group size and fast-level
+    /// share `1/ratio_den` against what [`DramGeometry::paper_scaled`], the
+    /// scaled LLC, [`FastRatio`] and `BankGroups` assert, for the values
+    /// asked for and for `design`'s own placement overrides, so an
+    /// out-of-range input is an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Names the first value out of range.
+    pub fn check_geometry(
+        design: Design,
+        scale: u32,
+        group_size: u32,
+        ratio_den: u32,
+    ) -> Result<(), String> {
+        let full_rows = DramGeometry::paper_full().rows_per_bank;
+        if scale == 0 || !full_rows.is_multiple_of(scale) {
+            return Err(format!(
+                "scale {scale} does not divide the {full_rows} rows of a bank"
+            ));
+        }
+        let llc = HierarchyConfig::paper_default();
+        let llc_set = llc.llc_ways as u64 * llc.line_bytes;
+        if llc.llc_bytes / u64::from(scale) < llc_set {
+            return Err(format!(
+                "scale {scale} leaves the LLC less than one {llc_set}-byte set"
+            ));
+        }
+        if ratio_den < 2 {
+            return Err(format!("fast ratio 1/{ratio_den} is not 1/N with N >= 2"));
+        }
+        let rows = full_rows / scale;
+        let asked = (group_size, FastRatio::new(1, ratio_den));
+        let p = design.entry().placement;
+        let placed = (
+            p.group_size.unwrap_or(asked.0),
+            p.fast_ratio.unwrap_or(asked.1),
+        );
+        for (group, ratio) in [asked, placed] {
+            if !(1..=256).contains(&group) || !rows.is_multiple_of(group) {
+                return Err(format!(
+                    "group size {group} is not 1..=256 rows dividing the {rows} rows of a bank \
+                     at scale {scale}"
+                ));
+            }
+            if !(group * ratio.num()).is_multiple_of(ratio.den()) {
+                return Err(format!(
+                    "fast ratio {ratio} does not split a group of {group} rows into fast and \
+                     slow slots"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Scales every capacity of the paper system by `factor` and sets the
     /// per-core instruction budget.
     pub fn scaled_by(factor: u32, inst_budget: u64) -> Self {

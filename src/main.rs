@@ -139,7 +139,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(o)
 }
 
-fn build_config(o: &Options) -> SystemConfig {
+fn build_config(o: &Options) -> Result<SystemConfig, String> {
+    SystemConfig::check_geometry(o.design, o.scale, o.group, o.ratio_den)?;
     let mut cfg = SystemConfig::scaled_by(o.scale, o.insts)
         .with_threshold(o.threshold)
         .with_group_size(o.group)
@@ -148,7 +149,7 @@ fn build_config(o: &Options) -> SystemConfig {
         .with_replacement(o.replacement);
     cfg.salp = o.salp;
     cfg.seed = o.seed;
-    cfg
+    Ok(cfg)
 }
 
 fn print_metrics(m: &RunMetrics, base: Option<&RunMetrics>) {
@@ -204,7 +205,7 @@ fn workloads_for(o: &Options) -> Result<Vec<WorkloadConfig>, String> {
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let o = parse_args(args)?;
-    let cfg = build_config(&o);
+    let cfg = build_config(&o)?;
     let wl = workloads_for(&o)?;
     let base = if o.baseline && o.design != Design::Standard {
         Some(run_one(&cfg, Design::Standard, &wl).map_err(|e| format!("baseline run: {e}"))?)
@@ -226,7 +227,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let items = trace_file::read_trace(std::io::BufReader::new(file))
         .map_err(|e| format!("{path}: {e}"))?;
     println!("loaded {} references from {path}", items.len());
-    let mut cfg = build_config(&o);
+    let mut cfg = build_config(&o)?;
     cfg.inst_budget = u64::MAX;
     let base = if o.baseline && o.design != Design::Standard {
         Some(
@@ -321,7 +322,7 @@ mod tests {
         assert_eq!(o.tcache_kb, 64);
         assert_eq!(o.replacement, ReplacementPolicy::Random);
         assert!(o.salp);
-        let cfg = build_config(&o);
+        let cfg = build_config(&o).unwrap();
         assert_eq!(cfg.management.promotion_threshold, 4);
         assert_eq!(cfg.management.fast_ratio, FastRatio::new(1, 16));
         assert!(cfg.salp);
@@ -333,6 +334,21 @@ mod tests {
         assert!(parse_args(&args(&["--ratio", "2/8"])).is_err());
         assert!(parse_args(&args(&["--mystery"])).is_err());
         assert!(parse_args(&args(&["--insts"])).is_err());
+    }
+
+    #[test]
+    fn out_of_range_geometry_is_an_error() {
+        for (flag, value) in [
+            ("--scale", "65536"),
+            ("--scale", "4096"),
+            ("--group", "3"),
+            ("--group", "512"),
+            ("--ratio", "1/0"),
+            ("--ratio", "1/3"),
+        ] {
+            let o = parse_args(&args(&[flag, value])).unwrap();
+            assert!(build_config(&o).is_err(), "{flag} {value}");
+        }
     }
 
     #[test]
