@@ -3,7 +3,7 @@
 //! Every figure, table and ablation of the paper is described by a
 //! declarative [`manifest::Manifest`] — design, workload, seed,
 //! instruction budget and parameter overrides per run — built by the
-//! [`catalog`] and executed by a deterministic FIFO worker [`pool`]:
+//! [`catalog`] and executed by the deterministic ordered worker [`pool`]:
 //! results are consumed in job order, so an N-thread run is bit-identical
 //! to a serial one. Completed runs land in an fsync'd JSON-lines
 //! [`journal`] that a rerun resumes (a crash loses at most the run in

@@ -120,22 +120,10 @@ pub fn render(stats: &Value) -> String {
             "1 while draining, else 0.",
         ),
         (
-            "pool_pending",
-            "das_pool_pending",
-            "gauge",
-            "Tasks queued in the worker pool.",
-        ),
-        (
             "malformed_frames",
             "das_malformed_frames_total",
             "counter",
             "Requests that violated the frame codec.",
-        ),
-        (
-            "pool_panics",
-            "das_pool_panics_total",
-            "counter",
-            "Pool tasks that panicked (contained).",
         ),
     ] {
         if let Some(v) = num(stats.get(field)) {
@@ -259,9 +247,7 @@ mod tests {
             .set("capacity", 16u64)
             .set("threads", 2u64)
             .set("draining", false)
-            .set("pool_pending", 0u64)
             .set("malformed_frames", 3u64)
-            .set("pool_panics", 0u64)
             .set("jobs", Value::obj().set("queued", 1u64).set("done", 7u64))
             .set(
                 "admission",

@@ -5,13 +5,14 @@
 //! ## Shape
 //!
 //! One [`Server`] owns the process-wide state every connection shares:
-//! the job [`Registry`] (+ condvar for state-change waits), the
-//! [`ServicePool`] executing jobs, the memoized [`ProfileCache`], the
-//! optional content-addressed [`TraceStore`], the fsync'd
-//! [`ServiceJournal`] audit trail, and the [`Metrics`] behind the `stats`
-//! request. The experiment catalog is compiled in (loaded once by
-//! construction); submitting the same experiment twice shares the profile
-//! memo and trace store, not the work queue.
+//! the job [`Registry`] (+ condvar for state-change waits), which is also
+//! the work queue its `threads` workers take jobs from in admission
+//! order, the memoized [`ProfileCache`], the optional content-addressed
+//! [`TraceStore`], the fsync'd [`ServiceJournal`] audit trail, and the
+//! [`Metrics`] behind the `stats` request. The experiment catalog is
+//! compiled in (loaded once by construction); submitting the same
+//! experiment twice shares the profile memo and trace store, not the
+//! jobs.
 //!
 //! ## Admission and backpressure
 //!
@@ -37,10 +38,11 @@
 //!
 //! A `drain` request (the protocol's SIGTERM equivalent) stops admission,
 //! lets in-flight and queued jobs finish, journals `drained`, and wakes
-//! the accept loop so [`Server::run`] returns — the process exits 0 with
-//! every admitted job at a terminal, journalled state.
+//! the accept loop and the workers so [`Server::run`] returns — the
+//! process exits 0 with every admitted job at a terminal, journalled
+//! state.
 //!
-//! Lock order is `registry → journal` everywhere (admission and task
+//! Lock order is `registry → journal` everywhere (admission and job
 //! completion both write the journal while holding the registry), which
 //! also guarantees the journal's terminal line is on disk before a job
 //! becomes observably terminal: when drain sees every job terminal, the
@@ -52,12 +54,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use das_harness::cli::build_catalog_manifest;
 use das_harness::journal::{ServiceJournal, ServiceSummary};
 use das_harness::manifest::JobSpec;
-use das_harness::pool::ServicePool;
 use das_harness::profile::ProfileCache;
 use das_harness::runner;
 use das_telemetry::json::Value;
@@ -120,16 +122,18 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Shared {
     cfg: ServerConfig,
     registry: Mutex<Registry>,
-    /// Notified on every registry transition and on drain.
+    /// Notified on every registry transition (admission included), on
+    /// drain and on stop; workers wait on it for queued jobs.
     changed: Condvar,
     journal: Mutex<ServiceJournal>,
     metrics: Mutex<Metrics>,
     profiles: ProfileCache,
     store: Option<TraceStore>,
-    pool: ServicePool,
     draining: AtomicBool,
-    /// Set once drained: the accept loop exits and connections stop
-    /// picking up new requests.
+    /// Set once drained (or when a server is dropped without running):
+    /// the accept loop and the workers exit, and connections stop picking
+    /// up new requests. Set under the registry lock, so a worker never
+    /// misses it between its check and its wait.
     stop: AtomicBool,
     tickets: AtomicU64,
     /// Read-halves of live connections, shut down on stop so handlers
@@ -142,16 +146,18 @@ struct Shared {
     started: Instant,
 }
 
-/// A bound, not-yet-running server.
+/// A bound server: its workers already run re-driven orphans, and
+/// [`Server::run`] starts accepting connections.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port) and initializes
-    /// the shared state: output directory, service journal, optional
-    /// trace store, worker pool.
+    /// Binds `addr` (use port 0 for an ephemeral port), initializes the
+    /// shared state (output directory, service journal, optional trace
+    /// store) and starts `cfg.threads` workers.
     ///
     /// # Errors
     ///
@@ -183,19 +189,16 @@ impl Server {
             None => None,
         };
         let listener = TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
-        let pool = ServicePool::new(cfg.threads);
-        // Orphans whose admission carried a spec are re-queued (their
-        // admit line is already journalled; only a terminal event is
-        // owed). Spec-less orphans cannot be re-driven: close them as
-        // failed so the journal validates clean and clients resubmit.
+        // Orphans whose admission carried a spec are re-queued in journal
+        // order (their admit line is already journalled; only a terminal
+        // event is owed). Spec-less orphans cannot be re-driven: close them
+        // as failed so the journal validates clean and clients resubmit.
         let mut registry = Registry::default();
-        let mut recovered_ids = Vec::new();
         let mut recovered = 0u64;
         for (id, spec) in summary.orphan_specs {
             match spec.as_ref().map(JobSpec::from_value) {
                 Some(Ok(spec)) => {
-                    registry.insert_queued(id.clone(), spec);
-                    recovered_ids.push(id);
+                    registry.insert_queued(id, spec);
                     recovered += 1;
                 }
                 _ => {
@@ -211,7 +214,6 @@ impl Server {
             metrics: Mutex::new(Metrics::default()),
             profiles: ProfileCache::new(),
             store,
-            pool,
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             tickets: AtomicU64::new(admitted_before),
@@ -220,11 +222,17 @@ impl Server {
             started: Instant::now(),
         });
         lock(&shared.metrics).recovered = recovered;
-        for id in recovered_ids {
-            let task_shared = Arc::clone(&shared);
-            shared.pool.submit(move || run_job(&task_shared, &id));
-        }
-        Ok(Server { listener, shared })
+        let workers = (0..shared.cfg.threads.max(1))
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker(&shared))
+            })
+            .collect();
+        Ok(Server {
+            listener,
+            shared,
+            workers,
+        })
     }
 
     /// The bound address (interesting with port 0).
@@ -238,13 +246,14 @@ impl Server {
 
     /// Serves until drained: accepts connections (one thread each),
     /// and returns once a `drain` request has been honoured — admission
-    /// stopped, every admitted job terminal, journal flushed.
+    /// stopped, every admitted job terminal, journal flushed, workers
+    /// joined.
     ///
     /// # Errors
     ///
     /// Fatal accept-loop failures only; per-connection and per-job
     /// failures are answered in-protocol.
-    pub fn run(self) -> Result<(), String> {
+    pub fn run(mut self) -> Result<(), String> {
         let addr = self
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
@@ -283,8 +292,50 @@ impl Server {
             let _ = h.join();
         }
         let _ = completer.join();
-        self.shared.pool.shutdown();
+        self.stop_workers();
         Ok(())
+    }
+
+    /// Sets `stop` and joins the workers. A worker finishes the job it is
+    /// running; jobs still queued stay journalled orphans, which a server
+    /// resumed on the same journal re-drives. Idempotent.
+    fn stop_workers(&mut self) {
+        {
+            let _reg = lock(&self.shared.registry);
+            self.shared.stop.store(true, Ordering::SeqCst);
+        }
+        self.shared.changed.notify_all();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for Server {
+    /// A server dropped without [`Server::run`] still stops its workers.
+    fn drop(&mut self) {
+        self.stop_workers();
+    }
+}
+
+/// One worker: takes the oldest queued job from the registry and runs it,
+/// until `stop` is set.
+fn worker(shared: &Arc<Shared>) {
+    loop {
+        let (id, spec) = {
+            let mut reg = lock(&shared.registry);
+            loop {
+                if shared.stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                if let Some(job) = reg.start_next() {
+                    break job;
+                }
+                reg = shared.changed.wait(reg).unwrap_or_else(|e| e.into_inner());
+            }
+        };
+        shared.changed.notify_all();
+        run_job(shared, &id, &spec);
     }
 }
 
@@ -308,8 +359,9 @@ fn drain_completer(shared: &Arc<Shared>, addr: SocketAddr) {
             eprintln!("das-serve: {e}");
         }
     }
-    drop(reg);
     shared.stop.store(true, Ordering::SeqCst);
+    drop(reg);
+    shared.changed.notify_all();
     // The accept loop is blocked in accept(); a throwaway connection
     // wakes it so it can observe `stop`.
     let _ = TcpStream::connect(addr);
@@ -431,7 +483,8 @@ fn handle_request(
 }
 
 /// Admits a batch of jobs atomically: capacity-checked, journalled and
-/// registered under one ticket, then handed to the pool. `Err` carries
+/// queued in the registry under one ticket, then the workers are woken.
+/// `Err` carries
 /// the ready-made rejection response (`bad_request` for a batch larger
 /// than the whole capacity, `draining`, `busy`, `internal`).
 fn admit(shared: &Arc<Shared>, specs: Vec<JobSpec>) -> Result<(u64, Vec<String>), Value> {
@@ -488,30 +541,18 @@ fn admit(shared: &Arc<Shared>, specs: Vec<JobSpec>) -> Result<(u64, Vec<String>)
     }
     lock(&shared.metrics).admitted += ids.len() as u64;
     drop(reg);
-    for id in &ids {
-        let task_shared = Arc::clone(shared);
-        let id = id.clone();
-        shared.pool.submit(move || run_job(&task_shared, &id));
-    }
+    shared.changed.notify_all();
     Ok((ticket, ids))
 }
 
-/// Executes one admitted job on a pool worker: start (skipped if
-/// cancelled meanwhile), run the simulation with panic containment,
-/// journal the terminal event, publish the outcome.
-fn run_job(shared: &Arc<Shared>, id: &str) {
-    let spec = {
-        let mut reg = lock(&shared.registry);
-        match reg.start(id) {
-            Some(s) => s,
-            None => return, // cancelled while queued; already journalled
-        }
-    };
-    shared.changed.notify_all();
+/// Executes one started job on a worker: runs the simulation with the
+/// server's only panic containment, journals the terminal event and
+/// publishes the outcome.
+fn run_job(shared: &Arc<Shared>, id: &str, spec: &JobSpec) {
     let exec_start = Instant::now();
     let outcome = match catch_unwind(AssertUnwindSafe(|| {
         runner::execute(
-            &spec,
+            spec,
             &shared.profiles,
             &shared.cfg.out_dir,
             shared.store.as_ref(),
@@ -704,8 +745,6 @@ fn handle_stats(shared: &Arc<Shared>) -> Value {
                 .set("recovered", m.recovered),
         )
         .set("malformed_frames", m.malformed_frames)
-        .set("pool_pending", shared.pool.pending())
-        .set("pool_panics", shared.pool.panicked_tasks())
         .set("request_latency_us", m.latency_value())
         .set("job_latency_ms", m.job_latency_value());
     if let Some(c) = m.coherence_value() {

@@ -1,14 +1,16 @@
 //! Server-side job state: the registry every connection handler reads
-//! and every pool task writes, plus the request/admission metrics the
-//! `stats` request reports.
+//! and every worker takes its jobs from, plus the request/admission
+//! metrics the `stats` request reports.
 //!
 //! The registry is plain data behind one mutex (the server pairs it with
 //! a condvar for state-change waits); all transition logic lives here so
 //! it can be unit-tested without sockets. Lifecycle:
 //! `Queued → Running → Done|Failed`, or `Queued → Cancelled` (a running
 //! simulation is never interrupted — cancellation only prevents a start).
+//! The registry is also the server's only work queue: workers take the
+//! oldest still-queued job in admission order.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use das_harness::manifest::JobSpec;
 use das_telemetry::hist::LatencyHistogram;
@@ -19,7 +21,7 @@ use das_telemetry::json::Value;
 pub enum JobState {
     /// Admitted, waiting for a worker.
     Queued,
-    /// Executing on a pool worker.
+    /// Executing on a worker.
     Running,
     /// Finished with a report.
     Done,
@@ -78,15 +80,21 @@ pub struct Counts {
     pub cancelled: u64,
 }
 
-/// The admitted-job table, keyed by ticket-prefixed id (`t3/fig8a/...`).
+/// The admitted-job table, keyed by ticket-prefixed id (`t3/fig8a/...`),
+/// and the order in which its queued jobs start.
 #[derive(Debug, Default)]
 pub struct Registry {
     jobs: HashMap<String, JobEntry>,
+    /// Queued ids in admission order. A cancelled id stays until it
+    /// reaches the front, where [`Registry::start_next`] drops it.
+    queue: VecDeque<String>,
 }
 
 impl Registry {
-    /// Records a freshly admitted job as `Queued`.
+    /// Records a freshly admitted job as `Queued`, behind every job
+    /// admitted before it.
     pub fn insert_queued(&mut self, id: String, spec: JobSpec) {
+        self.queue.push_back(id.clone());
         self.jobs.insert(
             id,
             JobEntry {
@@ -103,21 +111,26 @@ impl Registry {
         self.jobs.get(id)
     }
 
-    /// Transitions `Queued → Running`, handing back the spec to execute.
-    /// Returns `None` when the job is missing or no longer queued (e.g.
-    /// cancelled after admission) — the caller must then do nothing.
-    pub fn start(&mut self, id: &str) -> Option<JobSpec> {
-        let e = self.jobs.get_mut(id)?;
-        if e.state != JobState::Queued {
-            return None;
+    /// Starts the oldest job that is still `Queued` (`Queued → Running`),
+    /// handing back its id and the spec to execute. Ids cancelled since
+    /// admission are dropped on the way; `None` means nothing is queued.
+    pub fn start_next(&mut self) -> Option<(String, JobSpec)> {
+        while let Some(id) = self.queue.pop_front() {
+            match self.jobs.get_mut(&id) {
+                Some(e) if e.state == JobState::Queued => {
+                    e.state = JobState::Running;
+                    let spec = e.spec.clone();
+                    return Some((id, spec));
+                }
+                _ => {}
+            }
         }
-        e.state = JobState::Running;
-        Some(e.spec.clone())
+        None
     }
 
     /// Records a running job's outcome (`Done` with a report or `Failed`
     /// with an error). Ignored for jobs not `Running` — a defensive no-op,
-    /// since only the executing task calls this.
+    /// since only the worker that started the job calls this.
     pub fn finish(&mut self, id: &str, outcome: Result<Value, String>) {
         let Some(e) = self.jobs.get_mut(id) else {
             return;
@@ -395,9 +408,9 @@ mod tests {
         assert_eq!(r.outstanding(), 2);
 
         // Queued → Running → Done.
-        let s = r.start("t1/a").expect("queued job starts");
-        assert_eq!(s.id, "a");
-        assert!(r.start("t1/a").is_none(), "double start refused");
+        let (id, s) = r.start_next().expect("queued job starts");
+        assert_eq!((id.as_str(), s.id.as_str()), ("t1/a", "a"));
+        assert_eq!(r.entry("t1/a").unwrap().state, JobState::Running);
         r.finish("t1/a", Ok(Value::obj().set("n", 1u64)));
         assert_eq!(r.entry("t1/a").unwrap().state, JobState::Done);
         assert!(r.entry("t1/a").unwrap().report.is_some());
@@ -405,7 +418,7 @@ mod tests {
         // Queued → Cancelled; a cancelled job never starts.
         assert!(r.cancel_queued("t1/b"));
         assert!(!r.cancel_queued("t1/b"), "already terminal");
-        assert!(r.start("t1/b").is_none());
+        assert!(r.start_next().is_none());
         assert_eq!(r.outstanding(), 0);
 
         let c = r.counts();
@@ -420,14 +433,31 @@ mod tests {
     }
 
     #[test]
+    fn jobs_start_in_admission_order_skipping_cancelled_ones() {
+        let mut r = Registry::default();
+        // Admission order, not id order: "t9" is admitted before "t10".
+        for id in ["t9/z", "t10/a", "t11/m", "t12/b"] {
+            r.insert_queued(id.into(), spec(id));
+        }
+        assert!(r.cancel_queued("t10/a"));
+        assert!(r.cancel_queued("t12/b"));
+        let (first, _) = r.start_next().unwrap();
+        r.insert_queued("t13/c".into(), spec("c"));
+        let rest: Vec<String> = std::iter::from_fn(|| r.start_next().map(|(id, _)| id)).collect();
+        assert_eq!(first, "t9/z");
+        assert_eq!(rest, ["t11/m", "t13/c"]);
+        let c = r.counts();
+        assert_eq!((c.queued, c.running, c.cancelled), (0, 3, 2));
+    }
+
+    #[test]
     fn failure_and_unknown_ids_are_handled() {
         let mut r = Registry::default();
         r.insert_queued("t2/x".into(), spec("x"));
-        assert!(r.start("nosuch").is_none());
         assert!(!r.cancel_queued("nosuch"));
         r.finish("t2/x", Err("too early".into())); // still queued: no-op
         assert_eq!(r.entry("t2/x").unwrap().state, JobState::Queued);
-        r.start("t2/x").unwrap();
+        r.start_next().unwrap();
         assert!(!r.cancel_queued("t2/x"), "running jobs are not cancelled");
         r.finish("t2/x", Err("boom".into()));
         let e = r.entry("t2/x").unwrap();

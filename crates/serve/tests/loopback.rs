@@ -1,9 +1,10 @@
 //! Loopback integration tests: a real server on an ephemeral port, real
 //! TCP clients, no mocks. Covers the protocol's failure modes (malformed
 //! frames, version/kind violations, idle timeouts), the admission
-//! contract (deterministic structured `busy`, `draining`), the graceful
-//! drain + journal-audit story, crash recovery from a resumed journal,
-//! and the headline determinism guarantee:
+//! contract (deterministic structured `busy`, `draining`), start order
+//! and panic containment on the one worker, the graceful drain +
+//! journal-audit story, crash recovery from a resumed journal, and the
+//! headline determinism guarantee:
 //! artifacts fetched through the server are byte-identical to a direct
 //! harness run's.
 
@@ -256,6 +257,99 @@ fn cancel_drain_and_journal_leave_no_orphans() {
     assert_eq!(s.admitted, 3);
     assert_eq!((s.done, s.failed, s.cancelled), (2, 0, 1));
     assert!(s.orphans.is_empty(), "clean drain leaves no orphans");
+}
+
+#[test]
+fn one_worker_starts_jobs_in_admission_order_and_never_a_cancelled_one() {
+    let dir = tmp_dir("order");
+    let (addr, h) = start(config(&dir)); // threads: 1
+    let mut c = Client::connect(&addr).unwrap();
+    let ids: Vec<String> = [("d", 400_000), ("c", 50_000), ("b", 50_000), ("a", 50_000)]
+        .into_iter()
+        .map(|(id, insts)| submit(&mut c, &spec(id, insts)).unwrap())
+        .collect();
+
+    // The first job holds the only worker, so the third is still queued.
+    let resp = c
+        .request(&proto::request("cancel").set("job", ids[2].as_str()))
+        .unwrap();
+    assert_eq!(resp.get("cancelled").and_then(Value::as_bool), Some(true));
+    drain_and_join(&addr, h);
+
+    // With one worker, terminal lines follow start order. The cancelled
+    // job has no other terminal line: it never started.
+    let text = std::fs::read_to_string(dir.join(SERVE_JOURNAL_NAME)).unwrap();
+    let terminals: Vec<(String, String)> = text
+        .lines()
+        .filter_map(|line| {
+            let v = das_telemetry::json::parse(line).ok()?;
+            let event = v.get("event")?.as_str()?;
+            let job = v.get("job")?.as_str()?;
+            matches!(event, "done" | "failed" | "cancelled")
+                .then(|| (event.to_string(), job.to_string()))
+        })
+        .collect();
+    let want = |event: &str, i: usize| (event.to_string(), ids[i].clone());
+    assert_eq!(
+        terminals,
+        [
+            want("cancelled", 2),
+            want("done", 0),
+            want("done", 1),
+            want("done", 3)
+        ]
+    );
+}
+
+#[test]
+fn a_panicking_job_is_journalled_failed_and_the_worker_survives() {
+    let dir = tmp_dir("panic");
+    let (addr, h) = start(config(&dir)); // threads: 1
+    let mut c = Client::connect(&addr).unwrap();
+    // Without containment the job would stay running forever.
+    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    // A zero promotion threshold trips an assertion inside the simulator.
+    let mut bad = spec("bad", 50_000);
+    bad.design = "das".into();
+    bad.ov.threshold = Some(0);
+    let bad = submit(&mut c, &bad).unwrap();
+    let good = submit(&mut c, &spec("good", 50_000)).unwrap();
+    let err = collect_stream(&mut c, &[bad], |_, _| {}).unwrap_err();
+    assert!(err.contains("ended failed: job panicked:"), "{err}");
+
+    // The only worker survived the panic and runs the next job.
+    let mut c = Client::connect(&addr).unwrap();
+    assert_eq!(collect_stream(&mut c, &[good], |_, _| {}).unwrap().len(), 1);
+    drain_and_join(&addr, h);
+    let s = load_service(&dir.join(SERVE_JOURNAL_NAME)).unwrap();
+    assert_eq!((s.admitted, s.done, s.failed), (2, 1, 1));
+}
+
+#[test]
+fn out_of_range_geometry_is_a_bad_request_not_a_dead_connection() {
+    let dir = tmp_dir("geometry");
+    let (addr, h) = start(config(&dir));
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    // A connection thread that panics leaves the socket open without a
+    // reply: fail instead of waiting forever.
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let req = proto::request("submit_experiment")
+        .set("exp", Value::Arr(vec![Value::Str("fig7b".into())]))
+        .set("insts", 100_000u64)
+        .set("scale", 65_536u64)
+        .set("only", Value::Arr(vec![Value::Str("mcf".into())]));
+    proto::write_frame(&mut raw, &req).unwrap();
+    let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+    let (c, msg) = proto::error_of(&resp).expect("failure response");
+    assert_eq!(c, code::BAD_REQUEST, "{msg}");
+    assert!(msg.contains("scale 65536"), "{msg}");
+
+    // The same connection still answers.
+    proto::write_frame(&mut raw, &proto::request("ping")).unwrap();
+    let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+    assert!(proto::error_of(&resp).is_none(), "{resp:?}");
+    drop(raw);
+    drain_and_join(&addr, h);
 }
 
 #[test]
