@@ -46,8 +46,9 @@ pub struct AccessOutcome {
     /// Dirty lines flushed out of the cluster by this access (snoop
     /// write-backs and dirty LRU victims), as line addresses.
     pub writebacks: Vec<u64>,
-    /// Another core's L1 held the line valid: a sharing-induced access
-    /// (counted in [`CoherentCluster::shared_accesses`]).
+    /// Another core's L1 held the line valid: a sharing-induced access.
+    /// The simulator turns it into per-row sharing heat for the migration
+    /// policy.
     pub shared: bool,
 }
 
@@ -276,11 +277,6 @@ pub struct CoherentCluster {
     l1: Vec<LruTags>,
     bus: SnoopBus,
     stats: CoherenceStats,
-    /// Per-line sharing-induced access counts: how many accesses found
-    /// the line valid in *another* core's L1. Surfaced so fast-level
-    /// placement (cost-aware migration policies) can weight sharing-hot
-    /// rows; purely observational, never read by the protocol.
-    shared_access_counts: HashMap<u64, u32>,
 }
 
 impl CoherentCluster {
@@ -302,7 +298,6 @@ impl CoherentCluster {
             cfg,
             bus: SnoopBus::new(),
             stats: CoherenceStats::default(),
-            shared_access_counts: HashMap::new(),
         }
     }
 
@@ -322,29 +317,9 @@ impl CoherentCluster {
         self.stats.shared_promotions += 1;
     }
 
-    /// Sharing-induced access count for the line holding `addr`: how many
-    /// accesses found it valid in another core's L1.
-    pub fn shared_accesses(&self, addr: u64) -> u32 {
-        self.shared_access_counts
-            .get(&(addr & !(self.cfg.line_bytes - 1)))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of distinct lines that have seen at least one
-    /// sharing-induced access.
-    pub fn sharing_hot_lines(&self) -> usize {
-        self.shared_access_counts.len()
-    }
-
     /// State of `core`'s copy of the line holding `addr`, if any.
     pub fn probe(&self, core: usize, addr: u64) -> Option<CohState> {
         self.l1[core].get(addr & !(self.cfg.line_bytes - 1))
-    }
-
-    fn note_shared_access(&mut self, line: u64) {
-        let n = self.shared_access_counts.entry(line).or_insert(0);
-        *n = n.saturating_add(1);
     }
 
     /// Does any core other than `core` hold a valid copy of `line`?
@@ -425,9 +400,6 @@ impl CoherentCluster {
             // ---- hit ----------------------------------------------------
             self.stats.l1_hits += 1;
             let others = self.others_hold(core, line);
-            if others {
-                self.note_shared_access(line);
-            }
             let out = self.protocol.on_hit(state, is_write, others);
             let mut done = now + self.cfg.hit_cycles;
             if let Some(tx) = out.bus {
@@ -458,9 +430,6 @@ impl CoherentCluster {
             self.l1[core].remove(i);
         }
         let others = self.others_hold(core, line);
-        if others {
-            self.note_shared_access(line);
-        }
         let out = self.protocol.on_miss(is_write, others);
         self.stats.count_tx(out.tx);
         // Any valid holder supplies under both protocols, so the data phase
@@ -520,7 +489,6 @@ mod stamp_oracle {
         use_counter: u64,
         bus: SnoopBus,
         pub stats: CoherenceStats,
-        shared_access_counts: HashMap<u64, u32>,
     }
 
     impl StampCluster {
@@ -532,26 +500,13 @@ mod stamp_oracle {
                 use_counter: 0,
                 bus: SnoopBus::new(),
                 stats: CoherenceStats::default(),
-                shared_access_counts: HashMap::new(),
             }
-        }
-
-        pub fn shared_accesses(&self, addr: u64) -> u32 {
-            self.shared_access_counts
-                .get(&(addr & !(self.cfg.line_bytes - 1)))
-                .copied()
-                .unwrap_or(0)
         }
 
         pub fn probe(&self, core: usize, addr: u64) -> Option<CohState> {
             self.l1[core]
                 .get(&(addr & !(self.cfg.line_bytes - 1)))
                 .map(|&(s, _)| s)
-        }
-
-        fn note_shared_access(&mut self, line: u64) {
-            let n = self.shared_access_counts.entry(line).or_insert(0);
-            *n = n.saturating_add(1);
         }
 
         fn others_hold(&self, core: usize, line: u64) -> bool {
@@ -615,8 +570,7 @@ mod stamp_oracle {
             tags.insert(line, (state, stamp));
         }
 
-        /// The old access path; `shared` is derived the way its caller
-        /// did, from the line's sharing count before and after.
+        /// One access, stamp-scan style; see [`CoherentCluster::access`].
         pub fn access(
             &mut self,
             core: usize,
@@ -624,23 +578,6 @@ mod stamp_oracle {
             is_write: bool,
             now: u64,
         ) -> AccessOutcome {
-            let shared_before = self.shared_accesses(addr);
-            let (cycles, fetch_below, writebacks) = self.access_inner(core, addr, is_write, now);
-            AccessOutcome {
-                cycles,
-                fetch_below,
-                writebacks,
-                shared: self.shared_accesses(addr) > shared_before,
-            }
-        }
-
-        fn access_inner(
-            &mut self,
-            core: usize,
-            addr: u64,
-            is_write: bool,
-            now: u64,
-        ) -> (u64, bool, Vec<u64>) {
             self.use_counter += 1;
             let line = addr & !(self.cfg.line_bytes - 1);
             let mut writebacks = Vec::new();
@@ -649,9 +586,6 @@ mod stamp_oracle {
             if let Some((state, _)) = held.filter(|&(s, _)| s != CohState::I) {
                 self.stats.l1_hits += 1;
                 let others = self.others_hold(core, line);
-                if others {
-                    self.note_shared_access(line);
-                }
                 let out = self.protocol.on_hit(state, is_write, others);
                 let mut done = now + self.cfg.hit_cycles;
                 if let Some(tx) = out.bus {
@@ -667,7 +601,12 @@ mod stamp_oracle {
                 }
                 self.l1[core].insert(line, (out.next, self.use_counter));
                 self.sync_bus_stats();
-                return (done - now, false, writebacks);
+                return AccessOutcome {
+                    cycles: done - now,
+                    fetch_below: false,
+                    writebacks,
+                    shared: others,
+                };
             }
 
             self.stats.l1_misses += 1;
@@ -675,9 +614,6 @@ mod stamp_oracle {
                 self.l1[core].remove(&line);
             }
             let others = self.others_hold(core, line);
-            if others {
-                self.note_shared_access(line);
-            }
             let out = self.protocol.on_miss(is_write, others);
             self.stats.count_tx(out.tx);
             let data = if others { C2C_TRANSFER_CYCLES } else { 0 };
@@ -691,7 +627,12 @@ mod stamp_oracle {
             }
             self.fill(core, line, out.next, &mut writebacks);
             self.sync_bus_stats();
-            ((done - now) + self.cfg.hit_cycles, !supplied, writebacks)
+            AccessOutcome {
+                cycles: (done - now) + self.cfg.hit_cycles,
+                fetch_below: !supplied,
+                writebacks,
+                shared: others,
+            }
         }
 
         pub fn drain_dirty(&mut self) -> Vec<u64> {
@@ -738,19 +679,16 @@ mod tests {
     fn sharing_induced_accesses_are_counted_per_line() {
         let mut cl = cluster(ProtocolKind::Mesi, 2);
         // Core 0 alone: nothing is sharing-induced.
-        cl.access(0, 0x100, false, 0);
-        assert_eq!(cl.shared_accesses(0x100), 0);
-        assert_eq!(cl.sharing_hot_lines(), 0);
-        // Core 1 touches the line core 0 holds: sharing-induced.
-        cl.access(1, 0x100, false, 10);
-        assert_eq!(cl.shared_accesses(0x100), 1);
-        // Core 0 hits its own copy while core 1 also holds it: counted.
-        cl.access(0, 0x120, false, 20);
-        assert_eq!(cl.shared_accesses(0x100), 2, "same line, offset addr");
-        assert_eq!(cl.sharing_hot_lines(), 1);
+        assert!(!cl.access(0, 0x100, false, 0).shared);
+        // Core 1 misses on the line core 0 holds: sharing-induced.
+        assert!(cl.access(1, 0x100, false, 10).shared);
+        // Core 0 hits its own copy while core 1 also holds it.
+        assert!(
+            cl.access(0, 0x120, false, 20).shared,
+            "same line, offset addr"
+        );
         // A private line on another core never counts.
-        cl.access(1, 0x2000, false, 30);
-        assert_eq!(cl.shared_accesses(0x2000), 0);
+        assert!(!cl.access(1, 0x2000, false, 30).shared);
     }
 
     #[test]
@@ -912,11 +850,6 @@ mod tests {
                 let ctx = format!("case {case} step {step} {kind:?} {cfg:?}");
                 assert_eq!(got, want, "{ctx}");
                 assert_eq!(lru.stats(), &oracle.stats, "{ctx}");
-                assert_eq!(
-                    lru.shared_accesses(addr),
-                    oracle.shared_accesses(addr),
-                    "{ctx}"
-                );
                 for c in 0..cfg.cores {
                     for l in 0..pool {
                         assert_eq!(lru.probe(c, l * 64), oracle.probe(c, l * 64), "{ctx}");
