@@ -361,9 +361,8 @@ impl DasManager {
         layout: BankLayout,
         placement: Placement,
     ) -> Self {
-        // The table occupies a reserved region at the top of DRAM (one byte
-        // per row), hidden from the OS; demand regions must stay below it.
-        let table_map = TableAddressMap::new(geometry.total_bytes() - geometry.total_rows());
+        // Demand regions must stay below the reserved table region.
+        let table_map = TableAddressMap::new(geometry.table_base());
         DasManager {
             cfg,
             geometry,

@@ -548,6 +548,19 @@ impl DramGeometry {
         self.total_banks() as u64 * self.rows_per_bank as u64
     }
 
+    /// First byte of the translation table. The table keeps one byte per
+    /// row in a region at the very top of DRAM, hidden from the OS, so
+    /// this is also the byte size of the address space below it.
+    pub fn table_base(&self) -> u64 {
+        self.total_bytes() - self.total_rows()
+    }
+
+    /// Whole rows the translation table occupies. With the row-interleaved
+    /// mapping they are the final rows of every bank.
+    pub fn table_rows(&self) -> u64 {
+        self.total_rows().div_ceil(self.row_bytes as u64)
+    }
+
     /// Iterates over every bank coordinate in the system.
     pub fn banks(&self) -> impl Iterator<Item = BankCoord> + '_ {
         let (ch, rk, bk) = (self.channels, self.ranks_per_channel, self.banks_per_rank);
@@ -575,6 +588,9 @@ mod tests {
         assert_eq!(g.total_banks(), 32);
         assert_eq!(g.lines_per_row(), 128);
         assert_eq!(g.total_rows(), 1 << 20);
+        // One table byte per row: 1 MB at the top, 128 rows of 8 KB.
+        assert_eq!(g.table_base(), (8 << 30) - (1 << 20));
+        assert_eq!(g.table_rows(), 128);
     }
 
     #[test]

@@ -1187,7 +1187,7 @@ fn build_ablation_inclusive(p: &BuildParams) -> Vec<JobSpec> {
 fn render_ablation_inclusive(ctx: &RenderCtx) -> String {
     let cfg = SystemConfig::scaled_by(ctx.scale, ctx.insts);
     let layout = cfg.bank_layout();
-    let usable_excl = cfg.geometry.total_bytes() - cfg.geometry.total_rows();
+    let usable_excl = cfg.geometry.table_base();
     let dup = layout.fast_rows() as u64
         * cfg.geometry.total_banks() as u64
         * cfg.geometry.row_bytes as u64;

@@ -267,8 +267,7 @@ impl AddressMap {
     /// Panics if any workload's footprint exceeds its share of the usable
     /// row space (everything below the reserved translation-table region).
     pub fn new(cfg: &SystemConfig, workloads: &[WorkloadConfig]) -> Self {
-        let row = cfg.geometry.row_bytes as u64;
-        let usable_rows = (cfg.geometry.total_bytes() - cfg.geometry.total_rows()) / row;
+        let usable_rows = cfg.geometry.table_base() / cfg.geometry.row_bytes as u64;
         Self::with_usable_rows(cfg, workloads, usable_rows)
     }
 
@@ -563,10 +562,7 @@ impl System {
             // to the slow capacity (minus the reserved table region).
             let layout = cfg.bank_layout();
             let usable = layout.slow_rows() as u64 * cfg.geometry.total_banks() as u64
-                - cfg
-                    .geometry
-                    .total_rows()
-                    .div_ceil(cfg.geometry.row_bytes as u64);
+                - cfg.geometry.table_rows();
             AddressMap::with_usable_rows(&cfg, workloads, usable)
         } else if let Some(per_bank) = design.usable_rows_per_bank(&cfg.bank_layout()) {
             // Capacity-trading backends (CLR-DRAM): morphed rows couple
@@ -1380,11 +1376,8 @@ impl System {
     /// First logical row of `bank` that belongs to the reserved table
     /// region (rows at the very top of the address space).
     fn table_region_first_row(&self, _bank: BankCoord) -> u32 {
-        // The table occupies the top `total_rows` bytes; with row-
-        // interleaved mapping those bytes are the final rows of every bank.
         let g = &self.cfg.geometry;
-        let table_rows_total = g.total_rows().div_ceil(g.row_bytes as u64);
-        let per_bank = table_rows_total.div_ceil(g.total_banks() as u64) as u32;
+        let per_bank = g.table_rows().div_ceil(g.total_banks() as u64) as u32;
         g.rows_per_bank - per_bank.min(g.rows_per_bank)
     }
 
