@@ -5,9 +5,9 @@
 //! seconds ago in this process or loaded from a resumed file. That single
 //! code path is what makes an N-thread, resumed, or re-rendered run
 //! byte-identical to a fresh serial one. JSON floats render in shortest-
-//! round-trip form and parse back exactly, so arithmetic replicated here
-//! (the improvement metric, gmean inputs) produces bit-equal results
-//! from a reloaded journal.
+//! round-trip form and parse back exactly, so arithmetic over report
+//! fields (the improvement metric, gmean inputs) produces bit-equal
+//! results from a reloaded journal.
 
 use das_telemetry::json::Value;
 
@@ -64,24 +64,16 @@ impl<'a> ReportView<'a> {
             .collect()
     }
 
-    /// The paper's improvement metric against a baseline run — the exact
-    /// arithmetic of [`das_sim::experiments::improvement`], replayed from
-    /// journalled per-core IPCs (bit-equal by the shortest-round-trip
+    /// The paper's improvement metric against a baseline run:
+    /// [`das_sim::experiments::ipc_improvement`] over the journalled
+    /// per-core IPCs (bit-equal to a live run's by the shortest-round-trip
     /// float guarantee).
     ///
     /// # Panics
     ///
     /// Panics if the two runs have different core counts.
     pub fn improvement_over(&self, base: &ReportView) -> f64 {
-        let run = self.core_ipcs();
-        let bases = base.core_ipcs();
-        assert_eq!(run.len(), bases.len(), "mismatched systems");
-        let speedups: Vec<f64> = run
-            .iter()
-            .zip(&bases)
-            .map(|(&r, &b)| if b == 0.0 { 1.0 } else { r / b })
-            .collect();
-        speedups.iter().sum::<f64>() / speedups.len() as f64 - 1.0
+        das_sim::experiments::ipc_improvement(&self.core_ipcs(), &base.core_ipcs())
     }
 
     /// Access-location fractions `(row_buffer, fast, slow)` as serialised

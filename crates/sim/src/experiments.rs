@@ -304,21 +304,24 @@ pub fn run_one_coherent_instrumented(
 ///
 /// Panics if the two runs have different core counts.
 pub fn improvement(run: &RunMetrics, base: &RunMetrics) -> f64 {
-    assert_eq!(run.cores.len(), base.cores.len(), "mismatched systems");
-    let speedups: Vec<f64> = run
-        .cores
+    let ipcs = |m: &RunMetrics| m.cores.iter().map(|c| c.ipc()).collect::<Vec<f64>>();
+    ipc_improvement(&ipcs(run), &ipcs(base))
+}
+
+/// [`improvement`] over per-core IPCs in core order: the mean per-core
+/// speedup minus one, where a core with a zero baseline IPC counts as
+/// speedup 1. Journalled reports replay it from their serialised IPCs.
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length.
+pub fn ipc_improvement(run: &[f64], base: &[f64]) -> f64 {
+    assert_eq!(run.len(), base.len(), "mismatched systems");
+    let speedups = run
         .iter()
-        .zip(&base.cores)
-        .map(|(r, b)| {
-            let bi = b.ipc();
-            if bi == 0.0 {
-                1.0
-            } else {
-                r.ipc() / bi
-            }
-        })
-        .collect();
-    speedups.iter().sum::<f64>() / speedups.len() as f64 - 1.0
+        .zip(base)
+        .map(|(&r, &b)| if b == 0.0 { 1.0 } else { r / b });
+    speedups.sum::<f64>() / run.len() as f64 - 1.0
 }
 
 #[cfg(test)]
