@@ -3,9 +3,6 @@
 //! The primary contribution of Lu, Lin & Yang (MICRO 2015), *Improving DRAM
 //! Latency with Dynamic Asymmetric Subarray*:
 //!
-//! * [`migration`] — the migration-cell row mechanism (§4): 1.5 tRC
-//!   single migrations (Fig. 3d), the 3 tRC four-step swap of Fig. 6, and
-//!   hop-cost extrapolations for arrangement ablations;
 //! * [`groups`] — migration groups (§5.2): bounded-freedom permutations
 //!   keeping translation entries at one byte;
 //! * [`translation`] — the in-memory translation table and the controller's
@@ -46,7 +43,6 @@
 pub mod groups;
 mod inclusive;
 pub mod management;
-pub mod migration;
 pub mod promotion;
 pub mod replacement;
 pub mod translation;
@@ -56,7 +52,6 @@ pub use management::{
     DasManager, ManagementConfig, ManagementStats, MigrationRequest, PolicyCosts, PolicyStats,
     Translation, POLICY_EPOCH_ACCESSES,
 };
-pub use migration::MigrationModel;
 pub use promotion::{FilterStats, PromotionFilter};
 pub use replacement::{ReplacementPolicy, Replacer};
 pub use translation::{TableAddressMap, TranslationCache, TranslationSource, TranslationStats};

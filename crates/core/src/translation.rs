@@ -192,11 +192,6 @@ impl TableAddressMap {
     pub fn entry_line(&self, row: GlobalRowId, line_bytes: u64) -> u64 {
         (self.entry_addr(row) / line_bytes) * line_bytes
     }
-
-    /// Total table size for a system of `total_rows` rows.
-    pub fn table_bytes(total_rows: u64) -> u64 {
-        total_rows
-    }
 }
 
 #[cfg(test)]
@@ -277,6 +272,5 @@ mod tests {
         assert_eq!(m.entry_addr(row(0)), 1 << 30);
         assert_eq!(m.entry_addr(row(100)), (1 << 30) + 100);
         assert_eq!(m.entry_line(row(100), 64), (1 << 30) + 64);
-        assert_eq!(TableAddressMap::table_bytes(1 << 20), 1 << 20);
     }
 }

@@ -396,31 +396,6 @@ impl BankLayout {
         let (ib, _) = self.classify(phys_b);
         (ia as i64 - ib as i64).unsigned_abs() as u32
     }
-
-    /// Mean migration hop distance between fast and slow rows, used by the
-    /// arrangement ablation.
-    pub fn mean_fast_slow_hops(&self) -> f64 {
-        let mut total = 0u64;
-        let mut n = 0u64;
-        for (ia, a) in self.subarrays.iter().enumerate() {
-            if a.kind != SubarrayKind::Fast {
-                continue;
-            }
-            for (ib, b) in self.subarrays.iter().enumerate() {
-                if b.kind != SubarrayKind::Slow {
-                    continue;
-                }
-                let hops = (ia as i64 - ib as i64).unsigned_abs();
-                total += hops * (a.rows as u64) * (b.rows as u64);
-                n += (a.rows as u64) * (b.rows as u64);
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total as f64 / n as f64
-        }
-    }
 }
 
 /// Full system geometry and address mapping.
@@ -708,25 +683,6 @@ mod tests {
             hit[l.slow_to_phys(i) as usize] = true;
         }
         assert!(hit.iter().all(|&h| h));
-    }
-
-    #[test]
-    fn partitioning_has_longer_paths_than_reduced_interleaving() {
-        let part = BankLayout::build(
-            4096,
-            FastRatio::new(1, 8),
-            Arrangement::Partitioning,
-            128,
-            512,
-        );
-        let ri = BankLayout::build(
-            4096,
-            FastRatio::new(1, 8),
-            Arrangement::ReducedInterleaving,
-            128,
-            512,
-        );
-        assert!(part.mean_fast_slow_hops() > ri.mean_fast_slow_hops());
     }
 
     #[test]

@@ -20,9 +20,8 @@
 use std::fmt::Write as _;
 
 use das_dram::geometry::Arrangement;
-use das_dram::tick::Tick;
 use das_dram::timing::TimingSet;
-use das_sim::config::{Design, SystemConfig};
+use das_sim::config::{Design, SystemConfig, DEFAULT_SEED};
 use das_sim::stats::gmean_improvement;
 use das_workloads::{mixes, spec};
 
@@ -302,8 +301,6 @@ const FIG7_KEYS: [&str; 5] = ["sas", "charm", "das", "das_fm", "fs"];
 const THRESHOLDS: [u32; 4] = [8, 4, 2, 1];
 /// Telemetry epoch length in CPU cycles (the legacy binary's constant).
 const EPOCH_CYCLES: u64 = 100_000;
-/// The workload-generator seed of every catalog job.
-const SEED: u64 = 42;
 
 /// The rows of a grid: their names (the id's row segment), the workload
 /// token each row runs and the per-core instruction budget.
@@ -329,7 +326,7 @@ fn grid(p: &BuildParams, exp: &str, rows: &Rows, cols: &[Col]) -> Vec<JobSpec> {
                 workload: (rows.workload)(row),
                 insts: rows.insts,
                 scale: p.scale,
-                seed: SEED,
+                seed: DEFAULT_SEED,
                 ov: ov.clone(),
             });
         }
@@ -1111,18 +1108,20 @@ fn render_ablation_scheduler(ctx: &RenderCtx) -> String {
 /// count)`.
 fn arrangement_variants() -> [(&'static str, &'static str, u32, u64); 2] {
     use das_core::groups::BankGroups;
-    use das_core::migration::MigrationModel;
     use das_dram::geometry::BankLayout;
     let mgmt = SystemConfig::paper_full().management;
-    let base_t = TimingSet::asymmetric();
-    let model = MigrationModel::with_hop_cost(base_t, Tick::new(base_t.slow.trc().raw() / 2));
+    let t = TimingSet::asymmetric();
+    // Each subarray boundary beyond the first relays both directions of the
+    // swap through one more migration row, at half a tRC per relay.
+    let per_hop = t.slow.trc().raw() / 2;
     let variant = |label, key, arr| {
         // Hop distance is a property of the full-scale physical design, so
         // compute it on the paper's 32768-row bank regardless of scale.
         let full = BankLayout::build(32768, mgmt.fast_ratio, arr, 128, 512);
         let groups = BankGroups::new(32768, mgmt.group_size, mgmt.fast_ratio);
         let hops = groups.mean_intra_group_hops(&full).round().max(1.0) as u32;
-        (label, key, hops, model.swap(hops.max(1)).raw())
+        let swap = t.swap.raw() + 2 * u64::from(hops - 1) * per_hop;
+        (label, key, hops, swap)
     };
     [
         variant(
@@ -1444,8 +1443,7 @@ fn render_telemetry(ctx: &RenderCtx) -> String {
 // Cross-architecture backend family (ROADMAP "Multi-backend DRAM")
 // ---------------------------------------------------------------------------
 
-/// Non-baseline backend design keys, catalog order
-/// (`das_sim::config::Design::backends()` minus `std`).
+/// Non-baseline backend design keys, catalog order.
 const CROSS_KEYS: [&str; 5] = ["das", "tl", "clr", "lisa", "salp"];
 
 /// Backends that sweep the fast-capacity ratio freely. TL-DRAM is absent
@@ -2132,7 +2130,7 @@ mod tests {
             .filter(|j| j.id.contains("/mcf/"))
             .map(|j| j.design.as_str())
             .collect();
-        let backend_keys: Vec<&str> = Design::backends().iter().map(|d| d.key()).collect();
+        let backend_keys: Vec<&str> = ["std"].into_iter().chain(CROSS_KEYS).collect();
         assert_eq!(mcf_designs, backend_keys);
         // sweep: TL-DRAM excluded (its placement pins ratio 1/4).
         let sweep = (by_id("cross_arch_sweep").unwrap().build)(&p);

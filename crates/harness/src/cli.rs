@@ -18,7 +18,7 @@ use das_telemetry::json::Value;
 
 use crate::catalog::{self, BuildParams};
 use crate::journal::{self, Journal};
-use crate::manifest::{ExperimentPlan, JobSpec, Manifest};
+use crate::manifest::{ExperimentPlan, JobSpec, Manifest, DEFAULT_INSTS, DEFAULT_SCALE};
 use crate::pool::run_ordered;
 use crate::profile::ProfileCache;
 use crate::render::RenderCtx;
@@ -252,8 +252,8 @@ impl Default for HarnessArgs {
             manifest_path: None,
             all: false,
             exp_ids: Vec::new(),
-            insts: 3_000_000,
-            scale: 64,
+            insts: DEFAULT_INSTS,
+            scale: DEFAULT_SCALE,
             only: Vec::new(),
             threads: 1,
             resume: false,

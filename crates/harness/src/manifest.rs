@@ -20,6 +20,11 @@ use das_workloads::{mixes, shared, spec};
 
 use crate::render::group_of;
 
+/// The default episode every front end starts from (scale, per-core
+/// instruction budget, seed), re-exported for crates without a das-sim
+/// dependency.
+pub use das_sim::config::{DEFAULT_INSTS, DEFAULT_SCALE, DEFAULT_SEED};
+
 /// Manifest format version (bumped on schema changes). A build parses
 /// exactly this version. Version 4 is the first whose overrides carry
 /// `policy:<name>` (`paper_fixed`, `hysteresis`, `cost_aware`,
@@ -194,19 +199,7 @@ impl JobSpec {
     ///
     /// Returns a message for unknown design/workload/override tokens.
     pub fn materialize(&self) -> Result<(SystemConfig, Design, Vec<WorkloadConfig>), String> {
-        use das_core::replacement::ReplacementPolicy;
-        use das_dram::geometry::{Arrangement, FastRatio};
-        use das_memctrl::controller::{PagePolicy, SchedulerKind};
-
-        let design = Design::parse(&self.design)
-            .ok_or_else(|| format!("unknown design key {:?}", self.design))?;
-        let defaults = das_core::management::ManagementConfig::paper_default();
-        SystemConfig::check_geometry(
-            design,
-            self.scale,
-            self.ov.group_size.unwrap_or(defaults.group_size),
-            self.ov.fast_ratio_den.unwrap_or(defaults.fast_ratio.den()),
-        )?;
+        let (cfg, design) = self.config()?;
         let workloads = match self.coherent_spec()? {
             Some((spec, _)) => {
                 if design.needs_profile() {
@@ -220,6 +213,31 @@ impl JobSpec {
             }
             None => resolve_workload(&self.workload)?,
         };
+        Ok((cfg, design, workloads))
+    }
+
+    /// The job's design and its system configuration with every override
+    /// applied; the workload token is not read.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown design or override token, or an
+    /// out-of-range value ([`SystemConfig::check_inputs`]).
+    pub fn config(&self) -> Result<(SystemConfig, Design), String> {
+        use das_core::replacement::ReplacementPolicy;
+        use das_dram::geometry::{Arrangement, FastRatio};
+        use das_memctrl::controller::{PagePolicy, SchedulerKind};
+
+        let design = Design::parse(&self.design)
+            .ok_or_else(|| format!("unknown design key {:?}", self.design))?;
+        let defaults = das_core::management::ManagementConfig::paper_default();
+        SystemConfig::check_inputs(
+            design,
+            self.scale,
+            self.ov.group_size.unwrap_or(defaults.group_size),
+            self.ov.fast_ratio_den.unwrap_or(defaults.fast_ratio.den()),
+            self.ov.threshold.unwrap_or(defaults.promotion_threshold),
+        )?;
         let mut cfg = SystemConfig::scaled_by(self.scale, self.insts);
         cfg.seed = self.seed;
         let ov = &self.ov;
@@ -287,7 +305,7 @@ impl JobSpec {
             }
             cfg.policy = Some(kind);
         }
-        Ok((cfg, design, workloads))
+        Ok((cfg, design))
     }
 
     /// Serialises the job as a JSON object (only-set overrides included).
@@ -693,6 +711,16 @@ mod tests {
             let err = j.materialize().unwrap_err();
             assert!(err.starts_with(want), "{err}");
         }
+    }
+
+    #[test]
+    fn zero_threshold_is_an_error_not_a_panic() {
+        let mut job = sample_job(&sample(), "fig8a/mcf/t4");
+        job.ov.threshold = Some(0);
+        let err = job.materialize().unwrap_err();
+        assert!(err.contains("promotion threshold 0"), "{err}");
+        job.ov.threshold = Some(1);
+        assert!(job.materialize().is_ok());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use das_harness::cli::{
     build_catalog_manifest, need, need_list, need_u64, render_experiment_outputs,
 };
+use das_harness::manifest::{DEFAULT_INSTS, DEFAULT_SCALE};
 use das_serve::client::{collect_stream, into_ok, Client};
 use das_serve::proto;
 use das_serve::server::ServerConfig;
@@ -77,8 +78,8 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     let cmd = args.next().ok_or("missing command")?;
     let mut addr: Option<String> = None;
     let mut exps: Vec<String> = Vec::new();
-    let mut insts = 3_000_000u64;
-    let mut scale = 64u32;
+    let mut insts = DEFAULT_INSTS;
+    let mut scale = DEFAULT_SCALE;
     let mut only: Vec<String> = Vec::new();
     let mut out_dir = ".".to_string();
     let mut job: Option<String> = None;

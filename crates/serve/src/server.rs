@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use das_harness::cli::build_catalog_manifest;
 use das_harness::journal::{ServiceJournal, ServiceSummary};
-use das_harness::manifest::JobSpec;
+use das_harness::manifest::{JobSpec, DEFAULT_INSTS, DEFAULT_SCALE};
 use das_harness::profile::ProfileCache;
 use das_harness::runner;
 use das_telemetry::json::Value;
@@ -629,8 +629,12 @@ fn handle_submit_experiment(shared: &Arc<Shared>, req: &Value) -> Value {
     let insts = req
         .get("insts")
         .and_then(Value::as_u64)
-        .unwrap_or(3_000_000);
-    let scale = match u32::try_from(req.get("scale").and_then(Value::as_u64).unwrap_or(64)) {
+        .unwrap_or(DEFAULT_INSTS);
+    let scale = match req
+        .get("scale")
+        .and_then(Value::as_u64)
+        .map_or(Ok(DEFAULT_SCALE), u32::try_from)
+    {
         Ok(s) => s,
         Err(_) => return proto::error(code::BAD_REQUEST, "\"scale\" out of range"),
     };

@@ -308,10 +308,9 @@ fn a_panicking_job_is_journalled_failed_and_the_worker_survives() {
     let mut c = Client::connect(&addr).unwrap();
     // Without containment the job would stay running forever.
     c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    // A zero promotion threshold trips an assertion inside the simulator.
+    // A zero telemetry epoch trips an assertion inside the simulator.
     let mut bad = spec("bad", 50_000);
-    bad.design = "das".into();
-    bad.ov.threshold = Some(0);
+    bad.ov.telemetry_epoch = Some(0);
     let bad = submit(&mut c, &bad).unwrap();
     let good = submit(&mut c, &spec("good", 50_000)).unwrap();
     let err = collect_stream(&mut c, &[bad], |_, _| {}).unwrap_err();
@@ -323,6 +322,23 @@ fn a_panicking_job_is_journalled_failed_and_the_worker_survives() {
     drain_and_join(&addr, h);
     let s = load_service(&dir.join(SERVE_JOURNAL_NAME)).unwrap();
     assert_eq!((s.admitted, s.done, s.failed), (2, 1, 1));
+}
+
+#[test]
+fn a_zero_threshold_job_fails_naming_the_threshold() {
+    let dir = tmp_dir("threshold");
+    let (addr, h) = start(config(&dir));
+    let mut c = Client::connect(&addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut bad = spec("bad", 50_000);
+    bad.design = "das".into();
+    bad.ov.threshold = Some(0);
+    let bad = submit(&mut c, &bad).unwrap();
+    let err = collect_stream(&mut c, &[bad], |_, _| {}).unwrap_err();
+    assert!(err.contains("ended failed: "), "{err}");
+    assert!(err.contains("promotion threshold 0"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    drain_and_join(&addr, h);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-use das_sim::config::{Design, SystemConfig};
+use das_sim::config::{Design, SystemConfig, DEFAULT_INSTS};
 use das_sim::experiments::{improvement, run_one};
 use das_workloads::spec;
 
@@ -7,7 +7,7 @@ fn main() {
     cfg.inst_budget = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
-        .unwrap_or(3_000_000);
+        .unwrap_or(DEFAULT_INSTS);
     for bench in [
         "astar",
         "cactusADM",

@@ -24,6 +24,13 @@ use das_dram::timing::TimingSet;
 use das_memctrl::controller::ControllerConfig;
 use das_telemetry::TelemetryConfig;
 
+/// The default episode's capacity scale factor (see the module docs).
+pub const DEFAULT_SCALE: u32 = 64;
+/// The default episode's per-core instruction budget.
+pub const DEFAULT_INSTS: u64 = 3_000_000;
+/// The default episode's master seed (workloads, replacement randomness).
+pub const DEFAULT_SEED: u64 = 42;
+
 /// The DRAM designs the simulator compares: the paper's §7 designs plus
 /// the rival low-latency architectures. Each design's facts live in one
 /// entry of the design table (`Design::entry`); every method reads them
@@ -218,31 +225,6 @@ impl Design {
         ]
     }
 
-    /// The paper's §7 designs in presentation order.
-    pub fn all() -> [Design; 6] {
-        [
-            Design::Standard,
-            Design::SasDram,
-            Design::Charm,
-            Design::DasDram,
-            Design::DasDramFm,
-            Design::FsDram,
-        ]
-    }
-
-    /// The six architectures of the cross-architecture family, in catalog
-    /// order (baseline first).
-    pub fn backends() -> [Design; 6] {
-        [
-            Design::Standard,
-            Design::DasDram,
-            Design::TlDram,
-            Design::ClrDram,
-            Design::Lisa,
-            Design::Salp,
-        ]
-    }
-
     /// Stable machine key: `std`, `sas`, `charm`, `das`, `das_fm`, `fs`,
     /// `das_incl`, `tl`, `clr`, `lisa` or `salp`.
     pub fn key(self) -> &'static str {
@@ -421,7 +403,7 @@ impl SystemConfig {
             timing_override: None,
             refresh: true,
             salp: false,
-            seed: 42,
+            seed: DEFAULT_SEED,
             telemetry: TelemetryConfig::default(),
             event_budget: crate::system::DEFAULT_EVENT_BUDGET,
             watchdog_same_tick_wakes: crate::system::DEFAULT_WATCHDOG_SAME_TICK_WAKES,
@@ -429,38 +411,45 @@ impl SystemConfig {
         }
     }
 
-    /// The default experiment configuration: capacities scaled by 64,
-    /// 3 M instructions per core. The uniform factor keeps every capacity
+    /// The default experiment configuration: the default episode, capacities
+    /// scaled by [`DEFAULT_SCALE`] (64) and [`DEFAULT_INSTS`] (3 M)
+    /// instructions per core. The uniform factor keeps every capacity
     /// ratio of the paper (footprint : fast level : LLC) while making the
     /// episode-length-to-footprint ratio (~3 insts/byte for libquantum)
     /// match the paper's 100 M-instruction runs, so temporal row reuse —
     /// the effect DAS exploits — appears at the paper's rates.
     pub fn paper_scaled() -> Self {
-        Self::scaled_by(64, 3_000_000)
+        Self::scaled_by(DEFAULT_SCALE, DEFAULT_INSTS)
     }
 
     /// A smaller configuration for unit/integration tests.
     pub fn test_small() -> Self {
-        let mut c = Self::scaled_by(64, 400_000);
+        let mut c = Self::scaled_by(DEFAULT_SCALE, 400_000);
         c.refresh = false;
         c
     }
 
-    /// Checks a run's capacity scale, migration group size and fast-level
+    /// Checks the values a run asks for before a configuration is built
+    /// from them: the capacity scale, migration group size and fast-level
     /// share `1/ratio_den` against what [`DramGeometry::paper_scaled`], the
-    /// scaled LLC, [`FastRatio`] and `BankGroups` assert, for the values
-    /// asked for and for `design`'s own placement overrides, so an
+    /// scaled LLC, [`FastRatio`] and `BankGroups` assert (for the values
+    /// asked for and for `design`'s own placement overrides), and the
+    /// promotion threshold against what `PromotionFilter` asserts, so an
     /// out-of-range input is an error instead of a panic.
     ///
     /// # Errors
     ///
     /// Names the first value out of range.
-    pub fn check_geometry(
+    pub fn check_inputs(
         design: Design,
         scale: u32,
         group_size: u32,
         ratio_den: u32,
+        threshold: u32,
     ) -> Result<(), String> {
+        if threshold == 0 {
+            return Err("promotion threshold 0 is not at least 1".to_string());
+        }
         let full_rows = DramGeometry::paper_full().rows_per_bank;
         if scale == 0 || !full_rows.is_multiple_of(scale) {
             return Err(format!(
@@ -645,8 +634,7 @@ mod tests {
         assert_eq!(Design::parse("ddr4"), None);
         assert_eq!(Design::parse("das-fm"), None, "one spelling per design");
         assert_eq!(Design::DasDram.label(), "DAS-DRAM");
-        assert_eq!(Design::all()[0], Design::Standard);
-        assert_eq!(Design::backends()[0], Design::Standard);
+        assert_eq!(Design::every()[0], Design::Standard);
     }
 
     #[test]

@@ -416,7 +416,6 @@ pub struct System {
     /// per-line counts as accesses happen; feeds the migration policy's
     /// `shared_count` input. Always empty without a coherent front end.
     shared_row_heat: FastMap<(BankCoord, u32), u32>,
-    line_dirty: FastMap<u64, bool>,
     events: EventQueue<EventKind>,
     clock: Tick,
     next_req_id: u64,
@@ -645,7 +644,6 @@ impl System {
             mshr: Mshr::new(1 << 16),
             coherence: None,
             shared_row_heat: FastMap::default(),
-            line_dirty: FastMap::default(),
             events: EventQueue::new(),
             clock: Tick::ZERO,
             next_req_id: 0,
@@ -898,8 +896,6 @@ impl System {
             id,
             is_load: !is_write,
         };
-        let dirty = self.line_dirty.entry(line).or_insert(false);
-        *dirty |= is_write;
         match self.mshr.register(line, waiter) {
             Some(true) => {
                 let t_found = t + self.cfg.cycles_to_ticks(outcome.lookup_cycles);
@@ -1249,15 +1245,16 @@ impl System {
                         self.record_mix(service);
                         self.record_subarray(bank, logical_row);
                         self.after_data_access(bank, logical_row, false, at);
+                        let waiters = self.mshr.complete(line);
                         if self.coherence.is_none() {
                             // Coherent runs skip this: the private copy
                             // lives in the cluster and the LLC already
-                            // allocated at lookup time.
-                            let dirty = self.line_dirty.remove(&line).unwrap_or(false);
+                            // allocated at lookup time. The line fills
+                            // dirty when a merged miss was a store.
+                            let dirty = waiters.iter().any(|w| !w.is_load);
                             self.hierarchy.fill_from_memory(fill_core, line, dirty);
                             self.issue_hierarchy_writebacks(at);
                         }
-                        let waiters = self.mshr.complete(line);
                         for w in waiters.iter().filter(|w| w.is_load) {
                             let mut out = std::mem::take(&mut self.core_reqs);
                             self.cores[w.core].complete(w.id, at.raw(), &mut out);

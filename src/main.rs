@@ -13,11 +13,10 @@
 use std::process::ExitCode;
 
 use das_core::replacement::ReplacementPolicy;
-use das_dram::geometry::FastRatio;
-use das_sim::config::{Design, SystemConfig};
+use das_harness::manifest::{JobSpec, Overrides, DEFAULT_INSTS, DEFAULT_SCALE, DEFAULT_SEED};
+use das_sim::config::Design;
 use das_sim::experiments::{improvement, run_one, run_recorded};
 use das_sim::stats::RunMetrics;
-use das_workloads::config::WorkloadConfig;
 use das_workloads::{mixes, spec, trace_file};
 
 fn usage() -> String {
@@ -33,8 +32,8 @@ USAGE:
 OPTIONS:
     --design <{designs}>
                          design (default: das)
-    --insts <N>          instructions per core (default: 3000000)
-    --scale <N>          capacity scale factor (default: 64)
+    --insts <N>          instructions per core (default: {DEFAULT_INSTS})
+    --scale <N>          capacity scale factor (default: {DEFAULT_SCALE})
     --threshold <N>      promotion threshold (default: 1)
     --group <N>          migration group size in rows (default: 32)
     --ratio <1/N>        fast-level capacity ratio (default: 1/8)
@@ -42,7 +41,7 @@ OPTIONS:
     --replacement <lru|random|seq|counter>               (default: lru)
     --salp               enable subarray-level parallelism
     --no-baseline        skip the Std-DRAM comparison run
-    --seed <N>           workload seed (default: 42)
+    --seed <N>           workload seed (default: {DEFAULT_SEED})
 ",
         designs = design_list("|")
     )
@@ -53,46 +52,47 @@ fn design_list(sep: &str) -> String {
     Design::every().map(Design::key).join(sep)
 }
 
+/// The parsed command line: the run as a manifest job plus what only the
+/// front end reads.
 struct Options {
-    design: Design,
+    /// Design, budget, scale, seed and knob overrides. Its workload token
+    /// stays empty; `das run` takes it from `--bench` or `--mix`.
+    job: JobSpec,
     bench: Option<String>,
     mix: Option<String>,
     trace_path: Option<String>,
-    insts: u64,
-    scale: u32,
-    threshold: u32,
-    group: u32,
-    ratio_den: u32,
-    tcache_kb: u64,
-    replacement: ReplacementPolicy,
-    salp: bool,
     baseline: bool,
-    seed: u64,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            design: Design::DasDram,
-            bench: None,
-            mix: None,
-            trace_path: None,
-            insts: 3_000_000,
-            scale: 64,
-            threshold: 1,
-            group: 32,
-            ratio_den: 8,
-            tcache_kb: 128,
-            replacement: ReplacementPolicy::Lru,
-            salp: false,
-            baseline: true,
-            seed: 42,
+impl Options {
+    /// The workload token of `--bench` (a benchmark name only) or
+    /// `--mix M` (`mix:M`).
+    fn workload(&self) -> Result<String, String> {
+        match (&self.bench, &self.mix) {
+            (Some(b), None) if spec::names().contains(&b.as_str()) => Ok(b.clone()),
+            (Some(b), None) => Err(format!("unknown benchmark {b:?} (see `das list`)")),
+            (None, Some(m)) => Ok(format!("mix:{m}")),
+            _ => Err("specify exactly one of --bench or --mix".into()),
         }
     }
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
+    let mut o = Options {
+        job: JobSpec {
+            id: "das".into(),
+            design: Design::DasDram.key().into(),
+            workload: String::new(),
+            insts: DEFAULT_INSTS,
+            scale: DEFAULT_SCALE,
+            seed: DEFAULT_SEED,
+            ov: Overrides::default(),
+        },
+        bench: None,
+        mix: None,
+        trace_path: None,
+        baseline: true,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut next = |flag: &str| {
@@ -103,33 +103,39 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--design" => {
                 let v = next("--design")?;
-                o.design = Design::parse(&v).ok_or_else(|| format!("unknown design {v:?}"))?;
+                Design::parse(&v).ok_or_else(|| format!("unknown design {v:?}"))?;
+                o.job.design = v;
             }
             "--bench" => o.bench = Some(next("--bench")?),
             "--mix" => o.mix = Some(next("--mix")?),
-            "--insts" => o.insts = next("--insts")?.parse().map_err(|e| format!("{e}"))?,
-            "--scale" => o.scale = next("--scale")?.parse().map_err(|e| format!("{e}"))?,
+            "--insts" => o.job.insts = next("--insts")?.parse().map_err(|e| format!("{e}"))?,
+            "--scale" => o.job.scale = next("--scale")?.parse().map_err(|e| format!("{e}"))?,
             "--threshold" => {
-                o.threshold = next("--threshold")?.parse().map_err(|e| format!("{e}"))?
+                o.job.ov.threshold = Some(next("--threshold")?.parse().map_err(|e| format!("{e}"))?)
             }
-            "--group" => o.group = next("--group")?.parse().map_err(|e| format!("{e}"))?,
+            "--group" => {
+                o.job.ov.group_size = Some(next("--group")?.parse().map_err(|e| format!("{e}"))?)
+            }
             "--ratio" => {
                 let v = next("--ratio")?;
                 let den = v
                     .strip_prefix("1/")
                     .and_then(|d| d.parse().ok())
                     .ok_or_else(|| format!("--ratio expects 1/N, got {v:?}"))?;
-                o.ratio_den = den;
+                o.job.ov.fast_ratio_den = Some(den);
             }
-            "--tcache" => o.tcache_kb = next("--tcache")?.parse().map_err(|e| format!("{e}"))?,
+            "--tcache" => {
+                let kb: u64 = next("--tcache")?.parse().map_err(|e| format!("{e}"))?;
+                o.job.ov.tcache_bytes = Some(kb << 10);
+            }
             "--replacement" => {
                 let v = next("--replacement")?;
-                o.replacement = ReplacementPolicy::parse(&v)
-                    .ok_or_else(|| format!("unknown replacement {v:?}"))?;
+                ReplacementPolicy::parse(&v).ok_or_else(|| format!("unknown replacement {v:?}"))?;
+                o.job.ov.replacement = Some(v);
             }
-            "--salp" => o.salp = true,
+            "--salp" => o.job.ov.salp = Some(true),
             "--no-baseline" => o.baseline = false,
-            "--seed" => o.seed = next("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => o.job.seed = next("--seed")?.parse().map_err(|e| format!("{e}"))?,
             other if o.trace_path.is_none() && !other.starts_with("--") => {
                 o.trace_path = Some(other.to_string());
             }
@@ -137,19 +143,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
     }
     Ok(o)
-}
-
-fn build_config(o: &Options) -> Result<SystemConfig, String> {
-    SystemConfig::check_geometry(o.design, o.scale, o.group, o.ratio_den)?;
-    let mut cfg = SystemConfig::scaled_by(o.scale, o.insts)
-        .with_threshold(o.threshold)
-        .with_group_size(o.group)
-        .with_fast_ratio(FastRatio::new(1, o.ratio_den))
-        .with_tcache_bytes(o.tcache_kb << 10)
-        .with_replacement(o.replacement);
-    cfg.salp = o.salp;
-    cfg.seed = o.seed;
-    Ok(cfg)
 }
 
 fn print_metrics(m: &RunMetrics, base: Option<&RunMetrics>) {
@@ -185,34 +178,16 @@ fn print_metrics(m: &RunMetrics, base: Option<&RunMetrics>) {
     println!("DRAM energy   : {:.1} uJ", m.energy.total_nj() / 1000.0);
 }
 
-fn workloads_for(o: &Options) -> Result<Vec<WorkloadConfig>, String> {
-    match (&o.bench, &o.mix) {
-        (Some(b), None) => {
-            if !spec::names().contains(&b.as_str()) {
-                return Err(format!("unknown benchmark {b:?} (see `das list`)"));
-            }
-            Ok(vec![spec::by_name(b)])
-        }
-        (None, Some(m)) => {
-            if !mixes::names().contains(&m.as_str()) {
-                return Err(format!("unknown mix {m:?} (see `das list`)"));
-            }
-            Ok(mixes::mix(m).iter().map(|w| w.scaled(2)).collect())
-        }
-        _ => Err("specify exactly one of --bench or --mix".into()),
-    }
-}
-
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    let o = parse_args(args)?;
-    let cfg = build_config(&o)?;
-    let wl = workloads_for(&o)?;
-    let base = if o.baseline && o.design != Design::Standard {
+    let mut o = parse_args(args)?;
+    o.job.workload = o.workload()?;
+    let (cfg, design, wl) = o.job.materialize()?;
+    let base = if o.baseline && design != Design::Standard {
         Some(run_one(&cfg, Design::Standard, &wl).map_err(|e| format!("baseline run: {e}"))?)
     } else {
         None
     };
-    let m = run_one(&cfg, o.design, &wl).map_err(|e| format!("simulation: {e}"))?;
+    let m = run_one(&cfg, design, &wl).map_err(|e| format!("simulation: {e}"))?;
     print_metrics(&m, base.as_ref());
     Ok(())
 }
@@ -227,9 +202,9 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let items = trace_file::read_trace(std::io::BufReader::new(file))
         .map_err(|e| format!("{path}: {e}"))?;
     println!("loaded {} references from {path}", items.len());
-    let mut cfg = build_config(&o)?;
+    let (mut cfg, design) = o.job.config()?;
     cfg.inst_budget = u64::MAX;
-    let base = if o.baseline && o.design != Design::Standard {
+    let base = if o.baseline && design != Design::Standard {
         Some(
             run_recorded(&cfg, Design::Standard, vec![items.clone()])
                 .map_err(|e| format!("baseline run: {e}"))?,
@@ -237,7 +212,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     } else {
         None
     };
-    let m = run_recorded(&cfg, o.design, vec![items]).map_err(|e| format!("simulation: {e}"))?;
+    let m = run_recorded(&cfg, design, vec![items]).map_err(|e| format!("simulation: {e}"))?;
     print_metrics(&m, base.as_ref());
     Ok(())
 }
@@ -276,6 +251,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use das_dram::geometry::FastRatio;
 
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
@@ -283,7 +259,11 @@ mod tests {
 
     #[test]
     fn designs_parse() {
-        let parsed = |key: &str| parse_args(&args(&["--design", key])).map(|o| o.design);
+        let parsed = |key: &str| {
+            parse_args(&args(&["--design", key]))
+                .and_then(|o| o.job.config())
+                .map(|(_, design)| design)
+        };
         for d in Design::every() {
             assert_eq!(parsed(d.key()), Ok(d));
         }
@@ -314,17 +294,20 @@ mod tests {
             "--salp",
         ]))
         .unwrap();
-        assert_eq!(o.design, Design::DasDramFm);
+        assert_eq!(o.job.design, "das_fm");
         assert_eq!(o.bench.as_deref(), Some("mcf"));
-        assert_eq!(o.insts, 500_000);
-        assert_eq!(o.threshold, 4);
-        assert_eq!(o.ratio_den, 16);
-        assert_eq!(o.tcache_kb, 64);
-        assert_eq!(o.replacement, ReplacementPolicy::Random);
-        assert!(o.salp);
-        let cfg = build_config(&o).unwrap();
+        assert_eq!(o.job.insts, 500_000);
+        assert_eq!(o.job.ov.threshold, Some(4));
+        assert_eq!(o.job.ov.fast_ratio_den, Some(16));
+        assert_eq!(o.job.ov.tcache_bytes, Some(64 << 10));
+        assert_eq!(o.job.ov.replacement.as_deref(), Some("random"));
+        assert_eq!(o.job.ov.salp, Some(true));
+        let (cfg, design) = o.job.config().unwrap();
+        assert_eq!(design, Design::DasDramFm);
         assert_eq!(cfg.management.promotion_threshold, 4);
         assert_eq!(cfg.management.fast_ratio, FastRatio::new(1, 16));
+        assert_eq!(cfg.management.tcache_bytes, 64 << 10);
+        assert_eq!(cfg.management.replacement, ReplacementPolicy::Random);
         assert!(cfg.salp);
     }
 
@@ -345,28 +328,47 @@ mod tests {
             ("--group", "512"),
             ("--ratio", "1/0"),
             ("--ratio", "1/3"),
+            ("--threshold", "0"),
         ] {
             let o = parse_args(&args(&[flag, value])).unwrap();
-            assert!(build_config(&o).is_err(), "{flag} {value}");
+            assert!(o.job.config().is_err(), "{flag} {value}");
         }
     }
 
     #[test]
     fn workload_selection_requires_exactly_one() {
-        let o = parse_args(&args(&["--bench", "mcf"])).unwrap();
-        assert_eq!(workloads_for(&o).unwrap().len(), 1);
-        let o = parse_args(&args(&["--mix", "M3"])).unwrap();
-        assert_eq!(workloads_for(&o).unwrap().len(), 4);
-        let o = parse_args(&args(&[])).unwrap();
-        assert!(workloads_for(&o).is_err());
-        let o = parse_args(&args(&["--bench", "gcc"])).unwrap();
-        assert!(workloads_for(&o).is_err());
+        let workloads = |a: &[&str]| {
+            let mut o = parse_args(&args(a)).unwrap();
+            o.job.workload = o.workload()?;
+            o.job.materialize().map(|(_, _, wl)| wl.len())
+        };
+        assert_eq!(workloads(&["--bench", "mcf"]), Ok(1));
+        assert_eq!(workloads(&["--mix", "M3"]), Ok(4));
+        assert!(workloads(&[]).is_err());
+        assert!(workloads(&["--bench", "mcf", "--mix", "M3"]).is_err());
+        assert!(workloads(&["--bench", "gcc"]).is_err());
+        // `--bench` names a benchmark, never a manifest token.
+        assert!(workloads(&["--bench", "mix:M3"]).is_err());
+        assert!(workloads(&["--bench", "shared:ring"]).is_err());
+        assert!(workloads(&["--mix", "M9"]).is_err());
     }
 
     #[test]
     fn trace_path_is_positional() {
         let o = parse_args(&args(&["some/file.txt", "--design", "das"])).unwrap();
         assert_eq!(o.trace_path.as_deref(), Some("some/file.txt"));
+    }
+
+    #[test]
+    fn run_simulates_a_benchmark() {
+        cmd_run(&args(&[
+            "--bench",
+            "libquantum",
+            "--insts",
+            "50000",
+            "--no-baseline",
+        ]))
+        .unwrap();
     }
 
     #[test]

@@ -38,14 +38,7 @@ fn sanity(m: &RunMetrics) {
 
 #[test]
 fn every_design_runs_and_reports_sane_metrics() {
-    let extras = [
-        Design::TlDram,
-        Design::DasInclusive,
-        Design::ClrDram,
-        Design::Lisa,
-        Design::Salp,
-    ];
-    for design in Design::all().into_iter().chain(extras) {
+    for design in Design::every() {
         let m = run_one(&cfg(), design, &soplex());
         sanity(&m);
         match design {
