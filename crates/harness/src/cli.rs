@@ -453,22 +453,25 @@ pub fn harness_main() {
             Err(e) => die(&format!("{path}: invalid journal: {e}")),
         }
     }
+    // `Manifest::parse` validates what it reads; a catalog manifest is
+    // validated here.
     let manifest = if let Some(path) = &args.manifest_path {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        Manifest::parse(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")))
+        Manifest::parse(&text).unwrap_or_else(|e| die(&format!("{path}: invalid manifest: {e}")))
     } else {
         let ids: Vec<String> = if args.all {
             catalog::ids().iter().map(|s| s.to_string()).collect()
         } else {
             args.exp_ids.clone()
         };
-        build_catalog_manifest(&ids, args.insts, args.scale, &args.only)
-            .unwrap_or_else(|e| usage_die(&e, HARNESS_USAGE))
+        let manifest = build_catalog_manifest(&ids, args.insts, args.scale, &args.only)
+            .unwrap_or_else(|e| usage_die(&e, HARNESS_USAGE));
+        if let Err(e) = manifest.validate() {
+            die(&format!("invalid manifest: {e}"));
+        }
+        manifest
     };
-    if let Err(e) = manifest.validate() {
-        die(&format!("invalid manifest: {e}"));
-    }
     if let Some(path) = args.emit_manifest {
         write_or_die(Path::new(&path), &(manifest.render() + "\n"));
         eprintln!("wrote manifest ({} jobs): {path}", manifest.jobs().len());

@@ -335,16 +335,6 @@ impl ServiceJournal {
         ))
     }
 
-    /// Records a job admission.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn admit(&mut self, job: &str) -> Result<(), String> {
-        self.log
-            .append(&Value::obj().set("event", "admit").set("job", job))
-    }
-
     /// Records a job admission carrying the job's spec, making the job
     /// re-drivable after a crash ([`ServiceJournal::resume`]).
     ///
@@ -397,12 +387,11 @@ pub struct ServiceSummary {
     pub cancelled: u64,
     /// Worker restarts recorded (`restart` markers).
     pub restarts: u64,
-    /// Admitted jobs with no terminal event — empty after a clean drain.
-    pub orphans: Vec<String>,
-    /// Per-orphan job spec, when the admission carried one
-    /// ([`ServiceJournal::admit_with_spec`]); parallel to `orphans`.
-    /// `Some` means the job can be re-driven after a crash.
-    pub orphan_specs: Vec<(String, Option<Value>)>,
+    /// Admitted jobs with no terminal event, in admission order — empty
+    /// after a clean drain. Each carries its admission's job spec when it
+    /// had one ([`ServiceJournal::admit_with_spec`]): `Some` means the job
+    /// can be re-driven after a crash.
+    pub orphans: Vec<(String, Option<Value>)>,
 }
 
 /// Reads and validates a `das-serve` session journal: header shape, every
@@ -460,8 +449,7 @@ fn summarize(
             other => return Err(format!("line {lineno}: unknown event {other:?}")),
         }
     }
-    summary.orphans = open.iter().map(|(j, _)| j.clone()).collect();
-    summary.orphan_specs = open;
+    summary.orphans = open;
     Ok(summary)
 }
 
@@ -548,9 +536,9 @@ mod tests {
         let path = tmp("service.jsonl");
         {
             let mut j = ServiceJournal::create(&path).unwrap();
-            j.admit("t1/a").unwrap();
-            j.admit("t1/b").unwrap();
-            j.admit("t2/c").unwrap();
+            for id in ["t1/a", "t1/b", "t2/c"] {
+                j.admit_with_spec(id, &Value::obj().set("id", id)).unwrap();
+            }
             j.terminal("done", "t1/a", None).unwrap();
             j.terminal("failed", "t1/b", Some("boom")).unwrap();
             j.marker("drain").unwrap();
@@ -558,7 +546,11 @@ mod tests {
         let s = load_service(&path).unwrap();
         assert_eq!(s.admitted, 3);
         assert_eq!((s.done, s.failed, s.cancelled), (1, 1, 0));
-        assert_eq!(s.orphans, vec!["t2/c".to_string()], "c never finished");
+        assert_eq!(
+            s.orphans,
+            vec![("t2/c".to_string(), Some(Value::obj().set("id", "t2/c")))],
+            "c never finished"
+        );
         // Close the orphan: the journal validates clean.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -597,16 +589,19 @@ mod tests {
         {
             let mut j = ServiceJournal::create(&path).unwrap();
             j.admit_with_spec("t1/a", &spec).unwrap();
-            j.admit("t1/b").unwrap();
-            j.terminal("done", "t1/b", None).unwrap();
         }
+        // A spec-less admission (an older server's line) that finished.
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(
+            b"{\"event\":\"admit\",\"job\":\"t1/b\"}\n{\"event\":\"done\",\"job\":\"t1/b\"}\n",
+        )
+        .unwrap();
+        drop(f);
         let (mut j, s) = ServiceJournal::resume(&path).unwrap();
         assert_eq!(s.admitted, 2);
-        assert_eq!(s.orphans, vec!["t1/a".to_string()]);
-        assert_eq!(s.orphan_specs.len(), 1);
         assert_eq!(
-            s.orphan_specs[0].1.as_ref().map(Value::render),
-            Some(spec.render()),
+            s.orphans,
+            vec![("t1/a".to_string(), Some(spec))],
             "spec survives the crash so the job can be re-driven"
         );
         // The resumed journal appends cleanly after the kept prefix.
@@ -703,7 +698,7 @@ mod tests {
         let spec = Value::obj().set("id", "c").set("note", "caf\u{e9}");
         {
             let mut j = ServiceJournal::create(&path).unwrap();
-            j.admit("t1/a").unwrap();
+            j.admit_with_spec("t1/a", &spec).unwrap();
             j.terminal("done", "t1/a", None).unwrap();
             j.admit_with_spec("t1/c", &spec).unwrap();
         }
@@ -725,7 +720,8 @@ mod tests {
             |p| {
                 let (_, s) = ServiceJournal::resume(p).unwrap();
                 let orphans: &[&str] = if s.admitted == 2 { &["t1/c"] } else { &[] };
-                assert_eq!(s.orphans, orphans, "a torn admission never happened");
+                let ids: Vec<&str> = s.orphans.iter().map(|(id, _)| id.as_str()).collect();
+                assert_eq!(ids, orphans, "a torn admission never happened");
                 s.admitted as usize
             },
         );

@@ -222,7 +222,8 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a message for an unknown design or override token, or an
-    /// out-of-range value ([`SystemConfig::check_inputs`]).
+    /// out-of-range value ([`SystemConfig::check_inputs`], or a telemetry
+    /// epoch of 0).
     pub fn config(&self) -> Result<(SystemConfig, Design), String> {
         use das_core::replacement::ReplacementPolicy;
         use das_dram::geometry::{Arrangement, FastRatio};
@@ -289,6 +290,9 @@ impl JobSpec {
             cfg.timing_override = Some(t);
         }
         if let Some(epoch) = ov.telemetry_epoch {
+            if epoch == 0 {
+                return Err("telemetry epoch 0 is not at least 1 cycle".to_string());
+            }
             cfg.telemetry = das_telemetry::TelemetryConfig::on(epoch);
         }
         if let Some(e) = ov.event_budget {
@@ -721,6 +725,21 @@ mod tests {
         assert!(err.contains("promotion threshold 0"), "{err}");
         job.ov.threshold = Some(1);
         assert!(job.materialize().is_ok());
+    }
+
+    #[test]
+    fn zero_telemetry_epoch_is_an_error_not_a_panic() {
+        let mut job = sample_job(&sample(), "fig8a/mcf/t4");
+        job.ov.telemetry_epoch = Some(0);
+        let err = job.config().unwrap_err();
+        assert!(err.contains("telemetry epoch 0"), "{err}");
+        let mut m = sample();
+        m.experiments[0].jobs[0].ov.telemetry_epoch = Some(0);
+        assert!(Manifest::parse(&m.render())
+            .unwrap_err()
+            .contains("telemetry epoch 0"));
+        job.ov.telemetry_epoch = Some(1);
+        assert!(job.config().is_ok());
     }
 
     #[test]

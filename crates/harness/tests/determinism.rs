@@ -5,7 +5,8 @@
 //! 2. a journal truncated mid-write (the crash case) resumes and converges
 //!    to the byte-identical final journal, and
 //! 3. the `harness` binary's emit → execute → validate → resume loop works
-//!    from the command line.
+//!    from the command line, and a manifest it cannot run is reported as
+//!    invalid.
 
 use std::fs;
 use std::path::PathBuf;
@@ -265,4 +266,21 @@ fn harness_binary_emit_execute_validate_resume() {
     ]);
     assert_eq!(fs::read(&journal_path).unwrap(), journal_bytes);
     assert_eq!(fs::read(out_dir.join("fig8c.txt")).unwrap(), txt);
+}
+
+#[test]
+fn harness_binary_reports_a_zero_telemetry_epoch_as_an_invalid_manifest() {
+    let dir = tmp_dir("epoch0");
+    let path = dir.join("m.json");
+    let mut m = small_manifest();
+    m.experiments[0].jobs[0].ov.telemetry_epoch = Some(0);
+    fs::write(&path, m.render()).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(["--manifest", path.to_str().unwrap()])
+        .output()
+        .expect("spawn harness");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("invalid manifest"), "{stderr}");
+    assert!(stderr.contains("telemetry epoch 0"), "{stderr}");
 }

@@ -11,25 +11,16 @@ use std::time::Duration;
 
 use das_harness::cli::{need, need_u64};
 use das_harness::journal::load_service;
-use das_serve::proto::DEFAULT_MAX_FRAME;
 use das_serve::server::{Server, ServerConfig};
 
 const USAGE: &str = "usage: das-serve [--addr HOST:PORT] [--threads N] [--capacity N] \
-     [--json-dir DIR] [--trace-store DIR] [--read-timeout-ms N] \
-     [--max-frame BYTES] [--retry-after-ms N] [--resume-journal]\n\
+     [--json-dir DIR] [--trace-store DIR] [--read-timeout-ms N] [--resume-journal]\n\
        das-serve --validate-journal PATH";
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq)]
 struct Args {
     addr: String,
-    threads: usize,
-    capacity: usize,
-    json_dir: String,
-    trace_store_dir: Option<String>,
-    read_timeout_ms: u64,
-    max_frame: usize,
-    retry_after_ms: u64,
-    resume_journal: bool,
+    cfg: ServerConfig,
     validate_journal: Option<String>,
 }
 
@@ -37,14 +28,7 @@ impl Default for Args {
     fn default() -> Args {
         Args {
             addr: "127.0.0.1:4750".to_string(),
-            threads: 2,
-            capacity: 16,
-            json_dir: ".".to_string(),
-            trace_store_dir: None,
-            read_timeout_ms: 30_000,
-            max_frame: DEFAULT_MAX_FRAME,
-            retry_after_ms: 250,
-            resume_journal: false,
+            cfg: ServerConfig::default(),
             validate_journal: None,
         }
     }
@@ -52,20 +36,21 @@ impl Default for Args {
 
 fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
     let mut out = Args::default();
+    let cfg = &mut out.cfg;
     let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--addr" => out.addr = need(&mut args, "--addr")?,
-            "--threads" => out.threads = need_u64(&mut args, "--threads")? as usize,
-            "--capacity" => out.capacity = need_u64(&mut args, "--capacity")? as usize,
-            "--json-dir" => out.json_dir = need(&mut args, "--json-dir")?,
-            "--trace-store" => out.trace_store_dir = Some(need(&mut args, "--trace-store")?),
-            "--read-timeout-ms" => {
-                out.read_timeout_ms = need_u64(&mut args, "--read-timeout-ms")?;
+            "--threads" => cfg.threads = need_u64(&mut args, "--threads")? as usize,
+            "--capacity" => cfg.capacity = need_u64(&mut args, "--capacity")? as usize,
+            "--json-dir" => cfg.out_dir = PathBuf::from(need(&mut args, "--json-dir")?),
+            "--trace-store" => {
+                cfg.trace_store_dir = Some(PathBuf::from(need(&mut args, "--trace-store")?));
             }
-            "--max-frame" => out.max_frame = need_u64(&mut args, "--max-frame")? as usize,
-            "--retry-after-ms" => out.retry_after_ms = need_u64(&mut args, "--retry-after-ms")?,
-            "--resume-journal" => out.resume_journal = true,
+            "--read-timeout-ms" => {
+                cfg.read_timeout = Duration::from_millis(need_u64(&mut args, "--read-timeout-ms")?);
+            }
+            "--resume-journal" => cfg.resume_journal = true,
             "--validate-journal" => {
                 out.validate_journal = Some(need(&mut args, "--validate-journal")?);
             }
@@ -99,7 +84,11 @@ fn main() {
                 if !s.orphans.is_empty() {
                     die(&format!(
                         "{path}: orphaned jobs (server exited without draining): {}",
-                        s.orphans.join(", ")
+                        s.orphans
+                            .iter()
+                            .map(|(id, _)| id.as_str())
+                            .collect::<Vec<_>>()
+                            .join(", ")
                     ));
                 }
                 return;
@@ -107,17 +96,7 @@ fn main() {
             Err(e) => die(&format!("{path}: invalid service journal: {e}")),
         }
     }
-    let cfg = ServerConfig {
-        threads: args.threads,
-        capacity: args.capacity,
-        out_dir: PathBuf::from(&args.json_dir),
-        trace_store_dir: args.trace_store_dir.map(PathBuf::from),
-        read_timeout: Duration::from_millis(args.read_timeout_ms),
-        max_frame: args.max_frame,
-        retry_after_ms: args.retry_after_ms,
-        resume_journal: args.resume_journal,
-    };
-    let server = Server::bind(&args.addr, cfg).unwrap_or_else(|e| die(&e));
+    let server = Server::bind(&args.addr, args.cfg).unwrap_or_else(|e| die(&e));
     let addr = server
         .local_addr()
         .unwrap_or_else(|e| die(&format!("cannot read bound address: {e}")));
@@ -149,19 +128,13 @@ mod tests {
             "ts",
             "--read-timeout-ms",
             "500",
-            "--max-frame",
-            "1024",
-            "--retry-after-ms",
-            "100",
         ]))
         .unwrap();
         assert_eq!(a.addr, "0.0.0.0:0");
-        assert_eq!((a.threads, a.capacity), (4, 8));
-        assert_eq!(a.json_dir, "out");
-        assert_eq!(a.trace_store_dir.as_deref(), Some("ts"));
-        assert_eq!(a.read_timeout_ms, 500);
-        assert_eq!(a.max_frame, 1024);
-        assert_eq!(a.retry_after_ms, 100);
+        assert_eq!((a.cfg.threads, a.cfg.capacity), (4, 8));
+        assert_eq!(a.cfg.out_dir, PathBuf::from("out"));
+        assert_eq!(a.cfg.trace_store_dir, Some(PathBuf::from("ts")));
+        assert_eq!(a.cfg.read_timeout, Duration::from_millis(500));
         assert_eq!(parse_args(argv(&[])).unwrap(), Args::default());
     }
 
@@ -172,7 +145,9 @@ mod tests {
             (vec!["--threads", "0"], "positive"),
             (vec!["--capacity"], "needs a value"),
             (vec!["--addr"], "--addr needs a value"),
-            (vec!["--max-frame", "-1"], "--max-frame"),
+            (vec!["--read-timeout-ms", "-1"], "--read-timeout-ms"),
+            (vec!["--max-frame", "1"], "unknown argument"),
+            (vec!["--retry-after-ms", "1"], "unknown argument"),
             (vec!["--validate-journal"], "needs a value"),
             (vec!["--wat"], "unknown argument"),
         ] {

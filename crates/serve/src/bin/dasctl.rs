@@ -20,7 +20,6 @@ use das_harness::cli::{
 use das_harness::manifest::{DEFAULT_INSTS, DEFAULT_SCALE};
 use das_serve::client::{collect_stream, into_ok, Client};
 use das_serve::proto;
-use das_serve::server::ServerConfig;
 use das_telemetry::json::Value;
 
 const USAGE: &str = "usage: dasctl <command> --addr HOST:PORT [options]\n\
@@ -173,7 +172,7 @@ fn submit_experiment_backed_off(
                 let ms = resp
                     .get_path("error/retry_after_ms")
                     .and_then(Value::as_u64)
-                    .unwrap_or(ServerConfig::default().retry_after_ms);
+                    .unwrap_or(proto::RETRY_AFTER_MS);
                 retries += 1;
                 eprintln!("busy ({msg}); retry {retries} in {ms} ms");
                 sleep(Duration::from_millis(ms));
@@ -665,7 +664,7 @@ mod tests {
             let (mut conn, _) = listener.accept().unwrap();
             let mut requests = 0;
             for resp in &responses {
-                if proto::read_frame(&mut conn, proto::DEFAULT_MAX_FRAME).is_err() {
+                if proto::read_frame(&mut conn).is_err() {
                     break;
                 }
                 requests += 1;

@@ -13,7 +13,6 @@ use crate::proto::{self, ProtoError};
 pub struct Client {
     reader: TcpStream,
     writer: TcpStream,
-    max_frame: usize,
 }
 
 impl Client {
@@ -29,11 +28,7 @@ impl Client {
         let reader = writer
             .try_clone()
             .map_err(|e| format!("cannot clone connection: {e}"))?;
-        Ok(Client {
-            reader,
-            writer,
-            max_frame: proto::DEFAULT_MAX_FRAME,
-        })
+        Ok(Client { reader, writer })
     }
 
     /// Sets a read timeout for responses (`None` = block forever).
@@ -61,7 +56,7 @@ impl Client {
     /// The raw [`ProtoError`] — `Closed` is a legitimate end-of-stream
     /// for some callers.
     pub fn next_frame(&mut self) -> Result<Value, ProtoError> {
-        proto::read_frame(&mut self.reader, self.max_frame)
+        proto::read_frame(&mut self.reader)
     }
 
     /// Sends a request and reads one response, mapping a protocol-level

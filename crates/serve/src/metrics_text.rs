@@ -9,6 +9,8 @@
 
 use das_telemetry::json::Value;
 
+use crate::state::{Aggregate, AGGREGATES};
+
 /// The exposition-format content type scrapes expect.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
@@ -55,6 +57,33 @@ fn object_family(
     for (k, v) in entries {
         if let Some(n) = num(Some(v)) {
             push_metric(out, name, &format!("{{{label}=\"{k}\"}}"), n);
+        }
+    }
+}
+
+/// Emits one report aggregate's counter family, which nests one level
+/// deeper than [`object_family`] handles (`{label: {counter: n}}` →
+/// `das_coherence_total{protocol="MESI",kind="jobs"} 2` ...). Only `jobs`
+/// and the row's counters are emitted: a derived ratio such as
+/// `l1_hit_rate` is left out, and scrapers recompute it from the counters.
+fn aggregate_family(out: &mut String, stats: &Value, agg: &Aggregate) {
+    let Some(Value::Obj(labels)) = stats.get(agg.key) else {
+        return;
+    };
+    header(out, agg.family, "counter", agg.help);
+    for (label, counters) in labels {
+        for counter in std::iter::once(&"jobs").chain(agg.counters) {
+            if let Some(n) = num(counters.get(counter)) {
+                push_metric(
+                    out,
+                    agg.family,
+                    &format!(
+                        "{{{}=\"{label}\",{}=\"{counter}\"}}",
+                        agg.label, agg.counter_label
+                    ),
+                    n,
+                );
+            }
         }
     }
 }
@@ -158,60 +187,8 @@ pub fn render(stats: &Value) -> String {
         "kind",
         "Content-addressed trace store counters.",
     );
-    // Per-protocol coherence counters nest one level deeper than
-    // object_family handles ({protocol: {counter: n}}). The derived
-    // l1_hit_rate ratio is skipped — scrapers recompute it from the hit
-    // and miss counters.
-    if let Some(Value::Obj(protocols)) = stats.get("coherence") {
-        header(
-            &mut out,
-            "das_coherence_total",
-            "counter",
-            "Coherence-bus counters aggregated per protocol.",
-        );
-        for (protocol, counters) in protocols {
-            let Value::Obj(fields) = counters else {
-                continue;
-            };
-            for (k, v) in fields {
-                if k == "l1_hit_rate" {
-                    continue;
-                }
-                if let Some(n) = num(Some(v)) {
-                    push_metric(
-                        &mut out,
-                        "das_coherence_total",
-                        &format!("{{protocol=\"{protocol}\",kind=\"{k}\"}}"),
-                        n,
-                    );
-                }
-            }
-        }
-    }
-    // Per-policy migration-action counters, same nesting as coherence
-    // ({policy: {counter: n}}).
-    if let Some(Value::Obj(policies)) = stats.get("policy") {
-        header(
-            &mut out,
-            "das_policy_actions_total",
-            "counter",
-            "Migration-policy action counters aggregated per policy.",
-        );
-        for (policy, counters) in policies {
-            let Value::Obj(fields) = counters else {
-                continue;
-            };
-            for (k, v) in fields {
-                if let Some(n) = num(Some(v)) {
-                    push_metric(
-                        &mut out,
-                        "das_policy_actions_total",
-                        &format!("{{policy=\"{policy}\",action=\"{k}\"}}"),
-                        n,
-                    );
-                }
-            }
-        }
+    for agg in &AGGREGATES {
+        aggregate_family(&mut out, stats, agg);
     }
     if let Some(lat) = stats.get("request_latency_us") {
         summary_family(

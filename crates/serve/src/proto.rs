@@ -28,8 +28,11 @@ pub const PROTO_VERSION: u64 = 1;
 /// Key carrying the protocol version in every request and response.
 pub const VERSION_KEY: &str = "das_serve";
 
-/// Default cap on a single frame's payload (requests and responses).
-pub const DEFAULT_MAX_FRAME: usize = 8 * 1024 * 1024;
+/// Cap on a single frame's payload, bytes (requests and responses).
+pub const MAX_FRAME: usize = 8 * 1024 * 1024;
+
+/// The `retry_after_ms` hint a server sends with `busy` rejections.
+pub const RETRY_AFTER_MS: u64 = 250;
 
 /// Structured error codes (the `error.code` field of a failure response).
 pub mod code {
@@ -79,7 +82,7 @@ impl std::fmt::Display for ProtoError {
     }
 }
 
-/// Reads one frame (length prefix + JSON payload), enforcing `max_frame`.
+/// Reads one frame (length prefix + JSON payload), enforcing [`MAX_FRAME`].
 ///
 /// # Errors
 ///
@@ -87,7 +90,7 @@ impl std::fmt::Display for ProtoError {
 /// [`ProtoError::Io`] on transport failures and mid-frame disconnects,
 /// [`ProtoError::Malformed`] for codec violations (zero-length frame,
 /// oversized frame, non-UTF-8 or non-JSON payload).
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Value, ProtoError> {
+pub fn read_frame(r: &mut impl Read) -> Result<Value, ProtoError> {
     let mut len_buf = [0u8; 4];
     // The first byte distinguishes a clean close from a torn frame.
     let mut got = 0usize;
@@ -112,9 +115,9 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Value, ProtoErr
             recoverable: true,
         });
     }
-    if len > max_frame {
+    if len > MAX_FRAME {
         return Err(ProtoError::Malformed {
-            msg: format!("frame of {len} bytes exceeds the {max_frame}-byte limit"),
+            msg: format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte limit"),
             recoverable: false,
         });
     }
@@ -228,7 +231,7 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &v).unwrap();
         assert_eq!(&buf[..4], &(buf.len() as u32 - 4).to_be_bytes());
-        let back = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).unwrap();
+        let back = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(back.render(), v.render());
     }
 
@@ -236,19 +239,19 @@ mod tests {
     fn clean_close_and_torn_frames_are_distinguished() {
         // Empty stream: clean close.
         assert!(matches!(
-            read_frame(&mut [].as_slice(), 1024),
+            read_frame(&mut [].as_slice()),
             Err(ProtoError::Closed)
         ));
         // Torn header: 2 of 4 length bytes.
         assert!(matches!(
-            read_frame(&mut [0u8, 0].as_slice(), 1024),
+            read_frame(&mut [0u8, 0].as_slice()),
             Err(ProtoError::Io(_))
         ));
         // Torn body: promised 100 bytes, delivered 3.
         let mut buf = 100u32.to_be_bytes().to_vec();
         buf.extend_from_slice(b"abc");
         assert!(matches!(
-            read_frame(&mut buf.as_slice(), 1024),
+            read_frame(&mut buf.as_slice()),
             Err(ProtoError::Io(_))
         ));
     }
@@ -256,12 +259,12 @@ mod tests {
     #[test]
     fn framing_violations_classify_recoverability() {
         // Zero-length: stream still aligned.
-        match read_frame(&mut 0u32.to_be_bytes().as_slice(), 1024) {
+        match read_frame(&mut 0u32.to_be_bytes().as_slice()) {
             Err(ProtoError::Malformed { recoverable, .. }) => assert!(recoverable),
             other => panic!("{other:?}"),
         }
         // Oversized: desynchronized.
-        match read_frame(&mut 2048u32.to_be_bytes().as_slice(), 1024) {
+        match read_frame(&mut (MAX_FRAME as u32 + 1).to_be_bytes().as_slice()) {
             Err(ProtoError::Malformed { recoverable, msg }) => {
                 assert!(!recoverable);
                 assert!(msg.contains("limit"), "{msg}");
@@ -271,14 +274,14 @@ mod tests {
         // Bad JSON in a well-formed frame: recoverable.
         let mut buf = 8u32.to_be_bytes().to_vec();
         buf.extend_from_slice(b"not json");
-        match read_frame(&mut buf.as_slice(), 1024) {
+        match read_frame(&mut buf.as_slice()) {
             Err(ProtoError::Malformed { recoverable, .. }) => assert!(recoverable),
             other => panic!("{other:?}"),
         }
         // Non-UTF-8 payload: recoverable.
         let mut buf = 2u32.to_be_bytes().to_vec();
         buf.extend_from_slice(&[0xff, 0xfe]);
-        match read_frame(&mut buf.as_slice(), 1024) {
+        match read_frame(&mut buf.as_slice()) {
             Err(ProtoError::Malformed { recoverable, msg }) => {
                 assert!(recoverable);
                 assert!(msg.contains("UTF-8"), "{msg}");

@@ -72,7 +72,7 @@ use crate::state::{JobState, Metrics, Registry};
 pub const SERVE_JOURNAL_NAME: &str = "serve-journal.jsonl";
 
 /// Server construction parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
     /// Simulation worker threads.
     pub threads: usize,
@@ -86,10 +86,6 @@ pub struct ServerConfig {
     /// Per-connection read/idle timeout: a connection silent this long is
     /// closed.
     pub read_timeout: Duration,
-    /// Maximum accepted frame payload, bytes.
-    pub max_frame: usize,
-    /// The `retry_after_ms` hint sent with `busy` rejections.
-    pub retry_after_ms: u64,
     /// Resume an existing service journal instead of truncating it:
     /// torn-tail-truncate, journal a `restart` marker, and re-drive every
     /// orphaned job whose admission carried a spec (crash recovery).
@@ -104,8 +100,6 @@ impl Default for ServerConfig {
             out_dir: PathBuf::from("."),
             trace_store_dir: None,
             read_timeout: Duration::from_secs(30),
-            max_frame: proto::DEFAULT_MAX_FRAME,
-            retry_after_ms: 250,
             resume_journal: false,
         }
     }
@@ -195,7 +189,7 @@ impl Server {
         // as failed so the journal validates clean and clients resubmit.
         let mut registry = Registry::default();
         let mut recovered = 0u64;
-        for (id, spec) in summary.orphan_specs {
+        for (id, spec) in summary.orphans {
             match spec.as_ref().map(JobSpec::from_value) {
                 Some(Ok(spec)) => {
                     registry.insert_queued(id, spec);
@@ -272,8 +266,11 @@ impl Server {
                     }
                     let shared = Arc::clone(&self.shared);
                     conns.push(std::thread::spawn(move || {
+                        let _sock = ConnSock {
+                            socks: &shared.conn_socks,
+                            id,
+                        };
                         handle_connection(&shared, s);
-                        lock(&shared.conn_socks).remove(&id);
                     }));
                 }
                 Err(e) => {
@@ -315,6 +312,21 @@ impl Drop for Server {
     /// A server dropped without [`Server::run`] still stops its workers.
     fn drop(&mut self) {
         self.stop_workers();
+    }
+}
+
+/// A live connection's entry in `conn_socks`, removed when its handler
+/// returns or unwinds: a panicking handler still drops its read-half
+/// clone, so the socket closes and the client sees EOF instead of waiting
+/// for a reply that never comes.
+struct ConnSock<'a> {
+    socks: &'a Mutex<HashMap<u64, TcpStream>>,
+    id: u64,
+}
+
+impl Drop for ConnSock<'_> {
+    fn drop(&mut self) {
+        lock(self.socks).remove(&self.id);
     }
 }
 
@@ -382,7 +394,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        let req = match proto::read_frame(&mut reader, shared.cfg.max_frame) {
+        let req = match proto::read_frame(&mut reader) {
             Ok(v) => v,
             Err(ProtoError::Closed) => return,
             Err(ProtoError::Io(_)) => return, // disconnect mid-frame or idle timeout
@@ -418,68 +430,67 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-/// Dispatches one request; everything but `stream` writes exactly one
-/// response frame. Returns `Err` only on transport failure.
+/// Dispatches one request and writes its reply: one frame for every
+/// kind but an accepted `stream`. Returns `Err` only on transport
+/// failure.
 fn handle_request(
     shared: &Arc<Shared>,
     req: &Value,
     kind: &str,
     writer: &mut TcpStream,
 ) -> std::io::Result<()> {
-    if let Err(resp) = proto::check_version(req) {
-        return proto::write_frame(writer, &resp);
-    }
-    match kind {
-        "submit_job" => {
-            let resp = handle_submit_job(shared, req);
-            proto::write_frame(writer, &resp)
-        }
-        "submit_experiment" => {
-            let resp = handle_submit_experiment(shared, req);
-            proto::write_frame(writer, &resp)
-        }
-        "status" => {
-            let resp = handle_status(shared, req);
-            proto::write_frame(writer, &resp)
-        }
-        "stream" => handle_stream(shared, req, writer),
-        "cancel" => {
-            let resp = handle_cancel(shared, req);
-            proto::write_frame(writer, &resp)
-        }
-        "ping" => {
-            let resp = proto::ok("pong")
+    let resp = match proto::check_version(req) {
+        Err(resp) => resp,
+        Ok(()) => match kind {
+            "submit_job" => handle_submit_job(shared, req),
+            "submit_experiment" => handle_submit_experiment(shared, req),
+            "status" => handle_status(shared, req),
+            "stream" => match stream_ids(shared, req) {
+                Ok(ids) => return handle_stream(shared, &ids, writer),
+                Err(resp) => resp,
+            },
+            "cancel" => handle_cancel(shared, req),
+            "ping" => proto::ok("pong")
                 .set("pid", u64::from(std::process::id()))
                 .set("draining", shared.draining.load(Ordering::SeqCst))
-                .set("outstanding", lock(&shared.registry).outstanding());
-            proto::write_frame(writer, &resp)
-        }
-        "stats" => {
-            let resp = handle_stats(shared);
-            proto::write_frame(writer, &resp)
-        }
-        "metrics" => {
+                .set("outstanding", lock(&shared.registry).outstanding()),
+            "stats" => handle_stats(shared),
             // Prometheus-style projection of the same stats document —
             // two encodings, one source of numbers.
-            let stats = handle_stats(shared);
-            let resp = proto::ok("metrics")
+            "metrics" => proto::ok("metrics")
                 .set("content_type", crate::metrics_text::CONTENT_TYPE)
-                .set("body", crate::metrics_text::render(&stats));
-            proto::write_frame(writer, &resp)
-        }
-        "list" => {
-            let resp = handle_list(shared);
-            proto::write_frame(writer, &resp)
-        }
-        "drain" => handle_drain(shared, req, writer),
-        other => proto::write_frame(
-            writer,
-            &proto::error(
+                .set("body", crate::metrics_text::render(&handle_stats(shared))),
+            "list" => handle_list(shared),
+            "drain" => handle_drain(shared, req),
+            other => proto::error(
                 code::BAD_REQUEST,
                 &format!("unknown request kind {other:?}"),
             ),
-        ),
-    }
+        },
+    };
+    proto::write_frame(writer, &resp)
+}
+
+/// Reads `req[field]` strictly as an array of strings: `Ok(None)` when the
+/// field is absent, and a `bad_request` response when it is anything but
+/// an array whose every entry is a string.
+fn string_array(req: &Value, field: &str) -> Result<Option<Vec<String>>, Value> {
+    let Some(v) = req.get(field) else {
+        return Ok(None);
+    };
+    v.as_arr()
+        .and_then(|arr| {
+            arr.iter()
+                .map(|v| v.as_str().map(str::to_string))
+                .collect::<Option<Vec<_>>>()
+        })
+        .map(Some)
+        .ok_or_else(|| {
+            proto::error(
+                code::BAD_REQUEST,
+                &format!("{field:?} must be an array of strings"),
+            )
+        })
 }
 
 /// Admits a batch of jobs atomically: capacity-checked, journalled and
@@ -520,7 +531,7 @@ fn admit(shared: &Arc<Shared>, specs: Vec<JobSpec>) -> Result<(u64, Vec<String>)
                 specs.len(),
                 shared.cfg.capacity
             ),
-            shared.cfg.retry_after_ms,
+            proto::RETRY_AFTER_MS,
         ));
     }
     let ticket = shared.tickets.fetch_add(1, Ordering::SeqCst) + 1;
@@ -545,36 +556,39 @@ fn admit(shared: &Arc<Shared>, specs: Vec<JobSpec>) -> Result<(u64, Vec<String>)
     Ok((ticket, ids))
 }
 
-/// Executes one started job on a worker: runs the simulation with the
-/// server's only panic containment, journals the terminal event and
-/// publishes the outcome.
+/// Runs `job`, turning a panic into `Err("job panicked: <payload>")`:
+/// the server's only panic containment, so a panicking simulation fails
+/// its job and the worker lives on.
+fn contain_panic(job: impl FnOnce() -> Result<Value, String>) -> Result<Value, String> {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|p| {
+        let what = p
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_string());
+        Err(format!("job panicked: {what}"))
+    })
+}
+
+/// Executes one started job on a worker: runs the simulation under
+/// [`contain_panic`], journals the terminal event and publishes the
+/// outcome.
 fn run_job(shared: &Arc<Shared>, id: &str, spec: &JobSpec) {
     let exec_start = Instant::now();
-    let outcome = match catch_unwind(AssertUnwindSafe(|| {
+    let outcome = contain_panic(|| {
         runner::execute(
             spec,
             &shared.profiles,
             &shared.cfg.out_dir,
             shared.store.as_ref(),
         )
-    })) {
-        Ok(r) => r,
-        Err(p) => {
-            let what = p
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string());
-            Err(format!("job panicked: {what}"))
-        }
-    };
+    });
     let wall_ms = u64::try_from(exec_start.elapsed().as_millis()).unwrap_or(u64::MAX);
     {
         let mut m = lock(&shared.metrics);
         m.record_job_wall(wall_ms);
         if let Ok(report) = &outcome {
-            m.record_coherence(report);
-            m.record_policy(report);
+            m.record_report(report);
         }
     }
     let mut reg = lock(&shared.registry);
@@ -610,21 +624,15 @@ fn handle_submit_job(shared: &Arc<Shared>, req: &Value) -> Value {
 }
 
 fn handle_submit_experiment(shared: &Arc<Shared>, req: &Value) -> Value {
-    let ids: Vec<String> = match req.get("exp").and_then(Value::as_arr) {
-        Some(arr) => match arr
-            .iter()
-            .map(|v| v.as_str().map(str::to_string))
-            .collect::<Option<Vec<_>>>()
-        {
-            Some(ids) => ids,
-            None => return proto::error(code::BAD_REQUEST, "\"exp\" must be an array of strings"),
-        },
-        None => {
+    let (ids, only) = match (string_array(req, "exp"), string_array(req, "only")) {
+        (Ok(Some(ids)), Ok(only)) => (ids, only.unwrap_or_default()),
+        (Ok(None), _) => {
             return proto::error(
                 code::BAD_REQUEST,
                 "submit_experiment needs an \"exp\" array of experiment ids",
             )
         }
+        (Err(resp), _) | (_, Err(resp)) => return resp,
     };
     let insts = req
         .get("insts")
@@ -638,15 +646,6 @@ fn handle_submit_experiment(shared: &Arc<Shared>, req: &Value) -> Value {
         Ok(s) => s,
         Err(_) => return proto::error(code::BAD_REQUEST, "\"scale\" out of range"),
     };
-    let only: Vec<String> = req
-        .get("only")
-        .and_then(Value::as_arr)
-        .map(|arr| {
-            arr.iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect()
-        })
-        .unwrap_or_default();
     let manifest = match build_catalog_manifest(&ids, insts, scale, &only) {
         Ok(m) => m,
         Err(e) => return proto::error(code::NOT_FOUND, &e),
@@ -751,11 +750,8 @@ fn handle_stats(shared: &Arc<Shared>) -> Value {
         .set("malformed_frames", m.malformed_frames)
         .set("request_latency_us", m.latency_value())
         .set("job_latency_ms", m.job_latency_value());
-    if let Some(c) = m.coherence_value() {
-        resp = resp.set("coherence", c);
-    }
-    if let Some(p) = m.policy_value() {
-        resp = resp.set("policy", p);
+    for (key, v) in m.aggregate_values() {
+        resp = resp.set(key, v);
     }
     if let Some(store) = &shared.store {
         let s = store.stats();
@@ -783,7 +779,7 @@ fn handle_list(shared: &Arc<Shared>) -> Value {
     proto::ok("list").set("jobs", Value::Arr(jobs))
 }
 
-fn handle_drain(shared: &Arc<Shared>, req: &Value, writer: &mut TcpStream) -> std::io::Result<()> {
+fn handle_drain(shared: &Arc<Shared>, req: &Value) -> Value {
     let first = !shared.draining.swap(true, Ordering::SeqCst);
     if first {
         let mut jr = lock(&shared.journal);
@@ -804,42 +800,41 @@ fn handle_drain(shared: &Arc<Shared>, req: &Value, writer: &mut TcpStream) -> st
         }
     }
     let outstanding = lock(&shared.registry).outstanding();
-    proto::write_frame(
-        writer,
-        &proto::ok("drain")
-            .set("draining", true)
-            .set("outstanding", outstanding),
-    )
+    proto::ok("drain")
+        .set("draining", true)
+        .set("outstanding", outstanding)
 }
 
-/// Streams job outcomes: after an ack frame, emits a `progress` frame
-/// when a watched job starts running, a `result` frame (with report or
-/// error) when it reaches a terminal state, in the requested job order,
-/// then a final `stream_end` frame. Unknown ids fail the whole request
-/// up front with `not_found`.
-fn handle_stream(shared: &Arc<Shared>, req: &Value, writer: &mut TcpStream) -> std::io::Result<()> {
-    let ids: Option<Vec<String>> = req.get("jobs").and_then(Value::as_arr).map(|arr| {
-        arr.iter()
-            .filter_map(|v| v.as_str().map(str::to_string))
-            .collect()
-    });
-    let Some(ids) = ids.filter(|ids| !ids.is_empty()) else {
-        return proto::write_frame(
-            writer,
-            &proto::error(code::BAD_REQUEST, "stream needs a non-empty \"jobs\" array"),
-        );
+/// The job ids a `stream` request watches; unknown ids fail the whole
+/// request up front with `not_found`.
+fn stream_ids(shared: &Arc<Shared>, req: &Value) -> Result<Vec<String>, Value> {
+    let Some(ids) = string_array(req, "jobs")?.filter(|ids| !ids.is_empty()) else {
+        return Err(proto::error(
+            code::BAD_REQUEST,
+            "stream needs a non-empty \"jobs\" array",
+        ));
     };
-    {
-        let reg = lock(&shared.registry);
-        if let Some(bad) = ids.iter().find(|id| reg.entry(id).is_none()) {
-            return proto::write_frame(
-                writer,
-                &proto::error(code::NOT_FOUND, &format!("unknown job {bad:?}")),
-            );
-        }
+    let reg = lock(&shared.registry);
+    match ids.iter().find(|id| reg.entry(id).is_none()) {
+        Some(bad) => Err(proto::error(
+            code::NOT_FOUND,
+            &format!("unknown job {bad:?}"),
+        )),
+        None => Ok(ids),
     }
+}
+
+/// Streams the outcomes of `ids` (checked by [`stream_ids`]): after an
+/// ack frame, emits a `progress` frame when a watched job starts running,
+/// a `result` frame (with report or error) when it reaches a terminal
+/// state, in the requested job order, then a final `stream_end` frame.
+fn handle_stream(
+    shared: &Arc<Shared>,
+    ids: &[String],
+    writer: &mut TcpStream,
+) -> std::io::Result<()> {
     proto::write_frame(writer, &proto::ok("stream").set("jobs", ids.len()))?;
-    for id in &ids {
+    for id in ids {
         let mut reported_running = false;
         loop {
             enum Step {
@@ -898,4 +893,46 @@ fn handle_stream(shared: &Arc<Shared>, req: &Value, writer: &mut TcpStream) -> s
         }
     }
     proto::write_frame(writer, &proto::ok("stream_end"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panic_fails_the_job_with_its_payload() {
+        assert_eq!(
+            contain_panic(|| Ok(Value::obj().set("n", 1u64))),
+            Ok(Value::obj().set("n", 1u64))
+        );
+        assert_eq!(
+            contain_panic(|| Err("bad spec".into())),
+            Err("bad spec".into())
+        );
+        assert_eq!(
+            contain_panic(|| panic!("static message")),
+            Err("job panicked: static message".into())
+        );
+        let n = 7;
+        assert_eq!(
+            contain_panic(|| panic!("formatted message {n}")),
+            Err("job panicked: formatted message 7".into())
+        );
+    }
+
+    #[test]
+    fn a_panicking_connection_still_drops_its_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let socks = Mutex::new(HashMap::from([(3, client)]));
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _sock = ConnSock {
+                socks: &socks,
+                id: 3,
+            };
+            panic!("handler panicked");
+        }));
+        assert!(unwound.is_err());
+        assert!(lock(&socks).is_empty(), "the guard removed the entry");
+    }
 }

@@ -199,6 +199,66 @@ impl Registry {
     }
 }
 
+/// One per-label aggregate of finished jobs' reports, served under its
+/// own `stats` key and projected as one Prometheus counter family.
+#[derive(Debug)]
+pub struct Aggregate {
+    /// The `stats` response key (`label → {jobs, counters..}`).
+    pub key: &'static str,
+    /// The report block summed (`metrics/coherence`).
+    pub block: &'static str,
+    /// The block's label field the sums are kept per; also the
+    /// Prometheus label naming it.
+    pub label: &'static str,
+    /// The block's counters summed per label, in render order after
+    /// `jobs`.
+    pub counters: &'static [&'static str],
+    /// A derived ratio rendered after the counters, as
+    /// `(key, hits, misses)`: `hits / (hits + misses)`, 0 with no
+    /// accesses. Not a counter, so the Prometheus family leaves it out.
+    pub hit_rate: Option<(&'static str, &'static str, &'static str)>,
+    /// Prometheus family name.
+    pub family: &'static str,
+    /// Prometheus label naming the counter.
+    pub counter_label: &'static str,
+    /// Prometheus `HELP` text.
+    pub help: &'static str,
+}
+
+/// The report aggregates the server keeps: the coherent runs' bus
+/// counters per protocol and the migration policies' actions per policy.
+pub const AGGREGATES: [Aggregate; 2] = [
+    Aggregate {
+        key: "coherence",
+        block: "metrics/coherence",
+        label: "protocol",
+        counters: &[
+            "bus_transactions",
+            "invalidations",
+            "interventions",
+            "bus_upd",
+            "writeback_flushes",
+            "bus_wait_cycles",
+            "l1_hits",
+            "l1_misses",
+        ],
+        hit_rate: Some(("l1_hit_rate", "l1_hits", "l1_misses")),
+        family: "das_coherence_total",
+        counter_label: "kind",
+        help: "Coherence-bus counters aggregated per protocol.",
+    },
+    Aggregate {
+        key: "policy",
+        block: "metrics/policy",
+        label: "policy",
+        counters: &["promotes", "holds", "threshold_adjusts", "epochs"],
+        hit_rate: None,
+        family: "das_policy_actions_total",
+        counter_label: "action",
+        help: "Migration-policy action counters aggregated per policy.",
+    },
+];
+
 /// Admission and request counters plus per-request-kind latency
 /// histograms (microseconds).
 #[derive(Debug, Default)]
@@ -219,41 +279,12 @@ pub struct Metrics {
     /// Wall-clock execution time of completed jobs (milliseconds,
     /// success and failure alike).
     job_wall: LatencyHistogram,
-    /// Coherence counters aggregated per protocol label from finished
-    /// coherent jobs' reports. BTreeMap for deterministic render; empty
-    /// (and absent from the stats response) until a coherent job runs.
-    coherence: BTreeMap<String, CoherenceAgg>,
-    /// Migration-policy action counters aggregated per policy key from
-    /// finished jobs' reports. Same discipline as `coherence`: BTreeMap
-    /// for deterministic render, absent from the stats response until a
-    /// policy-driven job runs.
-    policy: BTreeMap<String, PolicyAgg>,
-}
-
-/// Summed `metrics/policy` action counters of every finished job under
-/// one policy key.
-#[derive(Debug, Default)]
-struct PolicyAgg {
-    jobs: u64,
-    promotes: u64,
-    holds: u64,
-    threshold_adjusts: u64,
-    epochs: u64,
-}
-
-/// Summed `metrics/coherence` counters of every finished job under one
-/// protocol.
-#[derive(Debug, Default)]
-struct CoherenceAgg {
-    jobs: u64,
-    bus_transactions: u64,
-    invalidations: u64,
-    interventions: u64,
-    bus_upd: u64,
-    writeback_flushes: u64,
-    bus_wait_cycles: u64,
-    l1_hits: u64,
-    l1_misses: u64,
+    /// Per-label sums of finished jobs' reports, one map per
+    /// [`AGGREGATES`] row (same index). Each label maps to its job count
+    /// followed by the row's counters. BTreeMap for deterministic render;
+    /// a map stays empty (and its key absent from the stats response)
+    /// until a job whose report carries the row's block finishes.
+    aggregates: [BTreeMap<String, Vec<u64>>; AGGREGATES.len()],
 }
 
 impl Metrics {
@@ -285,101 +316,55 @@ impl Metrics {
         v
     }
 
-    /// Folds a finished job's report into the per-protocol coherence
-    /// aggregates. Classic reports (no `metrics/coherence` block) are a
-    /// no-op.
-    pub fn record_coherence(&mut self, report: &Value) {
-        let Some(c) = report.get_path("metrics/coherence") else {
-            return;
-        };
-        let Some(protocol) = c.get("protocol").and_then(Value::as_str) else {
-            return;
-        };
-        let n = |key: &str| c.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let agg = self.coherence.entry(protocol.to_string()).or_default();
-        agg.jobs += 1;
-        agg.bus_transactions += n("bus_transactions");
-        agg.invalidations += n("invalidations");
-        agg.interventions += n("interventions");
-        agg.bus_upd += n("bus_upd");
-        agg.writeback_flushes += n("writeback_flushes");
-        agg.bus_wait_cycles += n("bus_wait_cycles");
-        agg.l1_hits += n("l1_hits");
-        agg.l1_misses += n("l1_misses");
-    }
-
-    /// The per-protocol coherence aggregates as a JSON object
-    /// (`protocol → counters`), or `None` when no coherent job has
-    /// finished — the stats response omits the key entirely then.
-    pub fn coherence_value(&self) -> Option<Value> {
-        if self.coherence.is_empty() {
-            return None;
-        }
-        let mut v = Value::obj();
-        for (protocol, a) in &self.coherence {
-            let accesses = a.l1_hits + a.l1_misses;
-            let hit_rate = if accesses == 0 {
-                0.0
-            } else {
-                a.l1_hits as f64 / accesses as f64
+    /// Folds a finished job's report into every [`AGGREGATES`] row whose
+    /// block it carries; a report without the block (a classic or
+    /// policy-free run) leaves that row alone.
+    pub fn record_report(&mut self, report: &Value) {
+        for (agg, sums) in AGGREGATES.iter().zip(&mut self.aggregates) {
+            let Some(block) = report.get_path(agg.block) else {
+                continue;
             };
-            v = v.set(
-                protocol,
-                Value::obj()
-                    .set("jobs", a.jobs)
-                    .set("bus_transactions", a.bus_transactions)
-                    .set("invalidations", a.invalidations)
-                    .set("interventions", a.interventions)
-                    .set("bus_upd", a.bus_upd)
-                    .set("writeback_flushes", a.writeback_flushes)
-                    .set("bus_wait_cycles", a.bus_wait_cycles)
-                    .set("l1_hits", a.l1_hits)
-                    .set("l1_misses", a.l1_misses)
-                    .set("l1_hit_rate", hit_rate),
-            );
+            let Some(label) = block.get(agg.label).and_then(Value::as_str) else {
+                continue;
+            };
+            let row = sums
+                .entry(label.to_string())
+                .or_insert_with(|| vec![0; 1 + agg.counters.len()]);
+            row[0] += 1;
+            for (sum, counter) in row[1..].iter_mut().zip(agg.counters) {
+                *sum += block.get(counter).and_then(Value::as_u64).unwrap_or(0);
+            }
         }
-        Some(v)
     }
 
-    /// Folds a finished job's report into the per-policy action
-    /// aggregates. Policy-free reports (no `metrics/policy` block) are a
-    /// no-op.
-    pub fn record_policy(&mut self, report: &Value) {
-        let Some(p) = report.get_path("metrics/policy") else {
-            return;
-        };
-        let Some(key) = p.get("policy").and_then(Value::as_str) else {
-            return;
-        };
-        let n = |k: &str| p.get(k).and_then(Value::as_u64).unwrap_or(0);
-        let agg = self.policy.entry(key.to_string()).or_default();
-        agg.jobs += 1;
-        agg.promotes += n("promotes");
-        agg.holds += n("holds");
-        agg.threshold_adjusts += n("threshold_adjusts");
-        agg.epochs += n("epochs");
-    }
-
-    /// The per-policy action aggregates as a JSON object
-    /// (`policy → counters`), or `None` when no policy-driven job has
-    /// finished — the stats response omits the key entirely then.
-    pub fn policy_value(&self) -> Option<Value> {
-        if self.policy.is_empty() {
-            return None;
-        }
-        let mut v = Value::obj();
-        for (key, a) in &self.policy {
-            v = v.set(
-                key,
-                Value::obj()
-                    .set("jobs", a.jobs)
-                    .set("promotes", a.promotes)
-                    .set("holds", a.holds)
-                    .set("threshold_adjusts", a.threshold_adjusts)
-                    .set("epochs", a.epochs),
-            );
-        }
-        Some(v)
+    /// Each [`AGGREGATES`] row that has folded at least one report, as
+    /// its `stats` key and `label → {jobs, counters.., derived ratio}`.
+    pub fn aggregate_values(&self) -> impl Iterator<Item = (&'static str, Value)> + '_ {
+        AGGREGATES
+            .iter()
+            .zip(&self.aggregates)
+            .filter(|(_, sums)| !sums.is_empty())
+            .map(|(agg, sums)| {
+                let mut v = Value::obj();
+                for (label, row) in sums {
+                    let mut counters = Value::obj().set("jobs", row[0]);
+                    for (name, &sum) in agg.counters.iter().zip(&row[1..]) {
+                        counters = counters.set(name, sum);
+                    }
+                    if let Some((key, hits, misses)) = agg.hit_rate {
+                        let n = |name| counters.get(name).and_then(Value::as_u64).unwrap_or(0);
+                        let (hits, misses) = (n(hits), n(misses));
+                        let rate = if hits + misses == 0 {
+                            0.0
+                        } else {
+                            hits as f64 / (hits + misses) as f64
+                        };
+                        counters = counters.set(key, rate);
+                    }
+                    v = v.set(label, counters);
+                }
+                (agg.key, v)
+            })
     }
 }
 
@@ -387,6 +372,13 @@ impl Metrics {
 mod tests {
     use super::*;
     use das_harness::manifest::Overrides;
+
+    /// The `stats` value of aggregate `key`, if any report was folded.
+    fn aggregate(m: &Metrics, key: &str) -> Option<Value> {
+        m.aggregate_values()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v)
+    }
 
     fn spec(id: &str) -> JobSpec {
         JobSpec {
@@ -484,11 +476,11 @@ mod tests {
     #[test]
     fn coherence_aggregates_per_protocol_and_stays_absent_for_classic_runs() {
         let mut m = Metrics::default();
-        assert!(m.coherence_value().is_none(), "no coherent jobs yet");
+        assert!(aggregate(&m, "coherence").is_none(), "no coherent jobs yet");
         // Classic report: no-op.
         let classic = Value::obj().set("metrics", Value::obj().set("ipc_sum", 1.0));
-        m.record_coherence(&classic);
-        assert!(m.coherence_value().is_none());
+        m.record_report(&classic);
+        assert!(aggregate(&m, "coherence").is_none());
         let coh = |protocol: &str, inval: u64| {
             Value::obj().set(
                 "metrics",
@@ -503,10 +495,10 @@ mod tests {
                 ),
             )
         };
-        m.record_coherence(&coh("MESI", 7));
-        m.record_coherence(&coh("MESI", 3));
-        m.record_coherence(&coh("Dragon", 0));
-        let v = m.coherence_value().expect("coherent jobs aggregated");
+        m.record_report(&coh("MESI", 7));
+        m.record_report(&coh("MESI", 3));
+        m.record_report(&coh("Dragon", 0));
+        let v = aggregate(&m, "coherence").expect("coherent jobs aggregated");
         assert_eq!(v.get_path("MESI/jobs").and_then(Value::as_u64), Some(2));
         assert_eq!(
             v.get_path("MESI/invalidations").and_then(Value::as_u64),
@@ -527,13 +519,58 @@ mod tests {
     }
 
     #[test]
+    fn aggregates_render_jobs_then_counters_then_the_derived_rate() {
+        let mut m = Metrics::default();
+        let report = Value::obj().set(
+            "metrics",
+            Value::obj()
+                .set(
+                    "coherence",
+                    Value::obj()
+                        .set("protocol", "MESI")
+                        .set("l1_misses", 1u64)
+                        .set("l1_hits", 3u64)
+                        .set("bus_upd", 2u64),
+                )
+                .set(
+                    "policy",
+                    Value::obj().set("policy", "feedback").set("epochs", 4u64),
+                ),
+        );
+        m.record_report(&report);
+        let rendered: Vec<(&str, String)> =
+            m.aggregate_values().map(|(k, v)| (k, v.render())).collect();
+        assert_eq!(
+            rendered,
+            [
+                (
+                    "coherence",
+                    "{\"MESI\":{\"jobs\":1,\"bus_transactions\":0,\"invalidations\":0,\
+                     \"interventions\":0,\"bus_upd\":2,\"writeback_flushes\":0,\
+                     \"bus_wait_cycles\":0,\"l1_hits\":3,\"l1_misses\":1,\"l1_hit_rate\":0.75}}"
+                        .to_string()
+                ),
+                (
+                    "policy",
+                    "{\"feedback\":{\"jobs\":1,\"promotes\":0,\"holds\":0,\
+                     \"threshold_adjusts\":0,\"epochs\":4}}"
+                        .to_string()
+                ),
+            ]
+        );
+    }
+
+    #[test]
     fn policy_actions_aggregate_per_policy_and_stay_absent_for_policy_free_runs() {
         let mut m = Metrics::default();
-        assert!(m.policy_value().is_none(), "no policy-driven jobs yet");
+        assert!(
+            aggregate(&m, "policy").is_none(),
+            "no policy-driven jobs yet"
+        );
         // Policy-free report: no-op.
         let classic = Value::obj().set("metrics", Value::obj().set("ipc_sum", 1.0));
-        m.record_policy(&classic);
-        assert!(m.policy_value().is_none());
+        m.record_report(&classic);
+        assert!(aggregate(&m, "policy").is_none());
         let pol = |key: &str, promotes: u64| {
             Value::obj().set(
                 "metrics",
@@ -548,10 +585,10 @@ mod tests {
                 ),
             )
         };
-        m.record_policy(&pol("feedback", 7));
-        m.record_policy(&pol("feedback", 3));
-        m.record_policy(&pol("cost_aware", 5));
-        let v = m.policy_value().expect("policy jobs aggregated");
+        m.record_report(&pol("feedback", 7));
+        m.record_report(&pol("feedback", 3));
+        m.record_report(&pol("cost_aware", 5));
+        let v = aggregate(&m, "policy").expect("policy jobs aggregated");
         assert_eq!(v.get_path("feedback/jobs").and_then(Value::as_u64), Some(2));
         assert_eq!(
             v.get_path("feedback/promotes").and_then(Value::as_u64),

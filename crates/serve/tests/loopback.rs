@@ -2,7 +2,7 @@
 //! TCP clients, no mocks. Covers the protocol's failure modes (malformed
 //! frames, version/kind violations, idle timeouts), the admission
 //! contract (deterministic structured `busy`, `draining`), start order
-//! and panic containment on the one worker, the graceful drain +
+//! on the one worker and its survival of a failed job, the graceful drain +
 //! journal-audit story, crash recovery from a resumed journal, and the
 //! headline determinism guarantee:
 //! artifacts fetched through the server are byte-identical to a direct
@@ -37,8 +37,6 @@ fn config(out_dir: &Path) -> ServerConfig {
         out_dir: out_dir.to_path_buf(),
         trace_store_dir: None,
         read_timeout: Duration::from_secs(10),
-        max_frame: 1024 * 1024,
-        retry_after_ms: 123,
         ..ServerConfig::default()
     }
 }
@@ -92,7 +90,7 @@ fn malformed_frames_get_structured_errors_and_the_server_survives() {
         want_code: &'static str,
         reusable: bool,
     }
-    let huge = (2 * 1024 * 1024u32).to_be_bytes().to_vec();
+    let huge = (proto::MAX_FRAME as u32 + 1).to_be_bytes().to_vec();
     let cases = vec![
         Case {
             name: "zero-length frame",
@@ -130,13 +128,13 @@ fn malformed_frames_get_structured_errors_and_the_server_survives() {
     for case in cases {
         let mut raw = TcpStream::connect(&addr).unwrap();
         raw.write_all(&case.bytes).unwrap();
-        let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+        let resp = proto::read_frame(&mut raw).unwrap();
         let (c, msg) = proto::error_of(&resp).expect("failure response");
         assert_eq!(c, case.want_code, "{}: {msg}", case.name);
         if case.reusable {
             // The same connection still answers well-formed requests.
             proto::write_frame(&mut raw, &proto::request("stats")).unwrap();
-            let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+            let resp = proto::read_frame(&mut raw).unwrap();
             assert!(proto::error_of(&resp).is_none(), "{}: {resp:?}", case.name);
         }
     }
@@ -152,10 +150,10 @@ fn malformed_frames_get_structured_errors_and_the_server_survives() {
     // Version and kind violations are structured too.
     let mut raw = TcpStream::connect(&addr).unwrap();
     proto::write_frame(&mut raw, &Value::obj().set("das_serve", 99u64)).unwrap();
-    let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+    let resp = proto::read_frame(&mut raw).unwrap();
     assert_eq!(proto::error_of(&resp).unwrap().0, code::VERSION);
     proto::write_frame(&mut raw, &proto::request("frobnicate")).unwrap();
-    let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+    let resp = proto::read_frame(&mut raw).unwrap();
     assert_eq!(proto::error_of(&resp).unwrap().0, code::BAD_REQUEST);
 
     // After all that abuse the server still serves fresh connections and
@@ -198,7 +196,8 @@ fn busy_backpressure_is_deterministic_and_structured() {
     let id = submit(&mut c, &spec("heavy", 400_000)).unwrap();
     let err = submit(&mut c, &spec("turned-away", 50_000)).unwrap_err();
     assert!(err.starts_with("busy:"), "{err}");
-    assert!(err.contains("retry after 123 ms"), "{err}");
+    let hint = format!("retry after {} ms", proto::RETRY_AFTER_MS);
+    assert!(err.contains(&hint), "{err}");
 
     // The admitted job still completes; the rejections were observable.
     let reports = collect_stream(&mut c, &[id], |_, _| {}).unwrap();
@@ -302,29 +301,6 @@ fn one_worker_starts_jobs_in_admission_order_and_never_a_cancelled_one() {
 }
 
 #[test]
-fn a_panicking_job_is_journalled_failed_and_the_worker_survives() {
-    let dir = tmp_dir("panic");
-    let (addr, h) = start(config(&dir)); // threads: 1
-    let mut c = Client::connect(&addr).unwrap();
-    // Without containment the job would stay running forever.
-    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    // A zero telemetry epoch trips an assertion inside the simulator.
-    let mut bad = spec("bad", 50_000);
-    bad.ov.telemetry_epoch = Some(0);
-    let bad = submit(&mut c, &bad).unwrap();
-    let good = submit(&mut c, &spec("good", 50_000)).unwrap();
-    let err = collect_stream(&mut c, &[bad], |_, _| {}).unwrap_err();
-    assert!(err.contains("ended failed: job panicked:"), "{err}");
-
-    // The only worker survived the panic and runs the next job.
-    let mut c = Client::connect(&addr).unwrap();
-    assert_eq!(collect_stream(&mut c, &[good], |_, _| {}).unwrap().len(), 1);
-    drain_and_join(&addr, h);
-    let s = load_service(&dir.join(SERVE_JOURNAL_NAME)).unwrap();
-    assert_eq!((s.admitted, s.done, s.failed), (2, 1, 1));
-}
-
-#[test]
 fn a_zero_threshold_job_fails_naming_the_threshold() {
     let dir = tmp_dir("threshold");
     let (addr, h) = start(config(&dir));
@@ -334,9 +310,32 @@ fn a_zero_threshold_job_fails_naming_the_threshold() {
     bad.design = "das".into();
     bad.ov.threshold = Some(0);
     let bad = submit(&mut c, &bad).unwrap();
+    let good = submit(&mut c, &spec("good", 50_000)).unwrap();
     let err = collect_stream(&mut c, &[bad], |_, _| {}).unwrap_err();
     assert!(err.contains("ended failed: "), "{err}");
     assert!(err.contains("promotion threshold 0"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+
+    // The only worker runs the job submitted after the failed one.
+    let mut c = Client::connect(&addr).unwrap();
+    assert_eq!(collect_stream(&mut c, &[good], |_, _| {}).unwrap().len(), 1);
+    drain_and_join(&addr, h);
+    let s = load_service(&dir.join(SERVE_JOURNAL_NAME)).unwrap();
+    assert_eq!((s.admitted, s.done, s.failed), (2, 1, 1));
+}
+
+#[test]
+fn a_zero_telemetry_epoch_job_fails_naming_the_epoch() {
+    let dir = tmp_dir("epoch");
+    let (addr, h) = start(config(&dir));
+    let mut c = Client::connect(&addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut bad = spec("bad", 50_000);
+    bad.ov.telemetry_epoch = Some(0);
+    let bad = submit(&mut c, &bad).unwrap();
+    let err = collect_stream(&mut c, &[bad], |_, _| {}).unwrap_err();
+    assert!(err.contains("ended failed: "), "{err}");
+    assert!(err.contains("telemetry epoch 0"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
     drain_and_join(&addr, h);
 }
@@ -355,14 +354,14 @@ fn out_of_range_geometry_is_a_bad_request_not_a_dead_connection() {
         .set("scale", 65_536u64)
         .set("only", Value::Arr(vec![Value::Str("mcf".into())]));
     proto::write_frame(&mut raw, &req).unwrap();
-    let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+    let resp = proto::read_frame(&mut raw).unwrap();
     let (c, msg) = proto::error_of(&resp).expect("failure response");
     assert_eq!(c, code::BAD_REQUEST, "{msg}");
     assert!(msg.contains("scale 65536"), "{msg}");
 
     // The same connection still answers.
     proto::write_frame(&mut raw, &proto::request("ping")).unwrap();
-    let resp = proto::read_frame(&mut raw, 1024 * 1024).unwrap();
+    let resp = proto::read_frame(&mut raw).unwrap();
     assert!(proto::error_of(&resp).is_none(), "{resp:?}");
     drop(raw);
     drain_and_join(&addr, h);
@@ -447,11 +446,20 @@ fn status_list_and_streaming_report_job_lifecycles() {
         let err = c.request(&req).unwrap_err();
         assert!(err.starts_with("not_found:"), "{err}");
     }
-    // A bad job spec is BAD_REQUEST, not a panic.
-    let err = c
-        .request(&proto::request("submit_job").set("job", Value::obj().set("id", "x")))
-        .unwrap_err();
-    assert!(err.starts_with("bad_request:"), "{err}");
+    // A bad job spec is BAD_REQUEST, not a panic, and so is a string
+    // array holding anything but strings.
+    let mixed = || Value::Arr(vec![Value::Str("fig8a".into()), Value::U64(3)]);
+    for req in [
+        proto::request("submit_job").set("job", Value::obj().set("id", "x")),
+        proto::request("submit_experiment").set("exp", mixed()),
+        proto::request("submit_experiment")
+            .set("exp", Value::Arr(vec![Value::Str("fig8a".into())]))
+            .set("only", mixed()),
+        proto::request("stream").set("jobs", mixed()),
+    ] {
+        let err = c.request(&req).unwrap_err();
+        assert!(err.starts_with("bad_request:"), "{err}");
+    }
 
     let id = submit(&mut c, &spec("one", 60_000)).unwrap();
     let mut events = Vec::new();
@@ -535,11 +543,12 @@ fn resume_redrives_spec_carrying_orphans_and_fails_the_rest() {
         j.terminal("done", "t1/finished", None).unwrap();
         j.admit_with_spec("t2/redrive", &redrive.to_value())
             .unwrap();
-        j.admit("t3/lost").unwrap();
     }
     let mut f = std::fs::OpenOptions::new()
         .append(true)
         .open(&path)
+        .unwrap();
+    f.write_all(b"{\"event\":\"admit\",\"job\":\"t3/lost\"}\n")
         .unwrap();
     f.write_all(b"{\"event\":\"admit\",\"job\":\"t4/torn")
         .unwrap();

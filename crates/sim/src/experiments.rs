@@ -14,7 +14,9 @@ use das_telemetry::TelemetryReport;
 
 use crate::config::{Design, SystemConfig};
 use crate::stats::RunMetrics;
-use crate::system::{recorded_workload_stubs, AddressMap, SimError, System, TraceSource};
+use crate::system::{
+    recorded_workload_stubs, row_share, usable_rows, AddressMap, SimError, System, TraceSource,
+};
 
 /// LLC-miss counts per row: the profile the static designs (SAS/CHARM) are
 /// placed from. Consumers only look rows up, so iteration order never
@@ -232,7 +234,9 @@ pub fn run_one_instrumented(
 ///
 /// # Errors
 ///
-/// Returns the [`SimError`] if the run could not finish.
+/// Returns [`SimError::FootprintExceedsShare`] before any simulation when
+/// a trace's addresses span more than its share of `design`'s usable
+/// rows, and otherwise the [`SimError`] if the run could not finish.
 ///
 /// # Panics
 ///
@@ -243,6 +247,9 @@ pub fn run_recorded(
     traces: Vec<Vec<TraceItem>>,
 ) -> Result<RunMetrics, SimError> {
     let stubs = recorded_workload_stubs(cfg, &traces);
+    let mut placed = cfg.clone();
+    design.apply_overrides(&mut placed);
+    row_share(&stubs, usable_rows(&placed, design))?;
     let profile = design.needs_profile().then(|| {
         let streams = traces.iter().map(|t| t.iter().copied()).collect();
         llc_miss_rows(cfg, &AddressMap::new(cfg, &stubs), streams, None)

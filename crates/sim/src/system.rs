@@ -123,6 +123,16 @@ pub enum SimError {
     },
     /// The memory controller reported an error.
     Controller(ControllerError),
+    /// A workload's footprint exceeds its share of the usable rows, so it
+    /// cannot be placed (a recorded trace whose addresses span too much).
+    FootprintExceedsShare {
+        /// The workload's name.
+        workload: String,
+        /// Its footprint, rows.
+        rows: u64,
+        /// Each workload's share of the usable rows.
+        share: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -169,6 +179,14 @@ impl fmt::Display for SimError {
                 write!(f, "MSHR rejected line {line:#x}")
             }
             SimError::Controller(e) => write!(f, "controller error: {e}"),
+            SimError::FootprintExceedsShare {
+                workload,
+                rows,
+                share,
+            } => write!(
+                f,
+                "{workload}'s footprint ({rows} rows) exceeds its share of memory ({share} rows)"
+            ),
         }
     }
 }
@@ -238,6 +256,42 @@ fn latency_class(s: ServiceClass) -> LatencyClass {
     }
 }
 
+/// The OS-visible data rows under `design`, for `cfg` with the design's
+/// overrides applied: the slow rows less the translation-table region for
+/// an inclusive fast level (fast rows duplicate slow ones), the design's
+/// own per-bank rule for a capacity-trading backend (CLR-DRAM, whose
+/// morphed rows lose their partners' storage), and otherwise every row
+/// below the translation-table region.
+pub(crate) fn usable_rows(cfg: &SystemConfig, design: Design) -> u64 {
+    let layout = cfg.bank_layout();
+    let banks = cfg.geometry.total_banks() as u64;
+    if design.is_inclusive() {
+        layout.slow_rows() as u64 * banks - cfg.geometry.table_rows()
+    } else if let Some(per_bank) = design.usable_rows_per_bank(&layout) {
+        per_bank * banks
+    } else {
+        cfg.geometry.table_base() / cfg.geometry.row_bytes as u64
+    }
+}
+
+/// Each workload's share of `usable_rows`.
+///
+/// # Errors
+///
+/// [`SimError::FootprintExceedsShare`] for the first workload whose
+/// footprint does not fit its share.
+pub(crate) fn row_share(workloads: &[WorkloadConfig], usable_rows: u64) -> Result<u64, SimError> {
+    let share = usable_rows / workloads.len() as u64;
+    match workloads.iter().find(|w| w.footprint_rows() > share) {
+        Some(w) => Err(SimError::FootprintExceedsShare {
+            workload: w.name.clone(),
+            rows: w.footprint_rows(),
+            share,
+        }),
+        None => Ok(share),
+    }
+}
+
 /// OS-like physical page placement: each workload's row-granular pages are
 /// scattered pseudo-randomly across the *whole* usable row space, with
 /// per-workload interleaving keeping co-scheduled workloads disjoint.
@@ -267,8 +321,7 @@ impl AddressMap {
     /// Panics if any workload's footprint exceeds its share of the usable
     /// row space (everything below the reserved translation-table region).
     pub fn new(cfg: &SystemConfig, workloads: &[WorkloadConfig]) -> Self {
-        let usable_rows = cfg.geometry.table_base() / cfg.geometry.row_bytes as u64;
-        Self::with_usable_rows(cfg, workloads, usable_rows)
+        Self::with_usable_rows(cfg, workloads, usable_rows(cfg, Design::Standard))
     }
 
     /// Like [`AddressMap::new`] with an explicit usable-row budget — the
@@ -285,16 +338,7 @@ impl AddressMap {
     ) -> Self {
         let row = cfg.geometry.row_bytes as u64;
         let n = workloads.len() as u64;
-        let slots_per_core = usable_rows / n;
-        for w in workloads {
-            assert!(
-                w.footprint_rows() <= slots_per_core,
-                "{}'s footprint ({} rows) exceeds its share of memory ({} rows)",
-                w.name,
-                w.footprint_rows(),
-                slots_per_core
-            );
-        }
+        let slots_per_core = row_share(workloads, usable_rows).unwrap_or_else(|e| panic!("{e}"));
         let coprime = |start: u64| {
             let mut m = start | 1;
             while gcd(m, slots_per_core) != 1 {
@@ -556,22 +600,7 @@ impl System {
         let mut cfg = cfg;
         design.apply_overrides(&mut cfg);
         let n = workloads.len();
-        let addr_map = if design.is_inclusive() {
-            // Fast rows duplicate slow rows: the OS-visible space shrinks
-            // to the slow capacity (minus the reserved table region).
-            let layout = cfg.bank_layout();
-            let usable = layout.slow_rows() as u64 * cfg.geometry.total_banks() as u64
-                - cfg.geometry.table_rows();
-            AddressMap::with_usable_rows(&cfg, workloads, usable)
-        } else if let Some(per_bank) = design.usable_rows_per_bank(&cfg.bank_layout()) {
-            // Capacity-trading backends (CLR-DRAM): morphed rows couple
-            // with neighbours whose storage is lost, shrinking the
-            // OS-visible space without inclusive-cache management.
-            let usable = per_bank * cfg.geometry.total_banks() as u64;
-            AddressMap::with_usable_rows(&cfg, workloads, usable)
-        } else {
-            AddressMap::new(&cfg, workloads)
-        };
+        let addr_map = AddressMap::with_usable_rows(&cfg, workloads, usable_rows(&cfg, design));
         let cores = (0..n)
             .map(|_| Core::new(cfg.core, cfg.inst_budget))
             .collect();

@@ -204,15 +204,14 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     println!("loaded {} references from {path}", items.len());
     let (mut cfg, design) = o.job.config()?;
     cfg.inst_budget = u64::MAX;
-    let base = if o.baseline && design != Design::Standard {
-        Some(
-            run_recorded(&cfg, Design::Standard, vec![items.clone()])
-                .map_err(|e| format!("baseline run: {e}"))?,
-        )
-    } else {
-        None
-    };
+    let baseline_items = (o.baseline && design != Design::Standard).then(|| items.clone());
     let m = run_recorded(&cfg, design, vec![items]).map_err(|e| format!("simulation: {e}"))?;
+    let base = baseline_items
+        .map(|items| {
+            run_recorded(&cfg, Design::Standard, vec![items])
+                .map_err(|e| format!("baseline run: {e}"))
+        })
+        .transpose()?;
     print_metrics(&m, base.as_ref());
     Ok(())
 }
@@ -369,6 +368,31 @@ mod tests {
             "--no-baseline",
         ]))
         .unwrap();
+    }
+
+    #[test]
+    fn trace_beyond_the_designs_usable_rows_is_an_error() {
+        // Line 2 sits in row 15000: below Std-DRAM's 16382 usable rows at
+        // the default scale, above the 14334 that an inclusive fast level
+        // leaves visible.
+        let path = std::env::temp_dir().join(format!("das_oversized_{}.txt", std::process::id()));
+        std::fs::write(&path, "0 0x1000 R\n3 0x7530000 R\n").unwrap();
+        let run = |design| {
+            cmd_trace(&args(&[
+                path.to_str().unwrap(),
+                "--design",
+                design,
+                "--no-baseline",
+            ]))
+        };
+        let (std, incl) = (run("std"), run("das_incl"));
+        std::fs::remove_file(&path).unwrap();
+        std.unwrap();
+        let err = incl.unwrap_err();
+        assert!(
+            err.contains("footprint (15001 rows) exceeds its share of memory (14334 rows)"),
+            "{err}"
+        );
     }
 
     #[test]
