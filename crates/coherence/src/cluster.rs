@@ -50,6 +50,9 @@ pub struct AccessOutcome {
     /// The simulator turns it into per-row sharing heat for the migration
     /// policy.
     pub shared: bool,
+    /// Core cycles this access's bus transactions waited for arbitration;
+    /// `None` when the access used no bus at all.
+    pub bus_wait: Option<u64>,
 }
 
 /// Counters for everything the coherence layer did.
@@ -391,6 +394,7 @@ impl CoherentCluster {
         assert!(core < self.cfg.cores, "core index out of range");
         let line = addr & !(self.cfg.line_bytes - 1);
         let mut writebacks = Vec::new();
+        let wait_before = self.bus.wait_cycles;
 
         let held = self.l1[core].find(line);
         let valid = held
@@ -420,6 +424,7 @@ impl CoherentCluster {
                 fetch_below: false,
                 writebacks,
                 shared: others,
+                bus_wait: out.bus.map(|_| self.bus.wait_cycles - wait_before),
             };
         }
 
@@ -453,6 +458,7 @@ impl CoherentCluster {
             fetch_below: !supplied,
             writebacks,
             shared: others,
+            bus_wait: Some(self.bus.wait_cycles - wait_before),
         }
     }
 
@@ -581,6 +587,7 @@ mod stamp_oracle {
             self.use_counter += 1;
             let line = addr & !(self.cfg.line_bytes - 1);
             let mut writebacks = Vec::new();
+            let wait_before = self.bus.wait_cycles;
 
             let held = self.l1[core].get(&line).copied();
             if let Some((state, _)) = held.filter(|&(s, _)| s != CohState::I) {
@@ -606,6 +613,7 @@ mod stamp_oracle {
                     fetch_below: false,
                     writebacks,
                     shared: others,
+                    bus_wait: out.bus.map(|_| self.bus.wait_cycles - wait_before),
                 };
             }
 
@@ -632,6 +640,7 @@ mod stamp_oracle {
                 fetch_below: !supplied,
                 writebacks,
                 shared: others,
+                bus_wait: Some(self.bus.wait_cycles - wait_before),
             }
         }
 
@@ -790,13 +799,16 @@ mod tests {
     #[test]
     fn bus_contention_is_visible_in_stats() {
         let mut cl = cluster(ProtocolKind::Mesi, 2);
-        cl.access(0, 0x100, false, 0);
+        assert_eq!(cl.access(0, 0x100, false, 0).bus_wait, Some(0));
         // The peer read arrives while the first transaction still holds the
         // bus, so FCFS arbitration makes it wait.
-        cl.access(1, 0x100, false, 0);
+        let waited = cl.access(1, 0x100, false, 0).bus_wait;
+        // A private hit uses no bus.
+        assert_eq!(cl.access(1, 0x100, false, 100).bus_wait, None);
         let s = cl.stats();
         assert!(s.bus_busy_cycles > 0);
         assert!(s.bus_wait_cycles > 0);
+        assert_eq!(waited, Some(s.bus_wait_cycles));
         assert_eq!(s.bus_transactions(), 2);
     }
 

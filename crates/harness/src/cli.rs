@@ -135,16 +135,12 @@ fn usage_die(msg: &str, usage: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Opens the content-addressed trace store, honouring `--no-trace-store`
-/// (which wins over `--trace-store DIR`).
-fn open_trace_store(dir: Option<String>, disabled: bool) -> Option<das_trace::TraceStore> {
-    match (dir, disabled) {
-        (Some(d), false) => Some(
-            das_trace::TraceStore::open(Path::new(&d))
-                .unwrap_or_else(|e| die(&format!("cannot open trace store {d}: {e}"))),
-        ),
-        _ => None,
-    }
+/// Opens the content-addressed trace store of `--trace-store DIR`, if given.
+fn open_trace_store(dir: Option<String>) -> Option<das_trace::TraceStore> {
+    dir.map(|d| {
+        das_trace::TraceStore::open(Path::new(&d))
+            .unwrap_or_else(|e| die(&format!("cannot open trace store {d}: {e}")))
+    })
 }
 
 /// One-line session summary of the store's hit/miss/byte counters.
@@ -213,7 +209,7 @@ pub fn need_list(
 pub const HARNESS_USAGE: &str = "usage: harness (--manifest PATH | --all | --exp a,b) \
      [--insts N] [--scale N] [--only a,b] [--threads N] [--resume] \
      [--json-dir DIR] [--emit-manifest PATH] [--validate-journal PATH] \
-     [--trace-store DIR] [--no-trace-store]";
+     [--trace-store DIR]";
 
 /// Parsed flags of the standalone `harness` binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,8 +236,6 @@ pub struct HarnessArgs {
     pub emit_manifest: Option<String>,
     /// `--trace-store DIR`.
     pub trace_store_dir: Option<String>,
-    /// `--no-trace-store`.
-    pub no_trace_store: bool,
     /// `--validate-journal PATH` (check a journal and exit).
     pub validate_journal: Option<String>,
 }
@@ -260,7 +254,6 @@ impl Default for HarnessArgs {
             json_dir: None,
             emit_manifest: None,
             trace_store_dir: None,
-            no_trace_store: false,
             validate_journal: None,
         }
     }
@@ -288,7 +281,6 @@ pub fn parse_harness_args<I: IntoIterator<Item = String>>(args: I) -> Result<Har
             "--json-dir" => out.json_dir = Some(need(&mut args, "--json-dir")?),
             "--emit-manifest" => out.emit_manifest = Some(need(&mut args, "--emit-manifest")?),
             "--trace-store" => out.trace_store_dir = Some(need(&mut args, "--trace-store")?),
-            "--no-trace-store" => out.no_trace_store = true,
             "--validate-journal" => {
                 out.validate_journal = Some(need(&mut args, "--validate-journal")?);
             }
@@ -495,7 +487,7 @@ pub fn harness_main() {
         Journal::create(&journal_path, &fp, ids.len())
     }
     .unwrap_or_else(|e| die(&e));
-    let store = open_trace_store(args.trace_store_dir, args.no_trace_store);
+    let store = open_trace_store(args.trace_store_dir);
     let opts = ExecOptions {
         threads: args.threads,
         out_dir: &out_dir,

@@ -222,8 +222,9 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns a message for an unknown design or override token, or an
-    /// out-of-range value ([`SystemConfig::check_inputs`], or a telemetry
-    /// epoch of 0).
+    /// out-of-range value ([`SystemConfig::check_inputs`], 0 insts or a
+    /// telemetry epoch of 0). This is the one range check the `das` CLI,
+    /// manifests and served jobs share.
     pub fn config(&self) -> Result<(SystemConfig, Design), String> {
         use das_core::replacement::ReplacementPolicy;
         use das_dram::geometry::{Arrangement, FastRatio};
@@ -231,6 +232,9 @@ impl JobSpec {
 
         let design = Design::parse(&self.design)
             .ok_or_else(|| format!("unknown design key {:?}", self.design))?;
+        if self.insts == 0 {
+            return Err("insts 0 is not at least 1 instruction per core".to_string());
+        }
         let defaults = das_core::management::ManagementConfig::paper_default();
         SystemConfig::check_inputs(
             design,
@@ -392,8 +396,8 @@ impl JobSpec {
         if job.id.is_empty() || job.design.is_empty() || job.workload.is_empty() {
             return Err("job needs id, design and workload".into());
         }
-        if job.insts == 0 || job.scale == 0 {
-            return Err(format!("job {} needs insts and scale", job.id));
+        if job.scale == 0 {
+            return Err(format!("job {} needs a scale", job.id));
         }
         Ok(job)
     }
@@ -740,6 +744,21 @@ mod tests {
             .contains("telemetry epoch 0"));
         job.ov.telemetry_epoch = Some(1);
         assert!(job.config().is_ok());
+    }
+
+    #[test]
+    fn zero_insts_fails_the_shared_config_check() {
+        let mut job = sample_job(&sample(), "fig8a/mcf/t4");
+        job.insts = 0;
+        let err = job.config().unwrap_err();
+        assert!(err.contains("insts 0"), "{err}");
+        // A served job parses alone; the same check then rejects it.
+        assert_eq!(JobSpec::from_value(&job.to_value()), Ok(job.clone()));
+        let mut m = sample();
+        m.experiments[0].jobs[0].insts = 0;
+        assert!(Manifest::parse(&m.render())
+            .unwrap_err()
+            .contains("insts 0"));
     }
 
     #[test]

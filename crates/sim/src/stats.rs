@@ -3,7 +3,7 @@
 use das_coherence::CoherenceStats;
 use das_core::promotion::FilterStats;
 use das_core::translation::TranslationStats;
-use das_memctrl::request::ServiceClass;
+use das_telemetry::LatencyClass;
 
 /// Migration-policy results of a run with an adaptive policy installed
 /// (`None` when the legacy fixed-threshold path decided promotions).
@@ -88,11 +88,11 @@ impl AccessMix {
     }
 
     /// Records one serviced access.
-    pub fn record(&mut self, service: ServiceClass) {
-        match service {
-            ServiceClass::RowBufferHit => self.row_buffer += 1,
-            ServiceClass::FastMiss => self.fast += 1,
-            ServiceClass::SlowMiss => self.slow += 1,
+    pub fn record(&mut self, class: LatencyClass) {
+        match class {
+            LatencyClass::RowBufferHit => self.row_buffer += 1,
+            LatencyClass::FastMiss => self.fast += 1,
+            LatencyClass::SlowMiss => self.slow += 1,
         }
     }
 
@@ -325,10 +325,10 @@ mod tests {
     #[test]
     fn access_mix_fractions_sum_to_one() {
         let mut m = AccessMix::default();
-        m.record(ServiceClass::RowBufferHit);
-        m.record(ServiceClass::FastMiss);
-        m.record(ServiceClass::SlowMiss);
-        m.record(ServiceClass::SlowMiss);
+        m.record(LatencyClass::RowBufferHit);
+        m.record(LatencyClass::FastMiss);
+        m.record(LatencyClass::SlowMiss);
+        m.record(LatencyClass::SlowMiss);
         let (rb, f, s) = m.fractions();
         assert!((rb + f + s - 1.0).abs() < 1e-12);
         assert_eq!(m.total(), 4);

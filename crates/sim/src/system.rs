@@ -29,6 +29,7 @@ pub use das_cpu::TraceSource;
 use das_dram::channel::ChannelDevice;
 use das_dram::geometry::{BankCoord, MemCoord};
 use das_dram::tick::Tick;
+use das_dram::timing::{TimingParams, TimingSet};
 use das_memctrl::controller::{ControllerError, MemoryController};
 use das_memctrl::request::{Completion, Request, ServiceClass, SwapOp};
 use das_telemetry::{EpochCounters, LatencyClass, Telemetry, TelemetryReport};
@@ -246,14 +247,17 @@ fn installed_policy(cfg: &SystemConfig, design: Design) -> Option<das_policy::Po
     cfg.policy.filter(|_| design.takes_policy())
 }
 
-/// Maps the controller's service classification onto telemetry's
-/// dependency-free mirror.
-fn latency_class(s: ServiceClass) -> LatencyClass {
-    match s {
-        ServiceClass::RowBufferHit => LatencyClass::RowBufferHit,
-        ServiceClass::FastMiss => LatencyClass::FastMiss,
-        ServiceClass::SlowMiss => LatencyClass::SlowMiss,
-    }
+/// The class every activation counts under when `timing` has a single
+/// activation latency (Std-DRAM and SALP: slow; FS-DRAM: fast); `None`
+/// where the layout's fast/slow subarray classification stands.
+fn uniform_activation(timing: &TimingSet) -> Option<LatencyClass> {
+    (timing.fast == timing.slow).then(|| {
+        if timing.fast == TimingParams::fast_subarray() {
+            LatencyClass::FastMiss
+        } else {
+            LatencyClass::SlowMiss
+        }
+    })
 }
 
 /// The OS-visible data rows under `design`, for `cfg` with the design's
@@ -477,10 +481,15 @@ pub struct System {
     /// translations — one per open row — so a burst of misses to one row
     /// pays the translation lookup once).
     recent_translations: RecentRows,
+    /// First logical row of the reserved translation-table region, the
+    /// same in every bank (the region takes the very top rows).
+    table_first_row: u32,
+    /// The class every activation counts under, for a timing set with
+    /// one activation latency ([`uniform_activation`]).
+    uniform_activation: Option<LatencyClass>,
     // --- statistics ---
     workload_label: String,
     access_mix: AccessMix,
-    memory_accesses: u64,
     table_fetch_reads: u64,
     core_misses: Vec<u64>,
     /// Physical rows touched, by global row index.
@@ -490,7 +499,7 @@ pub struct System {
     /// subarrays could be powered down).
     subarray_activity: DenseSet,
     warm_core: Vec<Option<(u64, u64, u64)>>, // (insts, retire_ticks, misses)
-    warm_global: Option<(AccessMix, u64, u64, u64)>, // (mix, promos, accesses, table reads)
+    warm_global: Option<(AccessMix, u64, u64)>, // (mix, promos, table reads)
     events_processed: u64,
     same_tick_wakes: u32,
     // --- telemetry ---
@@ -656,6 +665,9 @@ impl System {
         let ticks_per_us = das_dram::tick::TICKS_PER_NS as f64 * 1_000.0;
         let tel = Telemetry::new(cfg.telemetry, channels, ticks_per_us);
         let epoch_ticks = cfg.cycles_to_ticks(cfg.telemetry.epoch_cycles);
+        let g = &cfg.geometry;
+        let table_rows_per_bank = g.table_rows().div_ceil(g.total_banks() as u64) as u32;
+        let table_first_row = g.rows_per_bank - table_rows_per_bank.min(g.rows_per_bank);
         let next_epoch_at = if cfg.telemetry.enabled() {
             epoch_ticks
         } else {
@@ -684,9 +696,10 @@ impl System {
             pending_swaps: FastMap::default(),
             next_swap_token: 0,
             recent_translations: RecentRows::new(RECENT_TRANSLATIONS),
+            table_first_row,
+            uniform_activation: uniform_activation(&timing),
             workload_label: label,
             access_mix: AccessMix::default(),
-            memory_accesses: 0,
             table_fetch_reads: 0,
             core_misses: vec![0; n],
             footprint_rows: DenseSet::default(),
@@ -717,7 +730,19 @@ impl System {
     pub fn run(mut self) -> (Result<RunMetrics, SimError>, Option<TelemetryReport>) {
         let outcome = self.run_loop();
         let tel = std::mem::replace(&mut self.tel, Telemetry::off());
-        let report = tel.into_report();
+        let mut report = tel.into_report();
+        if let (Some(r), Some(coh)) = (report.as_mut(), &self.coherence) {
+            let s = coh.cluster.stats();
+            r.coh_counts = [
+                s.bus_rd,
+                s.bus_rdx,
+                s.bus_upgr,
+                s.bus_upd,
+                s.invalidations,
+                s.interventions,
+                s.writeback_flushes,
+            ];
+        }
         match outcome {
             Ok(()) => (Ok(self.finalize()), report),
             Err(e) => (Err(e), report),
@@ -885,7 +910,6 @@ impl System {
                 self.warm_global = Some((
                     self.access_mix,
                     self.manager.as_ref().map_or(0, |m| m.stats().promotions),
-                    self.memory_accesses,
                     self.table_fetch_reads,
                 ));
             }
@@ -896,77 +920,69 @@ impl System {
         &mut self,
         core: usize,
         id: u64,
-        addr: u64,
+        vaddr: u64,
         is_write: bool,
     ) -> Result<(), SimError> {
-        if self.coherence.is_some() {
-            return self.handle_coherent_issue(core, id, addr, is_write);
-        }
         let t = self.clock;
         // OS-style physical placement: scatter the workload-local address
-        // over the whole usable row space.
-        let addr = self.addr_map.map(core, addr);
+        // over the whole usable row space. A coherent run's shared prefix
+        // maps through core 0's placement, so every core names the same
+        // physical rows there.
+        let owner = match &self.coherence {
+            Some(coh) if vaddr < coh.shared_bytes => 0,
+            _ => core,
+        };
+        let addr = self.addr_map.map(owner, vaddr);
         self.footprint_rows
             .insert((addr / self.cfg.geometry.row_bytes as u64) as usize);
-        let outcome = self.hierarchy.access(core, addr, is_write);
-        self.issue_hierarchy_writebacks(t);
-        if outcome.level != CacheLevel::Memory {
+        let line = addr & !(self.cfg.hierarchy.line_bytes - 1);
+        let (at, from_dram) = if self.coherence.is_some() {
+            self.coherent_lookup(core, line, addr, is_write, t)
+        } else {
+            let outcome = self.hierarchy.access(core, addr, is_write);
+            self.issue_hierarchy_writebacks(t);
             let done = t + self.cfg.cycles_to_ticks(outcome.lookup_cycles);
+            (done, outcome.level == CacheLevel::Memory)
+        };
+        if !from_dram {
             if !is_write {
-                self.complete_core(core, id, done);
+                self.complete_core(core, id, at);
             }
             return Ok(());
         }
-        // LLC miss.
+        // LLC miss: a DRAM read fetches the line.
         self.core_misses[core] += 1;
-        let line = addr & !(self.cfg.hierarchy.line_bytes - 1);
         let waiter = Waiter {
             core,
             id,
             is_load: !is_write,
         };
         match self.mshr.register(line, waiter) {
-            Some(true) => {
-                let t_found = t + self.cfg.cycles_to_ticks(outcome.lookup_cycles);
-                self.start_demand_read(line, t_found, core);
-            }
+            Some(true) => self.start_demand_read(line, at, core),
             Some(false) => {} // merged
             None => return Err(SimError::MshrSaturated { line }),
         }
         Ok(())
     }
 
-    /// The coherent front end's issue path: the access first resolves in
-    /// the private-cache cluster, which may satisfy it entirely (hit, or a
+    /// The coherent front end's lookup: the access first resolves in the
+    /// private-cache cluster, which may satisfy it entirely (hit, or a
     /// peer's cache-to-cache transfer); only cluster misses that no peer
-    /// supplies consult the shared LLC and, below it, DRAM.
-    fn handle_coherent_issue(
+    /// supplies consult the shared LLC. Returns when the lookup finishes
+    /// and whether DRAM must supply the line.
+    fn coherent_lookup(
         &mut self,
         core: usize,
-        id: u64,
-        vaddr: u64,
+        line: u64,
+        addr: u64,
         is_write: bool,
-    ) -> Result<(), SimError> {
-        let t = self.clock;
-        let shared_bytes = self
-            .coherence
-            .as_ref()
-            .expect("coherent path without front end")
-            .shared_bytes;
-        // Shared prefix: every core names the same physical rows (core 0's
-        // placement); the private remainder keeps the per-core scatter.
-        let addr = if vaddr < shared_bytes {
-            self.addr_map.map(0, vaddr)
-        } else {
-            self.addr_map.map(core, vaddr)
-        };
-        self.footprint_rows
-            .insert((addr / self.cfg.geometry.row_bytes as u64) as usize);
+        t: Tick,
+    ) -> (Tick, bool) {
         let now_cycles = t.raw() / self.cfg.core.ticks_per_cycle;
-        let line = addr & !(self.cfg.hierarchy.line_bytes - 1);
-        let coh = self.coherence.as_mut().expect("checked above");
-        // Per-access coherence deltas feed only the telemetry sink.
-        let before = self.tel.enabled().then(|| coh.cluster.stats().clone());
+        let coh = self
+            .coherence
+            .as_mut()
+            .expect("coherent lookup without front end");
         let out = coh.cluster.access(core, line, is_write, now_cycles);
         if out.shared {
             // The line was valid in another core's L1: sharing-induced
@@ -978,19 +994,8 @@ impl System {
                 .or_insert(0);
             *heat = heat.saturating_add(1);
         }
-        if let Some(before) = before {
-            let after = coh.cluster.stats();
-            let deltas = [
-                after.bus_rd - before.bus_rd,
-                after.bus_rdx - before.bus_rdx,
-                after.bus_upgr - before.bus_upgr,
-                after.bus_upd - before.bus_upd,
-                after.invalidations - before.invalidations,
-                after.interventions - before.interventions,
-                after.writeback_flushes - before.writeback_flushes,
-            ];
-            let wait_delta = after.bus_wait_cycles - before.bus_wait_cycles;
-            self.tel.coh_access(deltas, wait_delta);
+        if let Some(wait) = out.bus_wait {
+            self.tel.coh_bus_wait(wait);
         }
         // Dirty lines flushed out of the cluster land in the LLC when it
         // holds them; otherwise they go to DRAM.
@@ -1001,36 +1006,14 @@ impl System {
         }
         let done = t + self.cfg.cycles_to_ticks(out.cycles);
         if !out.fetch_below {
-            if !is_write {
-                self.complete_core(core, id, done);
-            }
-            return Ok(());
+            return (done, false);
         }
-        // Cluster miss with no peer supplier: consult the shared LLC. The
-        // LLC allocates at lookup time (as the table-fetch path does); the
-        // DRAM round trip still gates this requester's completion.
-        let llc_lat = self.cfg.cycles_to_ticks(self.cfg.hierarchy.llc_latency);
+        // The LLC allocates at lookup time (as the table-fetch path does);
+        // the DRAM round trip still gates this requester's completion.
         let hit = self.hierarchy.llc_side_access(line);
         self.issue_hierarchy_writebacks(done);
-        if hit {
-            if !is_write {
-                self.complete_core(core, id, done + llc_lat);
-            }
-            return Ok(());
-        }
-        // LLC miss: a real DRAM read fetches the line.
-        self.core_misses[core] += 1;
-        let waiter = Waiter {
-            core,
-            id,
-            is_load: !is_write,
-        };
-        match self.mshr.register(line, waiter) {
-            Some(true) => self.start_demand_read(line, done + llc_lat, core),
-            Some(false) => {} // merged
-            None => return Err(SimError::MshrSaturated { line }),
-        }
-        Ok(())
+        let llc_lat = self.cfg.cycles_to_ticks(self.cfg.hierarchy.llc_latency);
+        (done + llc_lat, !hit)
     }
 
     // ---- DRAM request construction ---------------------------------------
@@ -1222,113 +1205,33 @@ impl System {
         }
     }
 
-    fn record_subarray(&mut self, bank: BankCoord, logical_row: u32) {
-        let table_rows_start = self.table_region_first_row(bank);
-        if logical_row >= table_rows_start {
-            return;
+    /// How a serviced access counts in the access mix, the epoch series
+    /// and the latency histograms: a row-buffer hit, or the class of the
+    /// activation it needed. A design with one activation latency counts
+    /// every activation under it, whatever the layout's nominal class.
+    fn access_class(&self, service: ServiceClass) -> LatencyClass {
+        match (service, self.uniform_activation) {
+            (ServiceClass::RowBufferHit, _) => LatencyClass::RowBufferHit,
+            (_, Some(class)) => class,
+            (ServiceClass::FastMiss, None) => LatencyClass::FastMiss,
+            (ServiceClass::SlowMiss, None) => LatencyClass::SlowMiss,
         }
-        let phys = match self.manager.as_ref() {
-            Some(m) => m.peek(bank, logical_row).0,
-            None => logical_row,
-        };
-        let layout = self.ctrls[bank.channel as usize].channel().layout();
-        let (sub, _) = layout.classify(phys);
-        let per_bank = layout.subarrays().len();
-        self.subarray_activity
-            .insert(self.cfg.geometry.bank_index(bank) * per_bank + sub);
-    }
-
-    fn record_mix(&mut self, service: ServiceClass) {
-        // Homogeneous designs report their single kind regardless of the
-        // layout's nominal classification.
-        let adjusted = match (self.design, service) {
-            (_, ServiceClass::RowBufferHit) => ServiceClass::RowBufferHit,
-            (Design::Standard | Design::Salp, _) => ServiceClass::SlowMiss,
-            (Design::FsDram, _) => ServiceClass::FastMiss,
-            (_, s) => s,
-        };
-        self.access_mix.record(adjusted);
-        self.memory_accesses += 1;
     }
 
     fn handle_completion(&mut self, ch: usize, c: Completion) -> Result<(), SimError> {
-        match c {
+        let (id, at, service, latency, is_write) = match c {
             Completion::ReadDone {
                 id,
                 at,
                 service,
                 latency,
-            } => {
-                self.tel
-                    .record_latency(ch, latency_class(service), latency.raw());
-                let Some(ctx) = self.ctxs.remove(id) else {
-                    return Err(SimError::UnknownCompletion { kind: "read", id });
-                };
-                match ctx {
-                    ReqCtx::DemandRead {
-                        line,
-                        bank,
-                        logical_row,
-                        fill_core,
-                    } => {
-                        self.record_mix(service);
-                        self.record_subarray(bank, logical_row);
-                        self.after_data_access(bank, logical_row, false, at);
-                        let waiters = self.mshr.complete(line);
-                        if self.coherence.is_none() {
-                            // Coherent runs skip this: the private copy
-                            // lives in the cluster and the LLC already
-                            // allocated at lookup time. The line fills
-                            // dirty when a merged miss was a store.
-                            let dirty = waiters.iter().any(|w| !w.is_load);
-                            self.hierarchy.fill_from_memory(fill_core, line, dirty);
-                            self.issue_hierarchy_writebacks(at);
-                        }
-                        for w in waiters.iter().filter(|w| w.is_load) {
-                            let mut out = std::mem::take(&mut self.core_reqs);
-                            self.cores[w.core].complete(w.id, at.raw(), &mut out);
-                            self.schedule_core_requests(w.core, out);
-                        }
-                        // Each waiting core is dispatched once, in waiter
-                        // order.
-                        for (i, w) in waiters.iter().enumerate() {
-                            if waiters[..i].iter().all(|p| p.core != w.core) {
-                                self.check_warm(w.core);
-                                self.dispatch_core(w.core);
-                            }
-                        }
-                    }
-                    ReqCtx::TableRead { then } => {
-                        if let Some(mut demand) = then {
-                            demand.arrival = at;
-                            self.push(at, EventKind::CtrlEnqueue { req: demand });
-                        }
-                    }
-                    ReqCtx::DemandWrite { .. } => {
-                        return Err(SimError::ContextMismatch { kind: "read", id });
-                    }
-                }
-            }
+            } => (id, at, service, latency, false),
             Completion::WriteDone {
                 id,
                 at,
                 service,
                 latency,
-            } => {
-                self.tel
-                    .record_latency(ch, latency_class(service), latency.raw());
-                let Some(ctx) = self.ctxs.remove(id) else {
-                    return Err(SimError::UnknownCompletion { kind: "write", id });
-                };
-                match ctx {
-                    ReqCtx::DemandWrite { bank, logical_row } => {
-                        self.record_mix(service);
-                        self.record_subarray(bank, logical_row);
-                        self.after_data_access(bank, logical_row, true, at);
-                    }
-                    _ => return Err(SimError::ContextMismatch { kind: "write", id }),
-                }
-            }
+            } => (id, at, service, latency, true),
             Completion::SwapDone { token, at: _ } => {
                 let Some(req) = self.pending_swaps.remove(&token) else {
                     return Err(SimError::UnknownCompletion {
@@ -1347,17 +1250,87 @@ impl System {
                 if let Some(m) = self.manager.as_mut() {
                     m.commit_swap(&req, self.clock.raw());
                 }
+                return Ok(());
             }
+        };
+        let class = self.access_class(service);
+        self.tel.record_latency(ch, class, latency.raw());
+        let kind = if is_write { "write" } else { "read" };
+        let Some(ctx) = self.ctxs.remove(id) else {
+            return Err(SimError::UnknownCompletion { kind, id });
+        };
+        let (bank, logical_row) = match (ctx, is_write) {
+            (ReqCtx::TableRead { then }, false) => {
+                if let Some(mut demand) = then {
+                    demand.arrival = at;
+                    self.push(at, EventKind::CtrlEnqueue { req: demand });
+                }
+                return Ok(());
+            }
+            (
+                ReqCtx::DemandRead {
+                    bank, logical_row, ..
+                },
+                false,
+            )
+            | (ReqCtx::DemandWrite { bank, logical_row }, true) => (bank, logical_row),
+            _ => return Err(SimError::ContextMismatch { kind, id }),
+        };
+        self.access_mix.record(class);
+        // Table-region traffic is neither tracked by subarray nor managed.
+        if logical_row < self.table_first_row {
+            self.record_subarray(bank, logical_row);
+            self.after_data_access(bank, logical_row, is_write, at);
+        }
+        if let ReqCtx::DemandRead {
+            line, fill_core, ..
+        } = ctx
+        {
+            self.fill_line(line, fill_core, at);
         }
         Ok(())
     }
 
-    fn after_data_access(&mut self, bank: BankCoord, logical_row: u32, is_write: bool, at: Tick) {
-        // Table-region traffic is not subject to management.
-        let table_rows_start = self.table_region_first_row(bank);
-        if logical_row >= table_rows_start {
-            return;
+    fn record_subarray(&mut self, bank: BankCoord, logical_row: u32) {
+        let phys = match self.manager.as_ref() {
+            Some(m) => m.peek(bank, logical_row).0,
+            None => logical_row,
+        };
+        let layout = self.ctrls[bank.channel as usize].channel().layout();
+        let (sub, _) = layout.classify(phys);
+        let per_bank = layout.subarrays().len();
+        self.subarray_activity
+            .insert(self.cfg.geometry.bank_index(bank) * per_bank + sub);
+    }
+
+    /// Hands a demand read's line to the caches and wakes its waiters.
+    fn fill_line(&mut self, line: u64, fill_core: usize, at: Tick) {
+        let waiters = self.mshr.complete(line);
+        if self.coherence.is_none() {
+            // Coherent runs skip this: the private copy lives in the
+            // cluster and the LLC already allocated at lookup time. The
+            // line fills dirty when a merged miss was a store.
+            let dirty = waiters.iter().any(|w| !w.is_load);
+            self.hierarchy.fill_from_memory(fill_core, line, dirty);
+            self.issue_hierarchy_writebacks(at);
         }
+        for w in waiters.iter().filter(|w| w.is_load) {
+            let mut out = std::mem::take(&mut self.core_reqs);
+            self.cores[w.core].complete(w.id, at.raw(), &mut out);
+            self.schedule_core_requests(w.core, out);
+        }
+        // Each waiting core is dispatched once, in waiter order.
+        for (i, w) in waiters.iter().enumerate() {
+            if waiters[..i].iter().all(|p| p.core != w.core) {
+                self.check_warm(w.core);
+                self.dispatch_core(w.core);
+            }
+        }
+    }
+
+    /// Notifies the manager of a data access, and issues the migration it
+    /// decides on.
+    fn after_data_access(&mut self, bank: BankCoord, logical_row: u32, is_write: bool, at: Tick) {
         let Some(m) = self.manager.as_mut() else {
             return;
         };
@@ -1399,18 +1372,10 @@ impl System {
         self.schedule_wake(ch);
     }
 
-    /// First logical row of `bank` that belongs to the reserved table
-    /// region (rows at the very top of the address space).
-    fn table_region_first_row(&self, _bank: BankCoord) -> u32 {
-        let g = &self.cfg.geometry;
-        let per_bank = g.table_rows().div_ceil(g.total_banks() as u64) as u32;
-        g.rows_per_bank - per_bank.min(g.rows_per_bank)
-    }
-
     // ---- finalisation ------------------------------------------------------
 
     fn finalize(self) -> RunMetrics {
-        let warm_global = self.warm_global.unwrap_or((AccessMix::default(), 0, 0, 0));
+        let warm_global = self.warm_global.unwrap_or((AccessMix::default(), 0, 0));
         let tpc = self.cfg.core.ticks_per_cycle;
         let cores: Vec<CoreMetrics> = self
             .cores
@@ -1428,8 +1393,8 @@ impl System {
         let promotions_total = self.manager.as_ref().map_or(0, |m| m.stats().promotions);
         let mix = self.access_mix.since(&warm_global.0);
         let promotions = promotions_total - warm_global.1;
-        let accesses = self.memory_accesses - warm_global.2;
-        let table_reads = self.table_fetch_reads - warm_global.3;
+        let accesses = mix.total();
+        let table_reads = self.table_fetch_reads - warm_global.2;
         let llc_misses = cores.iter().map(|c| c.llc_misses).sum();
         let window_cycles = cores.iter().map(|c| c.cycles).max().unwrap_or(0);
         let model = EnergyModel::default();
@@ -1582,14 +1547,25 @@ mod tests {
     }
 
     #[test]
+    fn only_homogeneous_designs_have_a_uniform_activation_class() {
+        for d in Design::every() {
+            let want = match d {
+                Design::Standard | Design::Salp => Some(LatencyClass::SlowMiss),
+                Design::FsDram => Some(LatencyClass::FastMiss),
+                _ => None,
+            };
+            assert_eq!(uniform_activation(&d.timing()), want, "{}", d.key());
+        }
+    }
+
+    #[test]
     fn table_region_occupies_top_rows() {
         let wls = workloads4();
         let sources = wls
             .iter()
             .map(|_| Box::new(std::iter::empty()) as TraceSource);
         let sys = System::new(cfg(), Design::Standard, &wls, sources.collect(), None);
-        let bank = BankCoord::new(0, 0, 0);
-        let first = sys.table_region_first_row(bank);
+        let first = sys.table_first_row;
         assert!(first < sys.cfg.geometry.rows_per_bank);
         assert!(
             first >= sys.cfg.geometry.rows_per_bank - 2,

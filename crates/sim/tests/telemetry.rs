@@ -156,6 +156,39 @@ fn exports_parse_and_carry_percentiles() {
 }
 
 #[test]
+fn homogeneous_designs_histogram_every_activation_under_their_one_class() {
+    // With no warm-up the measured window is the whole run, so each class's
+    // histogram count is its access-mix count (none of these designs fetches
+    // translation lines). Std-DRAM and SALP activate only slow rows, FS-DRAM
+    // only fast ones, whatever the layout calls the subarray.
+    let mut cfg = SystemConfig::test_small().with_telemetry(TelemetryConfig::on(50_000));
+    cfg.warmup_frac = 0.0;
+    for (design, empty) in [
+        (Design::Standard, LatencyClass::FastMiss),
+        (Design::Salp, LatencyClass::FastMiss),
+        (Design::FsDram, LatencyClass::SlowMiss),
+    ] {
+        let (res, report) = run_one_instrumented(&cfg, design, &mcf());
+        let mix = res.unwrap().access_mix;
+        let hists = report.unwrap().merged;
+        assert_eq!(hists.class(empty).count(), 0, "{design:?}");
+        for (class, n) in [
+            (LatencyClass::RowBufferHit, mix.row_buffer),
+            (LatencyClass::FastMiss, mix.fast),
+            (LatencyClass::SlowMiss, mix.slow),
+        ] {
+            assert_eq!(
+                hists.class(class).count(),
+                n,
+                "{design:?} {}",
+                class.label()
+            );
+        }
+        assert!(mix.total() > 0, "{design:?}");
+    }
+}
+
+#[test]
 fn coherent_telemetry_totals_match_the_cluster_counters() {
     use das_coherence::ProtocolKind;
     use das_sim::experiments::{run_one_coherent, run_one_coherent_instrumented};
@@ -169,7 +202,7 @@ fn coherent_telemetry_totals_match_the_cluster_counters() {
         let (res, report) = run_one_coherent_instrumented(&inst, Design::DasDram, &spec, protocol);
         let on = res.unwrap();
         assert_eq!(fingerprint(&base), fingerprint(&on));
-        // The sink sums per-access deltas, so its totals are the counters.
+        // The report's event counts are the cluster's own counters.
         let s = &on.coherence.as_ref().expect("coherence block").stats;
         let report = report.expect("On sink must produce a report");
         let counters = [

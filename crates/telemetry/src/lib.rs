@@ -115,8 +115,8 @@ impl LatencyClass {
     }
 }
 
-/// Coherence event kinds tracked by the sink, in report order. Indices
-/// match the `counts` argument of [`Telemetry::coh_access`].
+/// Coherence event kinds in report order: the indices of
+/// [`TelemetryReport::coh_counts`].
 pub const COH_EVENTS: [&str; 7] = [
     "bus_rd",
     "bus_rdx",
@@ -199,8 +199,6 @@ pub struct Telemetry {
     trace: EventTrace,
     /// Begin tick and channel of in-flight migration spans, by token.
     swap_begin: HashMap<u64, (u64, u32)>,
-    /// Coherence event counts, indexed as [`COH_EVENTS`].
-    coh_counts: [u64; 7],
     /// Bus-arbitration wait per coherence transaction, in core cycles.
     coh_bus_wait: LatencyHistogram,
 }
@@ -221,7 +219,6 @@ impl Telemetry {
             series: EpochSeries::new(if on { cfg.epoch_cycles } else { 0 }),
             trace: EventTrace::new(),
             swap_begin: HashMap::new(),
-            coh_counts: [0; 7],
             coh_bus_wait: LatencyHistogram::default(),
         }
     }
@@ -309,22 +306,13 @@ impl Telemetry {
         });
     }
 
-    /// Records the coherence activity one cluster access caused: per-kind
-    /// event deltas (indexed as [`COH_EVENTS`]) and the cycles the access's
-    /// bus transactions spent waiting for arbitration. A sample lands in
-    /// the bus-wait histogram only when the access used the bus at all.
-    pub fn coh_access(&mut self, counts: [u64; 7], bus_wait: u64) {
+    /// Records the cycles one cluster access's bus transactions spent
+    /// waiting for arbitration (accesses that used no bus record nothing).
+    pub fn coh_bus_wait(&mut self, cycles: u64) {
         if !self.enabled() {
             return;
         }
-        let mut used_bus = false;
-        for (total, d) in self.coh_counts.iter_mut().zip(counts) {
-            *total += d;
-            used_bus |= d != 0;
-        }
-        if used_bus {
-            self.coh_bus_wait.record(bus_wait);
-        }
+        self.coh_bus_wait.record(cycles);
     }
 
     /// Records an instant event (`watchdog_fire`).
@@ -344,7 +332,9 @@ impl Telemetry {
     }
 
     /// Finishes recording and produces the report (merged histograms,
-    /// series, trace). Returns `None` for a disabled sink.
+    /// series, trace). Returns `None` for a disabled sink. The coherence
+    /// event counts start at zero: the simulator copies them from the
+    /// cluster's own counters.
     pub fn into_report(self) -> Option<TelemetryReport> {
         if !self.enabled() {
             return None;
@@ -360,7 +350,7 @@ impl Telemetry {
             per_channel: self.channel_hists,
             series: self.series,
             trace: self.trace,
-            coh_counts: self.coh_counts,
+            coh_counts: [0; 7],
             coh_bus_wait: self.coh_bus_wait,
         })
     }
@@ -481,11 +471,9 @@ mod tests {
         assert!(!quiet.contains("\"coherence\""));
 
         let mut t = Telemetry::new(TelemetryConfig::on(1_000), 1, 24_000.0);
-        t.coh_access([1, 0, 0, 0, 0, 1, 0], 4); // BusRd + intervention
-        t.coh_access([0, 0, 0, 0, 0, 0, 0], 0); // pure hit: no sample
-        let r = t.into_report().unwrap();
-        assert_eq!(r.coh_counts[0], 1);
-        assert_eq!(r.coh_counts[5], 1);
+        t.coh_bus_wait(4);
+        let mut r = t.into_report().unwrap();
+        r.coh_counts = [1, 0, 0, 0, 0, 1, 0]; // BusRd + intervention
         assert_eq!(r.coh_bus_wait.count(), 1);
         let doc = r.to_value().render();
         assert!(doc.contains("\"coherence\""));
@@ -494,7 +482,7 @@ mod tests {
 
         // Off sink: the hook is a no-op.
         let mut off = Telemetry::off();
-        off.coh_access([1; 7], 10);
+        off.coh_bus_wait(10);
         assert!(off.into_report().is_none());
     }
 

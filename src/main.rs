@@ -11,8 +11,10 @@
 //! ```
 
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use das_core::replacement::ReplacementPolicy;
+use das_harness::cli::need;
 use das_harness::manifest::{JobSpec, Overrides, DEFAULT_INSTS, DEFAULT_SCALE, DEFAULT_SEED};
 use das_sim::config::Design;
 use das_sim::experiments::{improvement, run_one, run_recorded};
@@ -54,6 +56,7 @@ fn design_list(sep: &str) -> String {
 
 /// The parsed command line: the run as a manifest job plus what only the
 /// front end reads.
+#[derive(Debug)]
 struct Options {
     /// Design, budget, scale, seed and knob overrides. Its workload token
     /// stays empty; `das run` takes it from `--bench` or `--mix`.
@@ -77,6 +80,22 @@ impl Options {
     }
 }
 
+/// Why a subcommand failed.
+#[derive(Debug)]
+enum Failure {
+    /// The command line names no valid run; the usage text follows.
+    Args(String),
+    /// The run itself failed: an unreadable trace or a simulation error.
+    Run(String),
+}
+
+/// The number following `flag`.
+fn need_num<T: FromStr>(args: &mut dyn Iterator<Item = String>, flag: &str) -> Result<T, String> {
+    let v = need(args, flag)?;
+    v.parse()
+        .map_err(|_| format!("{flag} needs a non-negative integer, got {v:?}"))
+}
+
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut o = Options {
         job: JobSpec {
@@ -93,51 +112,40 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         trace_path: None,
         baseline: true,
     };
-    let mut it = args.iter();
+    let mut it = args.iter().cloned();
     while let Some(a) = it.next() {
-        let mut next = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let it = &mut it;
         match a.as_str() {
             "--design" => {
-                let v = next("--design")?;
+                let v = need(it, "--design")?;
                 Design::parse(&v).ok_or_else(|| format!("unknown design {v:?}"))?;
                 o.job.design = v;
             }
-            "--bench" => o.bench = Some(next("--bench")?),
-            "--mix" => o.mix = Some(next("--mix")?),
-            "--insts" => o.job.insts = next("--insts")?.parse().map_err(|e| format!("{e}"))?,
-            "--scale" => o.job.scale = next("--scale")?.parse().map_err(|e| format!("{e}"))?,
-            "--threshold" => {
-                o.job.ov.threshold = Some(next("--threshold")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--group" => {
-                o.job.ov.group_size = Some(next("--group")?.parse().map_err(|e| format!("{e}"))?)
-            }
+            "--bench" => o.bench = Some(need(it, "--bench")?),
+            "--mix" => o.mix = Some(need(it, "--mix")?),
+            "--insts" => o.job.insts = need_num(it, "--insts")?,
+            "--scale" => o.job.scale = need_num(it, "--scale")?,
+            "--threshold" => o.job.ov.threshold = Some(need_num(it, "--threshold")?),
+            "--group" => o.job.ov.group_size = Some(need_num(it, "--group")?),
             "--ratio" => {
-                let v = next("--ratio")?;
+                let v = need(it, "--ratio")?;
                 let den = v
                     .strip_prefix("1/")
                     .and_then(|d| d.parse().ok())
                     .ok_or_else(|| format!("--ratio expects 1/N, got {v:?}"))?;
                 o.job.ov.fast_ratio_den = Some(den);
             }
-            "--tcache" => {
-                let kb: u64 = next("--tcache")?.parse().map_err(|e| format!("{e}"))?;
-                o.job.ov.tcache_bytes = Some(kb << 10);
-            }
+            "--tcache" => o.job.ov.tcache_bytes = Some(need_num::<u64>(it, "--tcache")? << 10),
             "--replacement" => {
-                let v = next("--replacement")?;
+                let v = need(it, "--replacement")?;
                 ReplacementPolicy::parse(&v).ok_or_else(|| format!("unknown replacement {v:?}"))?;
                 o.job.ov.replacement = Some(v);
             }
             "--salp" => o.job.ov.salp = Some(true),
             "--no-baseline" => o.baseline = false,
-            "--seed" => o.job.seed = next("--seed")?.parse().map_err(|e| format!("{e}"))?,
+            "--seed" => o.job.seed = need_num(it, "--seed")?,
             other if o.trace_path.is_none() && !other.starts_with("--") => {
-                o.trace_path = Some(other.to_string());
+                o.trace_path = Some(a);
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
@@ -178,38 +186,40 @@ fn print_metrics(m: &RunMetrics, base: Option<&RunMetrics>) {
     println!("DRAM energy   : {:.1} uJ", m.energy.total_nj() / 1000.0);
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let mut o = parse_args(args)?;
-    o.job.workload = o.workload()?;
-    let (cfg, design, wl) = o.job.materialize()?;
+fn cmd_run(args: &[String]) -> Result<(), Failure> {
+    let mut o = parse_args(args).map_err(Failure::Args)?;
+    o.job.workload = o.workload().map_err(Failure::Args)?;
+    let (cfg, design, wl) = o.job.materialize().map_err(Failure::Args)?;
     let base = if o.baseline && design != Design::Standard {
-        Some(run_one(&cfg, Design::Standard, &wl).map_err(|e| format!("baseline run: {e}"))?)
+        let b = run_one(&cfg, Design::Standard, &wl);
+        Some(b.map_err(|e| Failure::Run(format!("baseline run: {e}")))?)
     } else {
         None
     };
-    let m = run_one(&cfg, design, &wl).map_err(|e| format!("simulation: {e}"))?;
+    let m = run_one(&cfg, design, &wl).map_err(|e| Failure::Run(format!("simulation: {e}")))?;
     print_metrics(&m, base.as_ref());
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let o = parse_args(args)?;
+fn cmd_trace(args: &[String]) -> Result<(), Failure> {
+    let o = parse_args(args).map_err(Failure::Args)?;
     let path = o
         .trace_path
         .clone()
-        .ok_or("trace subcommand needs a file path")?;
-    let file = std::fs::File::open(&path).map_err(|e| format!("{path}: {e}"))?;
+        .ok_or_else(|| Failure::Args("trace subcommand needs a file path".into()))?;
+    let (mut cfg, design) = o.job.config().map_err(Failure::Args)?;
+    let file = std::fs::File::open(&path).map_err(|e| Failure::Run(format!("{path}: {e}")))?;
     let items = trace_file::read_trace(std::io::BufReader::new(file))
-        .map_err(|e| format!("{path}: {e}"))?;
+        .map_err(|e| Failure::Run(format!("{path}: {e}")))?;
     println!("loaded {} references from {path}", items.len());
-    let (mut cfg, design) = o.job.config()?;
     cfg.inst_budget = u64::MAX;
     let baseline_items = (o.baseline && design != Design::Standard).then(|| items.clone());
-    let m = run_recorded(&cfg, design, vec![items]).map_err(|e| format!("simulation: {e}"))?;
+    let m = run_recorded(&cfg, design, vec![items])
+        .map_err(|e| Failure::Run(format!("simulation: {e}")))?;
     let base = baseline_items
         .map(|items| {
             run_recorded(&cfg, Design::Standard, vec![items])
-                .map_err(|e| format!("baseline run: {e}"))
+                .map_err(|e| Failure::Run(format!("baseline run: {e}")))
         })
         .transpose()?;
     print_metrics(&m, base.as_ref());
@@ -235,13 +245,17 @@ fn main() -> ExitCode {
             print!("{}", usage());
             Ok(())
         }
-        Some(other) => Err(format!("unknown subcommand {other:?}")),
+        Some(other) => Err(Failure::Args(format!("unknown subcommand {other:?}"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Args(e)) => {
             eprintln!("error: {e}");
             eprint!("{}", usage());
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -319,6 +333,19 @@ mod tests {
     }
 
     #[test]
+    fn zero_or_malformed_insts_is_an_argument_error() {
+        let zero = cmd_run(&args(&["--bench", "mcf", "--insts", "0", "--no-baseline"]));
+        assert!(
+            matches!(&zero, Err(Failure::Args(e)) if e.contains("insts 0")),
+            "{zero:?}"
+        );
+        let err = parse_args(&args(&["--insts", "abc"])).unwrap_err();
+        assert_eq!(err, r#"--insts needs a non-negative integer, got "abc""#);
+        let err = parse_args(&args(&["--seed", "-1"])).unwrap_err();
+        assert!(err.starts_with("--seed "), "{err}");
+    }
+
+    #[test]
     fn out_of_range_geometry_is_an_error() {
         for (flag, value) in [
             ("--scale", "65536"),
@@ -388,7 +415,9 @@ mod tests {
         let (std, incl) = (run("std"), run("das_incl"));
         std::fs::remove_file(&path).unwrap();
         std.unwrap();
-        let err = incl.unwrap_err();
+        let Err(Failure::Run(err)) = incl else {
+            panic!("expected a run failure: {incl:?}");
+        };
         assert!(
             err.contains("footprint (15001 rows) exceeds its share of memory (14334 rows)"),
             "{err}"
@@ -402,8 +431,11 @@ mod tests {
         // newline shows the damage.
         let path = std::env::temp_dir().join(format!("das_truncated_{}.txt", std::process::id()));
         std::fs::write(&path, "0 0x1000 R\n3 0x10ff00 R").unwrap();
-        let err = cmd_trace(&args(&[path.to_str().unwrap(), "--design", "das"])).unwrap_err();
+        let res = cmd_trace(&args(&[path.to_str().unwrap(), "--design", "das"]));
         std::fs::remove_file(&path).unwrap();
+        let Err(Failure::Run(err)) = res else {
+            panic!("expected a run failure: {res:?}");
+        };
         assert!(
             err.contains("trace line 2: truncated final record"),
             "{err}"
